@@ -8,10 +8,10 @@ in the sampled function values, so it doubles as a training regularizer.
 Submodules
 ----------
 basis      Chebyshev / Legendre recurrences and path design matrices.
-sampling   Deterministic and randomized abscissa schemes on [0, 1].
+sampling   Abscissa schemes on [0, 1] and the one place seeds are derived.
 surrogate  Damped least-squares fit, effective degree, analytic gradient.
 reduce     Per-path PCA with deterministic sign and tie handling.
-estimator  Dataset-level effective-degree estimation over random paths.
+estimator  The per-path engine and dataset-level estimation over random paths.
 polylab    Exact rational polynomial algebra for degree bookkeeping.
 net        Small dense networks, regularized training, square-activation study.
 cli        Command-line entry points producing reproducible artifacts.

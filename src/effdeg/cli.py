@@ -28,13 +28,12 @@ import numpy as np
 
 from . import __version__
 from . import net as nets
-from . import polylab
+from . import polylab, sampling
 from .estimator import (
     EstimatorConfig,
     FunctionOracle,
     PathSamplingError,
     ed_estimate,
-    path_ed_with_gradient,
 )
 from .sampling import sample_abscissas
 from .surrogate import (
@@ -185,11 +184,7 @@ def _as_int(value, key: str) -> int:
 
 def load_dataset_csv(path: str) -> tuple[np.ndarray, np.ndarray | None]:
     """Read feature columns x0..x{d-1} plus an optional integer label column."""
-    try:
-        fh = open(path, newline="", encoding="utf-8")
-    except OSError:
-        raise
-    with fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -206,6 +201,7 @@ def load_dataset_csv(path: str) -> tuple[np.ndarray, np.ndarray | None]:
         if extras:
             raise ConfigError(f"{path}: unexpected columns {extras}")
         label_pos = header.index("label") if has_label else None
+        feature_pos = [header.index(c) for c in expected]
         rows, labels = [], []
         for ln, row in enumerate(reader, start=2):
             if not row:
@@ -213,7 +209,7 @@ def load_dataset_csv(path: str) -> tuple[np.ndarray, np.ndarray | None]:
             if len(row) != len(header):
                 raise ConfigError(f"{path}:{ln}: expected {len(header)} fields")
             try:
-                rows.append([float(row[header.index(c)]) for c in expected])
+                rows.append([float(row[k]) for k in feature_pos])
                 if has_label:
                     labels.append(int(row[label_pos]))
             except ValueError as exc:
@@ -226,9 +222,7 @@ def load_dataset_csv(path: str) -> tuple[np.ndarray, np.ndarray | None]:
 
 
 def _affine_oracle(dim: int) -> FunctionOracle:
-    rng = np.random.Generator(
-        np.random.Philox(np.random.SeedSequence(2718281828, spawn_key=(dim,)))
-    )
+    rng = sampling.rng(2718281828, dim)
     A = rng.standard_normal((dim, dim))
     b = rng.standard_normal(dim)
     return FunctionOracle(dim, dim, lambda x: x @ A.T + b, name="affine")
@@ -492,9 +486,7 @@ def cmd_verify_degree(args) -> int:
         source = {"polys_file": args.polys}
     else:
         dim = _as_int(cfg["dim"], "dim")
-        rng = np.random.Generator(
-            np.random.Philox(np.random.SeedSequence(_as_int(cfg["seed"], "seed"), spawn_key=(77,)))
-        )
+        rng = sampling.rng(_as_int(cfg["seed"], "seed"), 77)
         poly_a = polylab.random_multipoly(
             dim, _as_int(cfg["deg_a"], "deg_a"), rng, n_terms=_as_int(cfg["terms"], "terms")
         )
@@ -613,7 +605,7 @@ def _rel_err(analytic: np.ndarray, reference: np.ndarray) -> float:
 
 
 def _surrogate_gradcheck(n_checks: int, seed: int, corrupt: bool) -> dict:
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(1,))))
+    rng = sampling.rng(seed, 1)
     cells = []
     attempts = 0
     while len(cells) < n_checks and attempts < n_checks * 20:
@@ -660,9 +652,7 @@ def _composite_gradcheck(n_checks: int, seed: int, corrupt: bool) -> dict:
     cells = []
     attempt = 0
     while len(cells) < n_checks and attempt < n_checks * 20:
-        rng = np.random.Generator(
-            np.random.Philox(np.random.SeedSequence(seed, spawn_key=(2, attempt)))
-        )
+        rng = sampling.rng(seed, 2, attempt)
         attempt += 1
         anchored = bool(rng.integers(0, 2))
         pca_dim = int(rng.integers(1, 3)) if rng.integers(0, 2) else None
@@ -859,34 +849,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# (exception type, exit code), first match wins
+EXIT_CODES = (
+    (ConfigError, EXIT_CONFIG),
+    (polylab.PolyParseError, EXIT_CONFIG),
+    (ValueError, EXIT_CONFIG),
+    (OSError, EXIT_IO),
+    (SingularFitError, EXIT_NUMERICAL),
+    (PathSamplingError, EXIT_NUMERICAL),
+    (nets.NonFiniteLossError, EXIT_NONFINITE),
+    (nets.TrainingFailure, EXIT_STUDY),
+)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except tuple(kind for kind, _ in EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except polylab.PolyParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except SingularFitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except PathSamplingError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except nets.NonFiniteLossError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NONFINITE
-    except nets.TrainingFailure as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_STUDY
+        return next(code for kind, code in EXIT_CODES if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

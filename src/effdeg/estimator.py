@@ -1,13 +1,22 @@
-"""Dataset-level effective-degree estimation over random interpolation paths.
+"""The per-path engine, and dataset-level estimation over random interpolation paths.
 
-One estimate draws endpoint pairs from a dataset, walks the segment
-x(a) = a x1 + (1 - a) x2 at the configured abscissas, fits per-output
-surrogates to the sampled function values (optionally softmaxed, label
-anchored, and PCA reduced), and averages the per-path effective degrees.
+One path is planned, evaluated, then fitted:
 
-Randomness is splittable: path p derives its pair choices and abscissa seed
-from SeedSequence(seed, spawn_key=(p, ...)), so any subset of paths can be
-reproduced without replaying the others.
+- plan_path draws an endpoint pair (x1, x2) from a dataset and the abscissas
+  a_i of the segment x(a) = a x1 + (1 - a) x2;
+- the caller evaluates its function at the segment points (path_values for
+  an oracle, a network forward pass for the training penalty);
+- fit_path takes those raw outputs, applies softmax, label anchoring and
+  PCA as configured, fits per-output surrogates and returns the path's
+  effective degree, plus its gradient in the raw outputs on request.
+
+ed_estimate averages the per-path effective degrees over a dataset, and
+net.ed_penalty averages them over a minibatch; both run this engine.
+
+Randomness is splittable: a path planned under key k draws its pair from
+sampling.rng(seed, *k, 0) and its abscissa seed from
+sampling.derive_seed(seed, *k, 1).  ed_estimate plans path p under key (p,),
+so any single path can be replayed without replaying the others.
 """
 
 from __future__ import annotations
@@ -17,6 +26,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import sampling
 from . import surrogate as sg
 from .basis import BASIS_KINDS
 from .reduce import PathProjection, pca_project
@@ -25,16 +35,16 @@ from .sampling import SCHEME_VARIANTS, PathAbscissas, sample_abscissas
 __all__ = [
     "FunctionOracle",
     "EstimatorConfig",
-    "PathBatch",
+    "PathPlan",
+    "PathFit",
     "PathResult",
     "EDReport",
     "PathSamplingError",
     "softmax",
+    "plan_path",
     "path_values",
-    "build_path",
     "anchor_values",
-    "label_anchor",
-    "path_ed",
+    "fit_path",
     "ed_estimate",
 ]
 
@@ -109,18 +119,26 @@ class EstimatorConfig:
 
 
 @dataclass(frozen=True)
-class PathBatch:
-    """One interpolation path: endpoints, abscissas, and sampled values.
+class PathPlan:
+    """Frozen randomness of one path: endpoint row indices and abscissas (x1 = row i)."""
 
-    values is (r, output_dim), row i evaluated at alphas[i].  anchored marks
-    whether endpoint rows have been overwritten with labels.
+    i: int
+    j: int
+    abscissas: PathAbscissas
+
+
+@dataclass(frozen=True)
+class PathFit:
+    """One path's effective degree, the PCA map it was fitted through, and its gradient.
+
+    grad is dED/d(raw outputs), (r, out), divided by the requested
+    divisor; None unless requested.
     """
 
-    x1: np.ndarray
-    x2: np.ndarray
-    abscissas: PathAbscissas
-    values: np.ndarray
-    anchored: bool = False
+    ed: sg.EDValue
+    pca_ties: bool
+    projection: PathProjection | None
+    grad: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -163,6 +181,31 @@ def softmax(values: np.ndarray, axis: int = -1) -> np.ndarray:
     return e / e.sum(axis=axis, keepdims=True)
 
 
+def plan_path(
+    inputs: np.ndarray,
+    seed: int,
+    key: tuple[int, ...],
+    scheme: str,
+    resolution: int,
+    anchored: bool,
+) -> PathPlan | None:
+    """Draw the endpoint pair and abscissas of the path keyed by (seed, key).
+
+    A pair of equal or coincident rows is redrawn, up to _MAX_REDRAWS times;
+    None means every draw was degenerate.
+    """
+    pair_rng = sampling.rng(seed, *key, 0)
+    n = inputs.shape[0]
+    for _ in range(_MAX_REDRAWS):
+        i, j = (int(v) for v in pair_rng.integers(0, n, size=2))
+        if i != j and np.linalg.norm(inputs[i] - inputs[j]) > DEGENERATE_NORM:
+            abscissas = sample_abscissas(
+                scheme, resolution, anchored=anchored, seed=sampling.derive_seed(seed, *key, 1)
+            )
+            return PathPlan(i=i, j=j, abscissas=abscissas)
+    return None
+
+
 def path_values(
     oracle: FunctionOracle, x1: np.ndarray, x2: np.ndarray, abscissas: PathAbscissas
 ) -> np.ndarray:
@@ -170,18 +213,6 @@ def path_values(
     a = abscissas.alphas[:, None]
     points = a * np.asarray(x1, dtype=float) + (1.0 - a) * np.asarray(x2, dtype=float)
     return oracle.evaluate(points)
-
-
-def build_path(
-    oracle: FunctionOracle, x1: np.ndarray, x2: np.ndarray, abscissas: PathAbscissas
-) -> PathBatch:
-    """Evaluate the oracle along the segment and package the result."""
-    return PathBatch(
-        x1=np.asarray(x1, dtype=float),
-        x2=np.asarray(x2, dtype=float),
-        abscissas=abscissas,
-        values=path_values(oracle, x1, x2, abscissas),
-    )
 
 
 def anchor_values(
@@ -200,99 +231,61 @@ def anchor_values(
     return out
 
 
-def label_anchor(batch: PathBatch, t1: np.ndarray, t2: np.ndarray) -> PathBatch:
-    """Pin the batch's endpoint rows to the endpoint labels (t1 at a=1)."""
-    anchored = anchor_values(batch.values, batch.abscissas, t1, t2)
-    return PathBatch(
-        x1=batch.x1,
-        x2=batch.x2,
-        abscissas=batch.abscissas,
-        values=anchored,
-        anchored=True,
-    )
-
-
-def path_ed(
-    values: np.ndarray,
-    abscissas: PathAbscissas,
+def fit_path(
+    raw: np.ndarray,
+    plan: PathPlan,
     config: EstimatorConfig,
+    labels: np.ndarray | None = None,
     projection: PathProjection | None = None,
-) -> tuple[sg.EDValue, bool]:
-    """Effective degree of one path's (r, out) values; returns (value, pca tie flag).
+    grad_divisor: float | None = None,
+) -> PathFit:
+    """Effective degree of one path from its raw (r, out) outputs.
 
-    A caller may pass a precomputed projection to freeze the PCA map; by
-    default the projection is fit to the given values.
+    The outputs are softmaxed (config.post_softmax), their endpoint rows
+    replaced by labels[plan.i] and labels[plan.j] (config.anchored), and
+    projected to config.pca_dim components before the fit.  A caller may
+    pass a projection to freeze the PCA map; by default it is fit to the
+    path's values.
+
+    With grad_divisor set, the result also carries the gradient of
+    ed / grad_divisor in raw.  The PCA map is differentiated as a fixed
+    linear map, anchored rows get zero gradient (they are labels, not
+    outputs), and the softmax is backpropagated last.  The division comes
+    before the anchoring and the softmax, which fixes the gradient's rounding.
     """
-    ties = False
+    outputs = softmax(raw, axis=1) if config.post_softmax else np.asarray(raw, dtype=float)
+    values = outputs
+    if config.anchored:
+        if labels is None:
+            raise ValueError("anchored paths need labels")
+        values = anchor_values(outputs, plan.abscissas, labels[plan.i], labels[plan.j])
     fit_target = values
-    if config.pca_dim is not None:
-        if projection is None:
-            projection = pca_project(values, config.pca_dim)
-        fit_target = projection.apply(values)
-        dead = projection.explained_variance < 1e-12
-        if dead.any():
-            fit_target = fit_target.copy()
-            fit_target[:, dead] = 0.0
-        ties = projection.degenerate_ties
-    coeffs = sg.fit_matrix(
-        abscissas, fit_target, config.max_degree, config.damping, config.basis
-    )
-    per_dim = [sg.ed_from_coefficients(coeffs[:, j]) for j in range(coeffs.shape[1])]
-    return sg.mean_ed(per_dim), ties
-
-
-def path_ed_with_gradient(
-    values: np.ndarray,
-    abscissas: PathAbscissas,
-    config: EstimatorConfig,
-    projection: PathProjection | None = None,
-) -> tuple[sg.EDValue, np.ndarray, bool]:
-    """Per-path ED plus its gradient in the (r, out) values.
-
-    The PCA projection, when used, is differentiated as a fixed linear map:
-    the mean and components are constants of the path.  Dead (zeroed)
-    components contribute nothing, since their fitted coefficients vanish and
-    sign(0) = 0.  Callers that anchor endpoint rows must zero those gradient
-    rows themselves, because anchored rows are labels, not function values.
-    """
-    values = np.asarray(values, dtype=float)
-    ties = False
-    fit_target = values
-    if config.pca_dim is not None:
-        if projection is None:
-            projection = pca_project(values, config.pca_dim)
-        fit_target = projection.apply(values)
-        dead = projection.explained_variance < 1e-12
-        if dead.any():
-            fit_target = fit_target.copy()
-            fit_target[:, dead] = 0.0
-        ties = projection.degenerate_ties
-    coeffs = sg.fit_matrix(
-        abscissas, fit_target, config.max_degree, config.damping, config.basis
-    )
-    per_dim = [sg.ed_from_coefficients(coeffs[:, j]) for j in range(coeffs.shape[1])]
-    value = sg.mean_ed(per_dim)
-    grad_fit = sg.ed_gradient_matrix(
-        abscissas, fit_target, config.max_degree, config.damping, config.basis
-    ) / fit_target.shape[1]
-    if config.pca_dim is not None:
-        grad = grad_fit @ projection.components
+    if config.pca_dim is None:
+        projection = None
     else:
-        grad = grad_fit
-    return value, grad, ties
-
-
-def _draw_pair(
-    rng: np.random.Generator, inputs: np.ndarray
-) -> tuple[int, int] | None:
-    n = inputs.shape[0]
-    for _ in range(_MAX_REDRAWS):
-        i, j = (int(v) for v in rng.integers(0, n, size=2))
-        if i == j:
-            continue
-        if np.linalg.norm(inputs[i] - inputs[j]) > DEGENERATE_NORM:
-            return i, j
-    return None
+        if projection is None:
+            projection = pca_project(values, config.pca_dim)
+        fit_target = projection.apply(values)
+    fitted = sg.fit_matrix(
+        plan.abscissas, fit_target, config.max_degree, config.damping, config.basis,
+        with_gradient=grad_divisor is not None,
+    )
+    coeffs = fitted if grad_divisor is None else fitted[0]
+    ed = sg.mean_ed(sg.ed_from_coefficients(coeffs[:, j]) for j in range(coeffs.shape[1]))
+    ties = projection is not None and projection.degenerate_ties
+    if grad_divisor is None:
+        return PathFit(ed=ed, pca_ties=ties, projection=projection)
+    grad = fitted[1] / fit_target.shape[1]
+    if projection is not None:
+        grad = grad @ projection.components
+    grad = grad / grad_divisor
+    if config.anchored:
+        grad[0, :] = 0.0
+        grad[-1, :] = 0.0
+    if config.post_softmax:
+        inner = (grad * outputs).sum(axis=1, keepdims=True)
+        grad = outputs * (grad - inner)
+    return PathFit(ed=ed, pca_ties=ties, projection=projection, grad=grad)
 
 
 def ed_estimate(
@@ -329,40 +322,19 @@ def ed_estimate(
     results: list[PathResult] = []
     n_skipped = 0
     for p in range(config.n_paths):
-        pair_rng = np.random.Generator(
-            np.random.Philox(np.random.SeedSequence(config.seed, spawn_key=(p, 0)))
-        )
-        pair = _draw_pair(pair_rng, X)
-        if pair is None:
+        plan = plan_path(X, config.seed, (p,), config.scheme, config.resolution, config.anchored)
+        if plan is None:
             n_skipped += 1
             continue
-        i, j = pair
-        abscissa_seed = int(
-            np.random.SeedSequence(config.seed, spawn_key=(p, 1)).generate_state(
-                1, np.uint64
-            )[0]
-        )
-        abscissas = sample_abscissas(
-            config.scheme, config.resolution, anchored=config.anchored, seed=abscissa_seed
-        )
-        batch = build_path(oracle, X[i], X[j], abscissas)
-        if config.post_softmax:
-            batch = PathBatch(
-                x1=batch.x1,
-                x2=batch.x2,
-                abscissas=abscissas,
-                values=softmax(batch.values, axis=1),
-            )
-        if config.anchored:
-            batch = label_anchor(batch, labels[i], labels[j])
-        ed_val, ties = path_ed(batch.values, abscissas, config)
+        raw = path_values(oracle, X[plan.i], X[plan.j], plan.abscissas)
+        fitted = fit_path(raw, plan, config, labels=labels)
         results.append(
             PathResult(
                 index=p,
-                endpoint_indices=(i, j),
-                ed=ed_val.ed,
-                ed_norm=ed_val.ed_norm,
-                pca_ties=ties,
+                endpoint_indices=(plan.i, plan.j),
+                ed=fitted.ed.ed,
+                ed_norm=fitted.ed.ed_norm,
+                pca_ties=fitted.pca_ties,
             )
         )
 

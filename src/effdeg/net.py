@@ -24,17 +24,16 @@ from dataclasses import dataclass, field, asdict, replace
 
 import numpy as np
 
-from . import __version__
+from . import __version__, sampling
 from .estimator import (
     EstimatorConfig,
     FunctionOracle,
-    anchor_values,
+    PathPlan,
     ed_estimate,
-    path_ed_with_gradient,
+    fit_path,
+    plan_path,
     softmax,
 )
-from .reduce import pca_project
-from .sampling import PathAbscissas, sample_abscissas
 
 __all__ = [
     "ACTIVATIONS",
@@ -43,7 +42,6 @@ __all__ = [
     "TrainingFailure",
     "TrainConfig",
     "StepRecord",
-    "PathPlan",
     "plan_paths",
     "ed_penalty",
     "task_loss_and_grad",
@@ -125,7 +123,7 @@ class FeedForwardNet:
             activations = ("relu",) * (n_layers - 1) + ("identity",)
         if len(activations) != n_layers:
             raise ValueError("one activation per layer required")
-        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+        rng = sampling.rng(seed)
         weights, biases = [], []
         for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
             s = scale if scale is not None else np.sqrt(2.0 / fan_in)
@@ -298,15 +296,6 @@ class TrainConfig:
         return asdict(self)
 
 
-@dataclass(frozen=True)
-class PathPlan:
-    """Frozen randomness of one penalty path: endpoints and abscissas."""
-
-    i: int
-    j: int
-    abscissas: PathAbscissas
-
-
 def lambda_schedule(step: int, config: TrainConfig) -> float:
     """Sinusoidal ramp from 0 to reg_strength over the first ramp_fraction of steps."""
     if config.reg_strength == 0.0:
@@ -321,31 +310,18 @@ def lambda_schedule(step: int, config: TrainConfig) -> float:
 def plan_paths(
     batch: np.ndarray, config: TrainConfig, step: int
 ) -> list[PathPlan]:
-    """Draw the penalty paths for one step; degenerate pairs are dropped."""
-    n = batch.shape[0]
-    plans: list[PathPlan] = []
-    for p in range(config.reg_paths):
-        rng = np.random.Generator(
-            np.random.Philox(np.random.SeedSequence(config.seed, spawn_key=(step, 1, p, 0)))
+    """Draw the penalty paths for one step; degenerate pairs are dropped.
+
+    Path p of the step is planned under key (step, 1, p), so it can be
+    replayed alone with estimator.plan_path.
+    """
+    plans = (
+        plan_path(
+            batch, config.seed, (step, 1, p), config.scheme, config.resolution, config.anchored
         )
-        pair = None
-        for _ in range(16):
-            i, j = (int(v) for v in rng.integers(0, n, size=2))
-            if i != j and np.linalg.norm(batch[i] - batch[j]) > 1e-12:
-                pair = (i, j)
-                break
-        if pair is None:
-            continue
-        abscissa_seed = int(
-            np.random.SeedSequence(config.seed, spawn_key=(step, 1, p, 1)).generate_state(
-                1, np.uint64
-            )[0]
-        )
-        abscissas = sample_abscissas(
-            config.scheme, config.resolution, anchored=config.anchored, seed=abscissa_seed
-        )
-        plans.append(PathPlan(i=pair[0], j=pair[1], abscissas=abscissas))
-    return plans
+        for p in range(config.reg_paths)
+    )
+    return [plan for plan in plans if plan is not None]
 
 
 def ed_penalty(
@@ -372,45 +348,25 @@ def ed_penalty(
     d_w = [np.zeros_like(w) for w in net.weights]
     d_b = [np.zeros_like(b) for b in net.biases]
     out_projections = []
-    use_softmax = config.task == "cross_entropy"
     for k, plan in enumerate(plans):
         a = plan.abscissas.alphas[:, None]
         points = a * batch[plan.i] + (1.0 - a) * batch[plan.j]
         raw, cache = net.forward_cached(points)
-        values = softmax(raw, axis=1) if use_softmax else raw
-        if config.anchored:
-            values = anchor_values(
-                values, plan.abscissas, targets[plan.i], targets[plan.j]
-            )
-        if config.pca_dim is not None:
-            frozen = (
-                projections[k] if projections is not None else pca_project(values, config.pca_dim)
-            )
-        else:
-            frozen = None
-        ed_val, grad_vals, _ = path_ed_with_gradient(
-            values, plan.abscissas, ecfg, projection=frozen
+        fitted = fit_path(
+            raw,
+            plan,
+            ecfg,
+            labels=targets,
+            projection=None if projections is None else projections[k],
+            grad_divisor=n_planned if want_grads else None,
         )
-        out_projections.append(frozen)
-        total += ed_val.ed
-        if not want_grads:
-            continue
-        grad_vals = grad_vals / n_planned
-        if config.anchored:
-            # anchored rows are labels; the model output there is unused
-            grad_vals = grad_vals.copy()
-            grad_vals[0, :] = 0.0
-            grad_vals[-1, :] = 0.0
-        if use_softmax:
-            probs = softmax(raw, axis=1)
-            inner = (grad_vals * probs).sum(axis=1, keepdims=True)
-            grad_raw = probs * (grad_vals - inner)
-        else:
-            grad_raw = grad_vals
-        dw_k, db_k = net.backward(cache, grad_raw)
-        for l in range(len(d_w)):
-            d_w[l] += dw_k[l]
-            d_b[l] += db_k[l]
+        out_projections.append(fitted.projection)
+        total += fitted.ed.ed
+        if want_grads:
+            dw_k, db_k = net.backward(cache, fitted.grad)
+            for l in range(len(d_w)):
+                d_w[l] += dw_k[l]
+                d_b[l] += db_k[l]
     penalty = total / n_planned
     return penalty, ((d_w, d_b) if want_grads else None), out_projections
 
@@ -464,8 +420,6 @@ def regularized_step(
         vel_b[l] = config.momentum * vel_b[l] - config.step_size * d_b[l]
         net.weights[l] += vel_w[l]
         net.biases[l] += vel_b[l]
-    velocity[0][:] = vel_w
-    velocity[1][:] = vel_b
     return StepRecord(
         step=step,
         task_loss=task_loss,
@@ -502,13 +456,12 @@ def train(
     labels = T.argmax(axis=1) if config.task == "cross_entropy" else None
     log: list[StepRecord] = []
     for step in range(config.n_steps):
-        batch_rng = np.random.Generator(
-            np.random.Philox(np.random.SeedSequence(config.seed, spawn_key=(step, 0)))
-        )
         if config.batch_size == X.shape[0]:
             idx = np.arange(X.shape[0])
         else:
-            idx = batch_rng.choice(X.shape[0], size=config.batch_size, replace=False)
+            idx = sampling.rng(config.seed, step, 0).choice(
+                X.shape[0], size=config.batch_size, replace=False
+            )
         record = regularized_step(net, X[idx], T[idx], config, step, velocity)
         if labels is not None:
             record = replace(record, accuracy=accuracy(net, X, labels))
@@ -580,7 +533,7 @@ def make_two_cluster_dataset(
     """Two interleaved crescent clusters in the plane with integer labels."""
     if n < 4:
         raise ValueError("n must be >= 4")
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    rng = sampling.rng(seed)
     n0 = n // 2
     n1 = n - n0
     t0 = rng.uniform(0.0, np.pi, size=n0)
@@ -706,18 +659,11 @@ _PNN_LADDER = ((0.05, 0.35), (0.02, 0.35), (0.05, 0.25), (0.01, 0.45), (0.02, 0.
 def _train_pnn_task(
     fn, seed: int, task_index: int, width: int, n_train: int, n_steps: int, mse_target: float
 ):
-    rng = np.random.Generator(
-        np.random.Philox(np.random.SeedSequence(seed, spawn_key=(task_index, 0)))
-    )
-    X = rng.uniform(-1.0, 1.0, size=(n_train, 3))
+    X = sampling.rng(seed, task_index, 0).uniform(-1.0, 1.0, size=(n_train, 3))
     Y = fn(X)
     best = None
     for restart, (lr, scale) in enumerate(_PNN_LADDER):
-        init_seed = int(
-            np.random.SeedSequence(seed, spawn_key=(task_index, 1, restart)).generate_state(
-                1, np.uint64
-            )[0]
-        )
+        init_seed = sampling.derive_seed(seed, task_index, 1, restart)
         net = build_pnn(width=width, seed=init_seed, scale=scale)
         cfg = TrainConfig(
             task="mse",
@@ -760,10 +706,7 @@ def pnn_study(
     With strict=True a task that misses the mse target raises
     TrainingFailure; otherwise the row is kept and flagged.
     """
-    eval_rng = np.random.Generator(
-        np.random.Philox(np.random.SeedSequence(seed, spawn_key=(999,)))
-    )
-    X_eval = eval_rng.uniform(-_EVAL_BOX, _EVAL_BOX, size=(n_eval, 3))
+    X_eval = sampling.rng(seed, 999).uniform(-_EVAL_BOX, _EVAL_BOX, size=(n_eval, 3))
 
     def measure(net: FeedForwardNet, basis: str, pca_dim):
         cfg = EstimatorConfig(

@@ -19,6 +19,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import sampling
+
 __all__ = [
     "NEG_INF",
     "MultiPoly",
@@ -314,7 +316,7 @@ def verify_order_preservation(
         raise ValueError("order preservation needs nonzero polynomials")
     if n_pairs < 1:
         raise ValueError("n_pairs must be >= 1")
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    rng = sampling.rng(seed)
     degs_a: list[float] = []
     degs_b: list[float] = []
     drops = [0, 0]

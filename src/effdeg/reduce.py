@@ -9,7 +9,7 @@ constants of the path, not functions of the values being differentiated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -40,8 +40,14 @@ class PathProjection:
         return int(self.components.shape[0])
 
     def apply(self, values: np.ndarray) -> np.ndarray:
-        """Project new (r, out) values through the frozen mean and components."""
-        return (np.asarray(values, dtype=float) - self.mean) @ self.components.T
+        """Project (r, out) values through the frozen mean and components.
+
+        Coordinates along dead components (variance below EIGENVALUE_FLOOR)
+        come out as exact zeros.
+        """
+        out = (np.asarray(values, dtype=float) - self.mean) @ self.components.T
+        out[:, self.explained_variance < EIGENVALUE_FLOOR] = 0.0
+        return out
 
 
 def pca_project(values: np.ndarray, n_components: int) -> PathProjection:
@@ -76,10 +82,6 @@ def pca_project(values: np.ndarray, n_components: int) -> PathProjection:
             row *= -1.0
 
     variance = np.clip(eigvals[:m], 0.0, None)
-    projected = centered @ comps.T
-    dead = variance < EIGENVALUE_FLOOR
-    if dead.any():
-        projected[:, dead] = 0.0
 
     # A tie matters when it straddles the chosen cut or reorders kept
     # components; gaps among the first m + 1 eigenvalues cover both.
@@ -88,10 +90,12 @@ def pca_project(values: np.ndarray, n_components: int) -> PathProjection:
     pairs_alive = np.maximum(eigvals[: upto - 1], eigvals[1:upto]) >= EIGENVALUE_FLOOR
     ties = bool(np.any((np.abs(gaps) < TIE_GAP) & pairs_alive))
 
-    return PathProjection(
+    # projected goes through apply, the one place dead components are zeroed
+    projection = PathProjection(
         mean=mean,
         components=comps,
-        projected=projected,
+        projected=np.empty((r, 0)),
         explained_variance=variance,
         degenerate_ties=ties,
     )
+    return replace(projection, projected=projection.apply(y))

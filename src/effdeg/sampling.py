@@ -1,9 +1,13 @@
-"""Abscissa schemes on the unit interval for path sampling.
+"""Abscissa schemes on the unit interval, and the package's seed derivation.
 
 All schemes return abscissas in ascending order inside [0, 1].  The
 randomized scheme is counter based: every draw comes from a Philox stream
 keyed by (seed, stream id), and stratum i always consumes draw i of the
 stream, so results are independent of evaluation order.
+
+Every random stream in the package comes from rng(seed, *key) or
+derive_seed(seed, *key): SeedSequence(seed, spawn_key=key), so any keyed
+stream can be rebuilt on its own.
 """
 
 from __future__ import annotations
@@ -14,6 +18,8 @@ import numpy as np
 
 __all__ = [
     "SCHEME_VARIANTS",
+    "rng",
+    "derive_seed",
     "PathAbscissas",
     "chebyshev_nodes",
     "randomized_cosine",
@@ -43,9 +49,18 @@ class PathAbscissas:
         return int(self.alphas.size)
 
 
-def _stream(seed: int, *stream_id: int) -> np.random.Generator:
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(s) for s in stream_id))
-    return np.random.Generator(np.random.Philox(ss))
+def _seed_sequence(seed: int, key: tuple) -> np.random.SeedSequence:
+    return np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(k) for k in key))
+
+
+def rng(seed: int, *key: int) -> np.random.Generator:
+    """Philox generator of the stream keyed by (seed, key)."""
+    return np.random.Generator(np.random.Philox(_seed_sequence(seed, key)))
+
+
+def derive_seed(seed: int, *key: int) -> int:
+    """One 64-bit integer seed derived from (seed, key), for APIs that take a seed."""
+    return int(_seed_sequence(seed, key).generate_state(1, np.uint64)[0])
 
 
 def _theta_to_alpha(theta: np.ndarray) -> np.ndarray:
@@ -93,10 +108,9 @@ def randomized_cosine(resolution: int, seed: int, anchored: bool = False) -> Pat
         raise ValueError("resolution must be >= 1")
     if anchored and r < 2:
         raise ValueError("anchoring requires resolution >= 2")
-    rng = _stream(seed, 0)
     lows = np.arange(r, dtype=float) * np.pi / r
     highs = lows + np.pi / r
-    theta = rng.uniform(lows, highs)
+    theta = rng(seed, 0).uniform(lows, highs)
     if anchored:
         theta[0] = 0.0
         theta[-1] = np.pi

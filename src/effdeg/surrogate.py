@@ -33,7 +33,6 @@ __all__ = [
     "fit_matrix",
     "effective_degree",
     "ed_from_coefficients",
-    "ed_vector",
     "mean_ed",
     "ed_gradient",
     "ed_gradient_matrix",
@@ -75,8 +74,17 @@ def _alpha_array(alphas) -> np.ndarray:
     return np.asarray(alphas, dtype=float)
 
 
-def _normal_solve(design: np.ndarray, rhs: np.ndarray, damping: float) -> np.ndarray:
-    """Solve (T^t T + eps I) c = T^t rhs column-wise via a pivoted dense solve."""
+def _solve(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    try:
+        return np.linalg.solve(gram, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise SingularFitError("normal system solve failed") from exc
+
+
+def _normal_solve(
+    design: np.ndarray, rhs: np.ndarray, damping: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Solve (T^t T + eps I) c = T^t rhs column-wise; returns (c, the damped Gram)."""
     if damping < 0:
         raise ValueError("damping must be >= 0")
     gram = design.T @ design
@@ -89,14 +97,11 @@ def _normal_solve(design: np.ndarray, rhs: np.ndarray, damping: float) -> np.nda
                 "increase damping or change the abscissas"
             )
     b = design.T @ rhs
-    try:
-        coeffs = np.linalg.solve(gram, b)
-    except np.linalg.LinAlgError as exc:
-        raise SingularFitError("normal system solve failed") from exc
+    coeffs = _solve(gram, b)
     resid = np.abs(gram @ coeffs - b).max()
     if not resid < _RESIDUAL_TOL * (1.0 + np.abs(b).max()):
         raise SingularFitError(f"normal system residual {resid:.3e} above tolerance")
-    return coeffs
+    return coeffs, gram
 
 
 def fit(
@@ -112,7 +117,7 @@ def fit(
     if y.ndim != 1 or y.size != a.size:
         raise ValueError("values must be one-dimensional with one entry per abscissa")
     design = design_matrix(basis, a, max_degree)
-    coeffs = _normal_solve(design, y, damping)
+    coeffs, _ = _normal_solve(design, y, damping)
     return PolynomialSurrogate(
         basis=basis, max_degree=max_degree, coefficients=coeffs, damping=float(damping)
     )
@@ -124,14 +129,26 @@ def fit_matrix(
     max_degree: int,
     damping: float = 1e-6,
     basis: str = "chebyshev",
-) -> np.ndarray:
-    """Fit every column of an (r, m) value matrix at once; returns (K + 1, m) coefficients."""
+    with_gradient: bool = False,
+) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
+    """Fit every column of an (r, m) value matrix at once; returns (K + 1, m) coefficients.
+
+    With with_gradient=True returns (coefficients, gradients), where column j
+    of the (r, m) gradients is dED/dy of column j.  Both come from one design
+    matrix and one damped Gram: the cotangent sign(c) * [0, 1, ..., K] is
+    propagated back through the same normal matrix, using sign(0) = 0.
+    """
     a = _alpha_array(alphas)
     y = np.asarray(values, dtype=float)
     if y.ndim != 2 or y.shape[0] != a.size:
         raise ValueError("values must be (r, m) with one row per abscissa")
     design = design_matrix(basis, a, max_degree)
-    return _normal_solve(design, y, damping)
+    coeffs, gram = _normal_solve(design, y, damping)
+    if not with_gradient:
+        return coeffs
+    degrees = np.arange(max_degree + 1, dtype=float)
+    weighted = np.sign(coeffs) * degrees[:, None]
+    return coeffs, design @ _solve(gram, weighted)
 
 
 def ed_from_coefficients(coefficients: np.ndarray) -> EDValue:
@@ -162,21 +179,6 @@ def mean_ed(values) -> EDValue:
     )
 
 
-def ed_vector(surrogates) -> EDValue:
-    """Mean effective degree across the per-output surrogates of one path.
-
-    All surrogates must share the same basis and maximum degree; mixing
-    fits from different spaces would average incomparable quantities.
-    """
-    surrogates = list(surrogates)
-    if not surrogates:
-        raise ValueError("need at least one surrogate")
-    kinds = {(s.basis, s.max_degree) for s in surrogates}
-    if len(kinds) > 1:
-        raise ValueError(f"surrogates disagree on (basis, max_degree): {sorted(kinds)}")
-    return mean_ed(effective_degree(s) for s in surrogates)
-
-
 def ed_gradient(
     alphas,
     values,
@@ -203,21 +205,7 @@ def ed_gradient_matrix(
     basis: str = "chebyshev",
 ) -> np.ndarray:
     """Column-wise ED gradients for an (r, m) value matrix; returns (r, m)."""
-    a = _alpha_array(alphas)
-    y = np.asarray(values, dtype=float)
-    if y.ndim != 2 or y.shape[0] != a.size:
-        raise ValueError("values must be (r, m) with one row per abscissa")
-    design = design_matrix(basis, a, max_degree)
-    coeffs = _normal_solve(design, y, damping)
-    degrees = np.arange(max_degree + 1, dtype=float)
-    weighted = np.sign(coeffs) * degrees[:, None]
-    # The same damped normal matrix propagates the cotangent back to y.
-    gram = design.T @ design + damping * np.eye(max_degree + 1)
-    try:
-        back = np.linalg.solve(gram, weighted)
-    except np.linalg.LinAlgError as exc:
-        raise SingularFitError("normal system solve failed") from exc
-    return design @ back
+    return fit_matrix(alphas, values, max_degree, damping, basis, with_gradient=True)[1]
 
 
 def central_difference(f, x: np.ndarray, step: float = 1e-6) -> np.ndarray:

@@ -11,7 +11,8 @@ import jsonschema
 import numpy as np
 import pytest
 
-from effdeg import __version__
+from effdeg import __version__, cli, polylab
+from effdeg import net as nets
 from effdeg.cli import (
     EXIT_CONFIG,
     EXIT_GRADCHECK,
@@ -21,11 +22,14 @@ from effdeg.cli import (
     EXIT_OK,
     EXIT_STUDY,
     OUT_DIR_ENV,
+    ConfigError,
     canonical_hash,
     load_dataset_csv,
     main,
 )
+from effdeg.estimator import PathSamplingError
 from effdeg.net import load_checkpoint
+from effdeg.surrogate import SingularFitError
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -209,6 +213,48 @@ def test_estimate_exit_codes(tmp_path, capsys):
     flat = write_dataset(tmp_path / "flat.csv", np.tile([1.0, 2.0], (5, 1)))
     assert main(["estimate", "--data", flat, "--paths", "4"]) == EXIT_NUMERICAL
     capsys.readouterr()
+
+
+# the documented mapping, in the order main tries it
+DOCUMENTED_EXIT_CODES = [
+    (ConfigError, EXIT_CONFIG),
+    (polylab.PolyParseError, EXIT_CONFIG),
+    (ValueError, EXIT_CONFIG),
+    (OSError, EXIT_IO),
+    (SingularFitError, EXIT_NUMERICAL),
+    (PathSamplingError, EXIT_NUMERICAL),
+    (nets.NonFiniteLossError, EXIT_NONFINITE),
+    (nets.TrainingFailure, EXIT_STUDY),
+]
+
+
+def test_exit_code_table_is_the_documented_mapping():
+    assert list(cli.EXIT_CODES) == DOCUMENTED_EXIT_CODES
+
+
+@pytest.mark.parametrize(
+    "kind,code", DOCUMENTED_EXIT_CODES, ids=[k.__name__ for k, _ in DOCUMENTED_EXIT_CODES]
+)
+def test_main_maps_each_failure_to_its_exit_code(kind, code, monkeypatch, capsys):
+    def failing_command(args):
+        raise kind("boom")
+
+    monkeypatch.setattr(cli, "cmd_gradcheck", failing_command)
+    assert main(["gradcheck"]) == code
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: boom")
+    assert captured.out == ""
+
+
+def test_singular_undamped_fit_exits_four(tmp_path, capsys):
+    # equispaced nodes at degree 29 make the undamped Gram unusable
+    data = write_dataset(tmp_path / "d.csv", np.random.default_rng(10).standard_normal((3, 2)))
+    argv = [
+        "estimate", "--data", data, "--scheme", "uniform", "--resolution", "30",
+        "--max-degree", "29", "--damping", "0", "--paths", "2", "--out", str(tmp_path / "o"),
+    ]
+    assert main(argv) == EXIT_NUMERICAL
+    assert "COND_LIMIT" in capsys.readouterr().err
 
 
 def test_dataset_loader_errors(tmp_path):

@@ -5,6 +5,7 @@ restriction from the rational-arithmetic lab, converted to the Chebyshev
 basis by numpy.polynomial (tests/oracles.py).
 """
 
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -15,14 +16,13 @@ from effdeg.estimator import (
     EDReport,
     EstimatorConfig,
     FunctionOracle,
-    PathBatch,
+    PathPlan,
     PathSamplingError,
     anchor_values,
-    build_path,
     ed_estimate,
-    label_anchor,
-    path_ed,
+    fit_path,
     path_values,
+    plan_path,
     softmax,
 )
 from effdeg.reduce import pca_project
@@ -48,24 +48,22 @@ def constant_oracle(d, value):
 
 def test_build_path_identity():
     ab = sample_abscissas("uniform", 3)
-    batch = build_path(identity_oracle(2), np.array([1.0, 0.0]), np.array([0.0, 1.0]), ab)
-    assert isinstance(batch, PathBatch)
+    values = path_values(identity_oracle(2), np.array([1.0, 0.0]), np.array([0.0, 1.0]), ab)
     want = np.array([[0.0, 1.0], [0.5, 0.5], [1.0, 0.0]])
-    assert np.allclose(batch.values, want, atol=1e-15)
-    assert not batch.anchored
+    assert np.allclose(values, want, atol=1e-15)
 
 
 def test_build_path_constant():
     ab = sample_abscissas("uniform", 4)
     c = np.array([2.0, -1.0, 0.5])
-    batch = build_path(constant_oracle(3, c), np.ones(3), np.zeros(3), ab)
-    assert np.allclose(batch.values, np.tile(c, (4, 1)), atol=1e-15)
+    values = path_values(constant_oracle(3, c), np.ones(3), np.zeros(3), ab)
+    assert np.allclose(values, np.tile(c, (4, 1)), atol=1e-15)
 
 
 def test_build_path_product_midpoint():
     ab = sample_abscissas("uniform", 3)
-    batch = build_path(product_oracle(), np.array([1.0, 0.0]), np.array([0.0, 1.0]), ab)
-    assert batch.values[1, 0] == pytest.approx(0.25, abs=1e-15)
+    values = path_values(product_oracle(), np.array([1.0, 0.0]), np.array([0.0, 1.0]), ab)
+    assert values[1, 0] == pytest.approx(0.25, abs=1e-15)
 
 
 def test_path_symmetry_under_endpoint_swap():
@@ -82,20 +80,19 @@ def test_path_symmetry_under_endpoint_swap():
 
 def test_label_anchor_one_hot():
     ab = sample_abscissas("chebyshev_fixed", 4, anchored=True)
-    batch = build_path(identity_oracle(2), np.array([3.0, 1.0]), np.array([-2.0, 5.0]), ab)
+    values = path_values(identity_oracle(2), np.array([3.0, 1.0]), np.array([-2.0, 5.0]), ab)
     t1, t2 = np.array([1.0, 0.0]), np.array([0.0, 1.0])
-    anchored = label_anchor(batch, t1, t2)
-    assert np.array_equal(anchored.values[0], t2)  # a = 0 end
-    assert np.array_equal(anchored.values[-1], t1)  # a = 1 end
-    assert anchored.values[1:-1].tobytes() == batch.values[1:-1].tobytes()
-    assert anchored.anchored
+    anchored = anchor_values(values, ab, t1, t2)
+    assert np.array_equal(anchored[0], t2)  # a = 0 end
+    assert np.array_equal(anchored[-1], t1)  # a = 1 end
+    assert anchored[1:-1].tobytes() == values[1:-1].tobytes()
 
 
 def test_label_anchor_rejects_unanchored_abscissas():
     ab = sample_abscissas("chebyshev_fixed", 4)
-    batch = build_path(identity_oracle(2), np.ones(2), np.zeros(2), ab)
+    values = path_values(identity_oracle(2), np.ones(2), np.zeros(2), ab)
     with pytest.raises(ValueError):
-        label_anchor(batch, np.ones(2), np.zeros(2))
+        anchor_values(values, ab, np.ones(2), np.zeros(2))
 
 
 def test_anchor_then_project_differs_from_project_then_anchor():
@@ -117,15 +114,16 @@ def test_anchoring_with_own_outputs_is_identity():
     oracle = FunctionOracle(2, 2, lambda p: np.stack([p[:, 0] * p[:, 1], np.sin(p[:, 0])], axis=1))
     x1, x2 = rng.standard_normal(2), rng.standard_normal(2)
     ab = sample_abscissas("chebyshev_fixed", 5, anchored=True)
-    batch = build_path(oracle, x1, x2, ab)
-    t1 = oracle.evaluate(x1[None, :])[0]
-    t2 = oracle.evaluate(x2[None, :])[0]
-    anchored = label_anchor(batch, t1, t2)
-    assert anchored.values.tobytes() == batch.values.tobytes()
+    values = path_values(oracle, x1, x2, ab)
+    labels = oracle.evaluate(np.stack([x1, x2]))
+    assert anchor_values(values, ab, labels[0], labels[1]).tobytes() == values.tobytes()
+    plan = PathPlan(i=0, j=1, abscissas=ab)
     cfg = EstimatorConfig(n_paths=1, resolution=5, max_degree=3)
-    plain_ed, _ = path_ed(batch.values, ab, cfg)
-    anch_ed, _ = path_ed(anchored.values, ab, cfg)
-    assert plain_ed.ed == anch_ed.ed
+    plain = fit_path(values, plan, cfg)
+    anchored = fit_path(values, plan, replace(cfg, anchored=True), labels=labels)
+    assert plain.ed == anchored.ed
+    with pytest.raises(ValueError):
+        fit_path(values, plan, replace(cfg, anchored=True))
 
 
 def test_fit_matches_symbolic_restriction():
@@ -138,8 +136,8 @@ def test_fit_matches_symbolic_restriction():
     want = alpha_monomial_to_cheb(mono)
 
     nodes = chebyshev_nodes(4)
-    batch = build_path(product_oracle(), np.array([1.0, 0.0]), np.array([0.0, 1.0]), nodes)
-    s = fit(nodes, batch.values[:, 0], 3, 0.0, "chebyshev")
+    values = path_values(product_oracle(), np.array([1.0, 0.0]), np.array([0.0, 1.0]), nodes)
+    s = fit(nodes, values[:, 0], 3, 0.0, "chebyshev")
     got = s.coefficients
     assert np.max(np.abs(got[: len(want)] - want)) < 1e-8
     assert np.max(np.abs(got[len(want) :])) < 1e-8
@@ -163,8 +161,8 @@ def test_fit_matches_symbolic_restriction_random_endpoints():
             2, 1, lambda p: 2 * p[:, 0] ** 2 * p[:, 1] - p[:, 1] ** 2 + 3 * p[:, 0]
         )
         nodes = chebyshev_nodes(5)
-        batch = build_path(oracle, a.astype(float), b.astype(float), nodes)
-        got = fit(nodes, batch.values[:, 0], 4, 0.0, "chebyshev").coefficients
+        values = path_values(oracle, a.astype(float), b.astype(float), nodes)
+        got = fit(nodes, values[:, 0], 4, 0.0, "chebyshev").coefficients
         padded = np.zeros(5)
         padded[: len(want)] = want
         assert np.max(np.abs(got - padded)) < 1e-8
@@ -202,9 +200,9 @@ def test_affine_high_degree_coefficients_vanish():
     A = rng.standard_normal((2, 2))
     oracle = FunctionOracle(2, 2, lambda p: p @ A.T + 1.0)
     ab = sample_abscissas("chebyshev_fixed", 6)
-    batch = build_path(oracle, rng.standard_normal(2), rng.standard_normal(2), ab)
+    values = path_values(oracle, rng.standard_normal(2), rng.standard_normal(2), ab)
     for j in range(2):
-        c = fit(ab, batch.values[:, j], 4, 0.0, "chebyshev").coefficients
+        c = fit(ab, values[:, j], 4, 0.0, "chebyshev").coefficients
         assert np.max(np.abs(c[2:])) < 1e-8
 
 
@@ -259,8 +257,7 @@ def test_pca_path_flags_ties():
     ab = sample_abscissas("uniform", 4)
     values = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
     cfg = EstimatorConfig(n_paths=1, resolution=4, max_degree=3, pca_dim=2, seed=0)
-    _, ties = path_ed(values, ab, cfg)
-    assert ties
+    assert fit_path(values, PathPlan(i=0, j=1, abscissas=ab), cfg).pca_ties
 
 
 def test_config_validation():
@@ -302,3 +299,34 @@ def test_tie_path_indices_property():
     assert report.tie_path_indices == tuple(
         p.index for p in report.per_path if p.pca_ties
     )
+
+
+def test_single_path_replays_on_its_own():
+    # re-plan each reported path alone, last first, and refit it through the
+    # engine: the result must match the run's record exactly
+    rng = np.random.default_rng(64)
+    X = rng.standard_normal((10, 2))
+    labels = np.eye(3)[rng.integers(0, 3, size=10)]
+    oracle = FunctionOracle(
+        2, 3, lambda p: np.stack([p[:, 0] * p[:, 1], np.sin(p[:, 0]), p[:, 1] ** 2], axis=1)
+    )
+    cfg = EstimatorConfig(
+        n_paths=12, resolution=6, max_degree=4, scheme="randomized_cosine",
+        pca_dim=2, anchored=True, post_softmax=True, seed=65,
+    )
+    report = ed_estimate(oracle, X, cfg, labels=labels)
+    assert len(report.per_path) == 12
+    for result in reversed(report.per_path):
+        plan = plan_path(X, cfg.seed, (result.index,), cfg.scheme, cfg.resolution, cfg.anchored)
+        raw = path_values(oracle, X[plan.i], X[plan.j], plan.abscissas)
+        fitted = fit_path(raw, plan, cfg, labels=labels)
+        assert (plan.i, plan.j) == result.endpoint_indices
+        assert fitted.ed.ed == result.ed
+        assert fitted.ed.ed_norm == result.ed_norm
+        assert fitted.pca_ties == result.pca_ties
+
+
+def test_plan_path_redraws_coincident_pairs():
+    X = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0]])
+    plans = [plan_path(X, 3, (p,), "chebyshev_fixed", 4, False) for p in range(20)]
+    assert all(2 in (plan.i, plan.j) for plan in plans)

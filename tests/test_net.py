@@ -8,6 +8,7 @@ identities instead.
 import numpy as np
 import pytest
 
+from effdeg.estimator import plan_path
 from effdeg.net import (
     ACTIVATIONS,
     FeedForwardNet,
@@ -324,6 +325,20 @@ def test_plan_paths_deterministic_and_degenerate():
     )
     collapsed = np.tile([1.0, 2.0], (6, 1))
     assert plan_paths(collapsed, cfg, step=0) == []
+
+
+def test_plan_paths_are_plan_path_at_step_keys():
+    X = np.random.default_rng(30).standard_normal((9, 2))
+    cfg = TrainConfig(reg_paths=6, resolution=5, anchored=True, seed=31)
+    plans = plan_paths(X, cfg, step=7)
+    want = [
+        plan_path(X, cfg.seed, (7, 1, p), cfg.scheme, cfg.resolution, cfg.anchored)
+        for p in range(cfg.reg_paths)
+    ]
+    assert len(plans) == len(want) == 6
+    for got, exp in zip(plans, want):
+        assert (got.i, got.j, got.abscissas.seed) == (exp.i, exp.j, exp.abscissas.seed)
+        assert got.abscissas.alphas.tobytes() == exp.abscissas.alphas.tobytes()
 
 
 def test_train_logs_accuracy_only_for_classification():

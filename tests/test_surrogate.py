@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from effdeg.basis import design_matrix
+from effdeg.estimator import EstimatorConfig, PathPlan, fit_path
 from effdeg.sampling import chebyshev_nodes, randomized_cosine, PathAbscissas
 from effdeg.surrogate import (
     COND_LIMIT,
@@ -18,7 +19,6 @@ from effdeg.surrogate import (
     ed_from_coefficients,
     ed_gradient,
     ed_gradient_matrix,
-    ed_vector,
     effective_degree,
     fit,
     fit_matrix,
@@ -203,27 +203,17 @@ def test_central_difference_helper():
 
 
 def test_ed_vector_mean():
+    # a vector-valued path's ED is the mean of its per-output EDs
     nodes = chebyshev_nodes(5)
     x = 2.0 * nodes.alphas - 1.0
-    s2 = fit(nodes, 2.0 * x, 3, 0.0, "chebyshev")  # ed = 2 (|c1| = 2, k = 1)
-    s4 = fit(nodes, 4.0 * x, 3, 0.0, "chebyshev")  # ed = 4
-    v = ed_vector([s2, s4])
+    plan = PathPlan(i=0, j=1, abscissas=nodes)
+    cfg = EstimatorConfig(n_paths=1, resolution=5, max_degree=3, damping=0.0)
+    v = fit_path(np.stack([2.0 * x, 4.0 * x], axis=1), plan, cfg).ed  # ed 2 and ed 4
     assert v.ed == pytest.approx(3.0, abs=1e-9)
-    single = ed_vector([s2])
-    direct = effective_degree(s2)
+    single = fit_path((2.0 * x)[:, None], plan, cfg).ed
+    direct = effective_degree(fit(nodes, 2.0 * x, 3, 0.0, "chebyshev"))
     assert single.ed == direct.ed and single.ed_norm == direct.ed_norm
-    zeros = fit(nodes, np.zeros(5), 3, 0.0, "chebyshev")
-    assert ed_vector([zeros, zeros]).ed == 0.0
-
-
-def test_ed_vector_rejects_empty_and_mixed():
-    nodes = chebyshev_nodes(5)
-    a = fit(nodes, np.ones(5), 3, 0.0, "chebyshev")
-    b = fit(nodes, np.ones(5), 3, 0.0, "legendre")
-    with pytest.raises(ValueError):
-        ed_vector([])
-    with pytest.raises(ValueError):
-        ed_vector([a, b])
+    assert fit_path(np.zeros((5, 2)), plan, cfg).ed.ed == 0.0
 
 
 def test_mean_ed_over_values():
@@ -250,6 +240,21 @@ def test_gradient_matrix_matches_columns():
     for j in range(2):
         gj = ed_gradient(abscissas, Y[:, j], 4, 1e-6, "chebyshev")
         assert np.allclose(G[:, j], gj, atol=1e-14)
+
+
+def test_fit_matrix_with_gradient_reuses_one_gram():
+    # the gradient solve through the fit's Gram is bit-identical to solving
+    # against a freshly built T^t T + eps I
+    rng = np.random.default_rng(39)
+    for damping in (0.0, 1e-6):
+        abscissas = randomized_cosine(8, seed=7)
+        Y = rng.standard_normal((8, 3))
+        C, G = fit_matrix(abscissas, Y, 5, damping, "legendre", with_gradient=True)
+        assert C.tobytes() == fit_matrix(abscissas, Y, 5, damping, "legendre").tobytes()
+        T = design_matrix("legendre", abscissas.alphas, 5)
+        gram = T.T @ T + damping * np.eye(6)
+        want = T @ np.linalg.solve(gram, np.sign(C) * np.arange(6.0)[:, None])
+        assert G.tobytes() == want.tobytes()
 
 
 def test_cond_limit_is_the_documented_threshold():
