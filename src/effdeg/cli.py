@@ -1,11 +1,15 @@
 """Command-line entry points producing reproducible artifacts.
 
-Every command resolves its configuration from defaults, an optional JSON
-config file, and explicit flags (flags win), then writes artifacts into the
-output directory: a JSON report carrying the resolved config, the package
-version, and a canonical sha256 that ignores only the creation timestamp,
-plus optional CSV companions.  All writes go through a temp file and an
-atomic rename.
+Each command's settings are one spec, name -> (type, default), taken from
+the library where it has one: the fields of EstimatorConfig and TrainConfig,
+the keyword parameters of net.pnn_study.  Each key is a flag and a JSON
+config-file key; defaults, the config file and flags (which win) are merged
+and type-checked in one resolver, so the config block of an estimate,
+train or gradcheck artifact can be passed back through --config.  Each
+command writes a JSON report (resolved config, package version, and a
+canonical sha256 ignoring only the creation timestamp) plus optional CSV
+companions through a temp file and an atomic rename.  Input files are
+recorded by the sha256 of their bytes, not by their path.
 
 Exit codes: 0 success, 1 gradient check failure, 2 configuration problem,
 3 I/O problem, 4 numerical failure, 5 non-finite training loss, 6 study
@@ -17,11 +21,13 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import inspect
 import io
 import json
 import os
 import sys
 import tempfile
+import typing
 from datetime import datetime, timezone
 
 import numpy as np
@@ -29,6 +35,7 @@ import numpy as np
 from . import __version__
 from . import net as nets
 from . import polylab, sampling
+from .basis import BASIS_KINDS
 from .estimator import (
     EstimatorConfig,
     FunctionOracle,
@@ -47,10 +54,6 @@ from .surrogate import (
 __all__ = ["main"]
 
 OUT_DIR_ENV = "EFFDEG_OUT_DIR"
-
-# undocumented: set to 1 to corrupt analytic gradients, proving the check
-# actually fails when the math is wrong
-_BREAK_ENV = "EFFDEG_GRADCHECK_BREAK"
 
 EXIT_OK = 0
 EXIT_GRADCHECK = 1
@@ -148,21 +151,64 @@ def _load_config_file(path: str | None) -> dict:
     return data
 
 
-def resolve_config(args, defaults: dict) -> dict:
-    """Merge defaults, config-file values, and explicit flags; flags win."""
-    from_file = _load_config_file(getattr(args, "config", None))
-    unknown = set(from_file) - set(defaults)
+def _spec(target, *omit: str) -> dict:
+    """name -> (type, default) for the keyword parameters of a function or dataclass."""
+    hints = typing.get_type_hints(target)
+    return {
+        name: (hints[name], param.default)
+        for name, param in inspect.signature(target).parameters.items()
+        if name not in omit
+    }
+
+
+def _scalar_type(kind):
+    """int for `int | None`; the type itself for a plain type."""
+    return next((a for a in typing.get_args(kind) if a is not type(None)), kind)
+
+
+def _check(key: str, kind, value):
+    """value as `kind`, or ConfigError naming key.
+
+    JSON booleans, numbers and strings do not stand in for each other; an
+    int field takes a float only when it is integral.
+    """
+    if value is None and type(None) in typing.get_args(kind):
+        return None
+    if typing.get_origin(kind) is tuple:  # layer sizes: "32,32" from a flag, [32, 32] from a file
+        if isinstance(value, str):
+            try:
+                value = [int(s) for s in value.split(",") if s.strip()]
+            except ValueError:
+                raise ConfigError(f"bad {key} spec {value!r}") from None
+        if not isinstance(value, (list, tuple)) or not value:
+            raise ConfigError(f"{key} must be a non-empty list of integers, got {value!r}")
+        return tuple(_check(key, int, v) for v in value)
+    kind = _scalar_type(kind)
+    if kind is float:
+        ok = isinstance(value, (int, float))
+    elif kind is int:
+        ok = isinstance(value, int) or isinstance(value, float) and value.is_integer()
+    else:
+        ok = isinstance(value, kind)
+    if not ok or isinstance(value, bool) and kind is not bool:
+        raise ConfigError(f"{key} must be {kind.__name__}, got {value!r}")
+    return kind(value)
+
+
+def resolve_config(args) -> dict:
+    """Merge the command's spec defaults, config-file values and explicit
+    flags (flags win), each checked against its type and choices."""
+    from_file = _load_config_file(args.config)
+    unknown = set(from_file) - set(args.spec)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     resolved = {}
-    for key, default in defaults.items():
-        flag = getattr(args, key, None)
-        if flag is not None:
-            resolved[key] = flag
-        elif key in from_file:
-            resolved[key] = from_file[key]
-        else:
-            resolved[key] = default
+    for key, (kind, default) in args.spec.items():
+        flag = getattr(args, key)
+        value = _check(key, kind, from_file.get(key, default) if flag is None else flag)
+        if key in _CHOICES and value not in _CHOICES[key]:
+            raise ConfigError(f"{key} must be one of {_CHOICES[key]}, got {value!r}")
+        resolved[key] = value
     return resolved
 
 
@@ -172,10 +218,9 @@ def _out_dir(args) -> str:
     return os.environ.get(OUT_DIR_ENV, "effdeg-out")
 
 
-def _as_int(value, key: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or value != int(value):
-        raise ConfigError(f"{key} must be an integer, got {value!r}")
-    return int(value)
+def _sha256_file(path: str) -> str:
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +305,9 @@ def resolve_oracle(spec: str, dim: int) -> FunctionOracle:
                     out[r, c] = total
             return out
 
-        return FunctionOracle(dim, len(polys), evaluate, name=spec)
+        return FunctionOracle(
+            dim, len(polys), evaluate, name=f"polyfile:sha256={_sha256_file(path)}"
+        )
     if spec.startswith("checkpoint:"):
         path = spec.split(":", 1)[1]
         network, _ = nets.load_checkpoint(path)
@@ -268,7 +315,7 @@ def resolve_oracle(spec: str, dim: int) -> FunctionOracle:
             raise ConfigError(
                 f"checkpoint expects {network.layer_sizes[0]} features, dataset has {dim}"
             )
-        return network.as_oracle(name=spec)
+        return network.as_oracle(name=f"checkpoint:sha256={_sha256_file(path)}")
     raise ConfigError(
         f"unknown oracle {spec!r}; use constant, identity, affine, product, "
         "polyfile:PATH, or checkpoint:PATH"
@@ -278,37 +325,14 @@ def resolve_oracle(spec: str, dim: int) -> FunctionOracle:
 # ---------------------------------------------------------------------------
 # commands
 
-_ESTIMATE_DEFAULTS = dict(
-    oracle="identity",
-    n_paths=100,
-    resolution=4,
-    max_degree=3,
-    damping=1e-6,
-    basis="chebyshev",
-    scheme="randomized_cosine",
-    pca_dim=None,
-    anchored=False,
-    post_softmax=False,
-    seed=0,
-)
+_ESTIMATE_SPEC = {"oracle": (str, "identity"), **_spec(EstimatorConfig)}
 
 
 def cmd_estimate(args) -> int:
-    cfg = resolve_config(args, _ESTIMATE_DEFAULTS)
+    cfg = resolve_config(args)
     X, labels_int = load_dataset_csv(args.data)
-    oracle = resolve_oracle(cfg["oracle"], X.shape[1])
-    est_cfg = EstimatorConfig(
-        n_paths=_as_int(cfg["n_paths"], "n_paths"),
-        resolution=_as_int(cfg["resolution"], "resolution"),
-        max_degree=_as_int(cfg["max_degree"], "max_degree"),
-        damping=float(cfg["damping"]),
-        basis=cfg["basis"],
-        scheme=cfg["scheme"],
-        pca_dim=None if cfg["pca_dim"] is None else _as_int(cfg["pca_dim"], "pca_dim"),
-        anchored=bool(cfg["anchored"]),
-        post_softmax=bool(cfg["post_softmax"]),
-        seed=_as_int(cfg["seed"], "seed"),
-    )
+    oracle = resolve_oracle(cfg.pop("oracle"), X.shape[1])
+    est_cfg = EstimatorConfig(**cfg)
     try:
         est_cfg.validate()
     except ValueError as exc:
@@ -344,7 +368,7 @@ def cmd_estimate(args) -> int:
         ],
     }
     config_out = dict(report.config)
-    config_out["oracle"] = cfg["oracle"]
+    config_out["oracle"] = oracle.name
     write_artifact(out_dir, "estimate.json", "estimate", config_out, result)
     path_header = ["index", "endpoint_i", "endpoint_j", "ed", "ed_norm", "pca_ties"]
     path_rows = [
@@ -352,70 +376,31 @@ def cmd_estimate(args) -> int:
         for p in report.per_path
     ]
     write_csv(out_dir, "estimate_paths.csv", path_header, path_rows)
-    summary = {
-        "mean_ed": report.mean_ed,
-        "mean_ed_norm": report.mean_ed_norm,
-        "std_ed": report.std_ed,
-        "n_paths": report.n_paths,
-        "n_skipped": report.n_skipped,
-        "oracle": oracle.name,
-    }
+    summary = {k: v for k, v in result.items() if k != "per_path"}
     emit(args, summary, path_header, path_rows)
     return EXIT_OK
 
 
-_TRAIN_DEFAULTS = dict(
-    task="cross_entropy",
-    hidden="32,32",
-    n_steps=400,
-    batch_size=64,
-    step_size=0.2,
-    momentum=0.0,
-    reg_strength=0.0,
-    ramp_fraction=0.3,
-    reg_paths=8,
-    resolution=4,
-    max_degree=3,
-    damping=1e-6,
-    basis="chebyshev",
-    scheme="randomized_cosine",
-    pca_dim=None,
-    anchored=False,
-    seed=0,
-)
+# the train command's defaults where they differ from TrainConfig's
+_TRAIN_OVERRIDES = dict(task="cross_entropy", n_steps=400, batch_size=64, step_size=0.2)
+_TRAIN_SPEC = {
+    "hidden": (tuple[int, ...], (32, 32)),
+    **{
+        key: (kind, _TRAIN_OVERRIDES.get(key, default))
+        for key, (kind, default) in _spec(nets.TrainConfig).items()
+    },
+}
 
 
 def cmd_train(args) -> int:
-    cfg = resolve_config(args, _TRAIN_DEFAULTS)
+    cfg = resolve_config(args)
     X, labels_int = load_dataset_csv(args.data)
     if labels_int is None:
         raise ConfigError("train needs a dataset with a label column")
     n_classes = int(labels_int.max()) + 1
     targets = nets.one_hot(labels_int, n_classes)
-    try:
-        hidden = tuple(int(h) for h in str(cfg["hidden"]).split(",") if h.strip())
-    except ValueError as exc:
-        raise ConfigError(f"bad hidden spec {cfg['hidden']!r}") from exc
-    if not hidden:
-        raise ConfigError("hidden layer spec is empty")
-    train_cfg = nets.TrainConfig(
-        task=cfg["task"],
-        n_steps=_as_int(cfg["n_steps"], "n_steps"),
-        batch_size=_as_int(cfg["batch_size"], "batch_size"),
-        step_size=float(cfg["step_size"]),
-        momentum=float(cfg["momentum"]),
-        reg_strength=float(cfg["reg_strength"]),
-        ramp_fraction=float(cfg["ramp_fraction"]),
-        reg_paths=_as_int(cfg["reg_paths"], "reg_paths"),
-        resolution=_as_int(cfg["resolution"], "resolution"),
-        max_degree=_as_int(cfg["max_degree"], "max_degree"),
-        damping=float(cfg["damping"]),
-        basis=cfg["basis"],
-        scheme=cfg["scheme"],
-        pca_dim=None if cfg["pca_dim"] is None else _as_int(cfg["pca_dim"], "pca_dim"),
-        anchored=bool(cfg["anchored"]),
-        seed=_as_int(cfg["seed"], "seed"),
-    )
+    hidden = cfg.pop("hidden")
+    train_cfg = nets.TrainConfig(**cfg)
     try:
         train_cfg.validate()
     except ValueError as exc:
@@ -430,8 +415,7 @@ def cmd_train(args) -> int:
     full_config = dict(train_cfg.fingerprint())
     full_config["hidden"] = list(hidden)
     nets.save_checkpoint(network, ckpt_path, config=full_config)
-    with open(ckpt_path, "rb") as fh:
-        ckpt_sha = hashlib.sha256(fh.read()).hexdigest()
+    ckpt_sha = _sha256_file(ckpt_path)
     acc = nets.accuracy(network, X, labels_int)
     last = log[-1]
     result = {
@@ -456,15 +440,15 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-_VERIFY_DEFAULTS = dict(
-    pairs=200,
-    sampler="gaussian",
-    dim=3,
-    deg_a=3,
-    deg_b=2,
-    terms=8,
-    seed=0,
-)
+_VERIFY_SPEC = {
+    "pairs": (int, 200),
+    "sampler": (str, "gaussian"),
+    "dim": (int, 3),
+    "deg_a": (int, 3),
+    "deg_b": (int, 2),
+    "terms": (int, 8),
+    "seed": (int, 0),
+}
 
 _SAMPLERS = {
     "gaussian": polylab.gaussian_pair_sampler,
@@ -474,7 +458,7 @@ _SAMPLERS = {
 
 
 def cmd_verify_degree(args) -> int:
-    cfg = resolve_config(args, _VERIFY_DEFAULTS)
+    cfg = resolve_config(args)
     if args.polys is not None:
         with open(args.polys, encoding="utf-8") as fh:
             bundle = polylab.parse_poly_bundle(fh.read())
@@ -483,26 +467,17 @@ def cmd_verify_degree(args) -> int:
                 f"{args.polys} must hold exactly two polynomials, found {len(bundle)}"
             )
         poly_a, poly_b = bundle
-        source = {"polys_file": args.polys}
+        source = {"polys_sha256": _sha256_file(args.polys)}
     else:
-        dim = _as_int(cfg["dim"], "dim")
-        rng = sampling.rng(_as_int(cfg["seed"], "seed"), 77)
-        poly_a = polylab.random_multipoly(
-            dim, _as_int(cfg["deg_a"], "deg_a"), rng, n_terms=_as_int(cfg["terms"], "terms")
+        rng = sampling.rng(cfg["seed"], 77)
+        poly_a, poly_b = (
+            polylab.random_multipoly(cfg["dim"], degree, rng, n_terms=cfg["terms"])
+            for degree in (cfg["deg_a"], cfg["deg_b"])
         )
-        poly_b = polylab.random_multipoly(
-            dim, _as_int(cfg["deg_b"], "deg_b"), rng, n_terms=_as_int(cfg["terms"], "terms")
-        )
-        source = {"random": True, "dim": dim}
-    if cfg["sampler"] not in _SAMPLERS:
-        raise ConfigError(f"unknown sampler {cfg['sampler']!r}")
+        source = {"random": True}
     sampler = _SAMPLERS[cfg["sampler"]](poly_a.dim)
     record = polylab.verify_order_preservation(
-        poly_a,
-        poly_b,
-        n_pairs=_as_int(cfg["pairs"], "pairs"),
-        sampler=sampler,
-        seed=_as_int(cfg["seed"], "seed"),
+        poly_a, poly_b, n_pairs=cfg["pairs"], sampler=sampler, seed=cfg["seed"]
     )
     out_dir = _out_dir(args)
     config_out = dict(cfg)
@@ -527,27 +502,11 @@ def cmd_verify_degree(args) -> int:
     return EXIT_OK
 
 
-_PNN_DEFAULTS = dict(
-    width=16,
-    n_train=512,
-    n_steps=30000,
-    n_eval=256,
-    mse_target=1e-4,
-    seed=0,
-)
+_PNN_SPEC = _spec(nets.pnn_study, "strict")
 
 
 def cmd_pnn_study(args) -> int:
-    cfg = resolve_config(args, _PNN_DEFAULTS)
-    report = nets.pnn_study(
-        seed=_as_int(cfg["seed"], "seed"),
-        width=_as_int(cfg["width"], "width"),
-        n_train=_as_int(cfg["n_train"], "n_train"),
-        n_steps=_as_int(cfg["n_steps"], "n_steps"),
-        n_eval=_as_int(cfg["n_eval"], "n_eval"),
-        mse_target=float(cfg["mse_target"]),
-        strict=not args.keep_going,
-    )
+    report = nets.pnn_study(**resolve_config(args), strict=not args.keep_going)
     out_dir = _out_dir(args)
     rows = [
         {
@@ -581,22 +540,16 @@ def cmd_pnn_study(args) -> int:
         for r in report.rows
     ]
     write_csv(out_dir, "pnn_study.csv", table_header, table_rows)
-    summary = {
-        "orderings": report.orderings,
-        "norm_gaps": report.norm_gaps,
-        "scaling_ok": report.scaling_ok,
-        "all_converged": report.all_converged,
-        "all_ok": report.all_ok,
-    }
+    summary = {k: v for k, v in result.items() if k != "rows"}
     emit(args, summary, table_header, table_rows)
     return EXIT_OK if report.all_converged else EXIT_STUDY
 
 
-_GRADCHECK_DEFAULTS = dict(
-    surrogate_checks=40,
-    composite_checks=8,
-    seed=0,
-)
+_GRADCHECK_SPEC = {
+    "surrogate_checks": (int, 40),
+    "composite_checks": (int, 8),
+    "seed": (int, 0),
+}
 
 
 def _rel_err(analytic: np.ndarray, reference: np.ndarray) -> float:
@@ -604,7 +557,7 @@ def _rel_err(analytic: np.ndarray, reference: np.ndarray) -> float:
     return float(np.abs(analytic - reference).max()) / denom
 
 
-def _surrogate_gradcheck(n_checks: int, seed: int, corrupt: bool) -> dict:
+def _surrogate_gradcheck(n_checks: int, seed: int) -> dict:
     rng = sampling.rng(seed, 1)
     cells = []
     attempts = 0
@@ -620,8 +573,6 @@ def _surrogate_gradcheck(n_checks: int, seed: int, corrupt: bool) -> dict:
         if np.abs(coeffs).min() <= 1e-8:
             continue
         analytic = ed_gradient(abscissas, y, max_degree, damping, basis)
-        if corrupt:
-            analytic = -analytic
 
         def objective(vals):
             return ed_from_coefficients(
@@ -648,7 +599,7 @@ def _surrogate_gradcheck(n_checks: int, seed: int, corrupt: bool) -> dict:
     }
 
 
-def _composite_gradcheck(n_checks: int, seed: int, corrupt: bool) -> dict:
+def _composite_gradcheck(n_checks: int, seed: int) -> dict:
     cells = []
     attempt = 0
     while len(cells) < n_checks and attempt < n_checks * 20:
@@ -693,8 +644,6 @@ def _composite_gradcheck(n_checks: int, seed: int, corrupt: bool) -> dict:
             analytic_parts.append((d_w[l] + cfg.reg_strength * grads[0][l]).ravel())
             analytic_parts.append((d_b[l] + cfg.reg_strength * grads[1][l]).ravel())
         analytic = np.concatenate(analytic_parts)
-        if corrupt:
-            analytic = -analytic
         probe = network.clone()
 
         def objective(flat):
@@ -726,15 +675,9 @@ def _composite_gradcheck(n_checks: int, seed: int, corrupt: bool) -> dict:
 
 
 def cmd_gradcheck(args) -> int:
-    cfg = resolve_config(args, _GRADCHECK_DEFAULTS)
-    corrupt = os.environ.get(_BREAK_ENV, "") == "1"
-    seed = _as_int(cfg["seed"], "seed")
-    surrogate_part = _surrogate_gradcheck(
-        _as_int(cfg["surrogate_checks"], "surrogate_checks"), seed, corrupt
-    )
-    composite_part = _composite_gradcheck(
-        _as_int(cfg["composite_checks"], "composite_checks"), seed, corrupt
-    )
+    cfg = resolve_config(args)
+    surrogate_part = _surrogate_gradcheck(cfg["surrogate_checks"], cfg["seed"])
+    composite_part = _composite_gradcheck(cfg["composite_checks"], cfg["seed"])
     ok = surrogate_part["ok"] and composite_part["ok"]
     result = {"surrogate": surrogate_part, "composite": composite_part, "ok": ok}
     write_artifact(_out_dir(args), "gradcheck.json", "gradcheck", dict(cfg), result)
@@ -761,15 +704,37 @@ def cmd_gradcheck(args) -> int:
 # parser
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="JSON config file; flags override its values")
-    parser.add_argument("--seed", type=int, help="random seed")
-    parser.add_argument("--out", help=f"output directory (default ${OUT_DIR_ENV} or effdeg-out)")
-    parser.add_argument(
-        "--format", choices=("json", "csv"), default="json",
-        help="stdout rendering: json summary or the main csv table; "
-        "file artifacts are written either way",
-    )
+# flags that are not the field name with dashes
+_FLAG_NAMES = {
+    "n_paths": "--paths",
+    "n_steps": "--steps",
+    "n_train": "--train-points",
+    "n_eval": "--eval-points",
+}
+
+_CHOICES = {
+    "basis": BASIS_KINDS,
+    "scheme": sampling.SCHEME_VARIANTS,
+    "task": nets.TASKS,
+    "sampler": tuple(_SAMPLERS),
+}
+
+_HELP = {
+    "seed": "random seed",
+    "oracle": "constant | identity | affine | product | polyfile:PATH | checkpoint:PATH",
+    "n_paths": "number of interpolation paths",
+    "resolution": "samples per path",
+    "max_degree": "surrogate degree cap",
+    "damping": "least-squares damping",
+    "pca_dim": "project outputs to this many components",
+    "anchored": "replace endpoint samples with labels",
+    "post_softmax": "fit softmax outputs",
+    "hidden": "comma-separated hidden layer sizes, e.g. 32,32",
+    "reg_strength": "penalty strength",
+    "dim": "variables for random polynomials",
+    "terms": "terms per random polynomial",
+    "pairs": "endpoint pairs to sample",
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -780,72 +745,52 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("estimate", help="estimate the effective degree of an oracle over a dataset")
-    _add_common(p)
+    def command(name: str, func, spec: dict, about: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=about)
+        p.add_argument("--config", help="JSON config file; flags override its values")
+        p.add_argument("--out", help=f"output directory (default ${OUT_DIR_ENV} or effdeg-out)")
+        p.add_argument(
+            "--format", choices=("json", "csv"), default="json",
+            help="stdout rendering: json summary or the main csv table; "
+            "file artifacts are written either way",
+        )
+        for key, (kind, _) in spec.items():
+            if kind is bool:
+                how = dict(action=argparse.BooleanOptionalAction)
+            elif typing.get_origin(kind) is tuple:  # parsed by the resolver
+                how = {}
+            else:
+                how = dict(type=_scalar_type(kind), choices=_CHOICES.get(key))
+            flag = _FLAG_NAMES.get(key, "--" + key.replace("_", "-"))
+            p.add_argument(flag, dest=key, help=_HELP.get(key), **how)
+        p.set_defaults(func=func, spec=spec)
+        return p
+
+    p = command(
+        "estimate", cmd_estimate, _ESTIMATE_SPEC,
+        "estimate the effective degree of an oracle over a dataset",
+    )
     p.add_argument("--data", required=True, help="dataset CSV with columns x0..x{d-1}[,label]")
-    p.add_argument("--oracle", help="constant | identity | affine | product | polyfile:PATH | checkpoint:PATH")
-    p.add_argument("--paths", dest="n_paths", type=int, help="number of interpolation paths")
-    p.add_argument("--resolution", type=int, help="samples per path")
-    p.add_argument("--max-degree", dest="max_degree", type=int, help="surrogate degree cap")
-    p.add_argument("--damping", type=float, help="least-squares damping")
-    p.add_argument("--basis", choices=("chebyshev", "legendre"))
-    p.add_argument("--scheme", choices=("chebyshev_fixed", "randomized_cosine", "uniform"))
-    p.add_argument("--pca-dim", dest="pca_dim", type=int, help="project outputs to this many components")
-    p.add_argument("--anchored", action=argparse.BooleanOptionalAction, help="replace endpoint samples with labels")
-    p.add_argument("--post-softmax", dest="post_softmax", action=argparse.BooleanOptionalAction, help="fit softmax outputs")
-    p.set_defaults(func=cmd_estimate)
-
-    p = sub.add_parser("train", help="train a classifier with the effective-degree penalty")
-    _add_common(p)
+    p = command(
+        "train", cmd_train, _TRAIN_SPEC, "train a classifier with the effective-degree penalty"
+    )
     p.add_argument("--data", required=True, help="dataset CSV with a label column")
-    p.add_argument("--task", choices=("mse", "cross_entropy"))
-    p.add_argument("--hidden", help="comma-separated hidden layer sizes, e.g. 32,32")
-    p.add_argument("--steps", dest="n_steps", type=int)
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--step-size", dest="step_size", type=float)
-    p.add_argument("--momentum", type=float)
-    p.add_argument("--reg-strength", dest="reg_strength", type=float, help="penalty strength")
-    p.add_argument("--ramp-fraction", dest="ramp_fraction", type=float)
-    p.add_argument("--reg-paths", dest="reg_paths", type=int)
-    p.add_argument("--resolution", type=int)
-    p.add_argument("--max-degree", dest="max_degree", type=int)
-    p.add_argument("--damping", type=float)
-    p.add_argument("--basis", choices=("chebyshev", "legendre"))
-    p.add_argument("--scheme", choices=("chebyshev_fixed", "randomized_cosine", "uniform"))
-    p.add_argument("--pca-dim", dest="pca_dim", type=int)
-    p.add_argument("--anchored", action=argparse.BooleanOptionalAction)
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("verify-degree", help="exact order-preservation experiment on two polynomials")
-    _add_common(p)
+    p = command(
+        "verify-degree", cmd_verify_degree, _VERIFY_SPEC,
+        "exact order-preservation experiment on two polynomials",
+    )
     p.add_argument("--polys", help="file with two polynomials, one per line")
-    p.add_argument("--dim", type=int, help="variables for random polynomials")
-    p.add_argument("--deg-a", dest="deg_a", type=int)
-    p.add_argument("--deg-b", dest="deg_b", type=int)
-    p.add_argument("--terms", type=int, help="terms per random polynomial")
-    p.add_argument("--pairs", type=int, help="endpoint pairs to sample")
-    p.add_argument("--sampler", choices=tuple(_SAMPLERS))
-    p.set_defaults(func=cmd_verify_degree)
-
-    p = sub.add_parser("pnn-study", help="square-activation network study over six targets")
-    _add_common(p)
-    p.add_argument("--width", type=int)
-    p.add_argument("--train-points", dest="n_train", type=int)
-    p.add_argument("--steps", dest="n_steps", type=int)
-    p.add_argument("--eval-points", dest="n_eval", type=int)
-    p.add_argument("--mse-target", dest="mse_target", type=float)
+    p = command(
+        "pnn-study", cmd_pnn_study, _PNN_SPEC, "square-activation network study over six targets"
+    )
     p.add_argument(
         "--keep-going", action="store_true",
         help="report unconverged tasks instead of failing",
     )
-    p.set_defaults(func=cmd_pnn_study)
-
-    p = sub.add_parser("gradcheck", help="compare analytic gradients against finite differences")
-    _add_common(p)
-    p.add_argument("--surrogate-checks", dest="surrogate_checks", type=int)
-    p.add_argument("--composite-checks", dest="composite_checks", type=int)
-    p.set_defaults(func=cmd_gradcheck)
-
+    command(
+        "gradcheck", cmd_gradcheck, _GRADCHECK_SPEC,
+        "compare analytic gradients against finite differences",
+    )
     return parser
 
 

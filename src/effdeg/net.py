@@ -37,6 +37,7 @@ from .estimator import (
 
 __all__ = [
     "ACTIVATIONS",
+    "TASKS",
     "FeedForwardNet",
     "NonFiniteLossError",
     "TrainingFailure",
@@ -60,6 +61,7 @@ __all__ = [
 ]
 
 ACTIVATIONS = ("relu", "square", "identity")
+TASKS = ("mse", "cross_entropy")
 
 _CKPT_MAGIC = b"EDNETCK1"
 
@@ -274,8 +276,8 @@ class TrainConfig:
         )
 
     def validate(self) -> None:
-        if self.task not in ("mse", "cross_entropy"):
-            raise ValueError("task must be 'mse' or 'cross_entropy'")
+        if self.task not in TASKS:
+            raise ValueError(f"task must be one of {TASKS}")
         if self.n_steps < 1:
             raise ValueError("n_steps must be >= 1")
         if self.batch_size < 2:

@@ -1,9 +1,12 @@
 """End-to-end CLI behavior: artifacts, schemas, exit codes, reruns."""
 
 import csv
+import dataclasses
+import inspect
 import io
 import json
 import os
+import shutil
 from importlib import resources
 from pathlib import Path
 
@@ -27,7 +30,7 @@ from effdeg.cli import (
     load_dataset_csv,
     main,
 )
-from effdeg.estimator import PathSamplingError
+from effdeg.estimator import EstimatorConfig, PathSamplingError
 from effdeg.net import load_checkpoint
 from effdeg.surrogate import SingularFitError
 
@@ -511,14 +514,24 @@ def test_gradcheck_passes_and_lists_cells(tmp_path, capsys):
     assert {"task", "anchored", "pca_dim", "rel_err"} <= set(composite["cells"][0])
 
 
-def test_gradcheck_break_env_forces_failure(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("EFFDEG_GRADCHECK_BREAK", "1")
+def test_gradcheck_fails_on_negated_gradients(tmp_path, capsys, monkeypatch):
+    ed_gradient, backward = cli.ed_gradient, nets.FeedForwardNet.backward
+
+    def negated_backward(self, cache, d_out):
+        d_w, d_b = backward(self, cache, d_out)
+        return [-g for g in d_w], [-g for g in d_b]
+
+    monkeypatch.setattr(cli, "ed_gradient", lambda *a, **kw: -ed_gradient(*a, **kw))
+    monkeypatch.setattr(nets.FeedForwardNet, "backward", negated_backward)
     code = main([
         "gradcheck", "--surrogate-checks", "3", "--composite-checks", "1",
         "--out", str(tmp_path / "out"),
     ])
     assert code == EXIT_GRADCHECK
-    assert json.loads(capsys.readouterr().out)["ok"] is False
+    summary = json.loads(capsys.readouterr().out)
+    assert summary["surrogate"]["ok"] is False
+    assert summary["composite"]["ok"] is False
+    assert summary["ok"] is False
 
 
 def test_gradcheck_csv_stdout(tmp_path, capsys):
@@ -557,3 +570,170 @@ def test_pnn_study_strict_failure_exits_six(tmp_path, capsys):
     ])
     assert code == EXIT_STUDY
     assert "stalled" in capsys.readouterr().err
+
+
+# every option string and choices list of each subcommand, as shipped
+OPTION_STRINGS = {
+    "estimate": [
+        "--anchored", "--basis", "--config", "--damping", "--data", "--format", "--help",
+        "--max-degree", "--no-anchored", "--no-post-softmax", "--oracle", "--out", "--paths",
+        "--pca-dim", "--post-softmax", "--resolution", "--scheme", "--seed", "-h",
+    ],
+    "train": [
+        "--anchored", "--basis", "--batch-size", "--config", "--damping", "--data", "--format",
+        "--help", "--hidden", "--max-degree", "--momentum", "--no-anchored", "--out",
+        "--pca-dim", "--ramp-fraction", "--reg-paths", "--reg-strength", "--resolution",
+        "--scheme", "--seed", "--step-size", "--steps", "--task", "-h",
+    ],
+    "verify-degree": [
+        "--config", "--deg-a", "--deg-b", "--dim", "--format", "--help", "--out", "--pairs",
+        "--polys", "--sampler", "--seed", "--terms", "-h",
+    ],
+    "pnn-study": [
+        "--config", "--eval-points", "--format", "--help", "--keep-going", "--mse-target",
+        "--out", "--seed", "--steps", "--train-points", "--width", "-h",
+    ],
+    "gradcheck": [
+        "--composite-checks", "--config", "--format", "--help", "--out", "--seed",
+        "--surrogate-checks", "-h",
+    ],
+}
+BASES = ["chebyshev", "legendre"]
+SCHEMES = ["chebyshev_fixed", "randomized_cosine", "uniform"]
+CHOICES = {
+    "estimate": {"format": ["json", "csv"], "basis": BASES, "scheme": SCHEMES},
+    "train": {
+        "format": ["json", "csv"], "task": ["mse", "cross_entropy"],
+        "basis": BASES, "scheme": SCHEMES,
+    },
+    "verify-degree": {
+        "format": ["json", "csv"], "sampler": ["gaussian", "dyadic", "shared-coordinate"],
+    },
+    "pnn-study": {"format": ["json", "csv"]},
+    "gradcheck": {"format": ["json", "csv"]},
+}
+
+
+def subcommand_parsers():
+    parser = cli.build_parser()
+    return next(a for a in parser._actions if a.dest == "command").choices
+
+
+def test_subcommands_keep_their_option_strings_and_choices():
+    parsers = subcommand_parsers()
+    assert sorted(parsers) == sorted(OPTION_STRINGS)
+    for name, sub in parsers.items():
+        assert sorted(s for a in sub._actions for s in a.option_strings) == OPTION_STRINGS[name]
+        assert {a.dest: list(a.choices) for a in sub._actions if a.choices} == CHOICES[name]
+
+
+def test_every_config_field_is_a_flag():
+    parsers = subcommand_parsers()
+    for name, config in (("estimate", EstimatorConfig), ("train", nets.TrainConfig)):
+        dests = {a.dest for a in parsers[name]._actions}
+        assert {f.name for f in dataclasses.fields(config)} <= dests
+
+
+def test_cli_defaults_are_library_defaults():
+    def resolved(*argv):
+        return cli.resolve_config(cli.build_parser().parse_args(list(argv)))
+
+    assert resolved("estimate", "--data", "d.csv") == {
+        **dataclasses.asdict(EstimatorConfig()), "oracle": "identity",
+    }
+    assert resolved("train", "--data", "d.csv") == {
+        **dataclasses.asdict(nets.TrainConfig()),
+        "task": "cross_entropy", "n_steps": 400, "batch_size": 64, "step_size": 0.2,
+        "hidden": (32, 32),
+    }
+    study = inspect.signature(nets.pnn_study).parameters
+    assert resolved("pnn-study") == {
+        name: p.default for name, p in study.items() if name != "strict"
+    }
+
+
+@pytest.mark.parametrize(
+    "command,key,value",
+    [
+        ("estimate", "anchored", "false"),
+        ("estimate", "post_softmax", 1),
+        ("estimate", "damping", True),
+        ("estimate", "damping", "1e-3"),
+        ("estimate", "n_paths", 2.5),
+        ("estimate", "n_paths", True),
+        ("estimate", "n_paths", float("inf")),
+        ("estimate", "pca_dim", "2"),
+        ("estimate", "basis", 1),
+        ("estimate", "oracle", None),
+        ("train", "hidden", [6, "a"]),
+        ("train", "hidden", []),
+        ("train", "task", "hinge"),
+        ("verify-degree", "sampler", "sobol"),
+        ("gradcheck", "seed", "0"),
+    ],
+)
+def test_config_file_values_are_type_checked(tmp_path, capsys, command, key, value):
+    data = cluster_dataset(tmp_path / "c.csv", n=16, seed=18)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value}), encoding="utf-8")
+    argv = [command, "--config", str(cfg), "--out", str(tmp_path / "out")]
+    if command in ("estimate", "train"):
+        argv += ["--data", data]
+    assert main(argv) == EXIT_CONFIG
+    assert key in capsys.readouterr().err
+
+
+def test_file_inputs_are_named_by_content(tmp_path, capsys):
+    data = cluster_dataset(tmp_path / "c.csv", n=24, seed=19)
+    assert main([
+        "train", "--data", data, "--hidden", "4", "--steps", "5", "--batch-size", "8",
+        "--out", str(tmp_path / "train"),
+    ]) == EXIT_OK
+    (tmp_path / "p.txt").write_text("x1*x2 + x1\n", encoding="utf-8")
+    runs = {
+        "checkpoint": (tmp_path / "train" / "model.ckpt", "estimate.json", lambda f: [
+            "estimate", "--data", data, "--oracle", f"checkpoint:{f}", "--paths", "4",
+        ]),
+        "polyfile": (tmp_path / "p.txt", "estimate.json", lambda f: [
+            "estimate", "--data", data, "--oracle", f"polyfile:{f}", "--paths", "4",
+        ]),
+        "polys": (FIXTURES / "deg5_deg2.txt", "verify_degree.json", lambda f: [
+            "verify-degree", "--polys", str(f), "--pairs", "5",
+        ]),
+    }
+    for kind, (source, artifact, argv) in runs.items():
+        docs = []
+        for place in ("a", "b"):
+            copy = tmp_path / kind / place / source.name
+            copy.parent.mkdir(parents=True)
+            shutil.copy(source, copy)
+            out = str(tmp_path / kind / place / "out")
+            assert main(argv(copy) + ["--out", out]) == EXIT_OK
+            docs.append(read_json(out, artifact))
+        assert docs[0]["canonical_sha256"] == docs[1]["canonical_sha256"], kind
+        assert str(tmp_path) not in json.dumps(docs[0]), kind
+    capsys.readouterr()
+
+
+def test_artifact_config_block_round_trips_through_config_flag(tmp_path, capsys):
+    data = cluster_dataset(tmp_path / "c.csv", n=24, seed=20)
+    runs = {
+        "train": (["train", "--hidden", "6,3", "--steps", "8", "--batch-size", "12",
+                   "--reg-strength", "0.3", "--reg-paths", "2", "--pca-dim", "1",
+                   "--seed", "2"], "train.json"),
+        "estimate": (["estimate", "--oracle", "product", "--paths", "7", "--resolution", "6",
+                      "--max-degree", "4", "--scheme", "uniform", "--seed", "5"],
+                     "estimate.json"),
+    }
+    for label, (argv, artifact) in runs.items():
+        first = str(tmp_path / label / "first")
+        assert main(argv + ["--data", data, "--out", first]) == EXIT_OK
+        cfg = tmp_path / label / "config.json"
+        cfg.write_text(json.dumps(read_json(first, artifact)["config"]), encoding="utf-8")
+        again = str(tmp_path / label / "again")
+        assert main([argv[0], "--data", data, "--config", str(cfg), "--out", again]) == EXIT_OK
+        a, b = read_json(first, artifact), read_json(again, artifact)
+        assert a["canonical_sha256"] == b["canonical_sha256"], label
+    ckpts = [Path(tmp_path, "train", run, "model.ckpt").read_bytes() for run in ("first", "again")]
+    assert ckpts[0] == ckpts[1]
+    capsys.readouterr()
