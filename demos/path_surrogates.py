@@ -8,7 +8,7 @@ read off the effective degree from the coefficients.
 import numpy as np
 
 from effdeg.sampling import chebyshev_nodes, randomized_cosine
-from effdeg.surrogate import effective_degree, fit
+from effdeg.surrogate import ed_from_coefficients, fit_matrix
 
 x1 = np.array([1.0, 0.0])
 x2 = np.array([0.0, 1.0])
@@ -23,6 +23,11 @@ def restricted(alphas):
     return product(pts)
 
 
+def fit(abscissas, values, max_degree, damping):
+    """Coefficients c_0..c_K of one sampled path: the one-column case of fit_matrix."""
+    return fit_matrix(abscissas, values[:, None], max_degree, damping=damping)[:, 0]
+
+
 print("function f(x) = x1 * x2 restricted to the segment", x1, "->", x2)
 print("g(a) = a * (1 - a), a quadratic with a known expansion\n")
 
@@ -30,9 +35,9 @@ nodes = chebyshev_nodes(8)
 values = restricted(nodes.alphas)
 
 for max_degree in (1, 2, 5):
-    s = fit(nodes, values, max_degree, damping=0.0)
-    ed = effective_degree(s)
-    print(f"max degree {max_degree}: coefficients {np.round(s.coefficients, 6)}")
+    c = fit(nodes, values, max_degree, damping=0.0)
+    ed = ed_from_coefficients(c)
+    print(f"max degree {max_degree}: coefficients {np.round(c, 6)}")
     print(f"  ED = sum |c_k| k = {ed.ed:.6f}   ED_norm = {ed.ed_norm:.6f}")
 
 print()
@@ -41,20 +46,20 @@ print("directions of the degree-5 fit pick up nothing, so ED stays put\n")
 
 print("damping trades a little bias for stability:")
 for damping in (0.0, 1e-6, 1e-2):
-    s = fit(nodes, values, 5, damping=damping)
-    print(f"  damping {damping:8.0e} -> ED {effective_degree(s).ed:.6f}")
+    c = fit(nodes, values, 5, damping=damping)
+    print(f"  damping {damping:8.0e} -> ED {ed_from_coefficients(c).ed:.6f}")
 
 print()
 print("randomized abscissas approximate the same node distribution;")
 print("the estimate fluctuates but the quadratic structure is unchanged:")
 for seed in range(3):
     draw = randomized_cosine(8, seed=seed)
-    s = fit(draw, restricted(draw.alphas), 5, damping=1e-6)
-    print(f"  seed {seed} -> ED {effective_degree(s).ed:.6f}")
+    c = fit(draw, restricted(draw.alphas), 5, damping=1e-6)
+    print(f"  seed {seed} -> ED {ed_from_coefficients(c).ed:.6f}")
 
 print()
 print("a constant function has coefficient mass only at degree zero:")
-s = fit(nodes, np.full(8, 3.0), 5, damping=0.0)
-ed = effective_degree(s)
-print(f"  coefficients {np.round(s.coefficients, 12)}")
+c = fit(nodes, np.full(8, 3.0), 5, damping=0.0)
+ed = ed_from_coefficients(c)
+print(f"  coefficients {np.round(c, 12)}")
 print(f"  ED = {ed.ed:.2e} (numerically zero), ED_norm = {ed.ed_norm:.2e}")

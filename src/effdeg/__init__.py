@@ -12,7 +12,7 @@ sampling   Abscissa schemes on [0, 1] and the one place seeds are derived.
 surrogate  Damped least-squares fit, effective degree, analytic gradient.
 reduce     Per-path PCA with deterministic sign and tie handling.
 estimator  The per-path engine and dataset-level estimation over random paths.
-polylab    Exact rational polynomial algebra for degree bookkeeping.
+polylab    Exact rational polynomials restricted to paths: degree-drop experiments.
 net        Small dense networks, regularized training, square-activation study.
 cli        Command-line entry points producing reproducible artifacts.
 """

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["BASIS_KINDS", "basis_eval", "basis_table", "design_matrix"]
+__all__ = ["BASIS_KINDS", "basis_table", "design_matrix"]
 
 BASIS_KINDS = ("chebyshev", "legendre")
 
@@ -47,17 +47,6 @@ def basis_table(kind: str, x: np.ndarray, max_degree: int) -> np.ndarray:
         for k in range(1, max_degree):
             table[:, k + 1] = ((2 * k + 1) * x * table[:, k] - k * table[:, k - 1]) / (k + 1)
     return table
-
-
-def basis_eval(kind: str, degree: int, x):
-    """Evaluate a single basis element phi_degree at scalar or array x."""
-    if degree < 0:
-        raise ValueError("degree must be >= 0")
-    arr = np.atleast_1d(np.asarray(x, dtype=float))
-    vals = basis_table(kind, arr.ravel(), degree)[:, degree].reshape(arr.shape)
-    if np.isscalar(x) or np.ndim(x) == 0:
-        return float(vals.ravel()[0])
-    return vals
 
 
 def design_matrix(kind: str, alphas, max_degree: int) -> np.ndarray:

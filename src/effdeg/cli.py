@@ -4,12 +4,13 @@ Each command's settings are one spec, name -> (type, default), taken from
 the library where it has one: the fields of EstimatorConfig and TrainConfig,
 the keyword parameters of net.pnn_study.  Each key is a flag and a JSON
 config-file key; defaults, the config file and flags (which win) are merged
-and type-checked in one resolver, so the config block of an estimate,
-train or gradcheck artifact can be passed back through --config.  Each
-command writes a JSON report (resolved config, package version, and a
-canonical sha256 ignoring only the creation timestamp) plus optional CSV
-companions through a temp file and an atomic rename.  Input files are
-recorded by the sha256 of their bytes, not by their path.
+and type-checked in one resolver.  An artifact's config block holds only
+settings, so it can be passed back through --config.  Each command writes
+a JSON report (resolved config, package version, and a canonical sha256
+ignoring only the creation timestamp) plus optional CSV companions through
+a temp file and an atomic rename.  Input files are recorded by the sha256
+of their bytes, not by their path.  The gradient audits behind gradcheck
+live next to the code they audit (surrogate.gradcheck, net.gradcheck).
 
 Exit codes: 0 success, 1 gradient check failure, 2 configuration problem,
 3 I/O problem, 4 numerical failure, 5 non-finite training loss, 6 study
@@ -34,7 +35,7 @@ import numpy as np
 
 from . import __version__
 from . import net as nets
-from . import polylab, sampling
+from . import polylab, sampling, surrogate
 from .basis import BASIS_KINDS
 from .estimator import (
     EstimatorConfig,
@@ -42,14 +43,7 @@ from .estimator import (
     PathSamplingError,
     ed_estimate,
 )
-from .sampling import sample_abscissas
-from .surrogate import (
-    SingularFitError,
-    central_difference,
-    ed_from_coefficients,
-    ed_gradient,
-    fit,
-)
+from .surrogate import SingularFitError
 
 __all__ = ["main"]
 
@@ -290,19 +284,17 @@ def resolve_oracle(spec: str, dim: int) -> FunctionOracle:
         with open(path, encoding="utf-8") as fh:
             polys = polylab.parse_poly_bundle(fh.read(), dim=dim)
 
+        # all rows at once, term by term; float_power is C pow, as float ** int
+        # is, so each row keeps the bits of a per-row scalar evaluation
         def evaluate(x: np.ndarray) -> np.ndarray:
-            out = np.empty((x.shape[0], len(polys)))
-            for r, row in enumerate(x):
-                pt = [float(v) for v in row]
-                for c, poly in enumerate(polys):
-                    total = 0.0
-                    for exp, coef in poly.terms.items():
-                        term = float(coef)
-                        for xv, e in zip(pt, exp):
-                            if e:
-                                term *= xv**e
-                        total += term
-                    out[r, c] = total
+            out = np.zeros((x.shape[0], len(polys)))
+            for col, poly in enumerate(polys):
+                for exp, coef in poly.terms.items():
+                    term = np.full(x.shape[0], float(coef))
+                    for k, e in enumerate(exp):
+                        if e:
+                            term *= np.float_power(x[:, k], e)
+                    out[:, col] += term
             return out
 
         return FunctionOracle(
@@ -459,6 +451,7 @@ _SAMPLERS = {
 
 def cmd_verify_degree(args) -> int:
     cfg = resolve_config(args)
+    result = {}
     if args.polys is not None:
         with open(args.polys, encoding="utf-8") as fh:
             bundle = polylab.parse_poly_bundle(fh.read())
@@ -467,32 +460,29 @@ def cmd_verify_degree(args) -> int:
                 f"{args.polys} must hold exactly two polynomials, found {len(bundle)}"
             )
         poly_a, poly_b = bundle
-        source = {"polys_sha256": _sha256_file(args.polys)}
+        # the file, not the random-polynomial settings, defines the pair
+        cfg = {key: cfg[key] for key in ("pairs", "sampler", "seed")}
+        result["polys_sha256"] = _sha256_file(args.polys)
     else:
         rng = sampling.rng(cfg["seed"], 77)
         poly_a, poly_b = (
             polylab.random_multipoly(cfg["dim"], degree, rng, n_terms=cfg["terms"])
             for degree in (cfg["deg_a"], cfg["deg_b"])
         )
-        source = {"random": True}
     sampler = _SAMPLERS[cfg["sampler"]](poly_a.dim)
     record = polylab.verify_order_preservation(
         poly_a, poly_b, n_pairs=cfg["pairs"], sampler=sampler, seed=cfg["seed"]
     )
-    out_dir = _out_dir(args)
-    config_out = dict(cfg)
-    config_out.update(source)
-    result = dict(record.summary())
+    result.update(record.summary())
     result["polynomials"] = [polylab.format_poly(poly_a), polylab.format_poly(poly_b)]
     result["per_pair_degrees"] = [
         list(record.restricted_degrees[0]),
         list(record.restricted_degrees[1]),
     ]
-    write_artifact(out_dir, "verify_degree.json", "verify-degree", config_out, result)
-    summary = dict(record.summary())
+    write_artifact(_out_dir(args), "verify_degree.json", "verify-degree", cfg, result)
     emit(
         args,
-        summary,
+        record.summary(),
         ["poly", "true_degree", "mean_restricted_degree", "degree_drops", "n_pairs"],
         [
             [k + 1, record.true_degrees[k], record.mean_degrees[k], record.drop_counts[k], record.n_pairs]
@@ -526,6 +516,7 @@ def cmd_pnn_study(args) -> int:
         "scaling_ok": report.scaling_ok,
         "all_converged": report.all_converged,
         "all_ok": report.all_ok,
+        **report.evaluation,
     }
     write_artifact(out_dir, "pnn_study.json", "pnn-study", dict(report.config), result)
     table_header = [
@@ -552,149 +543,24 @@ _GRADCHECK_SPEC = {
 }
 
 
-def _rel_err(analytic: np.ndarray, reference: np.ndarray) -> float:
-    denom = max(float(np.abs(reference).max()), 1e-12)
-    return float(np.abs(analytic - reference).max()) / denom
-
-
-def _surrogate_gradcheck(n_checks: int, seed: int) -> dict:
-    rng = sampling.rng(seed, 1)
-    cells = []
-    attempts = 0
-    while len(cells) < n_checks and attempts < n_checks * 20:
-        attempts += 1
-        r = int(rng.integers(4, 16))
-        max_degree = int(rng.integers(3, min(r, 15)))
-        damping = float(rng.choice([1e-6, 1e-3]))
-        basis = str(rng.choice(["chebyshev", "legendre"]))
-        abscissas = sample_abscissas("randomized_cosine", r, seed=int(rng.integers(2**32)))
-        y = rng.standard_normal(r)
-        coeffs = fit(abscissas, y, max_degree, damping, basis).coefficients
-        if np.abs(coeffs).min() <= 1e-8:
-            continue
-        analytic = ed_gradient(abscissas, y, max_degree, damping, basis)
-
-        def objective(vals):
-            return ed_from_coefficients(
-                fit(abscissas, vals, max_degree, damping, basis).coefficients
-            ).ed
-
-        reference = central_difference(objective, y, step=1e-6)
-        cells.append(
-            {
-                "resolution": r,
-                "max_degree": max_degree,
-                "damping": damping,
-                "basis": basis,
-                "rel_err": _rel_err(analytic, reference),
-            }
-        )
-    worst = max((c["rel_err"] for c in cells), default=0.0)
-    return {
-        "n_checks": len(cells),
-        "max_rel_err": worst,
-        "tolerance": 1e-4,
-        "ok": bool(len(cells) == n_checks and worst < 1e-4),
-        "cells": cells,
-    }
-
-
-def _composite_gradcheck(n_checks: int, seed: int) -> dict:
-    cells = []
-    attempt = 0
-    while len(cells) < n_checks and attempt < n_checks * 20:
-        rng = sampling.rng(seed, 2, attempt)
-        attempt += 1
-        anchored = bool(rng.integers(0, 2))
-        pca_dim = int(rng.integers(1, 3)) if rng.integers(0, 2) else None
-        task = "cross_entropy" if anchored and rng.integers(0, 2) else "mse"
-        cfg = nets.TrainConfig(
-            task=task,
-            n_steps=1,
-            batch_size=8,
-            step_size=0.1,
-            reg_strength=1.0,
-            ramp_fraction=0.0,
-            reg_paths=3,
-            resolution=6,
-            max_degree=3,
-            damping=1e-6,
-            scheme="randomized_cosine",
-            pca_dim=pca_dim,
-            anchored=anchored,
-            seed=int(rng.integers(2**32)),
-        )
-        network = nets.FeedForwardNet.create(
-            (2, 5, 3), activations=("square", "identity"), seed=int(rng.integers(2**32)), scale=0.6
-        )
-        X = rng.standard_normal((8, 2))
-        if task == "cross_entropy":
-            T = nets.one_hot(rng.integers(0, 3, size=8), 3)
-        else:
-            T = rng.standard_normal((8, 3))
-        plans = nets.plan_paths(X, cfg, step=0)
-        if len(plans) < cfg.reg_paths:
-            continue
-        penalty, grads, projections = nets.ed_penalty(network, X, T, plans, cfg)
-        raw, cache = network.forward_cached(X)
-        task_loss, d_raw = nets.task_loss_and_grad(raw, T, cfg.task)
-        d_w, d_b = network.backward(cache, d_raw)
-        analytic_parts = []
-        for l in range(len(network.weights)):
-            analytic_parts.append((d_w[l] + cfg.reg_strength * grads[0][l]).ravel())
-            analytic_parts.append((d_b[l] + cfg.reg_strength * grads[1][l]).ravel())
-        analytic = np.concatenate(analytic_parts)
-        probe = network.clone()
-
-        def objective(flat):
-            probe.set_flat(flat)
-            p, _, _ = nets.ed_penalty(
-                probe, X, T, plans, cfg, want_grads=False, projections=projections
-            )
-            out, _ = probe.forward_cached(X)
-            tl, _ = nets.task_loss_and_grad(out, T, cfg.task)
-            return tl + cfg.reg_strength * p
-
-        reference = central_difference(objective, network.get_flat(), step=1e-6)
-        cells.append(
-            {
-                "task": task,
-                "anchored": anchored,
-                "pca_dim": pca_dim,
-                "rel_err": _rel_err(analytic, reference),
-            }
-        )
-    worst = max((c["rel_err"] for c in cells), default=0.0)
-    return {
-        "n_checks": len(cells),
-        "max_rel_err": worst,
-        "tolerance": 1e-3,
-        "ok": bool(len(cells) == n_checks and worst < 1e-3),
-        "cells": cells,
-    }
-
-
 def cmd_gradcheck(args) -> int:
     cfg = resolve_config(args)
-    surrogate_part = _surrogate_gradcheck(cfg["surrogate_checks"], cfg["seed"])
-    composite_part = _composite_gradcheck(cfg["composite_checks"], cfg["seed"])
-    ok = surrogate_part["ok"] and composite_part["ok"]
-    result = {"surrogate": surrogate_part, "composite": composite_part, "ok": ok}
-    write_artifact(_out_dir(args), "gradcheck.json", "gradcheck", dict(cfg), result)
+    suites = {
+        "surrogate": surrogate.gradcheck(cfg["surrogate_checks"], cfg["seed"]),
+        "composite": nets.gradcheck(cfg["composite_checks"], cfg["seed"]),
+    }
+    ok = all(suite["ok"] for suite in suites.values())
+    write_artifact(_out_dir(args), "gradcheck.json", "gradcheck", dict(cfg), {**suites, "ok": ok})
     summary = {
-        "surrogate": {k: v for k, v in surrogate_part.items() if k != "cells"},
-        "composite": {k: v for k, v in composite_part.items() if k != "cells"},
-        "ok": ok,
+        name: {k: v for k, v in suite.items() if k != "cells"} for name, suite in suites.items()
     }
     emit(
         args,
-        summary,
+        {**summary, "ok": ok},
         ["suite", "n_checks", "max_rel_err", "tolerance", "ok"],
         [
-            ["surrogate", surrogate_part["n_checks"], surrogate_part["max_rel_err"],
-             surrogate_part["tolerance"], int(surrogate_part["ok"])],
-            ["composite", composite_part["n_checks"], composite_part["max_rel_err"],
-             composite_part["tolerance"], int(composite_part["ok"])],
+            [name, suite["n_checks"], suite["max_rel_err"], suite["tolerance"], int(suite["ok"])]
+            for name, suite in suites.items()
         ],
     )
     return EXIT_OK if ok else EXIT_GRADCHECK

@@ -34,6 +34,7 @@ from .estimator import (
     plan_path,
     softmax,
 )
+from .surrogate import audit_gradients
 
 __all__ = [
     "ACTIVATIONS",
@@ -46,7 +47,9 @@ __all__ = [
     "plan_paths",
     "ed_penalty",
     "task_loss_and_grad",
+    "composite_objective",
     "regularized_step",
+    "gradcheck",
     "train",
     "accuracy",
     "one_hot",
@@ -385,6 +388,51 @@ class StepRecord:
     accuracy: float | None = None
 
 
+def composite_objective(
+    net: FeedForwardNet,
+    batch_x: np.ndarray,
+    batch_t: np.ndarray,
+    config: TrainConfig,
+    step: int,
+    plans: list[PathPlan] | None = None,
+    projections=None,
+):
+    """Task loss + lambda(step) * path penalty, and its parameter gradient.
+
+    This is the objective regularized_step descends and gradcheck audits.
+    The penalty is skipped (0) when config.reg_paths or config.reg_strength
+    is 0; otherwise it runs on the given plans, or on plan_paths(batch_x,
+    config, step).  Passing the projections returned by an earlier call
+    freezes the PCA maps, as in ed_penalty.
+
+    Returns (StepRecord, (d_weights, d_biases), projections).
+    """
+    raw, cache = net.forward_cached(batch_x)
+    task_loss, d_raw = task_loss_and_grad(raw, batch_t, config.task)
+    grads = net.backward(cache, d_raw)
+    lam = lambda_schedule(step, config)
+    penalty = 0.0
+    if config.reg_paths > 0 and config.reg_strength > 0.0:
+        if plans is None:
+            plans = plan_paths(batch_x, config, step)
+        penalty, penalty_grads, projections = ed_penalty(
+            net, batch_x, batch_t, plans, config,
+            want_grads=lam > 0.0, projections=projections,
+        )
+        if penalty_grads is not None:
+            for l in range(len(grads[0])):
+                grads[0][l] += lam * penalty_grads[0][l]
+                grads[1][l] += lam * penalty_grads[1][l]
+    record = StepRecord(
+        step=step,
+        task_loss=task_loss,
+        penalty=penalty,
+        lambda_eff=lam,
+        total_loss=task_loss + lam * penalty,
+    )
+    return record, grads, projections
+
+
 def regularized_step(
     net: FeedForwardNet,
     batch_x: np.ndarray,
@@ -393,28 +441,14 @@ def regularized_step(
     step: int,
     velocity: tuple[list[np.ndarray], list[np.ndarray]],
 ) -> StepRecord:
-    """One descent step of task loss + lambda(step) * path penalty, in place.
+    """One descent step of composite_objective, in place.
 
     velocity holds the running momentum buffers (weights, biases) and is
     updated in place.  Raises NonFiniteLossError when the objective blows up,
     before any parameter is touched.
     """
-    raw, cache = net.forward_cached(batch_x)
-    task_loss, d_raw = task_loss_and_grad(raw, batch_t, config.task)
-    d_w, d_b = net.backward(cache, d_raw)
-    lam = lambda_schedule(step, config)
-    penalty = 0.0
-    if config.reg_paths > 0 and config.reg_strength > 0.0:
-        plans = plan_paths(batch_x, config, step)
-        penalty, grads, _ = ed_penalty(
-            net, batch_x, batch_t, plans, config, want_grads=lam > 0.0
-        )
-        if grads is not None:
-            for l in range(len(d_w)):
-                d_w[l] += lam * grads[0][l]
-                d_b[l] += lam * grads[1][l]
-    total = task_loss + lam * penalty
-    if not np.isfinite(total):
+    record, (d_w, d_b), _ = composite_objective(net, batch_x, batch_t, config, step)
+    if not np.isfinite(record.total_loss):
         raise NonFiniteLossError(f"objective is not finite at step {step}")
     vel_w, vel_b = velocity
     for l in range(len(net.weights)):
@@ -422,13 +456,61 @@ def regularized_step(
         vel_b[l] = config.momentum * vel_b[l] - config.step_size * d_b[l]
         net.weights[l] += vel_w[l]
         net.biases[l] += vel_b[l]
-    return StepRecord(
-        step=step,
-        task_loss=task_loss,
-        penalty=penalty,
-        lambda_eff=lam,
-        total_loss=total,
-    )
+    return record
+
+
+def gradcheck(n_checks: int, seed: int) -> dict:
+    """Audit composite_objective's parameter gradient against central differences.
+
+    Each cell is a small square-activation net on a random batch, with the
+    task, anchoring and PCA drawn from sampling.rng(seed, 2, attempt) and
+    lambda = reg_strength = 1 from the first step.  The differences run on
+    the same paths with the PCA maps frozen at the analytic call's.  A batch
+    that yields fewer than reg_paths paths is skipped.
+    """
+
+    def draw(attempt):
+        rng = sampling.rng(seed, 2, attempt)
+        anchored = bool(rng.integers(0, 2))
+        pca_dim = int(rng.integers(1, 3)) if rng.integers(0, 2) else None
+        task = "cross_entropy" if anchored and rng.integers(0, 2) else "mse"
+        # the settings composite_objective reads; the rest are defaults
+        cfg = TrainConfig(
+            task=task,
+            reg_strength=1.0,
+            ramp_fraction=0.0,
+            reg_paths=3,
+            resolution=6,
+            pca_dim=pca_dim,
+            anchored=anchored,
+            seed=int(rng.integers(2**32)),
+        )
+        network = FeedForwardNet.create(
+            (2, 5, 3), activations=("square", "identity"), seed=int(rng.integers(2**32)), scale=0.6
+        )
+        X = rng.standard_normal((8, 2))
+        if task == "cross_entropy":
+            T = one_hot(rng.integers(0, 3, size=8), 3)
+        else:
+            T = rng.standard_normal((8, 3))
+        plans = plan_paths(X, cfg, step=0)
+        if len(plans) < cfg.reg_paths:
+            return None
+        _, (d_w, d_b), projections = composite_objective(network, X, T, cfg, 0, plans=plans)
+        analytic = np.concatenate([g.ravel() for pair in zip(d_w, d_b) for g in pair])
+        probe = network.clone()
+
+        def objective(flat):
+            probe.set_flat(flat)
+            record, _, _ = composite_objective(
+                probe, X, T, cfg, 0, plans=plans, projections=projections
+            )
+            return record.total_loss
+
+        cell = {"task": task, "anchored": anchored, "pca_dim": pca_dim}
+        return cell, analytic, objective, network.get_flat()
+
+    return audit_gradients(draw, n_checks, tolerance=1e-3)
 
 
 def train(
@@ -625,7 +707,11 @@ class PNNTaskResult:
 
 @dataclass(frozen=True)
 class PNNStudyReport:
-    """All six task rows plus the ordering verdicts the study is about."""
+    """All six task rows plus the ordering verdicts the study is about.
+
+    config holds the study's settings (pnn_study's keyword arguments),
+    evaluation the fixed ED protocol every row is measured with.
+    """
 
     rows: tuple[PNNTaskResult, ...]
     orderings: dict = field(default_factory=dict)
@@ -634,6 +720,7 @@ class PNNStudyReport:
     all_converged: bool = True
     all_ok: bool = False
     config: dict = field(default_factory=dict)
+    evaluation: dict = field(default_factory=dict)
 
 
 # study evaluation protocol: deterministic abscissas, one shared seed, no
@@ -781,7 +868,6 @@ def pnn_study(
             "n_steps": n_steps,
             "n_eval": n_eval,
             "mse_target": mse_target,
-            "eval_box": _EVAL_BOX,
-            "eval": dict(_STUDY_EVAL),
         },
+        evaluation={"eval_box": _EVAL_BOX, "eval": dict(_STUDY_EVAL)},
     )

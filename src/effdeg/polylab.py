@@ -1,4 +1,4 @@
-"""Exact multivariate polynomial algebra over the rationals.
+"""Exact rational polynomials and their restrictions to line segments.
 
 The lab exists to check one structural fact with no floating point in the
 loop: restricting a polynomial P of total degree D to the line
@@ -55,7 +55,7 @@ def _canonical(terms: dict) -> dict[Exponent, Fraction]:
 
 
 class MultiPoly:
-    """Sparse exact polynomial in a fixed number of variables."""
+    """Sparse exact polynomial in a fixed number of variables; MultiPoly(dim) is zero."""
 
     __slots__ = ("dim", "terms")
 
@@ -69,22 +69,6 @@ class MultiPoly:
                 raise ValueError(f"bad exponent tuple {exp} for dim {dim}")
         self.dim = dim
         self.terms = terms
-
-    @classmethod
-    def zero(cls, dim: int) -> "MultiPoly":
-        return cls(dim, {})
-
-    @classmethod
-    def constant(cls, dim: int, value) -> "MultiPoly":
-        return cls(dim, {(0,) * dim: Fraction(value)})
-
-    @classmethod
-    def variable(cls, dim: int, index: int) -> "MultiPoly":
-        if not 0 <= index < dim:
-            raise ValueError("variable index out of range")
-        exp = [0] * dim
-        exp[index] = 1
-        return cls(dim, {tuple(exp): Fraction(1)})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -108,63 +92,13 @@ class MultiPoly:
             total += val
         return total
 
-    def __add__(self, other):
-        other = self._coerce(other)
-        terms = dict(self.terms)
-        for exp, coef in other.terms.items():
-            terms[exp] = terms.get(exp, Fraction(0)) + coef
-        return MultiPoly(self.dim, terms)
-
-    def __neg__(self):
-        return MultiPoly(self.dim, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-self._coerce(other))
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return MultiPoly(self.dim, {e: c * other for e, c in self.terms.items()})
-        other = self._coerce(other)
-        terms: dict[Exponent, Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                exp = tuple(a + b for a, b in zip(e1, e2))
-                terms[exp] = terms.get(exp, Fraction(0)) + c1 * c2
-        return MultiPoly(self.dim, terms)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative power")
-        result = MultiPoly.constant(self.dim, 1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
     def __eq__(self, other):
         if not isinstance(other, MultiPoly):
             return NotImplemented
         return self.dim == other.dim and self.terms == other.terms
 
-    def __hash__(self):
-        return hash((self.dim, frozenset(self.terms.items())))
-
     def __repr__(self):
         return f"MultiPoly({self.dim}, {format_poly(self)!r})"
-
-    def _coerce(self, other) -> "MultiPoly":
-        if isinstance(other, MultiPoly):
-            if other.dim != self.dim:
-                raise ValueError("dimension mismatch")
-            return other
-        if isinstance(other, (int, Fraction)):
-            return MultiPoly.constant(self.dim, other)
-        raise TypeError(f"cannot combine MultiPoly with {type(other).__name__}")
 
 
 class UniPoly:
@@ -186,30 +120,10 @@ class UniPoly:
             return NEG_INF
         return len(self.coefficients) - 1
 
-    def coefficient(self, k: int) -> Fraction:
-        if 0 <= k < len(self.coefficients):
-            return self.coefficients[k]
-        return Fraction(0)
-
-    def leading_coefficient(self) -> Fraction:
-        if not self.coefficients:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.coefficients[-1]
-
-    def evaluate(self, alpha) -> Fraction:
-        a = Fraction(alpha)
-        total = Fraction(0)
-        for c in reversed(self.coefficients):
-            total = total * a + c
-        return total
-
     def __eq__(self, other):
         if not isinstance(other, UniPoly):
             return NotImplemented
         return self.coefficients == other.coefficients
-
-    def __hash__(self):
-        return hash(self.coefficients)
 
     def __repr__(self):
         return f"UniPoly({list(self.coefficients)})"

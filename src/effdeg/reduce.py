@@ -9,7 +9,7 @@ constants of the path, not functions of the values being differentiated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,13 +31,8 @@ class PathProjection:
 
     mean: np.ndarray
     components: np.ndarray
-    projected: np.ndarray
     explained_variance: np.ndarray
     degenerate_ties: bool
-
-    @property
-    def n_components(self) -> int:
-        return int(self.components.shape[0])
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         """Project (r, out) values through the frozen mean and components.
@@ -51,11 +46,12 @@ class PathProjection:
 
 
 def pca_project(values: np.ndarray, n_components: int) -> PathProjection:
-    """Project (r, out) path outputs onto their top principal directions.
+    """PCA map of (r, out) path outputs onto their top principal directions.
 
-    The covariance uses divisor r - 1, eigenpairs come from a symmetric
-    eigendecomposition sorted by descending eigenvalue, and each component's
-    sign is fixed so its largest-magnitude entry is nonnegative.
+    The map is fit here and applied by PathProjection.apply.  The covariance
+    uses divisor r - 1, eigenpairs come from a symmetric eigendecomposition
+    sorted by descending eigenvalue, and each component's sign is fixed so
+    its largest-magnitude entry is nonnegative.
     """
     y = np.asarray(values, dtype=float)
     if y.ndim != 2:
@@ -90,12 +86,6 @@ def pca_project(values: np.ndarray, n_components: int) -> PathProjection:
     pairs_alive = np.maximum(eigvals[: upto - 1], eigvals[1:upto]) >= EIGENVALUE_FLOOR
     ties = bool(np.any((np.abs(gaps) < TIE_GAP) & pairs_alive))
 
-    # projected goes through apply, the one place dead components are zeroed
-    projection = PathProjection(
-        mean=mean,
-        components=comps,
-        projected=np.empty((r, 0)),
-        explained_variance=variance,
-        degenerate_ties=ties,
+    return PathProjection(
+        mean=mean, components=comps, explained_variance=variance, degenerate_ties=ties
     )
-    return replace(projection, projected=projection.apply(y))

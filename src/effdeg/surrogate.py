@@ -14,6 +14,9 @@ linear in c, which makes it differentiable in the sampled values y wherever
 no coefficient sits at zero:
 
     dED/dy = T (T^t T + eps I)^{-1} (sign(c) * [0, 1, ..., K]).
+
+gradcheck audits that gradient against central differences through
+audit_gradients, the loop net.gradcheck shares for the training objective.
 """
 
 from __future__ import annotations
@@ -22,21 +25,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import sampling
 from .basis import design_matrix
-from .sampling import PathAbscissas
+from .sampling import PathAbscissas, sample_abscissas
 
 __all__ = [
     "SingularFitError",
-    "PolynomialSurrogate",
     "EDValue",
-    "fit",
     "fit_matrix",
-    "effective_degree",
     "ed_from_coefficients",
     "mean_ed",
-    "ed_gradient",
-    "ed_gradient_matrix",
     "central_difference",
+    "audit_gradients",
+    "gradcheck",
 ]
 
 # Undamped fits refuse normal matrices worse conditioned than this.
@@ -48,16 +49,6 @@ _RESIDUAL_TOL = 1e-8
 
 class SingularFitError(RuntimeError):
     """Undamped normal system is numerically singular or the solve failed."""
-
-
-@dataclass(frozen=True)
-class PolynomialSurrogate:
-    """Fitted coefficients c_0..c_K in the stated basis with its damping."""
-
-    basis: str
-    max_degree: int
-    coefficients: np.ndarray
-    damping: float
 
 
 @dataclass(frozen=True)
@@ -104,25 +95,6 @@ def _normal_solve(
     return coeffs, gram
 
 
-def fit(
-    alphas,
-    values,
-    max_degree: int,
-    damping: float = 1e-6,
-    basis: str = "chebyshev",
-) -> PolynomialSurrogate:
-    """Fit one scalar-valued path sample; values has one entry per abscissa."""
-    a = _alpha_array(alphas)
-    y = np.asarray(values, dtype=float)
-    if y.ndim != 1 or y.size != a.size:
-        raise ValueError("values must be one-dimensional with one entry per abscissa")
-    design = design_matrix(basis, a, max_degree)
-    coeffs, _ = _normal_solve(design, y, damping)
-    return PolynomialSurrogate(
-        basis=basis, max_degree=max_degree, coefficients=coeffs, damping=float(damping)
-    )
-
-
 def fit_matrix(
     alphas,
     values,
@@ -133,10 +105,13 @@ def fit_matrix(
 ) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
     """Fit every column of an (r, m) value matrix at once; returns (K + 1, m) coefficients.
 
-    With with_gradient=True returns (coefficients, gradients), where column j
-    of the (r, m) gradients is dED/dy of column j.  Both come from one design
-    matrix and one damped Gram: the cotangent sign(c) * [0, 1, ..., K] is
-    propagated back through the same normal matrix, using sign(0) = 0.
+    This is the only fit: one sampled path y is the one-column case,
+    fit_matrix(alphas, y[:, None], ...)[:, 0].  With with_gradient=True
+    returns (coefficients, gradients), where column j of the (r, m)
+    gradients is dED/dy of column j.  Both come from one design matrix and
+    one damped Gram: the cotangent sign(c) * [0, 1, ..., K] is propagated
+    back through the same normal matrix, using sign(0) = 0.  Only ED is
+    differentiated; ED_norm is reported but never used as an objective.
     """
     a = _alpha_array(alphas)
     y = np.asarray(values, dtype=float)
@@ -163,11 +138,6 @@ def ed_from_coefficients(coefficients: np.ndarray) -> EDValue:
     return EDValue(ed=ed, ed_norm=ed_norm)
 
 
-def effective_degree(surrogate: PolynomialSurrogate) -> EDValue:
-    """Effective degree of a fitted surrogate."""
-    return ed_from_coefficients(surrogate.coefficients)
-
-
 def mean_ed(values) -> EDValue:
     """Arithmetic mean of EDValue entries, component-wise."""
     values = list(values)
@@ -177,35 +147,6 @@ def mean_ed(values) -> EDValue:
         ed=float(np.mean([v.ed for v in values])),
         ed_norm=float(np.mean([v.ed_norm for v in values])),
     )
-
-
-def ed_gradient(
-    alphas,
-    values,
-    max_degree: int,
-    damping: float = 1e-6,
-    basis: str = "chebyshev",
-) -> np.ndarray:
-    """Gradient of the unnormalized ED with respect to the sampled values.
-
-    Uses the convention sign(0) = 0, matching the subgradient choice made by
-    the training loop.  Only ED is differentiated; ED_norm is reported but
-    never used as an objective.
-    """
-    return ed_gradient_matrix(
-        alphas, np.asarray(values, dtype=float)[:, None], max_degree, damping, basis
-    )[:, 0]
-
-
-def ed_gradient_matrix(
-    alphas,
-    values,
-    max_degree: int,
-    damping: float = 1e-6,
-    basis: str = "chebyshev",
-) -> np.ndarray:
-    """Column-wise ED gradients for an (r, m) value matrix; returns (r, m)."""
-    return fit_matrix(alphas, values, max_degree, damping, basis, with_gradient=True)[1]
 
 
 def central_difference(f, x: np.ndarray, step: float = 1e-6) -> np.ndarray:
@@ -223,3 +164,65 @@ def central_difference(f, x: np.ndarray, step: float = 1e-6) -> np.ndarray:
         grad[idx] = (hi - lo) / (2.0 * step)
         it.iternext()
     return grad
+
+
+def audit_gradients(draw, n_checks: int, tolerance: float) -> dict:
+    """Compare analytic gradients with central differences on n_checks drawn cells.
+
+    draw(attempt) returns (cell, analytic, objective, x), or None to skip the
+    attempt; each kept cell gains rel_err = max|analytic - fd| / max|fd|,
+    where fd is the central difference of objective at x.  At most
+    20 * n_checks attempts are drawn.  The audit is ok when n_checks cells
+    were kept and every rel_err is below tolerance.
+    """
+    cells = []
+    for attempt in range(20 * n_checks):
+        if len(cells) == n_checks:
+            break
+        drawn = draw(attempt)
+        if drawn is None:
+            continue
+        cell, analytic, objective, x = drawn
+        reference = central_difference(objective, x, step=1e-6)
+        denom = max(float(np.abs(reference).max()), 1e-12)
+        cells.append({**cell, "rel_err": float(np.abs(analytic - reference).max()) / denom})
+    worst = max((c["rel_err"] for c in cells), default=0.0)
+    return {
+        "n_checks": len(cells),
+        "max_rel_err": worst,
+        "tolerance": tolerance,
+        "ok": bool(len(cells) == n_checks and worst < tolerance),
+        "cells": cells,
+    }
+
+
+def gradcheck(n_checks: int, seed: int) -> dict:
+    """Audit the ED gradient of fit_matrix against central differences.
+
+    Each cell draws a resolution, degree cap, damping, basis and
+    randomized_cosine abscissas from sampling.rng(seed, 1).  Cells with a
+    coefficient within 1e-8 of zero sit on a kink of ED and are skipped.
+    """
+    rng = sampling.rng(seed, 1)
+
+    def draw(attempt):
+        r = int(rng.integers(4, 16))
+        max_degree = int(rng.integers(3, min(r, 15)))
+        damping = float(rng.choice([1e-6, 1e-3]))
+        basis = str(rng.choice(["chebyshev", "legendre"]))
+        abscissas = sample_abscissas("randomized_cosine", r, seed=int(rng.integers(2**32)))
+        y = rng.standard_normal(r)
+        coeffs, grad = fit_matrix(
+            abscissas, y[:, None], max_degree, damping, basis, with_gradient=True
+        )
+        if np.abs(coeffs).min() <= 1e-8:
+            return None
+
+        def objective(values):
+            coeffs = fit_matrix(abscissas, values[:, None], max_degree, damping, basis)
+            return ed_from_coefficients(coeffs[:, 0]).ed
+
+        cell = {"resolution": r, "max_degree": max_degree, "damping": damping, "basis": basis}
+        return cell, grad[:, 0], objective, y
+
+    return audit_gradients(draw, n_checks, tolerance=1e-4)

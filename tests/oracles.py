@@ -125,3 +125,12 @@ def exact_point(x1, x2, alpha):
     """The exact rational path point alpha*x1 + (1-alpha)*x2."""
     a = Fraction(alpha)
     return tuple(a * Fraction(u) + (1 - a) * Fraction(v) for u, v in zip(x1, x2))
+
+
+def horner(coefficients, alpha):
+    """Exact value of sum_k c_k alpha^k, by Horner's rule in Fractions."""
+    a = Fraction(alpha)
+    total = Fraction(0)
+    for c in reversed(coefficients):
+        total = total * a + c
+    return total

@@ -3,65 +3,66 @@
 import numpy as np
 import pytest
 
-from effdeg.basis import basis_eval, basis_table, design_matrix
+from effdeg.basis import basis_table, design_matrix
 from effdeg.sampling import chebyshev_nodes
 
 from oracles import chebyshev_closed_form, legendre_reference
 
 
+def phi(kind, k, x):
+    """phi_k at each of the points x, read off basis_table's last column."""
+    return basis_table(kind, np.atleast_1d(np.asarray(x, dtype=float)), k)[:, k]
+
+
 def test_chebyshev_point_values():
-    assert basis_eval("chebyshev", 0, 0.37) == 1.0
-    assert basis_eval("chebyshev", 2, 0.5) == pytest.approx(-0.5, abs=1e-15)
-    assert basis_eval("chebyshev", 3, -1.0) == pytest.approx(-1.0, abs=1e-15)
-    assert basis_eval("legendre", 2, 1.0) == pytest.approx(1.0, abs=1e-15)
+    assert phi("chebyshev", 0, 0.37)[0] == 1.0
+    assert phi("chebyshev", 2, 0.5)[0] == pytest.approx(-0.5, abs=1e-15)
+    assert phi("chebyshev", 3, -1.0)[0] == pytest.approx(-1.0, abs=1e-15)
+    assert phi("legendre", 2, 1.0)[0] == pytest.approx(1.0, abs=1e-15)
 
 
 def test_low_orders_exact():
     # k = 0 and k = 1 are returned without arithmetic on them
+    xs = np.array([-1.0, -0.25, 0.0, 0.7, 1.0])
     for basis in ("chebyshev", "legendre"):
-        for x in (-1.0, -0.25, 0.0, 0.7, 1.0):
-            assert basis_eval(basis, 0, x) == 1.0
-            assert basis_eval(basis, 1, x) == x
+        table = basis_table(basis, xs, 4)
+        assert np.array_equal(table[:, 0], np.ones(5))
+        assert np.array_equal(table[:, 1], xs)
 
 
 def test_chebyshev_matches_closed_form():
     rng = np.random.default_rng(11)
     xs = rng.uniform(-1.0, 1.0, size=100)
+    table = basis_table("chebyshev", xs, 20)
+    assert table.shape == (100, 21)
     for k in range(21):
-        got = basis_eval("chebyshev", k, xs)
         want = chebyshev_closed_form(k, xs)
-        assert np.max(np.abs(got - want)) < 1e-10
+        assert np.max(np.abs(table[:, k] - want)) < 1e-10
 
 
 def test_legendre_matches_numpy():
     rng = np.random.default_rng(12)
     xs = rng.uniform(-1.0, 1.0, size=100)
+    table = basis_table("legendre", xs, 20)
     for k in range(21):
-        got = basis_eval("legendre", k, xs)
         want = legendre_reference(k, xs)
-        assert np.max(np.abs(got - want)) < 1e-10
+        assert np.max(np.abs(table[:, k] - want)) < 1e-10
 
 
 def test_basis_eval_is_total_via_clamping():
     # out-of-domain x is clamped, never rejected
-    assert basis_eval("chebyshev", 5, 1.0 + 5e-13) == pytest.approx(1.0)
-    assert basis_eval("chebyshev", 5, 2.0) == pytest.approx(1.0)
-    assert basis_eval("legendre", 3, -7.0) == pytest.approx(-1.0)
+    assert phi("chebyshev", 5, 1.0 + 5e-13)[0] == pytest.approx(1.0)
+    assert phi("chebyshev", 5, 2.0)[0] == pytest.approx(1.0)
+    assert phi("legendre", 3, -7.0)[0] == pytest.approx(-1.0)
 
 
 def test_basis_eval_rejects_bad_inputs():
     with pytest.raises(ValueError):
-        basis_eval("chebyshev", -1, 0.0)
+        basis_table("chebyshev", np.zeros(1), -1)
     with pytest.raises(ValueError):
-        basis_eval("fourier", 0, 0.0)
-
-
-def test_basis_table_matches_eval():
-    xs = np.linspace(-1.0, 1.0, 7)
-    table = basis_table("legendre", xs, 6)
-    assert table.shape == (7, 7)
-    for k in range(7):
-        assert np.allclose(table[:, k], basis_eval("legendre", k, xs), atol=1e-14)
+        basis_table("fourier", np.zeros(1), 0)
+    with pytest.raises(ValueError):
+        basis_table("chebyshev", np.zeros((2, 2)), 1)
 
 
 def test_design_matrix_k1_example():

@@ -7,6 +7,7 @@ import io
 import json
 import os
 import shutil
+from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
@@ -14,7 +15,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from effdeg import __version__, cli, polylab
+from effdeg import __version__, cli, polylab, surrogate
 from effdeg import net as nets
 from effdeg.cli import (
     EXIT_CONFIG,
@@ -424,6 +425,23 @@ def test_polyfile_oracle(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_polyfile_oracle_matches_exact_evaluation(tmp_path):
+    poly_path = tmp_path / "p.txt"
+    poly_path.write_text(
+        "3*x1^3*x2 - 1/7*x2^4 + 2\nx1^5 - x1*x2^2*x3 + 1/3\nx3^7 - 5/2*x1^2*x2^6\n",
+        encoding="utf-8",
+    )
+    polys = polylab.parse_poly_bundle(poly_path.read_text(encoding="utf-8"), dim=3)
+    oracle = cli.resolve_oracle(f"polyfile:{poly_path}", 3)
+    X = np.random.default_rng(23).uniform(-2.0, 2.0, size=(50, 3))
+    got = oracle.evaluate(X)
+    assert got.shape == (50, 3)
+    for row, values in zip(X, got):
+        point = [Fraction(float(v)) for v in row]
+        want = [float(poly.evaluate(point)) for poly in polys]
+        assert values == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
 def test_verify_degree_fixture_pair(tmp_path, capsys):
     out = str(tmp_path / "out")
     code = main([
@@ -515,14 +533,20 @@ def test_gradcheck_passes_and_lists_cells(tmp_path, capsys):
 
 
 def test_gradcheck_fails_on_negated_gradients(tmp_path, capsys, monkeypatch):
-    ed_gradient, backward = cli.ed_gradient, nets.FeedForwardNet.backward
+    # negate the gradients where each audit takes them: the surrogate suite
+    # from fit_matrix, the composite suite from composite_objective
+    fit_matrix, objective = surrogate.fit_matrix, nets.composite_objective
 
-    def negated_backward(self, cache, d_out):
-        d_w, d_b = backward(self, cache, d_out)
-        return [-g for g in d_w], [-g for g in d_b]
+    def negated_fit(*args, with_gradient=False, **kwargs):
+        out = fit_matrix(*args, with_gradient=with_gradient, **kwargs)
+        return (out[0], -out[1]) if with_gradient else out
 
-    monkeypatch.setattr(cli, "ed_gradient", lambda *a, **kw: -ed_gradient(*a, **kw))
-    monkeypatch.setattr(nets.FeedForwardNet, "backward", negated_backward)
+    def negated_objective(*args, **kwargs):
+        record, (d_w, d_b), projections = objective(*args, **kwargs)
+        return record, ([-g for g in d_w], [-g for g in d_b]), projections
+
+    monkeypatch.setattr(surrogate, "fit_matrix", negated_fit)
+    monkeypatch.setattr(nets, "composite_objective", negated_objective)
     code = main([
         "gradcheck", "--surrogate-checks", "3", "--composite-checks", "1",
         "--out", str(tmp_path / "out"),
@@ -717,23 +741,41 @@ def test_file_inputs_are_named_by_content(tmp_path, capsys):
 
 def test_artifact_config_block_round_trips_through_config_flag(tmp_path, capsys):
     data = cluster_dataset(tmp_path / "c.csv", n=24, seed=20)
+    # (flags, inputs given to both runs, artifact)
     runs = {
         "train": (["train", "--hidden", "6,3", "--steps", "8", "--batch-size", "12",
                    "--reg-strength", "0.3", "--reg-paths", "2", "--pca-dim", "1",
-                   "--seed", "2"], "train.json"),
+                   "--seed", "2"], ["--data", data], "train.json"),
         "estimate": (["estimate", "--oracle", "product", "--paths", "7", "--resolution", "6",
                       "--max-degree", "4", "--scheme", "uniform", "--seed", "5"],
-                     "estimate.json"),
+                     ["--data", data], "estimate.json"),
+        "verify-random": (["verify-degree", "--dim", "2", "--deg-a", "3", "--deg-b", "1",
+                           "--terms", "3", "--pairs", "6", "--sampler", "dyadic", "--seed", "4"],
+                          [], "verify_degree.json"),
+        "verify-polys": (["verify-degree", "--pairs", "6", "--sampler", "shared-coordinate",
+                          "--seed", "4"], ["--polys", str(FIXTURES / "deg5_deg2.txt")],
+                         "verify_degree.json"),
+        "pnn-study": (["pnn-study", "--width", "3", "--steps", "5", "--train-points", "16",
+                       "--eval-points", "8", "--mse-target", "1e9", "--seed", "1"],
+                      [], "pnn_study.json"),
     }
-    for label, (argv, artifact) in runs.items():
+    for label, (argv, inputs, artifact) in runs.items():
         first = str(tmp_path / label / "first")
-        assert main(argv + ["--data", data, "--out", first]) == EXIT_OK
+        assert main(argv + inputs + ["--out", first]) == EXIT_OK
         cfg = tmp_path / label / "config.json"
         cfg.write_text(json.dumps(read_json(first, artifact)["config"]), encoding="utf-8")
         again = str(tmp_path / label / "again")
-        assert main([argv[0], "--data", data, "--config", str(cfg), "--out", again]) == EXIT_OK
+        assert main([argv[0], *inputs, "--config", str(cfg), "--out", again]) == EXIT_OK
         a, b = read_json(first, artifact), read_json(again, artifact)
         assert a["canonical_sha256"] == b["canonical_sha256"], label
+        jsonschema.validate(a, load_schema(artifact.replace(".json", ".schema.json")))
     ckpts = [Path(tmp_path, "train", run, "model.ckpt").read_bytes() for run in ("first", "again")]
     assert ckpts[0] == ckpts[1]
+    # a polynomial file's pair is recorded by content, not by random-mode settings
+    polys_doc = read_json(tmp_path / "verify-polys" / "first", "verify_degree.json")
+    assert set(polys_doc["config"]) == {"pairs", "sampler", "seed"}
+    assert len(polys_doc["result"]["polys_sha256"]) == 64
+    study_doc = read_json(tmp_path / "pnn-study" / "first", "pnn_study.json")
+    assert study_doc["result"]["eval_box"] == 2.0
+    assert study_doc["result"]["eval"]["scheme"] == "chebyshev_fixed"
     capsys.readouterr()

@@ -27,7 +27,7 @@ from effdeg.estimator import (
 )
 from effdeg.reduce import pca_project
 from effdeg.sampling import chebyshev_nodes, sample_abscissas
-from effdeg.surrogate import fit
+from effdeg.surrogate import fit_matrix
 
 from oracles import alpha_monomial_to_cheb
 
@@ -100,10 +100,9 @@ def test_anchor_then_project_differs_from_project_then_anchor():
     ab = sample_abscissas("randomized_cosine", 6, anchored=True, seed=9)
     values = rng.standard_normal((6, 3))
     t1, t2 = rng.standard_normal(3), rng.standard_normal(3)
-    anchored_first = pca_project(
-        anchor_values(values, ab, t1, t2), 2
-    ).projected
-    project_first = pca_project(values, 2).apply(anchor_values(values, ab, t1, t2))
+    anchored = anchor_values(values, ab, t1, t2)
+    anchored_first = pca_project(anchored, 2).apply(anchored)
+    project_first = pca_project(values, 2).apply(anchored)
     assert not np.allclose(anchored_first, project_first, atol=1e-10)
 
 
@@ -131,14 +130,11 @@ def test_fit_matches_symbolic_restriction():
     poly = polylab.parse_poly("x1*x2")
     x1 = (Fraction(1), Fraction(0))
     x2 = (Fraction(0), Fraction(1))
-    restriction = polylab.restrict(poly, x1, x2)
-    mono = [restriction.coefficient(k) for k in range(restriction.degree() + 1)]
-    want = alpha_monomial_to_cheb(mono)
+    want = alpha_monomial_to_cheb(polylab.restrict(poly, x1, x2).coefficients)
 
     nodes = chebyshev_nodes(4)
     values = path_values(product_oracle(), np.array([1.0, 0.0]), np.array([0.0, 1.0]), nodes)
-    s = fit(nodes, values[:, 0], 3, 0.0, "chebyshev")
-    got = s.coefficients
+    got = fit_matrix(nodes, values, 3, 0.0, "chebyshev")[:, 0]
     assert np.max(np.abs(got[: len(want)] - want)) < 1e-8
     assert np.max(np.abs(got[len(want) :])) < 1e-8
 
@@ -154,15 +150,13 @@ def test_fit_matches_symbolic_restriction_random_endpoints():
         restriction = polylab.restrict(
             poly, tuple(Fraction(int(v)) for v in a), tuple(Fraction(int(v)) for v in b)
         )
-        deg = restriction.degree()
-        mono = [restriction.coefficient(k) for k in range(deg + 1)]
-        want = alpha_monomial_to_cheb(mono)
+        want = alpha_monomial_to_cheb(restriction.coefficients)
         oracle = FunctionOracle(
             2, 1, lambda p: 2 * p[:, 0] ** 2 * p[:, 1] - p[:, 1] ** 2 + 3 * p[:, 0]
         )
         nodes = chebyshev_nodes(5)
         values = path_values(oracle, a.astype(float), b.astype(float), nodes)
-        got = fit(nodes, values[:, 0], 4, 0.0, "chebyshev").coefficients
+        got = fit_matrix(nodes, values, 4, 0.0, "chebyshev")[:, 0]
         padded = np.zeros(5)
         padded[: len(want)] = want
         assert np.max(np.abs(got - padded)) < 1e-8
@@ -201,9 +195,8 @@ def test_affine_high_degree_coefficients_vanish():
     oracle = FunctionOracle(2, 2, lambda p: p @ A.T + 1.0)
     ab = sample_abscissas("chebyshev_fixed", 6)
     values = path_values(oracle, rng.standard_normal(2), rng.standard_normal(2), ab)
-    for j in range(2):
-        c = fit(ab, values[:, j], 4, 0.0, "chebyshev").coefficients
-        assert np.max(np.abs(c[2:])) < 1e-8
+    c = fit_matrix(ab, values, 4, 0.0, "chebyshev")
+    assert np.max(np.abs(c[2:])) < 1e-8
 
 
 def test_report_is_deterministic():

@@ -1,0 +1,27 @@
+"""Package hygiene: every name a module exports exists and star-imports."""
+
+import importlib
+import pkgutil
+
+import pytest
+
+import effdeg
+
+# __main__ runs the CLI when imported
+MODULES = ["effdeg"] + [
+    f"effdeg.{m.name}" for m in pkgutil.iter_modules(effdeg.__path__) if m.name != "__main__"
+]
+
+
+def test_every_module_is_listed():
+    assert {"effdeg.cli", "effdeg.net", "effdeg.polylab", "effdeg.surrogate"} <= set(MODULES)
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_exported_name_exists(name):
+    module = importlib.import_module(name)
+    missing = [attr for attr in module.__all__ if not hasattr(module, attr)]
+    assert not missing, missing
+    namespace = {}
+    exec(f"from {name} import *", namespace)
+    assert set(module.__all__) <= set(namespace)

@@ -28,7 +28,7 @@ from effdeg.polylab import (
     verify_order_preservation,
 )
 
-from oracles import exact_point
+from oracles import exact_point, horner
 
 
 def test_restrict_product_to_unit_segment():
@@ -66,7 +66,7 @@ def test_restrict_agrees_with_direct_evaluation():
         x1, x2 = sampler(rng)
         r = restrict(poly, x1, x2)
         for a in alphas:
-            assert r.evaluate(a) == poly.evaluate(exact_point(x1, x2, a))
+            assert horner(r.coefficients, a) == poly.evaluate(exact_point(x1, x2, a))
 
 
 def test_restricted_degree_never_exceeds_total_degree():
@@ -89,7 +89,9 @@ def test_leading_coefficient_identity():
         poly = random_multipoly(3, deg, rng, n_terms=6)
         x1, x2 = sampler(rng)
         v = tuple(a - b for a, b in zip(x1, x2))
-        assert restrict(poly, x1, x2).coefficient(deg) == leading_part(poly).evaluate(v)
+        coefficients = restrict(poly, x1, x2).coefficients
+        top = coefficients[deg] if len(coefficients) > deg else 0
+        assert top == leading_part(poly).evaluate(v)
 
 
 def test_leading_part_examples():
@@ -98,7 +100,7 @@ def test_leading_part_examples():
     q = parse_poly("x1^2 + x2^2 + x1*x2 + x1")
     assert leading_part(q) == parse_poly("x1^2 + x2^2 + x1*x2")
     with pytest.raises(ValueError):
-        leading_part(MultiPoly.zero(2))
+        leading_part(MultiPoly(2))
 
 
 def test_degree_drops_examples():
@@ -106,7 +108,7 @@ def test_degree_drops_examples():
     assert degree_drops(poly, (Fraction(2), Fraction(3)), (Fraction(1), Fraction(3)))
     assert not degree_drops(poly, (Fraction(2), Fraction(3)), (Fraction(1), Fraction(1)))
     with pytest.raises(ValueError):
-        degree_drops(MultiPoly.zero(2), (Fraction(0), Fraction(0)), (Fraction(1), Fraction(1)))
+        degree_drops(MultiPoly(2), (Fraction(0), Fraction(0)), (Fraction(1), Fraction(1)))
 
 
 def test_degree_drops_matches_restriction():
@@ -176,7 +178,7 @@ def test_order_preservation_equal_polys():
 def test_order_preservation_rejects_zero_poly():
     with pytest.raises(ValueError):
         verify_order_preservation(
-            MultiPoly.zero(2), parse_poly("x1"), 5, gaussian_pair_sampler(2)
+            MultiPoly(2), parse_poly("x1"), 5, gaussian_pair_sampler(2)
         )
 
 
@@ -214,19 +216,6 @@ def test_gaussian_sampler_is_exact():
     assert all(float(v) == v for v in x1 + x2)
 
 
-def test_multipoly_algebra():
-    x1 = MultiPoly.variable(2, 0)
-    x2 = MultiPoly.variable(2, 1)
-    assert (x1 + x2) ** 2 == x1**2 + 2 * x1 * x2 + x2**2
-    assert (x1 - x2) * (x1 + x2) == x1**2 - x2**2
-    assert x1**0 == MultiPoly.constant(2, 1)
-    assert (x1 * 0).is_zero()
-    assert (x1 + x2).degree() == 1
-    assert MultiPoly.zero(2).degree() == NEG_INF
-    assert hash(x1 + x2) == hash(x2 + x1)
-    assert x1 + 1 == parse_poly("x1 + 1", dim=2)
-
-
 def test_multipoly_exact_evaluation():
     poly = parse_poly("1/3*x1^2 - 2*x2 + 5/7")
     value = poly.evaluate((Fraction(1, 2), Fraction(3, 5)))
@@ -240,26 +229,20 @@ def test_multipoly_validation():
         MultiPoly(2, {(1,): Fraction(1)})
     with pytest.raises(ValueError):
         MultiPoly(2, {(-1, 0): Fraction(1)})
-    with pytest.raises(ValueError):
-        MultiPoly.variable(2, 5)
-    with pytest.raises(ValueError):
-        MultiPoly.variable(2, 0) + MultiPoly.variable(3, 0)
-    with pytest.raises(TypeError):
-        MultiPoly.variable(2, 0) + 0.5
+    assert MultiPoly(2).is_zero() and MultiPoly(2).degree() == NEG_INF
+    assert MultiPoly(2, {(1, 0): 0, (0, 2): Fraction(3, 4)}).terms == {(0, 2): Fraction(3, 4)}
 
 
 def test_unipoly_basics():
     p = UniPoly([Fraction(1), Fraction(2), Fraction(0)])
     assert p.coefficients == (Fraction(1), Fraction(2))
     assert p.degree() == 1
-    assert p.coefficient(5) == 0
-    assert p.leading_coefficient() == 2
-    assert p.evaluate(Fraction(1, 2)) == 2
-    zero = UniPoly([])
+    assert not p.is_zero()
+    assert p == UniPoly([1, 2])
+    zero = UniPoly([0, 0])
     assert zero.is_zero()
     assert zero.degree() == NEG_INF
-    with pytest.raises(ValueError):
-        zero.leading_coefficient()
+    assert zero == UniPoly([])
 
 
 def test_format_parse_round_trip():
@@ -270,7 +253,7 @@ def test_format_parse_round_trip():
         cap = math.comb(deg + dim, dim)
         poly = random_multipoly(dim, deg, rng, n_terms=min(int(rng.integers(1, 7)), cap))
         assert parse_poly(format_poly(poly), dim=dim) == poly
-    assert format_poly(MultiPoly.zero(3)) == "0"
+    assert format_poly(MultiPoly(3)) == "0"
     assert parse_poly("0").is_zero()
 
 
@@ -280,9 +263,9 @@ def test_parse_poly_examples():
     assert poly.terms[(2, 1, 0)] == 3
     assert poly.terms[(0, 0, 1)] == Fraction(-1, 2)
     assert poly.terms[(0, 0, 0)] == 4
-    assert parse_poly("-x1") == -MultiPoly.variable(1, 0)
-    assert parse_poly("x1*x1") == MultiPoly.variable(1, 0) ** 2
-    assert parse_poly("2/4") == MultiPoly.constant(1, Fraction(1, 2))
+    assert parse_poly("-x1") == MultiPoly(1, {(1,): -1})
+    assert parse_poly("x1*x1") == MultiPoly(1, {(2,): 1})
+    assert parse_poly("2/4") == MultiPoly(1, {(0,): Fraction(1, 2)})
 
 
 def test_parse_error_positions():

@@ -15,12 +15,9 @@ from effdeg.surrogate import (
     COND_LIMIT,
     EDValue,
     SingularFitError,
+    audit_gradients,
     central_difference,
     ed_from_coefficients,
-    ed_gradient,
-    ed_gradient_matrix,
-    effective_degree,
-    fit,
     fit_matrix,
     mean_ed,
 )
@@ -34,18 +31,29 @@ def random_instance(rng, r=8, K=5):
     return abscissas, ys
 
 
+def fit(abscissas, ys, max_degree, damping, basis):
+    """Coefficients of one sampled path: the one-column case of fit_matrix."""
+    return fit_matrix(abscissas, ys[:, None], max_degree, damping, basis)[:, 0]
+
+
+def ed_gradient(abscissas, ys, max_degree, damping, basis):
+    """dED/dy of one sampled path: the one-column case of fit_matrix."""
+    _, grad = fit_matrix(abscissas, ys[:, None], max_degree, damping, basis, with_gradient=True)
+    return grad[:, 0]
+
+
 def test_fit_recovers_basis_element_exactly():
     nodes = chebyshev_nodes(4)
     x = 2.0 * nodes.alphas - 1.0
     ys = 4.0 * x**3 - 3.0 * x  # T_3
-    s = fit(nodes, ys, 3, 0.0, "chebyshev")
-    assert np.max(np.abs(s.coefficients - np.array([0, 0, 0, 1.0]))) < 1e-10
+    c = fit(nodes, ys, 3, 0.0, "chebyshev")
+    assert np.max(np.abs(c - np.array([0, 0, 0, 1.0]))) < 1e-10
 
 
 def test_fit_constant():
     nodes = chebyshev_nodes(5)
-    s = fit(nodes, np.full(5, 5.0), 3, 0.0, "chebyshev")
-    assert np.max(np.abs(s.coefficients - np.array([5.0, 0, 0, 0]))) < 1e-10
+    c = fit(nodes, np.full(5, 5.0), 3, 0.0, "chebyshev")
+    assert np.max(np.abs(c - np.array([5.0, 0, 0, 0]))) < 1e-10
 
 
 def test_fit_matches_independent_solver():
@@ -53,21 +61,21 @@ def test_fit_matches_independent_solver():
     rng = np.random.default_rng(21)
     for _ in range(25):
         abscissas, ys = random_instance(rng, r=8, K=5)
-        s = fit(abscissas, ys, 5, 1e-3, "chebyshev")
+        c = fit(abscissas, ys, 5, 1e-3, "chebyshev")
         T = design_matrix("chebyshev", abscissas.alphas, 5)
         want = damped_normal_solve(T, ys, 1e-3)
-        assert np.max(np.abs(s.coefficients - want)) < 1e-9
+        assert np.max(np.abs(c - want)) < 1e-9
 
 
 def test_fit_residual_contract():
     rng = np.random.default_rng(22)
     for eps in (0.0, 1e-6, 1e-3):
         abscissas, ys = random_instance(rng, r=10, K=6)
-        s = fit(abscissas, ys, 6, eps, "legendre")
+        c = fit(abscissas, ys, 6, eps, "legendre")
         T = design_matrix("legendre", abscissas.alphas, 6)
         G = T.T @ T + eps * np.eye(7)
         b = T.T @ ys
-        res = np.abs(G @ s.coefficients - b).max()
+        res = np.abs(G @ c - b).max()
         assert res < 1e-8 * (1.0 + np.abs(b).max())
 
 
@@ -87,8 +95,7 @@ def test_fit_singular_without_damping():
     with pytest.raises(SingularFitError):
         fit(squeezed, ys, 5, 0.0, "chebyshev")
     # damping rescues the same system
-    s = fit(squeezed, ys, 5, 1e-6, "chebyshev")
-    assert np.all(np.isfinite(s.coefficients))
+    assert np.all(np.isfinite(fit(squeezed, ys, 5, 1e-6, "chebyshev")))
 
 
 def test_effective_degree_examples():
@@ -103,8 +110,7 @@ def test_effective_degree_examples():
 
 def test_effective_degree_of_surrogate():
     nodes = chebyshev_nodes(4)
-    s = fit(nodes, np.full(4, 2.0), 3, 0.0, "chebyshev")
-    v = effective_degree(s)
+    v = ed_from_coefficients(fit(nodes, np.full(4, 2.0), 3, 0.0, "chebyshev"))
     assert isinstance(v, EDValue)
     assert v.ed < 1e-9
 
@@ -134,7 +140,7 @@ def test_damping_shrinks_coefficients():
     for _ in range(20):
         abscissas, ys = random_instance(rng, r=9, K=6)
         norms = [
-            np.linalg.norm(fit(abscissas, ys, 6, eps, "chebyshev").coefficients)
+            np.linalg.norm(fit(abscissas, ys, 6, eps, "chebyshev"))
             for eps in (0.0, 1e-6, 1e-3, 1e-1)
         ]
         assert all(a >= b - 1e-12 for a, b in zip(norms, norms[1:]))
@@ -149,7 +155,7 @@ def test_gradient_zero_for_degree_zero():
 def test_gradient_sign_flip():
     rng = np.random.default_rng(34)
     abscissas, ys = random_instance(rng, r=8, K=5)
-    c = fit(abscissas, ys, 5, 1e-6, "chebyshev").coefficients
+    c = fit(abscissas, ys, 5, 1e-6, "chebyshev")
     assert np.abs(c).min() > 1e-8  # generic instance, no zero coefficient
     g_pos = ed_gradient(abscissas, ys, 5, 1e-6, "chebyshev")
     g_neg = ed_gradient(abscissas, -ys, 5, 1e-6, "chebyshev")
@@ -161,9 +167,7 @@ def test_gradient_matches_finite_differences_single():
     abscissas, ys = random_instance(rng, r=8, K=5)
 
     def objective(v):
-        return ed_from_coefficients(
-            fit(abscissas, v, 5, 1e-6, "chebyshev").coefficients
-        ).ed
+        return ed_from_coefficients(fit(abscissas, v, 5, 1e-6, "chebyshev")).ed
 
     analytic = ed_gradient(abscissas, ys, 5, 1e-6, "chebyshev")
     reference = fd_gradient(objective, ys, step=1e-6)
@@ -183,12 +187,12 @@ def test_gradient_sweep_small():
         basis = str(rng.choice(["chebyshev", "legendre"]))
         abscissas = randomized_cosine(r, seed=int(rng.integers(2**31)))
         ys = rng.standard_normal(r)
-        c = fit(abscissas, ys, K, eps, basis).coefficients
+        c = fit(abscissas, ys, K, eps, basis)
         if np.abs(c).min() <= 1e-8:
             continue
 
         def objective(v):
-            return ed_from_coefficients(fit(abscissas, v, K, eps, basis).coefficients).ed
+            return ed_from_coefficients(fit(abscissas, v, K, eps, basis)).ed
 
         analytic = ed_gradient(abscissas, ys, K, eps, basis)
         reference = fd_gradient(objective, ys, step=1e-6)
@@ -211,7 +215,7 @@ def test_ed_vector_mean():
     v = fit_path(np.stack([2.0 * x, 4.0 * x], axis=1), plan, cfg).ed  # ed 2 and ed 4
     assert v.ed == pytest.approx(3.0, abs=1e-9)
     single = fit_path((2.0 * x)[:, None], plan, cfg).ed
-    direct = effective_degree(fit(nodes, 2.0 * x, 3, 0.0, "chebyshev"))
+    direct = ed_from_coefficients(fit(nodes, 2.0 * x, 3, 0.0, "chebyshev"))
     assert single.ed == direct.ed and single.ed_norm == direct.ed_norm
     assert fit_path(np.zeros((5, 2)), plan, cfg).ed.ed == 0.0
 
@@ -228,7 +232,7 @@ def test_fit_matrix_matches_columns():
     Y = rng.standard_normal((7, 3))
     C = fit_matrix(abscissas, Y, 4, 1e-6, "chebyshev")
     for j in range(3):
-        cj = fit(abscissas, Y[:, j], 4, 1e-6, "chebyshev").coefficients
+        cj = fit(abscissas, Y[:, j], 4, 1e-6, "chebyshev")
         assert np.allclose(C[:, j], cj, atol=1e-14)
 
 
@@ -236,7 +240,7 @@ def test_gradient_matrix_matches_columns():
     rng = np.random.default_rng(38)
     abscissas = randomized_cosine(7, seed=6)
     Y = rng.standard_normal((7, 2))
-    G = ed_gradient_matrix(abscissas, Y, 4, 1e-6, "chebyshev")
+    _, G = fit_matrix(abscissas, Y, 4, 1e-6, "chebyshev", with_gradient=True)
     for j in range(2):
         gj = ed_gradient(abscissas, Y[:, j], 4, 1e-6, "chebyshev")
         assert np.allclose(G[:, j], gj, atol=1e-14)
@@ -259,3 +263,27 @@ def test_fit_matrix_with_gradient_reuses_one_gram():
 
 def test_cond_limit_is_the_documented_threshold():
     assert COND_LIMIT == 1e12
+
+
+def test_audit_gradients_reports_each_kept_cell():
+    # draw 1 is skipped; the negated gradient of cell 2 fails the audit
+    def draw(attempt):
+        if attempt == 1:
+            return None
+        sign = -1.0 if attempt == 2 else 1.0
+        x = np.array([1.0, -2.0])
+        return {"attempt": attempt}, sign * 2.0 * x, lambda v: float(v @ v), x
+
+    report = audit_gradients(draw, 1, tolerance=1e-6)
+    assert report["ok"] is True and report["n_checks"] == 1
+    assert report["cells"][0]["rel_err"] < 1e-6
+    report = audit_gradients(draw, 3, tolerance=1e-6)
+    assert [c["attempt"] for c in report["cells"]] == [0, 2, 3]
+    assert report["cells"][1]["rel_err"] == pytest.approx(2.0, rel=1e-6)
+    assert report["max_rel_err"] == report["cells"][1]["rel_err"]
+    assert report["ok"] is False
+    # too few cells within 20 * n_checks attempts is a failure too
+    assert audit_gradients(lambda attempt: None, 1, tolerance=1.0) == {
+        "n_checks": 0, "max_rel_err": 0.0, "tolerance": 1.0, "ok": False, "cells": [],
+    }
+
