@@ -9,9 +9,9 @@ Submodules
 ----------
 basis      Chebyshev / Legendre recurrences and path design matrices.
 sampling   Abscissa schemes on [0, 1] and the one place seeds are derived.
-surrogate  Damped least-squares fit, effective degree, analytic gradient.
-reduce     Per-path PCA with deterministic sign and tie handling.
-estimator  The per-path engine and dataset-level estimation over random paths.
+surrogate  Stacked damped least-squares fits, effective degree, analytic gradient.
+reduce     Per-path PCA with deterministic sign and tie handling, batched over paths.
+estimator  The batched path engine and dataset-level estimation over random paths.
 polylab    Exact rational polynomials restricted to paths: degree-drop experiments.
 net        Small dense networks, regularized training, square-activation study.
 cli        Command-line entry points producing reproducible artifacts.

@@ -50,15 +50,17 @@ def basis_table(kind: str, x: np.ndarray, max_degree: int) -> np.ndarray:
 
 
 def design_matrix(kind: str, alphas, max_degree: int) -> np.ndarray:
-    """Build the (r, max_degree + 1) design matrix phi_k(2 a_i - 1) over path abscissas.
+    """Build design matrices phi_k(2 a_i - 1) over path abscissas.
 
-    Requires r >= max_degree + 1 so the least-squares system is not
-    underdetermined.  Abscissas must lie in [0, 1] up to rounding slack.
+    alphas is (..., r), one row of abscissas per path; the result is
+    (..., r, max_degree + 1).  Requires r >= max_degree + 1 so the
+    least-squares system is not underdetermined.  Abscissas must lie in
+    [0, 1] up to rounding slack.
     """
     alphas = np.asarray(alphas, dtype=float)
-    if alphas.ndim != 1:
-        raise ValueError("alphas must be one-dimensional")
-    r = alphas.size
+    if alphas.ndim < 1:
+        raise ValueError("alphas must have a sample axis")
+    r = alphas.shape[-1]
     if r < max_degree + 1:
         raise ValueError(
             f"need at least max_degree + 1 = {max_degree + 1} abscissas, got {r}"
@@ -66,4 +68,4 @@ def design_matrix(kind: str, alphas, max_degree: int) -> np.ndarray:
     if np.any(alphas < -_DOMAIN_SLACK) or np.any(alphas > 1.0 + _DOMAIN_SLACK):
         raise ValueError("abscissas must lie in [0, 1]")
     x = 2.0 * np.clip(alphas, 0.0, 1.0) - 1.0
-    return basis_table(kind, x, max_degree)
+    return basis_table(kind, x.ravel(), max_degree).reshape(x.shape + (max_degree + 1,))

@@ -13,8 +13,8 @@ of their bytes, not by their path.  The gradient audits behind gradcheck
 live next to the code they audit (surrogate.gradcheck, net.gradcheck).
 
 Exit codes: 0 success, 1 gradient check failure, 2 configuration problem,
-3 I/O problem, 4 numerical failure, 5 non-finite training loss, 6 study
-training failure.
+3 I/O problem, 4 numerical failure, 5 non-finite training loss or
+oracle/network output, 6 study training failure.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ from .basis import BASIS_KINDS
 from .estimator import (
     EstimatorConfig,
     FunctionOracle,
+    NonFiniteOutputError,
     PathSamplingError,
     ed_estimate,
 )
@@ -279,8 +280,14 @@ def resolve_oracle(spec: str, dim: int) -> FunctionOracle:
         return FunctionOracle(
             dim, 1, lambda x: np.prod(x, axis=1, keepdims=True), name="product"
         )
-    if spec.startswith("polyfile:"):
-        path = spec.split(":", 1)[1]
+    kind, _, path = spec.partition(":")
+    if kind in ("polyfile", "checkpoint") and path.startswith("sha256="):
+        # an artifact's config names its file by content, which cannot be reopened
+        raise ConfigError(
+            f"oracle {spec!r} names a file by content; pass --oracle {kind}:PATH "
+            "(flags win over --config)"
+        )
+    if kind == "polyfile":
         with open(path, encoding="utf-8") as fh:
             polys = polylab.parse_poly_bundle(fh.read(), dim=dim)
 
@@ -300,8 +307,7 @@ def resolve_oracle(spec: str, dim: int) -> FunctionOracle:
         return FunctionOracle(
             dim, len(polys), evaluate, name=f"polyfile:sha256={_sha256_file(path)}"
         )
-    if spec.startswith("checkpoint:"):
-        path = spec.split(":", 1)[1]
+    if kind == "checkpoint":
         network, _ = nets.load_checkpoint(path)
         if network.layer_sizes[0] != dim:
             raise ConfigError(
@@ -668,6 +674,7 @@ EXIT_CODES = (
     (OSError, EXIT_IO),
     (SingularFitError, EXIT_NUMERICAL),
     (PathSamplingError, EXIT_NUMERICAL),
+    (NonFiniteOutputError, EXIT_NONFINITE),
     (nets.NonFiniteLossError, EXIT_NONFINITE),
     (nets.TrainingFailure, EXIT_STUDY),
 )

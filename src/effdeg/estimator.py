@@ -1,17 +1,23 @@
-"""The per-path engine, and dataset-level estimation over random interpolation paths.
+"""The batched path engine, and dataset-level estimation over random interpolation paths.
 
-One path is planned, evaluated, then fitted:
+Paths are planned one by one, then evaluated and fitted together:
 
-- plan_path draws an endpoint pair (x1, x2) from a dataset and the abscissas
-  a_i of the segment x(a) = a x1 + (1 - a) x2;
-- the caller evaluates its function at the segment points (path_values for
-  an oracle, a network forward pass for the training penalty);
-- fit_path takes those raw outputs, applies softmax, label anchoring and
-  PCA as configured, fits per-output surrogates and returns the path's
-  effective degree, plus its gradient in the raw outputs on request.
+- plan_path draws an endpoint pair (x_i, x_j) from a dataset and the
+  abscissas a of the segment a x_i + (1 - a) x_j, from the path's own keyed
+  stream;
+- the caller evaluates its function once on the stacked segment points of
+  every planned path (path_values for an oracle, one network forward pass
+  over path_points for the training penalty);
+- fit_paths takes the stacked (P, r, out) raw outputs, applies softmax,
+  label anchoring and PCA as configured, fits every path's per-output
+  surrogates in one call and returns each path's effective degree, plus
+  its gradient in the raw outputs on request.
 
-ed_estimate averages the per-path effective degrees over a dataset, and
-net.ed_penalty averages them over a minibatch; both run this engine.
+Every stacked step computes each path exactly as if it were alone, so a
+path's results do not depend on the batch it was fitted in; one path is
+the P = 1 case.  ed_estimate averages the per-path effective degrees over a
+dataset, and net.ed_penalty averages them over a minibatch; both run this
+engine.
 
 Randomness is splittable: a path planned under key k draws its pair from
 sampling.rng(seed, *k, 0) and its abscissa seed from
@@ -36,15 +42,17 @@ __all__ = [
     "FunctionOracle",
     "EstimatorConfig",
     "PathPlan",
-    "PathFit",
+    "PathFits",
     "PathResult",
     "EDReport",
     "PathSamplingError",
+    "NonFiniteOutputError",
     "softmax",
     "plan_path",
+    "path_points",
     "path_values",
     "anchor_values",
-    "fit_path",
+    "fit_paths",
     "ed_estimate",
 ]
 
@@ -55,6 +63,10 @@ _MAX_REDRAWS = 16
 
 class PathSamplingError(RuntimeError):
     """Every attempted endpoint pair was degenerate."""
+
+
+class NonFiniteOutputError(RuntimeError):
+    """The evaluated function returned NaN or infinity on a path."""
 
 
 @dataclass(frozen=True)
@@ -120,23 +132,28 @@ class EstimatorConfig:
 
 @dataclass(frozen=True)
 class PathPlan:
-    """Frozen randomness of one path: endpoint row indices and abscissas (x1 = row i)."""
+    """Frozen randomness of one path: endpoint row indices and abscissas (x1 = row i).
+
+    key is the stream key plan_path drew it under; it names the path in errors.
+    """
 
     i: int
     j: int
     abscissas: PathAbscissas
+    key: tuple[int, ...] = ()
 
 
 @dataclass(frozen=True)
-class PathFit:
-    """One path's effective degree, the PCA map it was fitted through, and its gradient.
+class PathFits:
+    """Effective degrees of P stacked paths, the PCA maps they were fitted through, and gradients.
 
-    grad is dED/d(raw outputs), (r, out), divided by the requested
-    divisor; None unless requested.
+    ed holds (P,) arrays, pca_ties is (P,) bool, projection is the stacked
+    PathProjection (None without PCA), and grad is dED/d(raw outputs),
+    (P, r, out), divided by the requested divisor; None unless requested.
     """
 
     ed: sg.EDValue
-    pca_ties: bool
+    pca_ties: np.ndarray
     projection: PathProjection | None
     grad: np.ndarray | None = None
 
@@ -202,50 +219,62 @@ def plan_path(
             abscissas = sample_abscissas(
                 scheme, resolution, anchored=anchored, seed=sampling.derive_seed(seed, *key, 1)
             )
-            return PathPlan(i=i, j=j, abscissas=abscissas)
+            return PathPlan(i=i, j=j, abscissas=abscissas, key=tuple(key))
     return None
 
 
-def path_values(
-    oracle: FunctionOracle, x1: np.ndarray, x2: np.ndarray, abscissas: PathAbscissas
-) -> np.ndarray:
-    """Evaluate the oracle along a x1 + (1 - a) x2; a = 1 hits x1, a = 0 hits x2."""
-    a = abscissas.alphas[:, None]
-    points = a * np.asarray(x1, dtype=float) + (1.0 - a) * np.asarray(x2, dtype=float)
-    return oracle.evaluate(points)
+def path_points(inputs: np.ndarray, plans) -> np.ndarray:
+    """Segment points a x_i + (1 - a) x_j of every plan, stacked as (P * r, d) in plan order.
 
-
-def anchor_values(
-    values: np.ndarray, abscissas: PathAbscissas, t1: np.ndarray, t2: np.ndarray
-) -> np.ndarray:
-    """Replace endpoint rows with labels: the a = 0 row gets t2, the a = 1 row t1.
-
-    Requires abscissas that actually contain both endpoints (an anchored
-    scheme); anchoring interior-only samples would mislabel the path.
+    a = 1 hits x_i = inputs[plan.i], a = 0 hits x_j = inputs[plan.j].
     """
-    if not abscissas.anchored:
+    x = np.asarray(inputs, dtype=float)
+    a = np.stack([plan.abscissas.alphas for plan in plans])[:, :, None]
+    x1 = x[[plan.i for plan in plans]][:, None, :]
+    x2 = x[[plan.j for plan in plans]][:, None, :]
+    return (a * x1 + (1.0 - a) * x2).reshape(-1, x.shape[1])
+
+
+def path_values(oracle: FunctionOracle, inputs: np.ndarray, plans) -> np.ndarray:
+    """Evaluate the oracle once on the stacked points of every plan; returns (P, r, out)."""
+    points = path_points(inputs, plans)
+    return oracle.evaluate(points).reshape(len(plans), -1, oracle.output_dim)
+
+
+def anchor_values(values: np.ndarray, plans, labels: np.ndarray) -> np.ndarray:
+    """Replace each path's endpoint rows with labels.
+
+    values is (P, r, out) in plan order; the a = 0 row of a path gets
+    labels[plan.j] and its a = 1 row labels[plan.i].  Requires abscissas that actually
+    contain both endpoints (an anchored scheme); anchoring interior-only
+    samples would mislabel the path.
+    """
+    if not all(plan.abscissas.anchored for plan in plans):
         raise ValueError("label anchoring requires an anchored abscissa scheme")
+    labels = np.asarray(labels, dtype=float)
     out = np.array(values, dtype=float, copy=True)
-    out[0, :] = np.asarray(t2, dtype=float)
-    out[-1, :] = np.asarray(t1, dtype=float)
+    out[:, 0, :] = labels[[plan.j for plan in plans]]
+    out[:, -1, :] = labels[[plan.i for plan in plans]]
     return out
 
 
-def fit_path(
+def fit_paths(
     raw: np.ndarray,
-    plan: PathPlan,
+    plans,
     config: EstimatorConfig,
     labels: np.ndarray | None = None,
     projection: PathProjection | None = None,
     grad_divisor: float | None = None,
-) -> PathFit:
-    """Effective degree of one path from its raw (r, out) outputs.
+) -> PathFits:
+    """Effective degrees of P paths from their stacked (P, r, out) raw outputs.
 
+    Raises NonFiniteOutputError when a path's outputs hold NaN or infinity,
+    naming the first such path by its key (joined by ":") and endpoint rows.
     The outputs are softmaxed (config.post_softmax), their endpoint rows
     replaced by labels[plan.i] and labels[plan.j] (config.anchored), and
     projected to config.pca_dim components before the fit.  A caller may
-    pass a projection to freeze the PCA map; by default it is fit to the
-    path's values.
+    pass the stacked projection of an earlier call to freeze the PCA maps;
+    by default each path's map is fit to its values.
 
     With grad_divisor set, the result also carries the gradient of
     ed / grad_divisor in raw.  The PCA map is differentiated as a fixed
@@ -253,12 +282,20 @@ def fit_path(
     outputs), and the softmax is backpropagated last.  The division comes
     before the anchoring and the softmax, which fixes the gradient's rounding.
     """
-    outputs = softmax(raw, axis=1) if config.post_softmax else np.asarray(raw, dtype=float)
+    raw = np.asarray(raw, dtype=float)
+    finite = np.isfinite(raw).all(axis=(1, 2))
+    if not finite.all():
+        plan = plans[int(np.argmin(finite))]
+        key = ":".join(str(k) for k in plan.key)
+        raise NonFiniteOutputError(
+            f"non-finite output on path {key} (endpoint rows {plan.i} and {plan.j})"
+        )
+    outputs = softmax(raw, axis=-1) if config.post_softmax else raw
     values = outputs
     if config.anchored:
         if labels is None:
             raise ValueError("anchored paths need labels")
-        values = anchor_values(outputs, plan.abscissas, labels[plan.i], labels[plan.j])
+        values = anchor_values(outputs, plans, labels)
     fit_target = values
     if config.pca_dim is None:
         projection = None
@@ -266,26 +303,27 @@ def fit_path(
         if projection is None:
             projection = pca_project(values, config.pca_dim)
         fit_target = projection.apply(values)
+    alphas = np.stack([plan.abscissas.alphas for plan in plans])
     fitted = sg.fit_matrix(
-        plan.abscissas, fit_target, config.max_degree, config.damping, config.basis,
+        alphas, fit_target, config.max_degree, config.damping, config.basis,
         with_gradient=grad_divisor is not None,
     )
     coeffs = fitted if grad_divisor is None else fitted[0]
-    ed = sg.mean_ed(sg.ed_from_coefficients(coeffs[:, j]) for j in range(coeffs.shape[1]))
-    ties = projection is not None and projection.degenerate_ties
+    ed = sg.mean_ed(sg.ed_from_coefficients(np.swapaxes(coeffs, -1, -2)))
+    ties = np.zeros(len(plans), bool) if projection is None else projection.degenerate_ties
     if grad_divisor is None:
-        return PathFit(ed=ed, pca_ties=ties, projection=projection)
-    grad = fitted[1] / fit_target.shape[1]
+        return PathFits(ed=ed, pca_ties=ties, projection=projection)
+    grad = fitted[1] / fit_target.shape[-1]
     if projection is not None:
         grad = grad @ projection.components
     grad = grad / grad_divisor
     if config.anchored:
-        grad[0, :] = 0.0
-        grad[-1, :] = 0.0
+        grad[:, 0, :] = 0.0
+        grad[:, -1, :] = 0.0
     if config.post_softmax:
-        inner = (grad * outputs).sum(axis=1, keepdims=True)
+        inner = (grad * outputs).sum(axis=-1, keepdims=True)
         grad = outputs * (grad - inner)
-    return PathFit(ed=ed, pca_ties=ties, projection=projection, grad=grad)
+    return PathFits(ed=ed, pca_ties=ties, projection=projection, grad=grad)
 
 
 def ed_estimate(
@@ -319,38 +357,36 @@ def ed_estimate(
     ):
         raise ValueError("pca_dim exceeds min(resolution, output_dim)")
 
-    results: list[PathResult] = []
-    n_skipped = 0
-    for p in range(config.n_paths):
-        plan = plan_path(X, config.seed, (p,), config.scheme, config.resolution, config.anchored)
-        if plan is None:
-            n_skipped += 1
-            continue
-        raw = path_values(oracle, X[plan.i], X[plan.j], plan.abscissas)
-        fitted = fit_path(raw, plan, config, labels=labels)
-        results.append(
-            PathResult(
-                index=p,
-                endpoint_indices=(plan.i, plan.j),
-                ed=fitted.ed.ed,
-                ed_norm=fitted.ed.ed_norm,
-                pca_ties=fitted.pca_ties,
-            )
-        )
-
-    if not results:
+    planned = [
+        plan_path(X, config.seed, (p,), config.scheme, config.resolution, config.anchored)
+        for p in range(config.n_paths)
+    ]
+    plans = [plan for plan in planned if plan is not None]
+    if not plans:
         raise PathSamplingError(
             "all sampled endpoint pairs were degenerate; the dataset has no spread"
         )
-    eds = np.array([r.ed for r in results])
-    norms = np.array([r.ed_norm for r in results])
+    fitted = fit_paths(path_values(oracle, X, plans), plans, config, labels=labels)
+    eds = fitted.ed.ed
+    results = tuple(
+        PathResult(
+            index=plan.key[0],
+            endpoint_indices=(plan.i, plan.j),
+            ed=ed,
+            ed_norm=ed_norm,
+            pca_ties=ties,
+        )
+        for plan, ed, ed_norm, ties in zip(
+            plans, eds.tolist(), fitted.ed.ed_norm.tolist(), fitted.pca_ties.tolist()
+        )
+    )
     std = float(eds.std(ddof=1)) if eds.size > 1 else 0.0
     return EDReport(
         mean_ed=float(eds.mean()),
-        mean_ed_norm=float(norms.mean()),
+        mean_ed_norm=float(fitted.ed.ed_norm.mean()),
         std_ed=std,
-        n_paths=len(results) + n_skipped,
-        n_skipped=n_skipped,
-        per_path=tuple(results),
+        n_paths=config.n_paths,
+        n_skipped=config.n_paths - len(plans),
+        per_path=results,
         config=config.fingerprint(),
     )

@@ -30,7 +30,8 @@ from .estimator import (
     FunctionOracle,
     PathPlan,
     ed_estimate,
-    fit_path,
+    fit_paths,
+    path_points,
     plan_path,
     softmax,
 )
@@ -77,11 +78,11 @@ class TrainingFailure(RuntimeError):
     """A study task failed to reach its fit target within the restart budget."""
 
 
-def _act(name: str, z: np.ndarray) -> np.ndarray:
+def _act(name: str, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     if name == "relu":
-        return np.maximum(z, 0.0)
+        return np.maximum(z, 0.0, out=out)
     if name == "square":
-        return z * z
+        return np.multiply(z, z, out=out)
     if name == "identity":
         return z
     raise ValueError(f"unknown activation {name!r}")
@@ -155,7 +156,10 @@ class FeedForwardNet:
         single = np.ndim(x) == 1
         a = np.atleast_2d(np.asarray(x, dtype=float))
         for w, b, name in zip(self.weights, self.biases, self.activations):
-            a = _act(name, a @ w + b)
+            # in place: a large stacked batch keeps two layer-sized arrays alive, not four
+            a = a @ w
+            a += b
+            a = _act(name, a, out=a)
         return a[0] if single else a
 
     def forward_cached(self, x: np.ndarray):
@@ -340,40 +344,44 @@ def ed_penalty(
 ):
     """Mean path effective degree over the planned paths, with parameter gradients.
 
-    The average divides by the configured path count, so dropped degenerate
-    paths contribute zero instead of reweighting the survivors.  Passing the
-    projections returned by an earlier call freezes the PCA maps, which is
-    what finite-difference checks of the composite objective require.
+    All paths run through one forward pass and one fit_paths call.  The
+    average divides by the configured path count, so dropped degenerate
+    paths contribute zero instead of reweighting the survivors.  Passing
+    the projections returned by an earlier call freezes the PCA maps,
+    which is what finite-difference checks of the composite objective
+    require.
 
     Returns (penalty, (d_weights, d_biases) or None, projections).
     """
-    ecfg = config.estimator_config()
     n_planned = max(config.reg_paths, 1)
-    total = 0.0
     d_w = [np.zeros_like(w) for w in net.weights]
     d_b = [np.zeros_like(b) for b in net.biases]
-    out_projections = []
-    for k, plan in enumerate(plans):
-        a = plan.abscissas.alphas[:, None]
-        points = a * batch[plan.i] + (1.0 - a) * batch[plan.j]
-        raw, cache = net.forward_cached(points)
-        fitted = fit_path(
-            raw,
-            plan,
-            ecfg,
-            labels=targets,
-            projection=None if projections is None else projections[k],
-            grad_divisor=n_planned if want_grads else None,
-        )
-        out_projections.append(fitted.projection)
-        total += fitted.ed.ed
+    grads = (d_w, d_b) if want_grads else None
+    if not plans:
+        return 0.0, grads, None
+    raw, (pre, post) = net.forward_cached(path_points(batch, plans))
+    fitted = fit_paths(
+        raw.reshape(len(plans), config.resolution, -1),
+        plans,
+        config.estimator_config(),
+        labels=targets,
+        projection=projections,
+        grad_divisor=n_planned if want_grads else None,
+    )
+    total = 0.0
+    for k, ed in enumerate(fitted.ed.ed.tolist()):
+        total += ed
         if want_grads:
-            dw_k, db_k = net.backward(cache, fitted.grad)
+            # one backward per path over its rows of the shared cache: a
+            # single backward over the stack would sum the parameter
+            # gradient in another order and move its last bits
+            rows = slice(k * config.resolution, (k + 1) * config.resolution)
+            cache = ([z[rows] for z in pre], [a[rows] for a in post])
+            dw_k, db_k = net.backward(cache, fitted.grad[k])
             for l in range(len(d_w)):
                 d_w[l] += dw_k[l]
                 d_b[l] += db_k[l]
-    penalty = total / n_planned
-    return penalty, ((d_w, d_b) if want_grads else None), out_projections
+    return total / n_planned, grads, fitted.projection
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,10 @@ no coefficient sits at zero:
 
     dED/dy = T (T^t T + eps I)^{-1} (sign(c) * [0, 1, ..., K]).
 
+Fits are batched: fit_matrix solves a stack of P such systems, one per
+path, in one call, and ed_from_coefficients reduces stacked coefficient
+vectors at once; each system's result is bit-identical to solving it alone.
+
 gradcheck audits that gradient against central differences through
 audit_gradients, the loop net.gradcheck shares for the training objective.
 """
@@ -53,10 +57,14 @@ class SingularFitError(RuntimeError):
 
 @dataclass(frozen=True)
 class EDValue:
-    """Effective degree and its coefficient-mass-normalized companion."""
+    """Effective degree and its coefficient-mass-normalized companion.
 
-    ed: float
-    ed_norm: float
+    Both are floats for one coefficient vector and arrays of one shape for
+    stacked vectors.
+    """
+
+    ed: float | np.ndarray
+    ed_norm: float | np.ndarray
 
 
 def _alpha_array(alphas) -> np.ndarray:
@@ -75,23 +83,25 @@ def _solve(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 def _normal_solve(
     design: np.ndarray, rhs: np.ndarray, damping: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Solve (T^t T + eps I) c = T^t rhs column-wise; returns (c, the damped Gram)."""
+    """Solve (T^t T + eps I) c = T^t rhs per stacked system; returns (c, the damped Grams)."""
     if damping < 0:
         raise ValueError("damping must be >= 0")
-    gram = design.T @ design
+    design_t = np.swapaxes(design, -1, -2)
+    gram = design_t @ design
     if damping > 0:
-        gram = gram + damping * np.eye(gram.shape[0])
-    else:
-        if np.linalg.cond(gram) >= COND_LIMIT:
-            raise SingularFitError(
-                "normal matrix condition number exceeds COND_LIMIT with damping 0; "
-                "increase damping or change the abscissas"
-            )
-    b = design.T @ rhs
+        gram = gram + damping * np.eye(gram.shape[-1])
+    elif np.any(np.linalg.cond(gram) >= COND_LIMIT):
+        raise SingularFitError(
+            "normal matrix condition number exceeds COND_LIMIT with damping 0; "
+            "increase damping or change the abscissas"
+        )
+    b = design_t @ rhs
     coeffs = _solve(gram, b)
-    resid = np.abs(gram @ coeffs - b).max()
-    if not resid < _RESIDUAL_TOL * (1.0 + np.abs(b).max()):
-        raise SingularFitError(f"normal system residual {resid:.3e} above tolerance")
+    resid = np.abs(gram @ coeffs - b).max(axis=(-2, -1))
+    failed = ~(resid < _RESIDUAL_TOL * (1.0 + np.abs(b).max(axis=(-2, -1))))
+    if np.any(failed):
+        first = np.ravel(resid[failed])[0]
+        raise SingularFitError(f"normal system residual {first:.3e} above tolerance")
     return coeffs, gram
 
 
@@ -103,20 +113,24 @@ def fit_matrix(
     basis: str = "chebyshev",
     with_gradient: bool = False,
 ) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
-    """Fit every column of an (r, m) value matrix at once; returns (K + 1, m) coefficients.
+    """Fit every column of stacked (..., r, m) values; returns (..., K + 1, m) coefficients.
 
-    This is the only fit: one sampled path y is the one-column case,
-    fit_matrix(alphas, y[:, None], ...)[:, 0].  With with_gradient=True
-    returns (coefficients, gradients), where column j of the (r, m)
-    gradients is dED/dy of column j.  Both come from one design matrix and
-    one damped Gram: the cotangent sign(c) * [0, 1, ..., K] is propagated
-    back through the same normal matrix, using sign(0) = 0.  Only ED is
-    differentiated; ED_norm is reported but never used as an objective.
+    This is the only fit.  alphas is (..., r), one row of abscissas per
+    stacked system: P paths are fitted in one call with (P, r) alphas and
+    (P, r, m) values, and one sampled path y is the unstacked one-column
+    case, fit_matrix(alphas, y[:, None], ...)[:, 0].  Every system is
+    solved as if alone, so stacking does not change any result.  With
+    with_gradient=True returns (coefficients, gradients), where column j
+    of the (..., r, m) gradients is dED/dy of column j.  Both come from
+    one design matrix and one damped Gram per system: the cotangent
+    sign(c) * [0, 1, ..., K] is propagated back through the same normal
+    matrix, using sign(0) = 0.  Only ED is differentiated; ED_norm is
+    reported but never used as an objective.
     """
     a = _alpha_array(alphas)
     y = np.asarray(values, dtype=float)
-    if y.ndim != 2 or y.shape[0] != a.size:
-        raise ValueError("values must be (r, m) with one row per abscissa")
+    if a.ndim < 1 or y.shape[:-1] != a.shape:
+        raise ValueError("values must be (..., r, m) with one row per abscissa")
     design = design_matrix(basis, a, max_degree)
     coeffs, gram = _normal_solve(design, y, damping)
     if not with_gradient:
@@ -127,25 +141,27 @@ def fit_matrix(
 
 
 def ed_from_coefficients(coefficients: np.ndarray) -> EDValue:
-    """Effective degree of a coefficient vector c_0..c_K."""
+    """Effective degree of coefficient vectors c_0..c_K along the last axis.
+
+    A (K + 1,) vector gives scalars; stacked (..., K + 1) vectors give
+    (...) arrays.  Each ED is one dot product over a contiguous row, so a
+    vector's value does not depend on what it is stacked with.
+    """
     c = np.abs(np.asarray(coefficients, dtype=float))
-    if c.ndim != 1:
-        raise ValueError("coefficients must be one-dimensional")
-    degrees = np.arange(c.size, dtype=float)
-    ed = float(c @ degrees)
-    mass = float(c.sum())
-    ed_norm = ed / mass if mass > 0.0 else 0.0
-    return EDValue(ed=ed, ed_norm=ed_norm)
+    if c.ndim < 1:
+        raise ValueError("coefficients need a degree axis")
+    c = np.ascontiguousarray(c)
+    degrees = np.arange(c.shape[-1], dtype=float)
+    ed = (c[..., None, :] @ degrees[:, None])[..., 0, 0]
+    mass = c.sum(axis=-1)
+    ed_norm = np.divide(ed, mass, out=np.zeros_like(ed), where=mass > 0.0)
+    return EDValue(ed=ed[()], ed_norm=ed_norm[()])
 
 
-def mean_ed(values) -> EDValue:
-    """Arithmetic mean of EDValue entries, component-wise."""
-    values = list(values)
-    if not values:
-        raise ValueError("need at least one value")
+def mean_ed(value: EDValue) -> EDValue:
+    """Mean of stacked EDValue entries over their last axis (a path's outputs)."""
     return EDValue(
-        ed=float(np.mean([v.ed for v in values])),
-        ed_norm=float(np.mean([v.ed_norm for v in values])),
+        ed=np.mean(value.ed, axis=-1)[()], ed_norm=np.mean(value.ed_norm, axis=-1)[()]
     )
 
 

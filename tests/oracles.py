@@ -3,7 +3,9 @@
 Everything here is deliberately written the slow, obvious way and avoids the
 code paths under test: the linear solver is hand-rolled Gaussian elimination,
 the eigensolver is cyclic Jacobi, and basis references come from closed forms
-or numpy.polynomial rather than our recurrences.
+or numpy.polynomial rather than our recurrences.  The last section is the
+path engine run one path at a time, the reference for the batched engine's
+bits.
 """
 
 from fractions import Fraction
@@ -12,6 +14,11 @@ import numpy as np
 import numpy.polynomial.chebyshev as npcheb
 import numpy.polynomial.legendre as npleg
 import numpy.polynomial.polynomial as nppoly
+
+from effdeg.basis import design_matrix
+from effdeg.estimator import plan_path, softmax
+from effdeg.reduce import EIGENVALUE_FLOOR, TIE_GAP
+from effdeg.surrogate import COND_LIMIT, SingularFitError
 
 
 def gauss_solve(A, b):
@@ -134,3 +141,159 @@ def horner(coefficients, alpha):
     for c in reversed(coefficients):
         total = total * a + c
     return total
+
+
+# ---------------------------------------------------------------------------
+# The per-path engine, one path at a time: the reference the batched engine
+# (estimator.fit_paths, ed_estimate, net.ed_penalty) must equal bit for bit.
+# Each path is fitted alone through unstacked 2-D linear algebra, and ED is
+# reduced one coefficient column at a time.
+# ---------------------------------------------------------------------------
+
+
+class PerPathProjection:
+    """Centered PCA of one path's (r, out) outputs."""
+
+    def __init__(self, mean, components, explained_variance, degenerate_ties):
+        self.mean = mean
+        self.components = components
+        self.explained_variance = explained_variance
+        self.degenerate_ties = degenerate_ties
+
+    def apply(self, values):
+        out = (np.asarray(values, dtype=float) - self.mean) @ self.components.T
+        out[:, self.explained_variance < EIGENVALUE_FLOOR] = 0.0
+        return out
+
+
+def pca_project(values, n_components):
+    """PCA map of one path's (r, out) outputs, eigenpairs sorted and signs fixed row by row."""
+    y = np.asarray(values, dtype=float)
+    r = y.shape[0]
+    m = int(n_components)
+    mean = y.mean(axis=0)
+    centered = y - mean
+    cov = centered.T @ centered / (r - 1)
+    eigvals, eigvecs = np.linalg.eigh(cov)
+    order = np.argsort(eigvals)[::-1]
+    eigvals = eigvals[order]
+    eigvecs = eigvecs[:, order]
+    comps = eigvecs[:, :m].T.copy()
+    for row in comps:
+        pivot = int(np.argmax(np.abs(row)))
+        if row[pivot] < 0:
+            row *= -1.0
+    variance = np.clip(eigvals[:m], 0.0, None)
+    upto = min(m + 1, eigvals.size)
+    gaps = np.diff(eigvals[:upto])
+    pairs_alive = np.maximum(eigvals[: upto - 1], eigvals[1:upto]) >= EIGENVALUE_FLOOR
+    ties = bool(np.any((np.abs(gaps) < TIE_GAP) & pairs_alive))
+    return PerPathProjection(mean, comps, variance, ties)
+
+
+def fit_matrix(alphas, values, max_degree, damping, basis, with_gradient=False):
+    """Damped normal-equation fit of one path's (r, m) values, with the library's guards."""
+    design = design_matrix(basis, alphas, max_degree)
+    gram = design.T @ design
+    if damping > 0:
+        gram = gram + damping * np.eye(gram.shape[0])
+    elif np.linalg.cond(gram) >= COND_LIMIT:
+        raise SingularFitError("normal matrix condition number exceeds COND_LIMIT")
+    b = design.T @ values
+    coeffs = np.linalg.solve(gram, b)
+    resid = np.abs(gram @ coeffs - b).max()
+    if not resid < 1e-8 * (1.0 + np.abs(b).max()):
+        raise SingularFitError(f"normal system residual {resid:.3e} above tolerance")
+    if not with_gradient:
+        return coeffs
+    weighted = np.sign(coeffs) * np.arange(max_degree + 1, dtype=float)[:, None]
+    return coeffs, design @ np.linalg.solve(gram, weighted)
+
+
+def ed_of_column(c):
+    """(ED, ED_norm) of one coefficient vector, as one dot product and one sum."""
+    c = np.abs(np.asarray(c, dtype=float))
+    ed = float(c @ np.arange(c.size, dtype=float))
+    mass = float(c.sum())
+    return ed, (ed / mass if mass > 0.0 else 0.0)
+
+
+def fit_path(raw, plan, config, labels=None, projection=None, grad_divisor=None):
+    """One path's (ed, ed_norm, pca_ties, projection, grad) from its raw (r, out) outputs."""
+    outputs = softmax(raw, axis=1) if config.post_softmax else np.asarray(raw, dtype=float)
+    values = outputs
+    if config.anchored:
+        values = np.array(outputs, copy=True)
+        values[0, :] = labels[plan.j]
+        values[-1, :] = labels[plan.i]
+    fit_target = values
+    if config.pca_dim is None:
+        projection = None
+    else:
+        if projection is None:
+            projection = pca_project(values, config.pca_dim)
+        fit_target = projection.apply(values)
+    fitted = fit_matrix(
+        plan.abscissas.alphas, fit_target, config.max_degree, config.damping, config.basis,
+        with_gradient=grad_divisor is not None,
+    )
+    coeffs = fitted if grad_divisor is None else fitted[0]
+    columns = [ed_of_column(coeffs[:, j]) for j in range(coeffs.shape[1])]
+    ed = float(np.mean([c[0] for c in columns]))
+    ed_norm = float(np.mean([c[1] for c in columns]))
+    ties = projection is not None and projection.degenerate_ties
+    if grad_divisor is None:
+        return ed, ed_norm, ties, projection, None
+    grad = fitted[1] / fit_target.shape[1]
+    if projection is not None:
+        grad = grad @ projection.components
+    grad = grad / grad_divisor
+    if config.anchored:
+        grad[0, :] = 0.0
+        grad[-1, :] = 0.0
+    if config.post_softmax:
+        inner = (grad * outputs).sum(axis=1, keepdims=True)
+        grad = outputs * (grad - inner)
+    return ed, ed_norm, ties, projection, grad
+
+
+def ed_estimate(oracle, inputs, config, labels=None):
+    """Per-path records (index, (i, j), ed, ed_norm, pca_ties) and the skip count, path by path."""
+    X = np.asarray(inputs, dtype=float)
+    records, skipped = [], 0
+    for p in range(config.n_paths):
+        plan = plan_path(X, config.seed, (p,), config.scheme, config.resolution, config.anchored)
+        if plan is None:
+            skipped += 1
+            continue
+        a = plan.abscissas.alphas[:, None]
+        raw = oracle.evaluate(a * X[plan.i] + (1.0 - a) * X[plan.j])
+        ed, ed_norm, ties, _, _ = fit_path(raw, plan, config, labels=labels)
+        records.append((p, (plan.i, plan.j), ed, ed_norm, ties))
+    return records, skipped
+
+
+def ed_penalty(net, batch, targets, plans, config, want_grads=True, projections=None):
+    """net.ed_penalty path by path: one forward, fit and backward per plan."""
+    ecfg = config.estimator_config()
+    n_planned = max(config.reg_paths, 1)
+    total = 0.0
+    d_w = [np.zeros_like(w) for w in net.weights]
+    d_b = [np.zeros_like(b) for b in net.biases]
+    out_projections = []
+    for k, plan in enumerate(plans):
+        a = plan.abscissas.alphas[:, None]
+        raw, cache = net.forward_cached(a * batch[plan.i] + (1.0 - a) * batch[plan.j])
+        ed, _, _, projection, grad = fit_path(
+            raw, plan, ecfg, labels=targets,
+            projection=None if projections is None else projections[k],
+            grad_divisor=n_planned if want_grads else None,
+        )
+        out_projections.append(projection)
+        total += ed
+        if want_grads:
+            dw_k, db_k = net.backward(cache, grad)
+            for l in range(len(d_w)):
+                d_w[l] += dw_k[l]
+                d_b[l] += db_k[l]
+    return total / n_planned, ((d_w, d_b) if want_grads else None), out_projections

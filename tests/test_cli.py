@@ -31,7 +31,7 @@ from effdeg.cli import (
     load_dataset_csv,
     main,
 )
-from effdeg.estimator import EstimatorConfig, PathSamplingError
+from effdeg.estimator import EstimatorConfig, NonFiniteOutputError, PathSamplingError
 from effdeg.net import load_checkpoint
 from effdeg.surrogate import SingularFitError
 
@@ -227,6 +227,7 @@ DOCUMENTED_EXIT_CODES = [
     (OSError, EXIT_IO),
     (SingularFitError, EXIT_NUMERICAL),
     (PathSamplingError, EXIT_NUMERICAL),
+    (NonFiniteOutputError, EXIT_NONFINITE),
     (nets.NonFiniteLossError, EXIT_NONFINITE),
     (nets.TrainingFailure, EXIT_STUDY),
 ]
@@ -248,6 +249,20 @@ def test_main_maps_each_failure_to_its_exit_code(kind, code, monkeypatch, capsys
     captured = capsys.readouterr()
     assert captured.err.startswith("error: boom")
     assert captured.out == ""
+
+
+def test_nonfinite_oracle_output_exits_five_naming_the_path(tmp_path, capsys):
+    # x1^400 overflows to inf at the dataset's larger coordinates
+    poly = tmp_path / "steep.txt"
+    poly.write_text("x1^400 + x2\n", encoding="utf-8")
+    data = write_dataset(tmp_path / "d.csv", np.array([[0.5, 1.0], [9.0, 2.0], [0.25, -1.0]]))
+    argv = ["estimate", "--data", data, "--oracle", f"polyfile:{poly}", "--paths", "6",
+            "--out", str(tmp_path / "o")]
+    with np.errstate(over="ignore"):
+        assert main(argv) == EXIT_NONFINITE
+    err = capsys.readouterr().err
+    assert err.startswith("error: non-finite output on path ")
+    assert "endpoint rows" in err
 
 
 def test_singular_undamped_fit_exits_four(tmp_path, capsys):
@@ -741,6 +756,9 @@ def test_file_inputs_are_named_by_content(tmp_path, capsys):
 
 def test_artifact_config_block_round_trips_through_config_flag(tmp_path, capsys):
     data = cluster_dataset(tmp_path / "c.csv", n=24, seed=20)
+    poly = tmp_path / "pair.txt"
+    poly.write_text("x1*x2 + 3*x1^2\nx2^3 - 1/2\n", encoding="utf-8")
+    ckpt = tmp_path / "train" / "first" / "model.ckpt"  # written by the train run below
     # (flags, inputs given to both runs, artifact)
     runs = {
         "train": (["train", "--hidden", "6,3", "--steps", "8", "--batch-size", "12",
@@ -758,6 +776,12 @@ def test_artifact_config_block_round_trips_through_config_flag(tmp_path, capsys)
         "pnn-study": (["pnn-study", "--width", "3", "--steps", "5", "--train-points", "16",
                        "--eval-points", "8", "--mse-target", "1e9", "--seed", "1"],
                       [], "pnn_study.json"),
+        # file oracles are recorded by content, so the rerun names the file again
+        "estimate-polyfile": (["estimate", "--paths", "5", "--resolution", "5", "--seed", "3"],
+                              ["--data", data, "--oracle", f"polyfile:{poly}"], "estimate.json"),
+        "estimate-checkpoint": (["estimate", "--paths", "5", "--anchored", "--pca-dim", "1"],
+                                ["--data", data, "--oracle", f"checkpoint:{ckpt}"],
+                                "estimate.json"),
     }
     for label, (argv, inputs, artifact) in runs.items():
         first = str(tmp_path / label / "first")
@@ -778,4 +802,12 @@ def test_artifact_config_block_round_trips_through_config_flag(tmp_path, capsys)
     study_doc = read_json(tmp_path / "pnn-study" / "first", "pnn_study.json")
     assert study_doc["result"]["eval_box"] == 2.0
     assert study_doc["result"]["eval"]["scheme"] == "chebyshev_fixed"
+    # without the file flag, a content-named oracle is a config error naming that flag
     capsys.readouterr()
+    for label, kind in (("estimate-polyfile", "polyfile"), ("estimate-checkpoint", "checkpoint")):
+        cfg = tmp_path / label / "config.json"
+        recorded = read_json(tmp_path / label / "first", "estimate.json")["config"]["oracle"]
+        assert recorded.startswith(f"{kind}:sha256=")
+        assert main(["estimate", "--data", data, "--config", str(cfg),
+                     "--out", str(tmp_path / label / "bare")]) == EXIT_CONFIG
+        assert f"pass --oracle {kind}:PATH" in capsys.readouterr().err

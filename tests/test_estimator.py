@@ -16,11 +16,12 @@ from effdeg.estimator import (
     EDReport,
     EstimatorConfig,
     FunctionOracle,
+    NonFiniteOutputError,
     PathPlan,
     PathSamplingError,
     anchor_values,
     ed_estimate,
-    fit_path,
+    fit_paths,
     path_values,
     plan_path,
     softmax,
@@ -46,9 +47,21 @@ def constant_oracle(d, value):
     )
 
 
+def one_path(oracle, x1, x2, abscissas):
+    """Outputs along a x1 + (1 - a) x2: the one-path case of path_values."""
+    plan = PathPlan(i=0, j=1, abscissas=abscissas)
+    return path_values(oracle, np.stack([x1, x2]), [plan])[0]
+
+
+def anchor_one(values, abscissas, t1, t2):
+    """Anchor one path's values: the one-path case of anchor_values."""
+    plan = PathPlan(i=0, j=1, abscissas=abscissas)
+    return anchor_values(values[None], [plan], np.stack([t1, t2]))[0]
+
+
 def test_build_path_identity():
     ab = sample_abscissas("uniform", 3)
-    values = path_values(identity_oracle(2), np.array([1.0, 0.0]), np.array([0.0, 1.0]), ab)
+    values = one_path(identity_oracle(2), np.array([1.0, 0.0]), np.array([0.0, 1.0]), ab)
     want = np.array([[0.0, 1.0], [0.5, 0.5], [1.0, 0.0]])
     assert np.allclose(values, want, atol=1e-15)
 
@@ -56,13 +69,13 @@ def test_build_path_identity():
 def test_build_path_constant():
     ab = sample_abscissas("uniform", 4)
     c = np.array([2.0, -1.0, 0.5])
-    values = path_values(constant_oracle(3, c), np.ones(3), np.zeros(3), ab)
+    values = one_path(constant_oracle(3, c), np.ones(3), np.zeros(3), ab)
     assert np.allclose(values, np.tile(c, (4, 1)), atol=1e-15)
 
 
 def test_build_path_product_midpoint():
     ab = sample_abscissas("uniform", 3)
-    values = path_values(product_oracle(), np.array([1.0, 0.0]), np.array([0.0, 1.0]), ab)
+    values = one_path(product_oracle(), np.array([1.0, 0.0]), np.array([0.0, 1.0]), ab)
     assert values[1, 0] == pytest.approx(0.25, abs=1e-15)
 
 
@@ -71,18 +84,18 @@ def test_path_symmetry_under_endpoint_swap():
     x1, x2 = rng.standard_normal(3), rng.standard_normal(3)
     oracle = FunctionOracle(3, 2, lambda p: np.stack([p[:, 0] * p[:, 1], p[:, 2] ** 2], axis=1))
     ab = sample_abscissas("uniform", 5)
-    fwd = path_values(oracle, x1, x2, ab)
+    fwd = one_path(oracle, x1, x2, ab)
     # swapping endpoints and reversing alpha gives the same samples since the
     # uniform grid maps onto itself under a -> 1 - a
-    bwd = path_values(oracle, x2, x1, ab)
+    bwd = one_path(oracle, x2, x1, ab)
     assert np.allclose(fwd, bwd[::-1], atol=1e-12)
 
 
 def test_label_anchor_one_hot():
     ab = sample_abscissas("chebyshev_fixed", 4, anchored=True)
-    values = path_values(identity_oracle(2), np.array([3.0, 1.0]), np.array([-2.0, 5.0]), ab)
+    values = one_path(identity_oracle(2), np.array([3.0, 1.0]), np.array([-2.0, 5.0]), ab)
     t1, t2 = np.array([1.0, 0.0]), np.array([0.0, 1.0])
-    anchored = anchor_values(values, ab, t1, t2)
+    anchored = anchor_one(values, ab, t1, t2)
     assert np.array_equal(anchored[0], t2)  # a = 0 end
     assert np.array_equal(anchored[-1], t1)  # a = 1 end
     assert anchored[1:-1].tobytes() == values[1:-1].tobytes()
@@ -90,9 +103,9 @@ def test_label_anchor_one_hot():
 
 def test_label_anchor_rejects_unanchored_abscissas():
     ab = sample_abscissas("chebyshev_fixed", 4)
-    values = path_values(identity_oracle(2), np.ones(2), np.zeros(2), ab)
+    values = one_path(identity_oracle(2), np.ones(2), np.zeros(2), ab)
     with pytest.raises(ValueError):
-        anchor_values(values, ab, np.ones(2), np.zeros(2))
+        anchor_one(values, ab, np.ones(2), np.zeros(2))
 
 
 def test_anchor_then_project_differs_from_project_then_anchor():
@@ -100,7 +113,7 @@ def test_anchor_then_project_differs_from_project_then_anchor():
     ab = sample_abscissas("randomized_cosine", 6, anchored=True, seed=9)
     values = rng.standard_normal((6, 3))
     t1, t2 = rng.standard_normal(3), rng.standard_normal(3)
-    anchored = anchor_values(values, ab, t1, t2)
+    anchored = anchor_one(values, ab, t1, t2)
     anchored_first = pca_project(anchored, 2).apply(anchored)
     project_first = pca_project(values, 2).apply(anchored)
     assert not np.allclose(anchored_first, project_first, atol=1e-10)
@@ -113,16 +126,17 @@ def test_anchoring_with_own_outputs_is_identity():
     oracle = FunctionOracle(2, 2, lambda p: np.stack([p[:, 0] * p[:, 1], np.sin(p[:, 0])], axis=1))
     x1, x2 = rng.standard_normal(2), rng.standard_normal(2)
     ab = sample_abscissas("chebyshev_fixed", 5, anchored=True)
-    values = path_values(oracle, x1, x2, ab)
+    values = one_path(oracle, x1, x2, ab)
     labels = oracle.evaluate(np.stack([x1, x2]))
-    assert anchor_values(values, ab, labels[0], labels[1]).tobytes() == values.tobytes()
+    assert anchor_one(values, ab, labels[0], labels[1]).tobytes() == values.tobytes()
     plan = PathPlan(i=0, j=1, abscissas=ab)
     cfg = EstimatorConfig(n_paths=1, resolution=5, max_degree=3)
-    plain = fit_path(values, plan, cfg)
-    anchored = fit_path(values, plan, replace(cfg, anchored=True), labels=labels)
-    assert plain.ed == anchored.ed
+    plain = fit_paths(values[None], [plan], cfg)
+    anchored = fit_paths(values[None], [plan], replace(cfg, anchored=True), labels=labels)
+    assert plain.ed.ed.tolist() == anchored.ed.ed.tolist()
+    assert plain.ed.ed_norm.tolist() == anchored.ed.ed_norm.tolist()
     with pytest.raises(ValueError):
-        fit_path(values, plan, replace(cfg, anchored=True))
+        fit_paths(values[None], [plan], replace(cfg, anchored=True))
 
 
 def test_fit_matches_symbolic_restriction():
@@ -133,7 +147,7 @@ def test_fit_matches_symbolic_restriction():
     want = alpha_monomial_to_cheb(polylab.restrict(poly, x1, x2).coefficients)
 
     nodes = chebyshev_nodes(4)
-    values = path_values(product_oracle(), np.array([1.0, 0.0]), np.array([0.0, 1.0]), nodes)
+    values = one_path(product_oracle(), np.array([1.0, 0.0]), np.array([0.0, 1.0]), nodes)
     got = fit_matrix(nodes, values, 3, 0.0, "chebyshev")[:, 0]
     assert np.max(np.abs(got[: len(want)] - want)) < 1e-8
     assert np.max(np.abs(got[len(want) :])) < 1e-8
@@ -155,7 +169,7 @@ def test_fit_matches_symbolic_restriction_random_endpoints():
             2, 1, lambda p: 2 * p[:, 0] ** 2 * p[:, 1] - p[:, 1] ** 2 + 3 * p[:, 0]
         )
         nodes = chebyshev_nodes(5)
-        values = path_values(oracle, a.astype(float), b.astype(float), nodes)
+        values = one_path(oracle, a.astype(float), b.astype(float), nodes)
         got = fit_matrix(nodes, values, 4, 0.0, "chebyshev")[:, 0]
         padded = np.zeros(5)
         padded[: len(want)] = want
@@ -194,7 +208,7 @@ def test_affine_high_degree_coefficients_vanish():
     A = rng.standard_normal((2, 2))
     oracle = FunctionOracle(2, 2, lambda p: p @ A.T + 1.0)
     ab = sample_abscissas("chebyshev_fixed", 6)
-    values = path_values(oracle, rng.standard_normal(2), rng.standard_normal(2), ab)
+    values = one_path(oracle, rng.standard_normal(2), rng.standard_normal(2), ab)
     c = fit_matrix(ab, values, 4, 0.0, "chebyshev")
     assert np.max(np.abs(c[2:])) < 1e-8
 
@@ -250,7 +264,8 @@ def test_pca_path_flags_ties():
     ab = sample_abscissas("uniform", 4)
     values = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
     cfg = EstimatorConfig(n_paths=1, resolution=4, max_degree=3, pca_dim=2, seed=0)
-    assert fit_path(values, PathPlan(i=0, j=1, abscissas=ab), cfg).pca_ties
+    fitted = fit_paths(values[None], [PathPlan(i=0, j=1, abscissas=ab)], cfg)
+    assert fitted.pca_ties.tolist() == [True]
 
 
 def test_config_validation():
@@ -311,15 +326,34 @@ def test_single_path_replays_on_its_own():
     assert len(report.per_path) == 12
     for result in reversed(report.per_path):
         plan = plan_path(X, cfg.seed, (result.index,), cfg.scheme, cfg.resolution, cfg.anchored)
-        raw = path_values(oracle, X[plan.i], X[plan.j], plan.abscissas)
-        fitted = fit_path(raw, plan, cfg, labels=labels)
+        fitted = fit_paths(path_values(oracle, X, [plan]), [plan], cfg, labels=labels)
         assert (plan.i, plan.j) == result.endpoint_indices
-        assert fitted.ed.ed == result.ed
-        assert fitted.ed.ed_norm == result.ed_norm
-        assert fitted.pca_ties == result.pca_ties
+        assert fitted.ed.ed[0] == result.ed
+        assert fitted.ed.ed_norm[0] == result.ed_norm
+        assert fitted.pca_ties[0] == result.pca_ties
 
 
 def test_plan_path_redraws_coincident_pairs():
     X = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0]])
     plans = [plan_path(X, 3, (p,), "chebyshev_fixed", 4, False) for p in range(20)]
     assert all(2 in (plan.i, plan.j) for plan in plans)
+
+
+def test_nonfinite_oracle_output_names_the_path():
+    # NaN wherever the first coordinate exceeds 2: only paths reaching row 3 see it
+    X = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [5.0, 5.0]])
+    oracle = FunctionOracle(
+        2, 1, lambda p: np.where(p[:, :1] > 2.0, np.nan, p[:, :1]), name="nan-beyond-2"
+    )
+    cfg = EstimatorConfig(n_paths=12, resolution=4, max_degree=3, seed=6)
+    plans = [plan_path(X, cfg.seed, (p,), cfg.scheme, 4, False) for p in range(cfg.n_paths)]
+    first = next(p for p, plan in enumerate(plans) if 3 in (plan.i, plan.j))
+    with pytest.raises(NonFiniteOutputError) as err:
+        ed_estimate(oracle, X, cfg)
+    assert str(err.value) == (
+        f"non-finite output on path {first} "
+        f"(endpoint rows {plans[first].i} and {plans[first].j})"
+    )
+    infinite = FunctionOracle(2, 1, lambda p: np.where(p[:, :1] > 2.0, -np.inf, p[:, :1]))
+    with pytest.raises(NonFiniteOutputError):
+        ed_estimate(infinite, X, cfg)

@@ -8,7 +8,7 @@ identities instead.
 import numpy as np
 import pytest
 
-from effdeg.estimator import plan_path
+from effdeg.estimator import NonFiniteOutputError, plan_path
 from effdeg.net import (
     ACTIVATIONS,
     FeedForwardNet,
@@ -455,3 +455,20 @@ def test_pnn_tasks_scale_pairs():
         base = PNN_TASKS[k][1](X)
         doubled = PNN_TASKS[k + 3][1](X)
         assert np.allclose(doubled, 2.0 * base, atol=1e-13)
+
+
+def test_penalty_nonfinite_output_names_the_path():
+    # a NaN output bias poisons every path; the first planned one is named by its key
+    net = tiny_net(39)
+    net.biases[-1][1] = np.nan
+    X = np.random.default_rng(40).standard_normal((8, 2))
+    T = np.zeros((8, 3))
+    cfg = TrainConfig(reg_strength=1.0, reg_paths=3, resolution=4, max_degree=3, seed=41)
+    plans = plan_paths(X, cfg, step=2)
+    with pytest.raises(NonFiniteOutputError) as err:
+        ed_penalty(net, X, T, plans, cfg)
+    first = plans[0]
+    assert str(err.value) == (
+        f"non-finite output on path 2:1:{first.key[-1]} "
+        f"(endpoint rows {first.i} and {first.j})"
+    )

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from effdeg.basis import design_matrix
-from effdeg.estimator import EstimatorConfig, PathPlan, fit_path
+from effdeg.estimator import EstimatorConfig, PathPlan, fit_paths
 from effdeg.sampling import chebyshev_nodes, randomized_cosine, PathAbscissas
 from effdeg.surrogate import (
     COND_LIMIT,
@@ -212,18 +212,20 @@ def test_ed_vector_mean():
     x = 2.0 * nodes.alphas - 1.0
     plan = PathPlan(i=0, j=1, abscissas=nodes)
     cfg = EstimatorConfig(n_paths=1, resolution=5, max_degree=3, damping=0.0)
-    v = fit_path(np.stack([2.0 * x, 4.0 * x], axis=1), plan, cfg).ed  # ed 2 and ed 4
-    assert v.ed == pytest.approx(3.0, abs=1e-9)
-    single = fit_path((2.0 * x)[:, None], plan, cfg).ed
+    v = fit_paths(np.stack([2.0 * x, 4.0 * x], axis=1)[None], [plan], cfg).ed  # ed 2 and ed 4
+    assert v.ed[0] == pytest.approx(3.0, abs=1e-9)
+    single = fit_paths((2.0 * x)[None, :, None], [plan], cfg).ed
     direct = ed_from_coefficients(fit(nodes, 2.0 * x, 3, 0.0, "chebyshev"))
-    assert single.ed == direct.ed and single.ed_norm == direct.ed_norm
-    assert fit_path(np.zeros((5, 2)), plan, cfg).ed.ed == 0.0
+    assert single.ed[0] == direct.ed and single.ed_norm[0] == direct.ed_norm
+    assert fit_paths(np.zeros((1, 5, 2)), [plan], cfg).ed.ed.tolist() == [0.0]
 
 
 def test_mean_ed_over_values():
-    vals = [EDValue(2.0, 1.0), EDValue(4.0, 0.5)]
-    v = mean_ed(vals)
+    # the mean runs over the last axis, one row per stacked path
+    v = mean_ed(EDValue(np.array([2.0, 4.0]), np.array([1.0, 0.5])))
     assert v.ed == 3.0 and v.ed_norm == 0.75
+    rows = mean_ed(EDValue(np.array([[2.0, 4.0], [1.0, 1.0]]), np.array([[1.0, 0.5], [0.0, 1.0]])))
+    assert rows.ed.tolist() == [3.0, 1.0] and rows.ed_norm.tolist() == [0.75, 0.5]
 
 
 def test_fit_matrix_matches_columns():
@@ -287,3 +289,20 @@ def test_audit_gradients_reports_each_kept_cell():
         "n_checks": 0, "max_rel_err": 0.0, "tolerance": 1.0, "ok": False, "cells": [],
     }
 
+
+
+def test_stacked_fit_and_ed_equal_each_system_alone():
+    rng = np.random.default_rng(41)
+    alphas = np.sort(rng.uniform(0.0, 1.0, size=(5, 7)), axis=1)
+    Y = rng.standard_normal((5, 7, 3))
+    C, G = fit_matrix(alphas, Y, 4, 1e-6, "legendre", with_gradient=True)
+    stacked = ed_from_coefficients(np.swapaxes(C, -1, -2))
+    assert C.shape == (5, 5, 3) and G.shape == Y.shape and stacked.ed.shape == (5, 3)
+    for k in range(5):
+        c, g = fit_matrix(alphas[k], Y[k], 4, 1e-6, "legendre", with_gradient=True)
+        assert C[k].tobytes() == c.tobytes() and G[k].tobytes() == g.tobytes()
+        for j in range(3):
+            alone = ed_from_coefficients(c[:, j])
+            assert (stacked.ed[k, j], stacked.ed_norm[k, j]) == (alone.ed, alone.ed_norm)
+    with pytest.raises(ValueError):
+        fit_matrix(alphas, Y[:4], 4, 1e-6, "legendre")
