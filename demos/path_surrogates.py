@@ -32,7 +32,7 @@ print("function f(x) = x1 * x2 restricted to the segment", x1, "->", x2)
 print("g(a) = a * (1 - a), a quadratic with a known expansion\n")
 
 nodes = chebyshev_nodes(8)
-values = restricted(nodes.alphas)
+values = restricted(nodes)
 
 for max_degree in (1, 2, 5):
     c = fit(nodes, values, max_degree, damping=0.0)
@@ -54,7 +54,7 @@ print("randomized abscissas approximate the same node distribution;")
 print("the estimate fluctuates but the quadratic structure is unchanged:")
 for seed in range(3):
     draw = randomized_cosine(8, seed=seed)
-    c = fit(draw, restricted(draw.alphas), 5, damping=1e-6)
+    c = fit(draw, restricted(draw), 5, damping=1e-6)
     print(f"  seed {seed} -> ED {ed_from_coefficients(c).ed:.6f}")
 
 print()

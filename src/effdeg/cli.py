@@ -13,8 +13,8 @@ of their bytes, not by their path.  The gradient audits behind gradcheck
 live next to the code they audit (surrogate.gradcheck, net.gradcheck).
 
 Exit codes: 0 success, 1 gradient check failure, 2 configuration problem,
-3 I/O problem, 4 numerical failure, 5 non-finite training loss or
-oracle/network output, 6 study training failure.
+3 I/O problem, 4 numerical failure, 5 non-finite training loss,
+oracle/network output or ED statistics, 6 study training failure.
 """
 
 from __future__ import annotations

@@ -1,10 +1,11 @@
 """The batched path engine, and dataset-level estimation over random interpolation paths.
 
-Paths are planned one by one, then evaluated and fitted together:
+Every stage works on a whole stack of P paths:
 
-- plan_path draws an endpoint pair (x_i, x_j) from a dataset and the
-  abscissas a of the segment a x_i + (1 - a) x_j, from the path's own keyed
-  stream;
+- plan_paths draws, for each stream key, an endpoint pair (x_i, x_j) from a
+  dataset and the abscissas a of the segment a x_i + (1 - a) x_j, and
+  returns them stacked as one PathPlans: keys, (P,) row indices i and j,
+  and (P, r) alphas;
 - the caller evaluates its function once on the stacked segment points of
   every planned path (path_values for an oracle, one network forward pass
   over path_points for the training penalty);
@@ -19,16 +20,17 @@ the P = 1 case.  ed_estimate averages the per-path effective degrees over a
 dataset, and net.ed_penalty averages them over a minibatch; both run this
 engine.
 
-Randomness is splittable: a path planned under key k draws its pair from
+Randomness is splittable: the path planned under key k draws its pair from
 sampling.rng(seed, *k, 0) and its abscissa seed from
 sampling.derive_seed(seed, *k, 1).  ed_estimate plans path p under key (p,),
-so any single path can be replayed without replaying the others.
+so any single path can be replayed without replaying the others:
+plan_paths(inputs, seed, [(p,)], ...) plans it alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, asdict
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -36,19 +38,19 @@ from . import sampling
 from . import surrogate as sg
 from .basis import BASIS_KINDS
 from .reduce import PathProjection, pca_project
-from .sampling import SCHEME_VARIANTS, PathAbscissas, sample_abscissas
+from .sampling import SCHEME_VARIANTS, sample_abscissas
 
 __all__ = [
     "FunctionOracle",
     "EstimatorConfig",
-    "PathPlan",
+    "PathPlans",
     "PathFits",
     "PathResult",
     "EDReport",
     "PathSamplingError",
     "NonFiniteOutputError",
     "softmax",
-    "plan_path",
+    "plan_paths",
     "path_points",
     "path_values",
     "anchor_values",
@@ -66,7 +68,7 @@ class PathSamplingError(RuntimeError):
 
 
 class NonFiniteOutputError(RuntimeError):
-    """The evaluated function returned NaN or infinity on a path."""
+    """The function returned NaN or infinity on a path, or the ED statistics overflowed."""
 
 
 @dataclass(frozen=True)
@@ -131,16 +133,21 @@ class EstimatorConfig:
 
 
 @dataclass(frozen=True)
-class PathPlan:
-    """Frozen randomness of one path: endpoint row indices and abscissas (x1 = row i).
+class PathPlans:
+    """Frozen randomness of P paths: path k runs from inputs[i[k]] (a = 1) to inputs[j[k]] (a = 0).
 
-    key is the stream key plan_path drew it under; it names the path in errors.
+    keys[k] is the stream key path k was drawn under and names it in errors;
+    alphas is (P, r); anchored means every row of alphas holds a = 0 and a = 1.
     """
 
-    i: int
-    j: int
-    abscissas: PathAbscissas
-    key: tuple[int, ...] = ()
+    keys: tuple[tuple[int, ...], ...]
+    i: np.ndarray
+    j: np.ndarray
+    alphas: np.ndarray
+    anchored: bool
+
+    def __len__(self) -> int:
+        return len(self.keys)
 
 
 @dataclass(frozen=True)
@@ -198,69 +205,87 @@ def softmax(values: np.ndarray, axis: int = -1) -> np.ndarray:
     return e / e.sum(axis=axis, keepdims=True)
 
 
-def plan_path(
+def plan_paths(
     inputs: np.ndarray,
     seed: int,
-    key: tuple[int, ...],
+    keys: Iterable[tuple[int, ...]],
     scheme: str,
     resolution: int,
     anchored: bool,
-) -> PathPlan | None:
-    """Draw the endpoint pair and abscissas of the path keyed by (seed, key).
+) -> PathPlans:
+    """Draw the endpoint pair and abscissas of the path keyed by (seed, key), for every key.
 
     A pair of equal or coincident rows is redrawn, up to _MAX_REDRAWS times;
-    None means every draw was degenerate.
+    a key whose every draw is degenerate is dropped, so the plans hold the
+    surviving keys in their given order.
     """
-    pair_rng = sampling.rng(seed, *key, 0)
     n = inputs.shape[0]
-    for _ in range(_MAX_REDRAWS):
-        i, j = (int(v) for v in pair_rng.integers(0, n, size=2))
-        if i != j and np.linalg.norm(inputs[i] - inputs[j]) > DEGENERATE_NORM:
-            abscissas = sample_abscissas(
-                scheme, resolution, anchored=anchored, seed=sampling.derive_seed(seed, *key, 1)
-            )
-            return PathPlan(i=i, j=j, abscissas=abscissas, key=tuple(key))
-    return None
+    kept, pairs, alphas = [], [], []
+    for key in keys:
+        pair_rng = sampling.rng(seed, *key, 0)
+        for _ in range(_MAX_REDRAWS):
+            i, j = (int(v) for v in pair_rng.integers(0, n, size=2))
+            if i != j and np.linalg.norm(inputs[i] - inputs[j]) > DEGENERATE_NORM:
+                kept.append(tuple(key))
+                pairs.append((i, j))
+                alphas.append(sample_abscissas(
+                    scheme, resolution, anchored=anchored, seed=sampling.derive_seed(seed, *key, 1)
+                ))
+                break
+    pairs = np.array(pairs, dtype=np.intp).reshape(len(kept), 2)
+    return PathPlans(
+        keys=tuple(kept),
+        i=pairs[:, 0],
+        j=pairs[:, 1],
+        alphas=np.array(alphas, dtype=float).reshape(len(kept), resolution),
+        anchored=anchored,
+    )
 
 
-def path_points(inputs: np.ndarray, plans) -> np.ndarray:
+def _path_name(plans: PathPlans, k: int) -> str:
+    """Path k's key (joined by ":") and endpoint rows, for error messages."""
+    key = ":".join(str(part) for part in plans.keys[k])
+    return f"path {key} (endpoint rows {int(plans.i[k])} and {int(plans.j[k])})"
+
+
+def path_points(inputs: np.ndarray, plans: PathPlans) -> np.ndarray:
     """Segment points a x_i + (1 - a) x_j of every plan, stacked as (P * r, d) in plan order.
 
-    a = 1 hits x_i = inputs[plan.i], a = 0 hits x_j = inputs[plan.j].
+    a = 1 hits x_i = inputs[plans.i[k]], a = 0 hits x_j = inputs[plans.j[k]].
     """
     x = np.asarray(inputs, dtype=float)
-    a = np.stack([plan.abscissas.alphas for plan in plans])[:, :, None]
-    x1 = x[[plan.i for plan in plans]][:, None, :]
-    x2 = x[[plan.j for plan in plans]][:, None, :]
+    a = plans.alphas[:, :, None]
+    x1 = x[plans.i][:, None, :]
+    x2 = x[plans.j][:, None, :]
     return (a * x1 + (1.0 - a) * x2).reshape(-1, x.shape[1])
 
 
-def path_values(oracle: FunctionOracle, inputs: np.ndarray, plans) -> np.ndarray:
+def path_values(oracle: FunctionOracle, inputs: np.ndarray, plans: PathPlans) -> np.ndarray:
     """Evaluate the oracle once on the stacked points of every plan; returns (P, r, out)."""
     points = path_points(inputs, plans)
     return oracle.evaluate(points).reshape(len(plans), -1, oracle.output_dim)
 
 
-def anchor_values(values: np.ndarray, plans, labels: np.ndarray) -> np.ndarray:
+def anchor_values(values: np.ndarray, plans: PathPlans, labels: np.ndarray) -> np.ndarray:
     """Replace each path's endpoint rows with labels.
 
-    values is (P, r, out) in plan order; the a = 0 row of a path gets
-    labels[plan.j] and its a = 1 row labels[plan.i].  Requires abscissas that actually
-    contain both endpoints (an anchored scheme); anchoring interior-only
-    samples would mislabel the path.
+    values is (P, r, out) in plan order; the a = 0 row of path k gets
+    labels[plans.j[k]] and its a = 1 row labels[plans.i[k]].  Requires
+    abscissas that actually contain both endpoints (an anchored scheme);
+    anchoring interior-only samples would mislabel the path.
     """
-    if not all(plan.abscissas.anchored for plan in plans):
+    if not plans.anchored:
         raise ValueError("label anchoring requires an anchored abscissa scheme")
     labels = np.asarray(labels, dtype=float)
     out = np.array(values, dtype=float, copy=True)
-    out[:, 0, :] = labels[[plan.j for plan in plans]]
-    out[:, -1, :] = labels[[plan.i for plan in plans]]
+    out[:, 0, :] = labels[plans.j]
+    out[:, -1, :] = labels[plans.i]
     return out
 
 
 def fit_paths(
     raw: np.ndarray,
-    plans,
+    plans: PathPlans,
     config: EstimatorConfig,
     labels: np.ndarray | None = None,
     projection: PathProjection | None = None,
@@ -271,7 +296,7 @@ def fit_paths(
     Raises NonFiniteOutputError when a path's outputs hold NaN or infinity,
     naming the first such path by its key (joined by ":") and endpoint rows.
     The outputs are softmaxed (config.post_softmax), their endpoint rows
-    replaced by labels[plan.i] and labels[plan.j] (config.anchored), and
+    replaced by labels[plans.i] and labels[plans.j] (config.anchored), and
     projected to config.pca_dim components before the fit.  A caller may
     pass the stacked projection of an earlier call to freeze the PCA maps;
     by default each path's map is fit to its values.
@@ -285,11 +310,8 @@ def fit_paths(
     raw = np.asarray(raw, dtype=float)
     finite = np.isfinite(raw).all(axis=(1, 2))
     if not finite.all():
-        plan = plans[int(np.argmin(finite))]
-        key = ":".join(str(k) for k in plan.key)
-        raise NonFiniteOutputError(
-            f"non-finite output on path {key} (endpoint rows {plan.i} and {plan.j})"
-        )
+        first = int(np.argmin(finite))
+        raise NonFiniteOutputError(f"non-finite output on {_path_name(plans, first)}")
     outputs = softmax(raw, axis=-1) if config.post_softmax else raw
     values = outputs
     if config.anchored:
@@ -303,9 +325,8 @@ def fit_paths(
         if projection is None:
             projection = pca_project(values, config.pca_dim)
         fit_target = projection.apply(values)
-    alphas = np.stack([plan.abscissas.alphas for plan in plans])
     fitted = sg.fit_matrix(
-        alphas, fit_target, config.max_degree, config.damping, config.basis,
+        plans.alphas, fit_target, config.max_degree, config.damping, config.basis,
         with_gradient=grad_divisor is not None,
     )
     coeffs = fitted if grad_divisor is None else fitted[0]
@@ -357,11 +378,10 @@ def ed_estimate(
     ):
         raise ValueError("pca_dim exceeds min(resolution, output_dim)")
 
-    planned = [
-        plan_path(X, config.seed, (p,), config.scheme, config.resolution, config.anchored)
-        for p in range(config.n_paths)
-    ]
-    plans = [plan for plan in planned if plan is not None]
+    plans = plan_paths(
+        X, config.seed, [(p,) for p in range(config.n_paths)],
+        config.scheme, config.resolution, config.anchored,
+    )
     if not plans:
         raise PathSamplingError(
             "all sampled endpoint pairs were degenerate; the dataset has no spread"
@@ -370,19 +390,28 @@ def ed_estimate(
     eds = fitted.ed.ed
     results = tuple(
         PathResult(
-            index=plan.key[0],
-            endpoint_indices=(plan.i, plan.j),
+            index=key[0],
+            endpoint_indices=(i, j),
             ed=ed,
             ed_norm=ed_norm,
             pca_ties=ties,
         )
-        for plan, ed, ed_norm, ties in zip(
-            plans, eds.tolist(), fitted.ed.ed_norm.tolist(), fitted.pca_ties.tolist()
+        for key, i, j, ed, ed_norm, ties in zip(
+            plans.keys, plans.i.tolist(), plans.j.tolist(),
+            eds.tolist(), fitted.ed.ed_norm.tolist(), fitted.pca_ties.tolist(),
         )
     )
-    std = float(eds.std(ddof=1)) if eds.size > 1 else 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = float(eds.mean())
+        std = float(eds.std(ddof=1)) if eds.size > 1 else 0.0
+    if not (np.isfinite(mean) and np.isfinite(std)):
+        k = int(np.argmax(eds))
+        raise NonFiniteOutputError(
+            f"effective-degree statistics overflow: largest ED {eds[k]:.3e} "
+            f"on {_path_name(plans, k)}"
+        )
     return EDReport(
-        mean_ed=float(eds.mean()),
+        mean_ed=mean,
         mean_ed_norm=float(fitted.ed.ed_norm.mean()),
         std_ed=std,
         n_paths=config.n_paths,

@@ -24,15 +24,14 @@ from dataclasses import dataclass, field, asdict, replace
 
 import numpy as np
 
-from . import __version__, sampling
+from . import __version__, estimator, sampling
 from .estimator import (
     EstimatorConfig,
     FunctionOracle,
-    PathPlan,
+    PathPlans,
     ed_estimate,
     fit_paths,
     path_points,
-    plan_path,
     softmax,
 )
 from .surrogate import audit_gradients
@@ -316,28 +315,24 @@ def lambda_schedule(step: int, config: TrainConfig) -> float:
     return config.reg_strength * float(np.sin(0.5 * np.pi * frac))
 
 
-def plan_paths(
-    batch: np.ndarray, config: TrainConfig, step: int
-) -> list[PathPlan]:
+def plan_paths(batch: np.ndarray, config: TrainConfig, step: int) -> PathPlans:
     """Draw the penalty paths for one step; degenerate pairs are dropped.
 
     Path p of the step is planned under key (step, 1, p), so it can be
-    replayed alone with estimator.plan_path.
+    replayed alone with estimator.plan_paths(batch, config.seed,
+    [(step, 1, p)], ...).
     """
-    plans = (
-        plan_path(
-            batch, config.seed, (step, 1, p), config.scheme, config.resolution, config.anchored
-        )
-        for p in range(config.reg_paths)
+    keys = [(step, 1, p) for p in range(config.reg_paths)]
+    return estimator.plan_paths(
+        batch, config.seed, keys, config.scheme, config.resolution, config.anchored
     )
-    return [plan for plan in plans if plan is not None]
 
 
 def ed_penalty(
     net: FeedForwardNet,
     batch: np.ndarray,
     targets: np.ndarray,
-    plans: list[PathPlan],
+    plans: PathPlans,
     config: TrainConfig,
     want_grads: bool = True,
     projections=None,
@@ -402,7 +397,7 @@ def composite_objective(
     batch_t: np.ndarray,
     config: TrainConfig,
     step: int,
-    plans: list[PathPlan] | None = None,
+    plans: PathPlans | None = None,
     projections=None,
 ):
     """Task loss + lambda(step) * path penalty, and its parameter gradient.

@@ -1,9 +1,10 @@
 """Abscissa schemes on the unit interval, and the package's seed derivation.
 
-All schemes return abscissas in ascending order inside [0, 1].  The
-randomized scheme is counter based: every draw comes from a Philox stream
-keyed by (seed, stream id), and stratum i always consumes draw i of the
-stream, so results are independent of evaluation order.
+Every scheme returns one path's abscissas as an ascending (r,) float array
+inside [0, 1].  The randomized scheme is counter based: every draw comes
+from a Philox stream keyed by (seed, stream id), and stratum i always
+consumes draw i of the stream, so results are independent of evaluation
+order.
 
 Every random stream in the package comes from rng(seed, *key) or
 derive_seed(seed, *key): SeedSequence(seed, spawn_key=key), so any keyed
@@ -12,15 +13,12 @@ stream can be rebuilt on its own.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 __all__ = [
     "SCHEME_VARIANTS",
     "rng",
     "derive_seed",
-    "PathAbscissas",
     "chebyshev_nodes",
     "randomized_cosine",
     "uniform_nodes",
@@ -33,20 +31,6 @@ SCHEME_VARIANTS = ("chebyshev_fixed", "randomized_cosine", "uniform")
 # one is nudged without leaving its stratum.
 _TIE_GAP = 1e-12
 _TIE_NUDGE = 1e-9
-
-
-@dataclass(frozen=True)
-class PathAbscissas:
-    """Sorted abscissas plus the scheme metadata that produced them."""
-
-    alphas: np.ndarray
-    variant: str
-    anchored: bool = False
-    seed: int | None = field(default=None)
-
-    @property
-    def resolution(self) -> int:
-        return int(self.alphas.size)
 
 
 def _seed_sequence(seed: int, key: tuple) -> np.random.SeedSequence:
@@ -77,37 +61,38 @@ def _separate(alphas: np.ndarray, uppers: np.ndarray) -> np.ndarray:
     return out
 
 
-def chebyshev_nodes(resolution: int, anchored: bool = False) -> PathAbscissas:
-    """Deterministic cosine-spaced nodes a_i = (1 - cos((2i - 1) pi / 2r)) / 2.
-
-    With anchored=True the first and last nodes are pinned to exactly 0 and 1
-    while interior nodes keep their stratum midpoints (requires r >= 2).
-    """
+def _checked_resolution(resolution: int, anchored: bool) -> int:
     r = int(resolution)
     if r < 1:
         raise ValueError("resolution must be >= 1")
     if anchored and r < 2:
         raise ValueError("anchoring requires resolution >= 2")
+    return r
+
+
+def chebyshev_nodes(resolution: int, anchored: bool = False) -> np.ndarray:
+    """Deterministic cosine-spaced nodes a_i = (1 - cos((2i - 1) pi / 2r)) / 2.
+
+    With anchored=True the first and last nodes are pinned to exactly 0 and 1
+    while interior nodes keep their stratum midpoints (requires r >= 2).
+    """
+    r = _checked_resolution(resolution, anchored)
     i = np.arange(1, r + 1, dtype=float)
     alphas = _theta_to_alpha((2.0 * i - 1.0) * np.pi / (2.0 * r))
     if anchored:
         alphas[0] = 0.0
         alphas[-1] = 1.0
-    return PathAbscissas(alphas=alphas, variant="chebyshev_fixed", anchored=anchored)
+    return alphas
 
 
-def randomized_cosine(resolution: int, seed: int, anchored: bool = False) -> PathAbscissas:
+def randomized_cosine(resolution: int, seed: int, anchored: bool = False) -> np.ndarray:
     """Stratified cosine sampling: theta_i uniform on [(i-1) pi / r, i pi / r].
 
     Each stratum holds exactly one point, so the abscissas are ascending by
     construction.  With anchored=True the boundary angles are pinned to 0 and
     pi, which puts a = 0 and a = 1 in the sample exactly.
     """
-    r = int(resolution)
-    if r < 1:
-        raise ValueError("resolution must be >= 1")
-    if anchored and r < 2:
-        raise ValueError("anchoring requires resolution >= 2")
+    r = _checked_resolution(resolution, anchored)
     lows = np.arange(r, dtype=float) * np.pi / r
     highs = lows + np.pi / r
     theta = rng(seed, 0).uniform(lows, highs)
@@ -118,26 +103,18 @@ def randomized_cosine(resolution: int, seed: int, anchored: bool = False) -> Pat
     if anchored:
         alphas[0] = 0.0
         alphas[-1] = 1.0
-    alphas = _separate(alphas, _theta_to_alpha(highs))
-    return PathAbscissas(
-        alphas=alphas, variant="randomized_cosine", anchored=anchored, seed=int(seed)
-    )
+    return _separate(alphas, _theta_to_alpha(highs))
 
 
-def uniform_nodes(resolution: int, anchored: bool = False) -> PathAbscissas:
+def uniform_nodes(resolution: int, anchored: bool = False) -> np.ndarray:
     """Evenly spaced abscissas; a single node sits at 0.5 by convention."""
-    r = int(resolution)
-    if r < 1:
-        raise ValueError("resolution must be >= 1")
-    if anchored and r < 2:
-        raise ValueError("anchoring requires resolution >= 2")
-    alphas = np.array([0.5]) if r == 1 else np.linspace(0.0, 1.0, r)
-    return PathAbscissas(alphas=alphas, variant="uniform", anchored=anchored)
+    r = _checked_resolution(resolution, anchored)
+    return np.array([0.5]) if r == 1 else np.linspace(0.0, 1.0, r)
 
 
 def sample_abscissas(
     variant: str, resolution: int, anchored: bool = False, seed: int | None = None
-) -> PathAbscissas:
+) -> np.ndarray:
     """Dispatch on scheme variant name; randomized variants require a seed."""
     if variant == "chebyshev_fixed":
         return chebyshev_nodes(resolution, anchored=anchored)

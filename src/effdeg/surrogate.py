@@ -31,7 +31,7 @@ import numpy as np
 
 from . import sampling
 from .basis import design_matrix
-from .sampling import PathAbscissas, sample_abscissas
+from .sampling import sample_abscissas
 
 __all__ = [
     "SingularFitError",
@@ -65,12 +65,6 @@ class EDValue:
 
     ed: float | np.ndarray
     ed_norm: float | np.ndarray
-
-
-def _alpha_array(alphas) -> np.ndarray:
-    if isinstance(alphas, PathAbscissas):
-        return alphas.alphas
-    return np.asarray(alphas, dtype=float)
 
 
 def _solve(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -127,7 +121,7 @@ def fit_matrix(
     matrix, using sign(0) = 0.  Only ED is differentiated; ED_norm is
     reported but never used as an objective.
     """
-    a = _alpha_array(alphas)
+    a = np.asarray(alphas, dtype=float)
     y = np.asarray(values, dtype=float)
     if a.ndim < 1 or y.shape[:-1] != a.shape:
         raise ValueError("values must be (..., r, m) with one row per abscissa")

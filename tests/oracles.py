@@ -5,7 +5,7 @@ code paths under test: the linear solver is hand-rolled Gaussian elimination,
 the eigensolver is cyclic Jacobi, and basis references come from closed forms
 or numpy.polynomial rather than our recurrences.  The last section is the
 path engine run one path at a time, the reference for the batched engine's
-bits.
+bits, and plans_of, which builds PathPlans over hand-picked abscissas.
 """
 
 from fractions import Fraction
@@ -16,7 +16,7 @@ import numpy.polynomial.legendre as npleg
 import numpy.polynomial.polynomial as nppoly
 
 from effdeg.basis import design_matrix
-from effdeg.estimator import plan_path, softmax
+from effdeg.estimator import PathPlans, plan_paths, softmax
 from effdeg.reduce import EIGENVALUE_FLOOR, TIE_GAP
 from effdeg.surrogate import COND_LIMIT, SingularFitError
 
@@ -218,14 +218,30 @@ def ed_of_column(c):
     return ed, (ed / mass if mass > 0.0 else 0.0)
 
 
-def fit_path(raw, plan, config, labels=None, projection=None, grad_divisor=None):
-    """One path's (ed, ed_norm, pca_ties, projection, grad) from its raw (r, out) outputs."""
+def plans_of(alphas, i=0, j=1, anchored=False):
+    """PathPlans over hand-picked abscissas: one row of alphas per path, path p keyed (p,).
+
+    i and j are each path's endpoint rows, one int for every path or one per path.
+    """
+    alphas = np.atleast_2d(np.asarray(alphas, dtype=float))
+    n = alphas.shape[0]
+    return PathPlans(
+        keys=tuple((p,) for p in range(n)),
+        i=np.broadcast_to(np.asarray(i, dtype=np.intp), (n,)).copy(),
+        j=np.broadcast_to(np.asarray(j, dtype=np.intp), (n,)).copy(),
+        alphas=alphas,
+        anchored=anchored,
+    )
+
+
+def fit_path(raw, plans, k, config, labels=None, projection=None, grad_divisor=None):
+    """Path k's (ed, ed_norm, pca_ties, projection, grad) from its raw (r, out) outputs."""
     outputs = softmax(raw, axis=1) if config.post_softmax else np.asarray(raw, dtype=float)
     values = outputs
     if config.anchored:
         values = np.array(outputs, copy=True)
-        values[0, :] = labels[plan.j]
-        values[-1, :] = labels[plan.i]
+        values[0, :] = labels[plans.j[k]]
+        values[-1, :] = labels[plans.i[k]]
     fit_target = values
     if config.pca_dim is None:
         projection = None
@@ -234,7 +250,7 @@ def fit_path(raw, plan, config, labels=None, projection=None, grad_divisor=None)
             projection = pca_project(values, config.pca_dim)
         fit_target = projection.apply(values)
     fitted = fit_matrix(
-        plan.abscissas.alphas, fit_target, config.max_degree, config.damping, config.basis,
+        plans.alphas[k], fit_target, config.max_degree, config.damping, config.basis,
         with_gradient=grad_divisor is not None,
     )
     coeffs = fitted if grad_divisor is None else fitted[0]
@@ -262,14 +278,17 @@ def ed_estimate(oracle, inputs, config, labels=None):
     X = np.asarray(inputs, dtype=float)
     records, skipped = [], 0
     for p in range(config.n_paths):
-        plan = plan_path(X, config.seed, (p,), config.scheme, config.resolution, config.anchored)
-        if plan is None:
+        plan = plan_paths(
+            X, config.seed, [(p,)], config.scheme, config.resolution, config.anchored
+        )
+        if not plan:
             skipped += 1
             continue
-        a = plan.abscissas.alphas[:, None]
-        raw = oracle.evaluate(a * X[plan.i] + (1.0 - a) * X[plan.j])
-        ed, ed_norm, ties, _, _ = fit_path(raw, plan, config, labels=labels)
-        records.append((p, (plan.i, plan.j), ed, ed_norm, ties))
+        i, j = int(plan.i[0]), int(plan.j[0])
+        a = plan.alphas[0][:, None]
+        raw = oracle.evaluate(a * X[i] + (1.0 - a) * X[j])
+        ed, ed_norm, ties, _, _ = fit_path(raw, plan, 0, config, labels=labels)
+        records.append((p, (i, j), ed, ed_norm, ties))
     return records, skipped
 
 
@@ -281,11 +300,11 @@ def ed_penalty(net, batch, targets, plans, config, want_grads=True, projections=
     d_w = [np.zeros_like(w) for w in net.weights]
     d_b = [np.zeros_like(b) for b in net.biases]
     out_projections = []
-    for k, plan in enumerate(plans):
-        a = plan.abscissas.alphas[:, None]
-        raw, cache = net.forward_cached(a * batch[plan.i] + (1.0 - a) * batch[plan.j])
+    for k in range(len(plans)):
+        a = plans.alphas[k][:, None]
+        raw, cache = net.forward_cached(a * batch[plans.i[k]] + (1.0 - a) * batch[plans.j[k]])
         ed, _, _, projection, grad = fit_path(
-            raw, plan, ecfg, labels=targets,
+            raw, plans, k, ecfg, labels=targets,
             projection=None if projections is None else projections[k],
             grad_divisor=n_planned if want_grads else None,
         )

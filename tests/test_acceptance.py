@@ -8,6 +8,7 @@ default capture the lines surface for failing tests only.  Each test prints
 before asserting, so a red run still shows the measured values.
 """
 
+import hashlib
 import json
 import math
 import os
@@ -15,6 +16,7 @@ import time
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from effdeg.basis import design_matrix
 from effdeg.cli import EXIT_OK, canonical_hash, main
@@ -44,6 +46,7 @@ from effdeg.surrogate import ed_from_coefficients, fit_matrix
 from oracles import fd_gradient
 
 FIXTURES = Path(__file__).parent / "fixtures"
+GOLDEN_HASHES = FIXTURES / "golden_hashes.json"
 
 
 def _report(index, name, ok, detail, elapsed, budget):
@@ -59,7 +62,7 @@ def test_1_exact_surrogate_recovery():
     for basis in ("chebyshev", "legendre"):
         for max_degree in range(15):
             nodes = chebyshev_nodes(max_degree + 1)
-            table = design_matrix(basis, nodes.alphas, max_degree)
+            table = design_matrix(basis, nodes, max_degree)
             for j in range(max_degree + 1):
                 coeffs = fit_matrix(nodes, table[:, [j]], max_degree, damping=0.0, basis=basis)
                 coeffs = coeffs[:, 0]
@@ -295,8 +298,8 @@ def test_5_square_net_study_orderings():
 
 def test_6_chebyshev_node_conditioning():
     t0 = time.perf_counter()
-    cheb = np.linalg.cond(design_matrix("chebyshev", chebyshev_nodes(15).alphas, 14))
-    unif = np.linalg.cond(design_matrix("chebyshev", uniform_nodes(15).alphas, 14))
+    cheb = np.linalg.cond(design_matrix("chebyshev", chebyshev_nodes(15), 14))
+    unif = np.linalg.cond(design_matrix("chebyshev", uniform_nodes(15), 14))
     ratio = unif / cheb
     elapsed = time.perf_counter() - t0
     ok = cheb < unif and ratio > 10.0 and elapsed < 1.0
@@ -373,6 +376,11 @@ def test_7_regularization_shrinks_measured_ed():
 
 
 def _run_twice(tmp_path, label, argv_tail):
+    """Run one command twice; returns (both runs equal, the first run's digests).
+
+    A JSON artifact's digest is its canonical_sha256, any other file's the
+    sha256 of its bytes.
+    """
     digests = []
     for attempt in range(2):
         out = tmp_path / f"{label}-{attempt}"
@@ -386,13 +394,13 @@ def _run_twice(tmp_path, label, argv_tail):
                 assert doc["canonical_sha256"] == canonical_hash(doc)
                 record[artifact] = doc["canonical_sha256"]
             else:
-                record[artifact] = payload
+                record[artifact] = hashlib.sha256(payload).hexdigest()
         digests.append(record)
-    return digests[0] == digests[1], sorted(digests[0])
+    return digests[0] == digests[1], digests[0]
 
 
-def test_8_cli_reruns_are_canonically_identical(tmp_path):
-    t0 = time.perf_counter()
+def _cli_commands(tmp_path) -> dict:
+    """Test 8's command lines, label -> argv, over data files written to tmp_path."""
     rng = np.random.default_rng(5)
     plain = tmp_path / "points.csv"
     labeled = tmp_path / "labeled.csv"
@@ -404,8 +412,7 @@ def test_8_cli_reruns_are_canonically_identical(tmp_path):
         f"{float(a)!r},{float(b)!r},{int(t)}" for (a, b), t in zip(X, y)
     ]
     labeled.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-    commands = {
+    return {
         "estimate": [
             "estimate", "--data", str(plain), "--oracle", "product",
             "--paths", "40", "--resolution", "5", "--max-degree", "3", "--seed", "9",
@@ -428,22 +435,57 @@ def test_8_cli_reruns_are_canonically_identical(tmp_path):
             "--seed", "9",
         ],
     }
+
+
+def test_8_cli_reruns_are_canonically_identical(tmp_path):
+    """Every command reruns to the same digests, and those match tests/fixtures/golden_hashes.json.
+
+    The table is compared only on the numpy version it was recorded with;
+    regenerate it with `PYTHONPATH=src python tests/test_acceptance.py`.
+    """
+    t0 = time.perf_counter()
     mismatched = []
-    artifact_count = 0
-    for label, argv in commands.items():
-        same, names = _run_twice(tmp_path, label, argv)
-        artifact_count += len(names)
+    table = {}
+    for label, argv in _cli_commands(tmp_path).items():
+        same, table[label] = _run_twice(tmp_path, label, argv)
         if not same:
             mismatched.append(label)
+    golden = json.loads(GOLDEN_HASHES.read_text(encoding="utf-8"))
+    same_numpy = golden["numpy"] == np.__version__
+    drifted = sorted(
+        label for label in table if same_numpy and table[label] != golden["artifacts"].get(label)
+    )
     elapsed = time.perf_counter() - t0
-    ok = not mismatched
+    ok = not mismatched and not drifted
     _report(
         8,
         "deterministic CLI artifacts",
         ok,
-        f"5 commands rerun, {artifact_count} artifacts compared, "
-        f"mismatches: {mismatched or 'none'}",
+        f"5 commands rerun, {sum(map(len, table.values()))} artifacts compared, "
+        f"mismatches: {mismatched or 'none'}, golden drift: "
+        + (f"{drifted or 'none'}" if same_numpy else "not compared"),
         elapsed,
         None,
     )
     assert not mismatched, mismatched
+    if not same_numpy:
+        pytest.skip(
+            f"golden hashes were recorded on numpy {golden['numpy']}, "
+            f"this run has numpy {np.__version__}; reruns were compared"
+        )
+    assert table == golden["artifacts"], drifted
+
+
+if __name__ == "__main__":
+    # prints test 8's golden table for tests/fixtures/golden_hashes.json
+    import contextlib
+    import sys
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(sys.stderr):
+        tmp_path = Path(tmp)
+        artifacts = {
+            label: _run_twice(tmp_path, label, argv)[1]
+            for label, argv in _cli_commands(tmp_path).items()
+        }
+    print(json.dumps({"numpy": np.__version__, "artifacts": artifacts}, indent=2, sort_keys=True))

@@ -102,7 +102,7 @@ def test_design_matrix_rejects_out_of_range_alpha():
 
 def test_discrete_orthogonality_at_chebyshev_nodes():
     for r in (6, 10, 15):
-        alphas = chebyshev_nodes(r).alphas
+        alphas = chebyshev_nodes(r)
         M = design_matrix("chebyshev", alphas, r - 1)
         G = M.T @ M
         off = G - np.diag(np.diag(G))

@@ -13,17 +13,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from effdeg import estimator
 from effdeg.estimator import (
     EstimatorConfig,
     FunctionOracle,
-    PathPlan,
     PathSamplingError,
     ed_estimate,
     fit_paths,
-    plan_path,
 )
 from effdeg.net import FeedForwardNet, TrainConfig, ed_penalty, plan_paths
-from effdeg.sampling import SCHEME_VARIANTS, sample_abscissas
+from effdeg.sampling import SCHEME_VARIANTS, chebyshev_nodes, sample_abscissas
 from effdeg.surrogate import SingularFitError
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -132,18 +131,18 @@ def test_fit_paths_equals_per_path_reference(setting, seed, kinds, with_grad):
     out, config = setting
     rng = np.random.default_rng(seed)
     r = config.resolution
-    plans = [
-        PathPlan(i=0, j=1, key=(p,), abscissas=sample_abscissas(
-            config.scheme, r, anchored=config.anchored, seed=config.seed + p))
-        for p in range(len(kinds))
-    ]
+    plans = oracles.plans_of(
+        [sample_abscissas(config.scheme, r, anchored=config.anchored, seed=config.seed + p)
+         for p in range(len(kinds))],
+        anchored=config.anchored,
+    )
     raw = np.stack([block(rng, kind, r, out) for kind in kinds])
     labels = rng.standard_normal((2, out))
     divisor = 3.0 if with_grad else None
     try:
         want = [
-            oracles.fit_path(raw[k], plan, config, labels=labels, grad_divisor=divisor)
-            for k, plan in enumerate(plans)
+            oracles.fit_path(raw[k], plans, k, config, labels=labels, grad_divisor=divisor)
+            for k in range(len(plans))
         ]
     except SingularFitError:
         with pytest.raises(SingularFitError):
@@ -166,9 +165,10 @@ def test_fit_paths_equals_per_path_reference(setting, seed, kinds, with_grad):
         again = fit_paths(
             moved, plans, config, labels=labels, projection=got.projection, grad_divisor=divisor
         )
-        for k, plan in enumerate(plans):
+        for k in range(len(plans)):
             ed, ed_norm, _, _, grad = oracles.fit_path(
-                moved[k], plan, config, labels=labels, projection=want[k][3], grad_divisor=divisor
+                moved[k], plans, k, config, labels=labels, projection=want[k][3],
+                grad_divisor=divisor,
             )
             assert (again.ed.ed[k], again.ed.ed_norm[k]) == (ed, ed_norm)
             if with_grad:
@@ -223,10 +223,10 @@ def test_reference_fixtures_reach_dead_components_and_ties():
     # the crafted blocks above do exercise the degenerate PCA branches
     rng = np.random.default_rng(0)
     cfg = EstimatorConfig(resolution=4, max_degree=3, pca_dim=2)
-    plan = PathPlan(i=0, j=1, abscissas=sample_abscissas("uniform", 4))
-    tie = fit_paths(block(rng, "tie", 4, 2)[None], [plan], cfg)
+    plan = oracles.plans_of(sample_abscissas("uniform", 4))
+    tie = fit_paths(block(rng, "tie", 4, 2)[None], plan, cfg)
     assert tie.pca_ties.tolist() == [True]
-    dead = fit_paths(np.zeros((1, 4, 3)), [plan], cfg)
+    dead = fit_paths(np.zeros((1, 4, 3)), plan, cfg)
     assert (dead.projection.explained_variance < 1e-12).all()
     assert dead.ed.ed.tolist() == [0.0]
 
@@ -235,12 +235,16 @@ def test_stacking_does_not_change_a_path():
     # a path fitted with others equals the same path fitted alone (P = 1)
     rng = np.random.default_rng(1)
     cfg = EstimatorConfig(resolution=6, max_degree=4, pca_dim=2, post_softmax=True)
-    plans = [plan_path(rng.standard_normal((4, 2)), 5, (p,), cfg.scheme, 6, False)
-             for p in range(5)]
+    X = rng.standard_normal((4, 2))
+    plans = estimator.plan_paths(X, 5, [(p,) for p in range(5)], cfg.scheme, 6, False)
+    assert len(plans) == 5
     raw = rng.standard_normal((5, 6, 3))
     together = fit_paths(raw, plans, cfg, grad_divisor=2.0)
-    for k, plan in enumerate(plans):
-        alone = fit_paths(raw[k : k + 1], [plan], cfg, grad_divisor=2.0)
+    for k in range(5):
+        alone = fit_paths(
+            raw[k : k + 1], estimator.plan_paths(X, 5, [(k,)], cfg.scheme, 6, False), cfg,
+            grad_divisor=2.0,
+        )
         assert alone.ed.ed.tolist() == together.ed.ed[k : k + 1].tolist()
         assert same(alone.grad[0], together.grad[k])
 
@@ -251,8 +255,63 @@ def test_estimate_evaluates_the_oracle_once_on_all_paths():
     oracle = FunctionOracle(2, 2, lambda p: seen.append(p.copy()) or p, name="identity")
     cfg = EstimatorConfig(n_paths=3, resolution=4, max_degree=2, scheme="uniform", seed=2)
     ed_estimate(oracle, X, cfg)
-    plans = [plan_path(X, cfg.seed, (p,), cfg.scheme, 4, False) for p in range(3)]
+    plans = estimator.plan_paths(X, cfg.seed, [(p,) for p in range(3)], cfg.scheme, 4, False)
     assert len(seen) == 1 and seen[0].shape == (12, 2)
-    for k, plan in enumerate(plans):  # path k's rows, in plan order
-        a = plan.abscissas.alphas[:, None]
-        assert same(seen[0][4 * k : 4 * k + 4], a * X[plan.i] + (1.0 - a) * X[plan.j])
+    for k in range(len(plans)):  # path k's rows, in plan order
+        a = plans.alphas[k][:, None]
+        want = a * X[plans.i[k]] + (1.0 - a) * X[plans.j[k]]
+        assert same(seen[0][4 * k : 4 * k + 4], want)
+
+
+# ED invariants on hand-built plans: no PCA, softmax or anchoring, so the
+# fit sees the raw outputs.  They hold to rounding, not bit for bit.
+INVARIANT = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def plain_fits(draw):
+    """(EstimatorConfig, (P, r, out) raw outputs) for a fit without PCA, softmax or anchoring."""
+    max_degree = draw(st.integers(1, 6))
+    config = EstimatorConfig(
+        resolution=draw(st.integers(max_degree + 1, 12)),
+        max_degree=max_degree,
+        damping=draw(st.sampled_from([0.0, 1e-6])),
+        basis=draw(st.sampled_from(["chebyshev", "legendre"])),
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (draw(st.integers(1, 5)), config.resolution, draw(st.integers(1, 4)))
+    return config, rng.standard_normal(shape)
+
+
+@INVARIANT
+@given(
+    fit=plain_fits(),
+    scale=st.floats(1e-3, 1e3) | st.floats(-1e3, -1e-3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_ed_is_absolutely_homogeneous_and_ed_norm_scale_free(fit, scale, seed):
+    config, raw = fit
+    plans = oracles.plans_of(
+        [sample_abscissas("randomized_cosine", config.resolution, seed=seed + k)
+         for k in range(raw.shape[0])]
+    )
+    base = fit_paths(raw, plans, config).ed
+    scaled = fit_paths(scale * raw, plans, config).ed
+    assert np.allclose(scaled.ed, abs(scale) * base.ed, rtol=1e-12, atol=0.0)
+    assert np.allclose(scaled.ed_norm, base.ed_norm, rtol=1e-12, atol=0.0)
+
+
+@INVARIANT
+@given(fit=plain_fits())
+def test_reversed_path_at_chebyshev_nodes_has_the_same_ed(fit):
+    # the reversed path visits the same points from the other end: swap the
+    # endpoints, map a -> 1 - a and reverse the samples
+    config, raw = fit
+    n = raw.shape[0]
+    nodes = np.tile(chebyshev_nodes(config.resolution), (n, 1))
+    rows = np.arange(n)
+    forward = fit_paths(raw, oracles.plans_of(nodes, i=rows, j=rows + n), config).ed
+    reverse = oracles.plans_of(1.0 - nodes[:, ::-1], i=rows + n, j=rows)
+    backward = fit_paths(raw[:, ::-1, :], reverse, config).ed
+    assert np.allclose(backward.ed, forward.ed, rtol=1e-12, atol=0.0)
+    assert np.allclose(backward.ed_norm, forward.ed_norm, rtol=1e-12, atol=0.0)

@@ -5,6 +5,7 @@ restriction from the rational-arithmetic lab, converted to the Chebyshev
 basis by numpy.polynomial (tests/oracles.py).
 """
 
+import warnings
 from dataclasses import replace
 from fractions import Fraction
 
@@ -17,20 +18,19 @@ from effdeg.estimator import (
     EstimatorConfig,
     FunctionOracle,
     NonFiniteOutputError,
-    PathPlan,
     PathSamplingError,
     anchor_values,
     ed_estimate,
     fit_paths,
     path_values,
-    plan_path,
+    plan_paths,
     softmax,
 )
 from effdeg.reduce import pca_project
 from effdeg.sampling import chebyshev_nodes, sample_abscissas
 from effdeg.surrogate import fit_matrix
 
-from oracles import alpha_monomial_to_cheb
+from oracles import alpha_monomial_to_cheb, plans_of
 
 
 def identity_oracle(d):
@@ -49,14 +49,13 @@ def constant_oracle(d, value):
 
 def one_path(oracle, x1, x2, abscissas):
     """Outputs along a x1 + (1 - a) x2: the one-path case of path_values."""
-    plan = PathPlan(i=0, j=1, abscissas=abscissas)
-    return path_values(oracle, np.stack([x1, x2]), [plan])[0]
+    return path_values(oracle, np.stack([x1, x2]), plans_of(abscissas))[0]
 
 
-def anchor_one(values, abscissas, t1, t2):
+def anchor_one(values, abscissas, t1, t2, anchored=True):
     """Anchor one path's values: the one-path case of anchor_values."""
-    plan = PathPlan(i=0, j=1, abscissas=abscissas)
-    return anchor_values(values[None], [plan], np.stack([t1, t2]))[0]
+    plan = plans_of(abscissas, anchored=anchored)
+    return anchor_values(values[None], plan, np.stack([t1, t2]))[0]
 
 
 def test_build_path_identity():
@@ -105,7 +104,7 @@ def test_label_anchor_rejects_unanchored_abscissas():
     ab = sample_abscissas("chebyshev_fixed", 4)
     values = one_path(identity_oracle(2), np.ones(2), np.zeros(2), ab)
     with pytest.raises(ValueError):
-        anchor_one(values, ab, np.ones(2), np.zeros(2))
+        anchor_one(values, ab, np.ones(2), np.zeros(2), anchored=False)
 
 
 def test_anchor_then_project_differs_from_project_then_anchor():
@@ -129,14 +128,14 @@ def test_anchoring_with_own_outputs_is_identity():
     values = one_path(oracle, x1, x2, ab)
     labels = oracle.evaluate(np.stack([x1, x2]))
     assert anchor_one(values, ab, labels[0], labels[1]).tobytes() == values.tobytes()
-    plan = PathPlan(i=0, j=1, abscissas=ab)
+    plan = plans_of(ab, anchored=True)
     cfg = EstimatorConfig(n_paths=1, resolution=5, max_degree=3)
-    plain = fit_paths(values[None], [plan], cfg)
-    anchored = fit_paths(values[None], [plan], replace(cfg, anchored=True), labels=labels)
+    plain = fit_paths(values[None], plan, cfg)
+    anchored = fit_paths(values[None], plan, replace(cfg, anchored=True), labels=labels)
     assert plain.ed.ed.tolist() == anchored.ed.ed.tolist()
     assert plain.ed.ed_norm.tolist() == anchored.ed.ed_norm.tolist()
     with pytest.raises(ValueError):
-        fit_paths(values[None], [plan], replace(cfg, anchored=True))
+        fit_paths(values[None], plan, replace(cfg, anchored=True))
 
 
 def test_fit_matches_symbolic_restriction():
@@ -264,7 +263,7 @@ def test_pca_path_flags_ties():
     ab = sample_abscissas("uniform", 4)
     values = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
     cfg = EstimatorConfig(n_paths=1, resolution=4, max_degree=3, pca_dim=2, seed=0)
-    fitted = fit_paths(values[None], [PathPlan(i=0, j=1, abscissas=ab)], cfg)
+    fitted = fit_paths(values[None], plans_of(ab), cfg)
     assert fitted.pca_ties.tolist() == [True]
 
 
@@ -325,9 +324,11 @@ def test_single_path_replays_on_its_own():
     report = ed_estimate(oracle, X, cfg, labels=labels)
     assert len(report.per_path) == 12
     for result in reversed(report.per_path):
-        plan = plan_path(X, cfg.seed, (result.index,), cfg.scheme, cfg.resolution, cfg.anchored)
-        fitted = fit_paths(path_values(oracle, X, [plan]), [plan], cfg, labels=labels)
-        assert (plan.i, plan.j) == result.endpoint_indices
+        plan = plan_paths(
+            X, cfg.seed, [(result.index,)], cfg.scheme, cfg.resolution, cfg.anchored
+        )
+        fitted = fit_paths(path_values(oracle, X, plan), plan, cfg, labels=labels)
+        assert (plan.i[0], plan.j[0]) == result.endpoint_indices
         assert fitted.ed.ed[0] == result.ed
         assert fitted.ed.ed_norm[0] == result.ed_norm
         assert fitted.pca_ties[0] == result.pca_ties
@@ -335,8 +336,9 @@ def test_single_path_replays_on_its_own():
 
 def test_plan_path_redraws_coincident_pairs():
     X = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0]])
-    plans = [plan_path(X, 3, (p,), "chebyshev_fixed", 4, False) for p in range(20)]
-    assert all(2 in (plan.i, plan.j) for plan in plans)
+    plans = plan_paths(X, 3, [(p,) for p in range(20)], "chebyshev_fixed", 4, False)
+    assert len(plans) == 20
+    assert ((plans.i == 2) | (plans.j == 2)).all()
 
 
 def test_nonfinite_oracle_output_names_the_path():
@@ -346,14 +348,33 @@ def test_nonfinite_oracle_output_names_the_path():
         2, 1, lambda p: np.where(p[:, :1] > 2.0, np.nan, p[:, :1]), name="nan-beyond-2"
     )
     cfg = EstimatorConfig(n_paths=12, resolution=4, max_degree=3, seed=6)
-    plans = [plan_path(X, cfg.seed, (p,), cfg.scheme, 4, False) for p in range(cfg.n_paths)]
-    first = next(p for p, plan in enumerate(plans) if 3 in (plan.i, plan.j))
+    plans = plan_paths(X, cfg.seed, [(p,) for p in range(cfg.n_paths)], cfg.scheme, 4, False)
+    first = int(np.flatnonzero((plans.i == 3) | (plans.j == 3))[0])
     with pytest.raises(NonFiniteOutputError) as err:
         ed_estimate(oracle, X, cfg)
     assert str(err.value) == (
-        f"non-finite output on path {first} "
-        f"(endpoint rows {plans[first].i} and {plans[first].j})"
+        f"non-finite output on path {plans.keys[first][0]} "
+        f"(endpoint rows {plans.i[first]} and {plans.j[first]})"
     )
     infinite = FunctionOracle(2, 1, lambda p: np.where(p[:, :1] > 2.0, -np.inf, p[:, :1]))
     with pytest.raises(NonFiniteOutputError):
         ed_estimate(infinite, X, cfg)
+
+
+def test_overflowing_ed_statistics_name_the_largest_path():
+    # every per-path ED is finite (up to about 4.9e300) but their spread overflows
+    X = np.random.default_rng(0).standard_normal((20, 2))
+    oracle = FunctionOracle(2, 1, lambda p: 1e300 * p[:, :1] ** 2, name="huge")
+    cfg = EstimatorConfig(n_paths=10, seed=1)
+    plans = plan_paths(X, cfg.seed, [(p,) for p in range(10)], cfg.scheme, cfg.resolution, False)
+    eds = fit_paths(path_values(oracle, X, plans), plans, cfg).ed.ed
+    assert np.isfinite(eds).all()
+    k = int(np.argmax(eds))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteOutputError) as err:
+            ed_estimate(oracle, X, cfg)
+    assert str(err.value) == (
+        f"effective-degree statistics overflow: largest ED {eds[k]:.3e} on path "
+        f"{plans.keys[k][0]} (endpoint rows {plans.i[k]} and {plans.j[k]})"
+    )

@@ -8,7 +8,8 @@ identities instead.
 import numpy as np
 import pytest
 
-from effdeg.estimator import NonFiniteOutputError, plan_path
+from effdeg import estimator
+from effdeg.estimator import NonFiniteOutputError
 from effdeg.net import (
     ACTIVATIONS,
     FeedForwardNet,
@@ -314,31 +315,30 @@ def test_plan_paths_deterministic_and_degenerate():
     cfg = TrainConfig(reg_paths=5, seed=28)
     a = plan_paths(X, cfg, step=3)
     b = plan_paths(X, cfg, step=3)
-    assert [(p.i, p.j) for p in a] == [(p.i, p.j) for p in b]
-    assert all(
-        np.array_equal(x.abscissas.alphas, y.abscissas.alphas) for x, y in zip(a, b)
-    )
+    assert np.array_equal(a.i, b.i) and np.array_equal(a.j, b.j)
+    assert np.array_equal(a.alphas, b.alphas)
     c = plan_paths(X, cfg, step=4)
-    assert [(p.i, p.j) for p in a] != [(p.i, p.j) for p in c] or any(
-        not np.array_equal(x.abscissas.alphas, y.abscissas.alphas)
-        for x, y in zip(a, c)
+    assert not (
+        np.array_equal(a.i, c.i) and np.array_equal(a.j, c.j)
+        and np.array_equal(a.alphas, c.alphas)
     )
     collapsed = np.tile([1.0, 2.0], (6, 1))
-    assert plan_paths(collapsed, cfg, step=0) == []
+    empty = plan_paths(collapsed, cfg, step=0)
+    assert len(empty) == 0 and empty.alphas.shape == (0, cfg.resolution)
 
 
 def test_plan_paths_are_plan_path_at_step_keys():
     X = np.random.default_rng(30).standard_normal((9, 2))
     cfg = TrainConfig(reg_paths=6, resolution=5, anchored=True, seed=31)
     plans = plan_paths(X, cfg, step=7)
-    want = [
-        plan_path(X, cfg.seed, (7, 1, p), cfg.scheme, cfg.resolution, cfg.anchored)
-        for p in range(cfg.reg_paths)
-    ]
-    assert len(plans) == len(want) == 6
-    for got, exp in zip(plans, want):
-        assert (got.i, got.j, got.abscissas.seed) == (exp.i, exp.j, exp.abscissas.seed)
-        assert got.abscissas.alphas.tobytes() == exp.abscissas.alphas.tobytes()
+    assert len(plans) == 6
+    assert plans.keys == tuple((7, 1, p) for p in range(6))
+    for k, key in enumerate(plans.keys):  # each path replayed alone
+        alone = estimator.plan_paths(
+            X, cfg.seed, [key], cfg.scheme, cfg.resolution, cfg.anchored
+        )
+        assert (alone.i[0], alone.j[0]) == (plans.i[k], plans.j[k])
+        assert alone.alphas.tobytes() == plans.alphas[k].tobytes()
 
 
 def test_train_logs_accuracy_only_for_classification():
@@ -467,8 +467,7 @@ def test_penalty_nonfinite_output_names_the_path():
     plans = plan_paths(X, cfg, step=2)
     with pytest.raises(NonFiniteOutputError) as err:
         ed_penalty(net, X, T, plans, cfg)
-    first = plans[0]
     assert str(err.value) == (
-        f"non-finite output on path 2:1:{first.key[-1]} "
-        f"(endpoint rows {first.i} and {first.j})"
+        f"non-finite output on path 2:1:{plans.keys[0][-1]} "
+        f"(endpoint rows {plans.i[0]} and {plans.j[0]})"
     )

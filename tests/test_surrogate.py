@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 from effdeg.basis import design_matrix
-from effdeg.estimator import EstimatorConfig, PathPlan, fit_paths
-from effdeg.sampling import chebyshev_nodes, randomized_cosine, PathAbscissas
+from effdeg.estimator import EstimatorConfig, fit_paths
+from effdeg.sampling import chebyshev_nodes, randomized_cosine
 from effdeg.surrogate import (
     COND_LIMIT,
     EDValue,
@@ -22,7 +22,7 @@ from effdeg.surrogate import (
     mean_ed,
 )
 
-from oracles import damped_normal_solve, fd_gradient
+from oracles import damped_normal_solve, fd_gradient, plans_of
 
 
 def random_instance(rng, r=8, K=5):
@@ -44,7 +44,7 @@ def ed_gradient(abscissas, ys, max_degree, damping, basis):
 
 def test_fit_recovers_basis_element_exactly():
     nodes = chebyshev_nodes(4)
-    x = 2.0 * nodes.alphas - 1.0
+    x = 2.0 * nodes - 1.0
     ys = 4.0 * x**3 - 3.0 * x  # T_3
     c = fit(nodes, ys, 3, 0.0, "chebyshev")
     assert np.max(np.abs(c - np.array([0, 0, 0, 1.0]))) < 1e-10
@@ -62,7 +62,7 @@ def test_fit_matches_independent_solver():
     for _ in range(25):
         abscissas, ys = random_instance(rng, r=8, K=5)
         c = fit(abscissas, ys, 5, 1e-3, "chebyshev")
-        T = design_matrix("chebyshev", abscissas.alphas, 5)
+        T = design_matrix("chebyshev", abscissas, 5)
         want = damped_normal_solve(T, ys, 1e-3)
         assert np.max(np.abs(c - want)) < 1e-9
 
@@ -72,7 +72,7 @@ def test_fit_residual_contract():
     for eps in (0.0, 1e-6, 1e-3):
         abscissas, ys = random_instance(rng, r=10, K=6)
         c = fit(abscissas, ys, 6, eps, "legendre")
-        T = design_matrix("legendre", abscissas.alphas, 6)
+        T = design_matrix("legendre", abscissas, 6)
         G = T.T @ T + eps * np.eye(7)
         b = T.T @ ys
         res = np.abs(G @ c - b).max()
@@ -87,11 +87,8 @@ def test_fit_rejects_underdetermined():
 
 def test_fit_singular_without_damping():
     # nearly coincident abscissas make the Gram matrix numerically singular
-    alphas = 0.5 + np.arange(6) * 1e-11
-    squeezed = PathAbscissas(
-        alphas=alphas, variant="uniform", anchored=False, seed=None
-    )
-    ys = np.sin(alphas)
+    squeezed = 0.5 + np.arange(6) * 1e-11
+    ys = np.sin(squeezed)
     with pytest.raises(SingularFitError):
         fit(squeezed, ys, 5, 0.0, "chebyshev")
     # damping rescues the same system
@@ -209,15 +206,15 @@ def test_central_difference_helper():
 def test_ed_vector_mean():
     # a vector-valued path's ED is the mean of its per-output EDs
     nodes = chebyshev_nodes(5)
-    x = 2.0 * nodes.alphas - 1.0
-    plan = PathPlan(i=0, j=1, abscissas=nodes)
+    x = 2.0 * nodes - 1.0
+    plan = plans_of(nodes)
     cfg = EstimatorConfig(n_paths=1, resolution=5, max_degree=3, damping=0.0)
-    v = fit_paths(np.stack([2.0 * x, 4.0 * x], axis=1)[None], [plan], cfg).ed  # ed 2 and ed 4
+    v = fit_paths(np.stack([2.0 * x, 4.0 * x], axis=1)[None], plan, cfg).ed  # ed 2 and ed 4
     assert v.ed[0] == pytest.approx(3.0, abs=1e-9)
-    single = fit_paths((2.0 * x)[None, :, None], [plan], cfg).ed
+    single = fit_paths((2.0 * x)[None, :, None], plan, cfg).ed
     direct = ed_from_coefficients(fit(nodes, 2.0 * x, 3, 0.0, "chebyshev"))
     assert single.ed[0] == direct.ed and single.ed_norm[0] == direct.ed_norm
-    assert fit_paths(np.zeros((1, 5, 2)), [plan], cfg).ed.ed.tolist() == [0.0]
+    assert fit_paths(np.zeros((1, 5, 2)), plan, cfg).ed.ed.tolist() == [0.0]
 
 
 def test_mean_ed_over_values():
@@ -257,7 +254,7 @@ def test_fit_matrix_with_gradient_reuses_one_gram():
         Y = rng.standard_normal((8, 3))
         C, G = fit_matrix(abscissas, Y, 5, damping, "legendre", with_gradient=True)
         assert C.tobytes() == fit_matrix(abscissas, Y, 5, damping, "legendre").tobytes()
-        T = design_matrix("legendre", abscissas.alphas, 5)
+        T = design_matrix("legendre", abscissas, 5)
         gram = T.T @ T + damping * np.eye(6)
         want = T @ np.linalg.solve(gram, np.sign(C) * np.arange(6.0)[:, None])
         assert G.tobytes() == want.tobytes()
