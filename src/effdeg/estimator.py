@@ -21,10 +21,13 @@ dataset, and net.ed_penalty averages them over a minibatch; both run this
 engine.
 
 Randomness is splittable: the path planned under key k draws its pair from
-sampling.rng(seed, *k, 0) and its abscissa seed from
-sampling.derive_seed(seed, *k, 1).  ed_estimate plans path p under key (p,),
-so any single path can be replayed without replaying the others:
-plan_paths(inputs, seed, [(p,)], ...) plans it alone.
+sampling.rng(seed, *k, 0) and, for a seeded scheme, its abscissa seed from
+sampling.derive_seed(seed, *k, 1); deterministic schemes draw no abscissa
+stream.  plan_paths computes these streams for every key in one batched
+pass (sampling.pair_draws, sampling.derive_seeds and one sample_abscissas
+call), with the same bits as drawing them key by key.  ed_estimate plans
+path p under key (p,), so any single path can be replayed without
+replaying the others: plan_paths(inputs, seed, [(p,)], ...) plans it alone.
 """
 
 from __future__ import annotations
@@ -205,6 +208,38 @@ def softmax(values: np.ndarray, axis: int = -1) -> np.ndarray:
     return e / e.sum(axis=axis, keepdims=True)
 
 
+def _draw_pair(inputs: np.ndarray, seed: int, key: tuple[int, ...]) -> tuple[int, int] | None:
+    """Key's endpoint pair drawn one attempt at a time from sampling.rng(seed, *key, 0).
+
+    A pair of equal or coincident rows is redrawn, up to _MAX_REDRAWS times;
+    None when every draw is degenerate.
+    """
+    pair_rng = sampling.rng(seed, *key, 0)
+    for _ in range(_MAX_REDRAWS):
+        i, j = (int(v) for v in pair_rng.integers(0, inputs.shape[0], size=2))
+        if i != j and np.linalg.norm(inputs[i] - inputs[j]) > DEGENERATE_NORM:
+            return i, j
+    return None
+
+
+def _key_words(keys: list[tuple[int, ...]]) -> tuple[np.ndarray, np.ndarray]:
+    """Keys as a (P, L) uint32 array, and which rows the batched streams can take.
+
+    A row is batchable when every word is an int below 2**32, one
+    SeedSequence word; other rows are zeros in the array.  Keys of
+    different lengths, or words numpy holds as no integer type, leave every
+    row to the per-key draw.
+    """
+    try:
+        words = np.array(keys)
+    except ValueError:  # keys of different lengths
+        words = np.zeros(0)
+    if words.ndim != 2 or words.dtype.kind not in "iu":
+        return np.zeros((len(keys), 0), dtype=np.uint32), np.zeros(len(keys), dtype=bool)
+    fits = ((words >= 0) & (words <= 0xFFFFFFFF)).all(axis=1)
+    return np.where(fits[:, None], words, 0).astype(np.uint32), fits
+
+
 def plan_paths(
     inputs: np.ndarray,
     seed: int,
@@ -218,26 +253,49 @@ def plan_paths(
     A pair of equal or coincident rows is redrawn, up to _MAX_REDRAWS times;
     a key whose every draw is degenerate is dropped, so the plans hold the
     surviving keys in their given order.
+
+    Every key's first pair comes from one batched draw (sampling.pair_draws);
+    a key that needs more than that one attempt (a Lemire rejection, a
+    degenerate pair, a key word the batch cannot take) is drawn again alone
+    from its own stream, which gives the same bits.
     """
-    n = inputs.shape[0]
-    kept, pairs, alphas = [], [], []
-    for key in keys:
-        pair_rng = sampling.rng(seed, *key, 0)
-        for _ in range(_MAX_REDRAWS):
-            i, j = (int(v) for v in pair_rng.integers(0, n, size=2))
-            if i != j and np.linalg.norm(inputs[i] - inputs[j]) > DEGENERATE_NORM:
-                kept.append(tuple(key))
-                pairs.append((i, j))
-                alphas.append(sample_abscissas(
-                    scheme, resolution, anchored=anchored, seed=sampling.derive_seed(seed, *key, 1)
-                ))
-                break
-    pairs = np.array(pairs, dtype=np.intp).reshape(len(kept), 2)
+    keys = [tuple(key) for key in keys]
+    n_keys, n = len(keys), inputs.shape[0]
+    if not n_keys:
+        return PathPlans(
+            keys=(), i=np.zeros(0, dtype=np.intp), j=np.zeros(0, dtype=np.intp),
+            alphas=np.zeros((0, resolution)), anchored=anchored,
+        )
+    words, batchable = _key_words(keys)
+    stream_ids = np.zeros((n_keys, 1), dtype=np.uint32)
+    pairs, exact = sampling.pair_draws(seed, np.hstack([words, stream_ids]), n)
+    done = batchable & exact & (pairs[:, 0] != pairs[:, 1])
+    rows = np.flatnonzero(done)
+    diff = np.asarray(inputs[pairs[rows, 0]] - inputs[pairs[rows, 1]], dtype=float)
+    diff = diff.reshape(rows.size, int(np.prod(inputs.shape[1:])))
+    # only pairs clear of the redraw threshold pass, so none passes that
+    # np.linalg.norm would redraw
+    done[rows] = np.einsum("pd,pd->p", diff, diff) > (2.0 * DEGENERATE_NORM) ** 2
+    kept = np.ones(n_keys, dtype=bool)
+    for k in np.flatnonzero(~done):
+        pair = _draw_pair(inputs, seed, keys[k])
+        if pair is None:
+            kept[k] = False
+        else:
+            pairs[k] = pair
+    seeds = None
+    if scheme in sampling.SEEDED_VARIANTS:
+        seeds = sampling.derive_seeds(seed, np.hstack([words, stream_ids + 1]))
+        for k in np.flatnonzero(~batchable):
+            seeds[k] = sampling.derive_seed(seed, *keys[k], 1)
+        seeds = seeds[kept]
+    alphas = sample_abscissas(scheme, resolution, anchored=anchored, seed=seeds)
+    pairs = pairs[kept]
     return PathPlans(
-        keys=tuple(kept),
+        keys=tuple(key for key, ok in zip(keys, kept.tolist()) if ok),
         i=pairs[:, 0],
         j=pairs[:, 1],
-        alphas=np.array(alphas, dtype=float).reshape(len(kept), resolution),
+        alphas=np.tile(alphas, (len(pairs), 1)) if alphas.ndim == 1 else alphas,
         anchored=anchored,
     )
 

@@ -5,7 +5,8 @@ code paths under test: the linear solver is hand-rolled Gaussian elimination,
 the eigensolver is cyclic Jacobi, and basis references come from closed forms
 or numpy.polynomial rather than our recurrences.  The last section is the
 path engine run one path at a time, the reference for the batched engine's
-bits, and plans_of, which builds PathPlans over hand-picked abscissas.
+bits: plan_paths draws every key's stream with numpy's own Generator, and
+plans_of builds PathPlans over hand-picked abscissas.
 """
 
 from fractions import Fraction
@@ -15,8 +16,9 @@ import numpy.polynomial.chebyshev as npcheb
 import numpy.polynomial.legendre as npleg
 import numpy.polynomial.polynomial as nppoly
 
+from effdeg import sampling
 from effdeg.basis import design_matrix
-from effdeg.estimator import PathPlans, plan_paths, softmax
+from effdeg.estimator import DEGENERATE_NORM, PathPlans, softmax
 from effdeg.reduce import EIGENVALUE_FLOOR, TIE_GAP
 from effdeg.surrogate import COND_LIMIT, SingularFitError
 
@@ -216,6 +218,58 @@ def ed_of_column(c):
     ed = float(c @ np.arange(c.size, dtype=float))
     mass = float(c.sum())
     return ed, (ed / mass if mass > 0.0 else 0.0)
+
+
+def randomized_cosine(resolution, seed, anchored=False):
+    """sampling.randomized_cosine of one seed: rng(seed, 0).uniform, then separated in a loop."""
+    r = resolution
+    lows = np.arange(r, dtype=float) * np.pi / r
+    highs = lows + np.pi / r
+    theta = sampling.rng(seed, 0).uniform(lows, highs)
+    if anchored:
+        theta[0] = 0.0
+        theta[-1] = np.pi
+    alphas = 0.5 * (1.0 - np.cos(theta))
+    if anchored:
+        alphas[0] = 0.0
+        alphas[-1] = 1.0
+    return separate(alphas, 0.5 * (1.0 - np.cos(highs)))
+
+
+def separate(alphas, uppers):
+    """sampling._separate of one ascending row: nudge each later duplicate up by 1e-9, capped."""
+    out = np.array(alphas, dtype=float, copy=True)
+    for i in range(1, out.size):
+        if out[i] - out[i - 1] < 1e-12:
+            out[i] = min(out[i - 1] + 1e-9, uppers[i], 1.0)
+    return out
+
+
+def plan_paths(inputs, seed, keys, scheme, resolution, anchored, max_redraws=16):
+    """estimator.plan_paths one key at a time: a Generator and a SeedSequence per key."""
+    n = inputs.shape[0]
+    kept, pairs, alphas = [], [], []
+    for key in keys:
+        pair_rng = sampling.rng(seed, *key, 0)
+        for _ in range(max_redraws):
+            i, j = (int(v) for v in pair_rng.integers(0, n, size=2))
+            if i != j and np.linalg.norm(inputs[i] - inputs[j]) > DEGENERATE_NORM:
+                kept.append(tuple(key))
+                pairs.append((i, j))
+                if scheme == "randomized_cosine":
+                    derived = sampling.derive_seed(seed, *key, 1)
+                    alphas.append(randomized_cosine(resolution, derived, anchored))
+                else:
+                    alphas.append(sampling.sample_abscissas(scheme, resolution, anchored))
+                break
+    pairs = np.array(pairs, dtype=np.intp).reshape(len(kept), 2)
+    return PathPlans(
+        keys=tuple(kept),
+        i=pairs[:, 0],
+        j=pairs[:, 1],
+        alphas=np.array(alphas, dtype=float).reshape(len(kept), resolution),
+        anchored=anchored,
+    )
 
 
 def plans_of(alphas, i=0, j=1, anchored=False):

@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from effdeg import estimator
+from effdeg import estimator, sampling
 from effdeg.estimator import (
     EstimatorConfig,
     FunctionOracle,
@@ -219,6 +219,96 @@ def test_penalty_equals_per_path_reference(setting, task, reg_paths, hidden, see
         assert same(g, w)
 
 
+@st.composite
+def key_lists(draw):
+    """1 to 40 stream keys of 1 to 3 words; now and then a ragged key or a word of 2**32 and up."""
+    width = draw(st.integers(1, 3))
+    words = st.integers(0, 2**32 - 1)
+    prefix = tuple(draw(st.lists(words, min_size=width - 1, max_size=width - 1)))
+    keys = [prefix + (p,) for p in range(draw(st.integers(1, 40)))]
+    odd = draw(st.sampled_from([None, (), (2**32,), (1, 2**40 + 3, 0), (0, 0, 0, 0)]))
+    if odd is not None:
+        keys.insert(draw(st.integers(0, len(keys))), odd)
+    return keys
+
+
+@PROPERTY
+@given(
+    seed=st.integers(0, 2**32 - 1) | st.integers(2**63, 2**160),
+    keys=key_lists(),
+    scheme=st.sampled_from(SCHEME_VARIANTS),
+    resolution=st.integers(2, 12),
+    anchored=st.booleans(),
+    data_seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 30),
+    distinct=st.integers(1, 6),
+    dim=st.integers(1, 3),
+)
+@example(seed=2**64 - 1, keys=[(3, 1, p) for p in range(20)], scheme="randomized_cosine",
+         resolution=15, anchored=True, data_seed=0, n=3, distinct=2, dim=2)
+def test_plan_paths_equals_per_key_reference(
+    seed, keys, scheme, resolution, anchored, data_seed, n, distinct, dim
+):
+    # few distinct rows force redraws and dropped keys; the odd keys take the per-key draw
+    X = dataset(data_seed, n, dim, distinct)
+    got = estimator.plan_paths(X, seed, keys, scheme, resolution, anchored)
+    want = oracles.plan_paths(X, seed, keys, scheme, resolution, anchored)
+    assert got.keys == want.keys
+    assert same(got.i, want.i) and same(got.j, want.j)
+    assert same(got.alphas, want.alphas)
+    assert got.anchored == want.anchored
+
+
+def test_plan_paths_redraw_test_decides_as_linalg_norm():
+    # rows 1e-12 apart sit on the redraw threshold: some pairs are redrawn, some kept
+    X = np.array([[0.0, 0.0], [5e-13, 0.0], [1.2e-12, 0.0], [0.0, 1.5e-12], [3e-12, 0.0]])
+    keys = [(p,) for p in range(300)]
+    got = estimator.plan_paths(X, 8, keys, "randomized_cosine", 4, False)
+    want = oracles.plan_paths(X, 8, keys, "randomized_cosine", 4, False)
+    assert got.keys == want.keys
+    assert same(got.i, want.i) and same(got.j, want.j) and same(got.alphas, want.alphas)
+    pairs = {frozenset(pair) for pair in zip(got.i.tolist(), got.j.tolist())}
+    assert {0, 1} not in pairs and {1, 2} not in pairs  # 5e-13 and 7e-13 apart
+    assert {0, 2} in pairs  # 1.2e-12 apart
+
+
+def test_plan_paths_redraws_every_pair_the_batch_marks_inexact(monkeypatch):
+    # an inexact row (a Lemire rejection in the batch) must come from the
+    # key's own stream, whatever pair the batch computed for it
+    X = np.random.default_rng(2).standard_normal((40, 3))
+    keys = [(9, p) for p in range(30)]
+    want = oracles.plan_paths(X, 5, keys, "randomized_cosine", 6, True)
+    batched = sampling.pair_draws
+
+    def rejecting(seed, rows, n):
+        pairs, exact = batched(seed, rows, n)
+        pairs[::3] = [0, 1]
+        exact[::3] = False
+        return pairs, exact
+
+    monkeypatch.setattr(sampling, "pair_draws", rejecting)
+    got = estimator.plan_paths(X, 5, keys, "randomized_cosine", 6, True)
+    assert got.keys == want.keys
+    assert same(got.i, want.i) and same(got.j, want.j) and same(got.alphas, want.alphas)
+
+
+def test_deterministic_schemes_draw_no_abscissa_stream(monkeypatch):
+    X = np.random.default_rng(3).standard_normal((30, 2))
+    keys = [(p,) for p in range(50)]
+    schemes = ("chebyshev_fixed", "uniform")
+    want = {s: estimator.plan_paths(X, 4, keys, s, 6, True) for s in schemes}
+
+    def refuse(*args):
+        raise AssertionError("a deterministic scheme derived an abscissa seed")
+
+    monkeypatch.setattr(sampling, "derive_seed", refuse)
+    monkeypatch.setattr(sampling, "derive_seeds", refuse)
+    for scheme, plans in want.items():
+        got = estimator.plan_paths(X, 4, keys, scheme, 6, True)
+        assert same(got.alphas, plans.alphas)
+        assert same(got.alphas, np.tile(sample_abscissas(scheme, 6, anchored=True), (len(got), 1)))
+
+
 def test_reference_fixtures_reach_dead_components_and_ties():
     # the crafted blocks above do exercise the degenerate PCA branches
     rng = np.random.default_rng(0)
@@ -315,3 +405,38 @@ def test_reversed_path_at_chebyshev_nodes_has_the_same_ed(fit):
     backward = fit_paths(raw[:, ::-1, :], reverse, config).ed
     assert np.allclose(backward.ed, forward.ed, rtol=1e-12, atol=0.0)
     assert np.allclose(backward.ed_norm, forward.ed_norm, rtol=1e-12, atol=0.0)
+
+
+@INVARIANT
+@given(
+    max_degree=st.integers(0, 6),
+    extra=st.integers(0, 6),
+    basis=st.sampled_from(["chebyshev", "legendre"]),
+    scheme=st.sampled_from(SCHEME_VARIANTS),
+    anchored=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+    dims=st.tuples(st.integers(1, 4), st.integers(1, 4)),
+    centered=st.booleans(),
+)
+def test_affine_oracle_caps_ed_norm_at_one(
+    max_degree, extra, basis, scheme, anchored, seed, dims, centered
+):
+    # an affine function restricted to a segment is affine in a: all of its
+    # coefficient mass sits at degrees 0 and 1, so ED_norm <= 1 up to
+    # rounding.  A linear map on the rows x and -x has value 0 at every
+    # path's midpoint, so c_0 = 0 and ED_norm = 1 exactly, the sharp case.
+    d, out = dims
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((out, d))
+    b = np.zeros(out) if centered else rng.standard_normal(out)
+    oracle = FunctionOracle(d, out, lambda p: p @ A.T + b, name="affine")
+    config = EstimatorConfig(
+        n_paths=8, resolution=max(max_degree + 1 + extra, 2), max_degree=max_degree, damping=0.0,
+        basis=basis, scheme=scheme, anchored=anchored, seed=seed,
+    )
+    X = rng.standard_normal((12, d))
+    if centered:
+        X = np.concatenate([X[:1], -X[:1]])
+    labels = oracle.evaluate(X) if anchored else None
+    report = ed_estimate(oracle, X, config, labels=labels)
+    assert max(p.ed_norm for p in report.per_path) <= 1.0 + 1e-12
