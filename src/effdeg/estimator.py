@@ -20,14 +20,13 @@ the P = 1 case.  ed_estimate averages the per-path effective degrees over a
 dataset, and net.ed_penalty averages them over a minibatch; both run this
 engine.
 
-Randomness is splittable: the path planned under key k draws its pair from
-sampling.rng(seed, *k, 0) and, for a seeded scheme, its abscissa seed from
-sampling.derive_seed(seed, *k, 1); deterministic schemes draw no abscissa
-stream.  plan_paths computes these streams for every key in one batched
-pass (sampling.pair_draws, sampling.derive_seeds and one sample_abscissas
-call), with the same bits as drawing them key by key.  ed_estimate plans
-path p under key (p,), so any single path can be replayed without
-replaying the others: plan_paths(inputs, seed, [(p,)], ...) plans it alone.
+Randomness is splittable: the keys of one plan_paths call share every word
+but the last, a path index p, and path p's draws depend only on (seed, the
+shared prefix, p), in the stream layout the sampling module states.
+plan_paths draws every path's pair attempt, and then every kept path's
+abscissas, in one batched call each; ed_estimate plans path p under key
+(p,), so any single path can be replayed without replaying the others:
+plan_paths(inputs, seed, [(p,)], ...) plans it alone with the same bits.
 """
 
 from __future__ import annotations
@@ -208,36 +207,22 @@ def softmax(values: np.ndarray, axis: int = -1) -> np.ndarray:
     return e / e.sum(axis=axis, keepdims=True)
 
 
-def _draw_pair(inputs: np.ndarray, seed: int, key: tuple[int, ...]) -> tuple[int, int] | None:
-    """Key's endpoint pair drawn one attempt at a time from sampling.rng(seed, *key, 0).
+def _path_indices(keys: list[tuple[int, ...]]) -> tuple[tuple, np.ndarray]:
+    """The prefix shared by every key, and each key's last word as a (P,) uint64 path index.
 
-    A pair of equal or coincident rows is redrawn, up to _MAX_REDRAWS times;
-    None when every draw is degenerate.
+    Raises ValueError naming the first key that differs from the first key
+    anywhere but its last word, or whose last word is outside [0, 2**32).
     """
-    pair_rng = sampling.rng(seed, *key, 0)
-    for _ in range(_MAX_REDRAWS):
-        i, j = (int(v) for v in pair_rng.integers(0, inputs.shape[0], size=2))
-        if i != j and np.linalg.norm(inputs[i] - inputs[j]) > DEGENERATE_NORM:
-            return i, j
-    return None
-
-
-def _key_words(keys: list[tuple[int, ...]]) -> tuple[np.ndarray, np.ndarray]:
-    """Keys as a (P, L) uint32 array, and which rows the batched streams can take.
-
-    A row is batchable when every word is an int below 2**32, one
-    SeedSequence word; other rows are zeros in the array.  Keys of
-    different lengths, or words numpy holds as no integer type, leave every
-    row to the per-key draw.
-    """
-    try:
-        words = np.array(keys)
-    except ValueError:  # keys of different lengths
-        words = np.zeros(0)
-    if words.ndim != 2 or words.dtype.kind not in "iu":
-        return np.zeros((len(keys), 0), dtype=np.uint32), np.zeros(len(keys), dtype=bool)
-    fits = ((words >= 0) & (words <= 0xFFFFFFFF)).all(axis=1)
-    return np.where(fits[:, None], words, 0).astype(np.uint32), fits
+    prefix = keys[0][:-1] if keys else ()
+    for key in keys:
+        if not key or key[:-1] != prefix:
+            raise ValueError(
+                f"path key {key} is not the prefix {prefix} of key {keys[0]} plus a path "
+                "index; the keys of one plan may differ only in their last word"
+            )
+        if not 0 <= key[-1] < 1 << 32:
+            raise ValueError(f"path key {key}: path index {key[-1]} is outside [0, 2**32)")
+    return prefix, np.array([key[-1] for key in keys], dtype=np.uint64)
 
 
 def plan_paths(
@@ -250,46 +235,36 @@ def plan_paths(
 ) -> PathPlans:
     """Draw the endpoint pair and abscissas of the path keyed by (seed, key), for every key.
 
-    A pair of equal or coincident rows is redrawn, up to _MAX_REDRAWS times;
-    a key whose every draw is degenerate is dropped, so the plans hold the
-    surviving keys in their given order.
-
-    Every key's first pair comes from one batched draw (sampling.pair_draws);
-    a key that needs more than that one attempt (a Lemire rejection, a
-    degenerate pair, a key word the batch cannot take) is drawn again alone
-    from its own stream, which gives the same bits.
+    The keys may differ only in their last word, a path index below 2**32,
+    and inputs may hold at most 2**32 - 1 rows; anything else raises
+    ValueError.  An attempt that draws a rejected index, equal rows or rows
+    within DEGENERATE_NORM of each other moves on to the path's next
+    attempt, up to _MAX_REDRAWS; a key whose every attempt fails is
+    dropped, so the plans hold the surviving keys in their given order.
     """
     keys = [tuple(key) for key in keys]
-    n_keys, n = len(keys), inputs.shape[0]
-    if not n_keys:
-        return PathPlans(
-            keys=(), i=np.zeros(0, dtype=np.intp), j=np.zeros(0, dtype=np.intp),
-            alphas=np.zeros((0, resolution)), anchored=anchored,
-        )
-    words, batchable = _key_words(keys)
-    stream_ids = np.zeros((n_keys, 1), dtype=np.uint32)
-    pairs, exact = sampling.pair_draws(seed, np.hstack([words, stream_ids]), n)
-    done = batchable & exact & (pairs[:, 0] != pairs[:, 1])
-    rows = np.flatnonzero(done)
-    diff = np.asarray(inputs[pairs[rows, 0]] - inputs[pairs[rows, 1]], dtype=float)
-    diff = diff.reshape(rows.size, int(np.prod(inputs.shape[1:])))
-    # only pairs clear of the redraw threshold pass, so none passes that
-    # np.linalg.norm would redraw
-    done[rows] = np.einsum("pd,pd->p", diff, diff) > (2.0 * DEGENERATE_NORM) ** 2
-    kept = np.ones(n_keys, dtype=bool)
-    for k in np.flatnonzero(~done):
-        pair = _draw_pair(inputs, seed, keys[k])
-        if pair is None:
-            kept[k] = False
-        else:
-            pairs[k] = pair
-    seeds = None
+    n = inputs.shape[0]
+    if n >= 1 << 32:
+        raise ValueError(f"cannot plan paths over {n} rows; at most 2**32 - 1 are supported")
+    prefix, paths = _path_indices(keys)
+    philox_key = sampling.path_key(seed, prefix)
+    pairs = np.zeros((len(keys), 2), dtype=np.intp)
+    pending = np.arange(len(keys))
+    for attempt in range(_MAX_REDRAWS if n > 1 else 0):
+        if not pending.size:
+            break
+        drawn, ok = sampling.pair_draws(philox_key, paths[pending], n, attempt)
+        diff = np.asarray(inputs[drawn[:, 0]] - inputs[drawn[:, 1]], dtype=float)
+        diff = diff.reshape(pending.size, -1)
+        ok &= np.einsum("pd,pd->p", diff, diff) > DEGENERATE_NORM**2  # i = j is distance 0
+        pairs[pending[ok]] = drawn[ok]
+        pending = pending[~ok]
+    kept = np.ones(len(keys), dtype=bool)
+    kept[pending] = False
+    uniforms = None
     if scheme in sampling.SEEDED_VARIANTS:
-        seeds = sampling.derive_seeds(seed, np.hstack([words, stream_ids + 1]))
-        for k in np.flatnonzero(~batchable):
-            seeds[k] = sampling.derive_seed(seed, *keys[k], 1)
-        seeds = seeds[kept]
-    alphas = sample_abscissas(scheme, resolution, anchored=anchored, seed=seeds)
+        uniforms = sampling.path_uniforms(philox_key, paths[kept], resolution)
+    alphas = sample_abscissas(scheme, resolution, anchored=anchored, uniforms=uniforms)
     pairs = pairs[kept]
     return PathPlans(
         keys=tuple(key for key, ok in zip(keys, kept.tolist()) if ok),

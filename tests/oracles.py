@@ -5,8 +5,8 @@ code paths under test: the linear solver is hand-rolled Gaussian elimination,
 the eigensolver is cyclic Jacobi, and basis references come from closed forms
 or numpy.polynomial rather than our recurrences.  The last section is the
 path engine run one path at a time, the reference for the batched engine's
-bits: plan_paths draws every key's stream with numpy's own Generator, and
-plans_of builds PathPlans over hand-picked abscissas.
+bits: plan_paths draws every key alone from its own numpy Philox and
+Generator, and plans_of builds PathPlans over hand-picked abscissas.
 """
 
 from fractions import Fraction
@@ -20,7 +20,7 @@ from effdeg import sampling
 from effdeg.basis import design_matrix
 from effdeg.estimator import DEGENERATE_NORM, PathPlans, softmax
 from effdeg.reduce import EIGENVALUE_FLOOR, TIE_GAP
-from effdeg.surrogate import COND_LIMIT, SingularFitError
+from effdeg.surrogate import COND_LIMIT, SIGN_DEAD_ZONE, SingularFitError
 
 
 def gauss_solve(A, b):
@@ -208,7 +208,13 @@ def fit_matrix(alphas, values, max_degree, damping, basis, with_gradient=False):
         raise SingularFitError(f"normal system residual {resid:.3e} above tolerance")
     if not with_gradient:
         return coeffs
-    weighted = np.sign(coeffs) * np.arange(max_degree + 1, dtype=float)[:, None]
+    signs = np.zeros_like(coeffs)
+    for col in range(coeffs.shape[1]):
+        mass = float(np.abs(coeffs[:, col]).sum())
+        for k, c in enumerate(coeffs[:, col]):
+            if abs(c) > SIGN_DEAD_ZONE * mass:
+                signs[k, col] = 1.0 if c > 0 else -1.0
+    weighted = signs * np.arange(max_degree + 1, dtype=float)[:, None]
     return coeffs, design @ np.linalg.solve(gram, weighted)
 
 
@@ -220,12 +226,30 @@ def ed_of_column(c):
     return ed, (ed / mass if mass > 0.0 else 0.0)
 
 
-def randomized_cosine(resolution, seed, anchored=False):
-    """sampling.randomized_cosine of one seed: rng(seed, 0).uniform, then separated in a loop."""
+def path_philox(seed, key, counter):
+    """Philox of the path keyed by key at counter, its plan's key built for this key alone."""
+    words = np.random.SeedSequence(int(seed), spawn_key=tuple(int(k) for k in key[:-1]))
+    return np.random.Philox(key=words.generate_state(2, np.uint64), counter=counter)
+
+
+def lemire_pair(word, n):
+    """(i, j) from the low and high 32-bit halves of one word by Lemire's method, or None."""
+    pair = []
+    for half in (word & 0xFFFFFFFF, word >> 32):
+        scaled = half * n
+        if scaled & 0xFFFFFFFF < (1 << 32) % n:
+            return None
+        pair.append(scaled >> 32)
+    return tuple(pair)
+
+
+def randomized_cosine(resolution, seed, key, anchored=False):
+    """Path key's randomized_cosine abscissas: Generator.uniform at its counter, then separate."""
     r = resolution
     lows = np.arange(r, dtype=float) * np.pi / r
     highs = lows + np.pi / r
-    theta = sampling.rng(seed, 0).uniform(lows, highs)
+    counter = [int(key[-1]) * -(-r // 4), 1, 0, 0]
+    theta = np.random.Generator(path_philox(seed, key, counter)).uniform(lows, highs)
     if anchored:
         theta[0] = 0.0
         theta[-1] = np.pi
@@ -246,19 +270,21 @@ def separate(alphas, uppers):
 
 
 def plan_paths(inputs, seed, keys, scheme, resolution, anchored, max_redraws=16):
-    """estimator.plan_paths one key at a time: a Generator and a SeedSequence per key."""
+    """estimator.plan_paths key by key: a Philox per key and attempt, Lemire in Python ints."""
     n = inputs.shape[0]
     kept, pairs, alphas = [], [], []
     for key in keys:
-        pair_rng = sampling.rng(seed, *key, 0)
-        for _ in range(max_redraws):
-            i, j = (int(v) for v in pair_rng.integers(0, n, size=2))
-            if i != j and np.linalg.norm(inputs[i] - inputs[j]) > DEGENERATE_NORM:
+        for attempt in range(max_redraws):
+            word = int(path_philox(seed, key, [int(key[-1]), 0, attempt, 0]).random_raw(4)[0])
+            pair = lemire_pair(word, n)
+            if pair is None or pair[0] == pair[1]:
+                continue
+            d = inputs[pair[0]] - inputs[pair[1]]
+            if float(np.sum(d * d)) > DEGENERATE_NORM**2:
                 kept.append(tuple(key))
-                pairs.append((i, j))
+                pairs.append(pair)
                 if scheme == "randomized_cosine":
-                    derived = sampling.derive_seed(seed, *key, 1)
-                    alphas.append(randomized_cosine(resolution, derived, anchored))
+                    alphas.append(randomized_cosine(resolution, seed, key, anchored))
                 else:
                     alphas.append(sampling.sample_abscissas(scheme, resolution, anchored))
                 break

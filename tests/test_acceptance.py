@@ -98,7 +98,7 @@ def test_2_ed_gradient_fidelity():
         damping = 1e-6 if attempts % 2 else 1e-3
         basis = "chebyshev" if rng.integers(0, 2) else "legendre"
         scheme = "chebyshev_fixed" if rng.integers(0, 2) else "randomized_cosine"
-        abscissas = sample_abscissas(scheme, r, seed=int(rng.integers(2**32)))
+        abscissas = sample_abscissas(scheme, r, uniforms=rng.random(r))
         y = rng.standard_normal(r)
         coeffs, grad = fit_matrix(
             abscissas, y[:, None], max_degree, damping, basis, with_gradient=True
@@ -412,16 +412,36 @@ def _cli_commands(tmp_path) -> dict:
         f"{float(a)!r},{float(b)!r},{int(t)}" for (a, b), t in zip(X, y)
     ]
     labeled.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    train = [
+        "train", "--data", str(labeled), "--hidden", "6", "--steps", "15",
+        "--batch-size", "16", "--reg-strength", "0.5", "--reg-paths", "4",
+        "--resolution", "4", "--max-degree", "3", "--seed", "9",
+    ]
     return {
         "estimate": [
             "estimate", "--data", str(plain), "--oracle", "product",
             "--paths", "40", "--resolution", "5", "--max-degree", "3", "--seed", "9",
         ],
-        "train": [
-            "train", "--data", str(labeled), "--hidden", "6", "--steps", "15",
-            "--batch-size", "16", "--reg-strength", "0.5", "--anchored", "--reg-paths", "4",
-            "--resolution", "4", "--max-degree", "3", "--seed", "9",
+        "estimate-defaults": ["estimate", "--data", str(plain)],
+        "estimate-identity-pca": [
+            "estimate", "--data", str(plain), "--oracle", "identity", "--scheme",
+            "chebyshev_fixed", "--pca-dim", "2", "--basis", "legendre", "--seed", "9",
         ],
+        "estimate-affine-uniform": [
+            "estimate", "--data", str(plain), "--oracle", "affine", "--scheme", "uniform",
+            "--seed", "9",
+        ],
+        "estimate-anchored": [
+            "estimate", "--data", str(labeled), "--anchored", "--seed", str(2**64 - 1),
+        ],
+        "estimate-wide-seed": [
+            "estimate", "--data", str(plain), "--resolution", "15", "--max-degree", "8",
+            "--seed", str(2**63 + 5),
+        ],
+        "train": [*train, "--anchored"],
+        "train-anchored-pca": [*train, "--anchored", "--pca-dim", "2"],
+        "train-mse": [*train, "--task", "mse"],
+        "train-chebyshev-fixed": [*train, "--scheme", "chebyshev_fixed"],
         "verify-degree": [
             "verify-degree", "--polys", str(FIXTURES / "deg5_deg2.txt"),
             "--pairs", "40", "--sampler", "dyadic", "--seed", "9",
@@ -434,6 +454,7 @@ def _cli_commands(tmp_path) -> dict:
             "gradcheck", "--surrogate-checks", "6", "--composite-checks", "2",
             "--seed", "9",
         ],
+        "gradcheck-defaults": ["gradcheck", "--seed", "3"],
     }
 
 
@@ -461,7 +482,7 @@ def test_8_cli_reruns_are_canonically_identical(tmp_path):
         8,
         "deterministic CLI artifacts",
         ok,
-        f"5 commands rerun, {sum(map(len, table.values()))} artifacts compared, "
+        f"{len(table)} commands rerun, {sum(map(len, table.values()))} artifacts compared, "
         f"mismatches: {mismatched or 'none'}, golden drift: "
         + (f"{drifted or 'none'}" if same_numpy else "not compared"),
         elapsed,

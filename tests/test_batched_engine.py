@@ -132,8 +132,8 @@ def test_fit_paths_equals_per_path_reference(setting, seed, kinds, with_grad):
     rng = np.random.default_rng(seed)
     r = config.resolution
     plans = oracles.plans_of(
-        [sample_abscissas(config.scheme, r, anchored=config.anchored, seed=config.seed + p)
-         for p in range(len(kinds))],
+        [sample_abscissas(config.scheme, r, anchored=config.anchored, uniforms=rng.random(r))
+         for _ in kinds],
         anchored=config.anchored,
     )
     raw = np.stack([block(rng, kind, r, out) for kind in kinds])
@@ -221,15 +221,13 @@ def test_penalty_equals_per_path_reference(setting, task, reg_paths, hidden, see
 
 @st.composite
 def key_lists(draw):
-    """1 to 40 stream keys of 1 to 3 words; now and then a ragged key or a word of 2**32 and up."""
-    width = draw(st.integers(1, 3))
-    words = st.integers(0, 2**32 - 1)
-    prefix = tuple(draw(st.lists(words, min_size=width - 1, max_size=width - 1)))
-    keys = [prefix + (p,) for p in range(draw(st.integers(1, 40)))]
-    odd = draw(st.sampled_from([None, (), (2**32,), (1, 2**40 + 3, 0), (0, 0, 0, 0)]))
-    if odd is not None:
-        keys.insert(draw(st.integers(0, len(keys))), odd)
-    return keys
+    """1 to 40 keys: a prefix of 0 to 2 words plus path indices, in runs and out of order."""
+    prefix = tuple(draw(st.lists(st.integers(0, 2**32 - 1) | st.just(2**40 + 3), max_size=2)))
+    start = draw(st.sampled_from([0, 2**32 - 40]) | st.integers(0, 2**32 - 40))
+    paths = list(range(start, start + draw(st.integers(0, 30))))
+    for p in draw(st.lists(st.integers(0, 2**32 - 1), max_size=10)):
+        paths.insert(draw(st.integers(0, len(paths))), p)
+    return [prefix + (p,) for p in paths or [0]]
 
 
 @PROPERTY
@@ -249,7 +247,7 @@ def key_lists(draw):
 def test_plan_paths_equals_per_key_reference(
     seed, keys, scheme, resolution, anchored, data_seed, n, distinct, dim
 ):
-    # few distinct rows force redraws and dropped keys; the odd keys take the per-key draw
+    # few distinct rows force redraws and dropped keys
     X = dataset(data_seed, n, dim, distinct)
     got = estimator.plan_paths(X, seed, keys, scheme, resolution, anchored)
     want = oracles.plan_paths(X, seed, keys, scheme, resolution, anchored)
@@ -257,6 +255,22 @@ def test_plan_paths_equals_per_key_reference(
     assert same(got.i, want.i) and same(got.j, want.j)
     assert same(got.alphas, want.alphas)
     assert got.anchored == want.anchored
+
+
+@pytest.mark.parametrize("scheme", SCHEME_VARIANTS)
+def test_every_path_replays_alone(scheme):
+    # a plan over many keys equals each key planned on its own: a run from
+    # index 0 on, a run that is not contiguous, duplicates forcing redraws
+    X = dataset(4, 30, 2, 5)
+    scattered = (9, 10, 11, 3, 0, 1, 30, 2**32 - 1)
+    for keys in ([(p,) for p in range(40)], [(6, 1, p) for p in scattered]):
+        together = estimator.plan_paths(X, 17, keys, scheme, 7, True)
+        alone = [estimator.plan_paths(X, 17, [key], scheme, 7, True) for key in keys]
+        alone = [plan for plan in alone if plan]
+        assert together.keys == tuple(plan.keys[0] for plan in alone)
+        for k, plan in enumerate(alone):
+            assert (together.i[k], together.j[k]) == (plan.i[0], plan.j[0])
+            assert same(together.alphas[k], plan.alphas[0])
 
 
 def test_plan_paths_redraw_test_decides_as_linalg_norm():
@@ -272,26 +286,6 @@ def test_plan_paths_redraw_test_decides_as_linalg_norm():
     assert {0, 2} in pairs  # 1.2e-12 apart
 
 
-def test_plan_paths_redraws_every_pair_the_batch_marks_inexact(monkeypatch):
-    # an inexact row (a Lemire rejection in the batch) must come from the
-    # key's own stream, whatever pair the batch computed for it
-    X = np.random.default_rng(2).standard_normal((40, 3))
-    keys = [(9, p) for p in range(30)]
-    want = oracles.plan_paths(X, 5, keys, "randomized_cosine", 6, True)
-    batched = sampling.pair_draws
-
-    def rejecting(seed, rows, n):
-        pairs, exact = batched(seed, rows, n)
-        pairs[::3] = [0, 1]
-        exact[::3] = False
-        return pairs, exact
-
-    monkeypatch.setattr(sampling, "pair_draws", rejecting)
-    got = estimator.plan_paths(X, 5, keys, "randomized_cosine", 6, True)
-    assert got.keys == want.keys
-    assert same(got.i, want.i) and same(got.j, want.j) and same(got.alphas, want.alphas)
-
-
 def test_deterministic_schemes_draw_no_abscissa_stream(monkeypatch):
     X = np.random.default_rng(3).standard_normal((30, 2))
     keys = [(p,) for p in range(50)]
@@ -299,10 +293,9 @@ def test_deterministic_schemes_draw_no_abscissa_stream(monkeypatch):
     want = {s: estimator.plan_paths(X, 4, keys, s, 6, True) for s in schemes}
 
     def refuse(*args):
-        raise AssertionError("a deterministic scheme derived an abscissa seed")
+        raise AssertionError("a deterministic scheme drew abscissa uniforms")
 
-    monkeypatch.setattr(sampling, "derive_seed", refuse)
-    monkeypatch.setattr(sampling, "derive_seeds", refuse)
+    monkeypatch.setattr(sampling, "path_uniforms", refuse)
     for scheme, plans in want.items():
         got = estimator.plan_paths(X, 4, keys, scheme, 6, True)
         assert same(got.alphas, plans.alphas)
@@ -382,8 +375,10 @@ def plain_fits(draw):
 def test_ed_is_absolutely_homogeneous_and_ed_norm_scale_free(fit, scale, seed):
     config, raw = fit
     plans = oracles.plans_of(
-        [sample_abscissas("randomized_cosine", config.resolution, seed=seed + k)
-         for k in range(raw.shape[0])]
+        sample_abscissas(
+            "randomized_cosine", config.resolution,
+            uniforms=np.random.default_rng(seed).random((raw.shape[0], config.resolution)),
+        )
     )
     base = fit_paths(raw, plans, config).ed
     scaled = fit_paths(scale * raw, plans, config).ed

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from effdeg import polylab
+from effdeg.cli import EXIT_CODES, EXIT_CONFIG
 from effdeg.estimator import (
     EDReport,
     EstimatorConfig,
@@ -109,7 +110,7 @@ def test_label_anchor_rejects_unanchored_abscissas():
 
 def test_anchor_then_project_differs_from_project_then_anchor():
     rng = np.random.default_rng(52)
-    ab = sample_abscissas("randomized_cosine", 6, anchored=True, seed=9)
+    ab = sample_abscissas("randomized_cosine", 6, anchored=True, uniforms=rng.random(6))
     values = rng.standard_normal((6, 3))
     t1, t2 = rng.standard_normal(3), rng.standard_normal(3)
     anchored = anchor_one(values, ab, t1, t2)
@@ -339,6 +340,46 @@ def test_plan_path_redraws_coincident_pairs():
     plans = plan_paths(X, 3, [(p,) for p in range(20)], "chebyshev_fixed", 4, False)
     assert len(plans) == 20
     assert ((plans.i == 2) | (plans.j == 2)).all()
+
+
+def exit_code(exc):
+    return next(code for kind, code in EXIT_CODES if isinstance(exc, kind))
+
+
+@pytest.mark.parametrize(
+    "keys,named",
+    [
+        ([(2, 0), (2, 1), (3, 2)], r"\(3, 2\)"),  # a prefix word differs
+        ([(0,), (1,), (0, 2)], r"\(0, 2\)"),  # a longer key
+        ([(5, 1), ()], r"\(\)"),  # no path index
+    ],
+)
+def test_plan_paths_rejects_keys_that_differ_before_the_last_word(keys, named):
+    X = np.random.default_rng(0).standard_normal((5, 2))
+    with pytest.raises(ValueError, match=f"path key {named} is not the prefix") as err:
+        plan_paths(X, 0, keys, "randomized_cosine", 4, False)
+    assert exit_code(err.value) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("index", [-1, 2**32, 2**64])
+def test_plan_paths_rejects_path_indices_outside_32_bits(index):
+    X = np.random.default_rng(0).standard_normal((5, 2))
+    keys = [(7, 0), (7, 2**32 - 1), (7, index)]
+    named = rf"path key \(7, {index}\): path index {index} is outside"
+    with pytest.raises(ValueError, match=named) as err:
+        plan_paths(X, 0, keys, "chebyshev_fixed", 4, False)
+    assert exit_code(err.value) == EXIT_CONFIG
+    assert len(plan_paths(X, 0, keys[:2], "chebyshev_fixed", 4, False)) == 2
+
+
+def test_plan_paths_rejects_datasets_of_2_to_the_32_rows():
+    # zero-stride views: no memory behind the rows, and every row coincides
+    largest = np.broadcast_to(np.arange(2.0), (2**32 - 1, 2))
+    assert len(plan_paths(largest, 0, [(0,)], "uniform", 4, False)) == 0
+    too_many = np.broadcast_to(np.arange(2.0), (2**32, 2))
+    with pytest.raises(ValueError, match="cannot plan paths over 4294967296 rows") as err:
+        plan_paths(too_many, 0, [(0,)], "uniform", 4, False)
+    assert exit_code(err.value) == EXIT_CONFIG
 
 
 def test_nonfinite_oracle_output_names_the_path():

@@ -1,4 +1,4 @@
-"""Abscissa schemes: stratum bounds, anchoring, determinism, conditioning; the batched streams."""
+"""Abscissa schemes: stratum bounds, anchoring, determinism, conditioning; the path streams."""
 
 import numpy as np
 import pytest
@@ -8,22 +8,22 @@ from effdeg import sampling
 from effdeg.basis import design_matrix
 from effdeg.sampling import (
     chebyshev_nodes,
-    derive_seed,
-    derive_seeds,
     pair_draws,
+    path_key,
+    path_uniforms,
     randomized_cosine,
-    rng,
     sample_abscissas,
-    stream_words,
     uniform_nodes,
 )
 
 SEEDS = (0, 1, 2**32 - 1, 2**32, 2**63 + 5, 2**64 - 1)
-KEYS = (
-    [[p] for p in range(6)],
-    [[0, p] for p in range(6)] + [[7, 0]],
-    [[3, 0, p] for p in range(6)] + [[0, 0, 0], [2**32 - 1, 1, 0]],
-)
+PREFIXES = ((), (7,), (3, 2**32 - 1))
+# runs of consecutive path indices, a single path, and indices out of order
+PATHS = np.array([0, 1, 2, 3, 9, 2**32 - 1, 5, 6, 4, 4], dtype=np.uint64)
+
+
+def uniforms(seed, shape):
+    return np.random.default_rng(seed).random(shape)
 
 
 def stratum_bounds(r):
@@ -62,21 +62,23 @@ def test_uniform_nodes():
 
 
 def test_randomized_cosine_respects_strata():
-    # exact assertion, closed strata, no tolerance; seeds 0..999, one row each
+    # exact assertion, closed strata, no tolerance; 1000 rows, the extreme uniforms included
     for r in (1, 2, 3, 5, 8):
         lo, hi = stratum_bounds(r)
-        a = randomized_cosine(r, seed=np.arange(1000, dtype=np.uint64))
+        u = uniforms(r, (1000, r))
+        u[0], u[1] = 0.0, 1.0 - 2.0**-53
+        a = randomized_cosine(r, u)
         assert np.all(a >= lo) and np.all(a <= hi)
 
 
 def test_randomized_cosine_strictly_increasing():
-    a = randomized_cosine(6, seed=np.arange(1000, dtype=np.uint64))
+    a = randomized_cosine(6, uniforms(6, (1000, 6)))
     assert np.all(np.diff(a, axis=1) > 0)
 
 
 def test_randomized_cosine_anchored_endpoints_exact():
     for seed in (0, 7, 123):
-        a = randomized_cosine(4, seed=seed, anchored=True)
+        a = randomized_cosine(4, uniforms(seed, 4), anchored=True)
         assert a[0] == 0.0
         assert a[-1] == 1.0
         lo, hi = stratum_bounds(4)
@@ -84,28 +86,32 @@ def test_randomized_cosine_anchored_endpoints_exact():
 
 
 def test_randomized_cosine_r2_stratum_example():
-    for seed in range(50):
-        a = randomized_cosine(2, seed=seed)
+    for u in uniforms(2, (50, 2)):
+        a = randomized_cosine(2, u)
         assert 0.0 <= a[0] <= 0.5 <= a[1] <= 1.0
 
 
 def test_randomized_cosine_deterministic():
-    a = randomized_cosine(4, seed=7)
-    b = randomized_cosine(4, seed=7)
-    assert a.tobytes() == b.tobytes()
-    c = randomized_cosine(4, seed=8)
-    assert not np.array_equal(a, c)
+    # a path's abscissas are a function of (seed, prefix, path index) alone
+    def draw(seed, prefix, p):
+        paths = np.array([p], dtype=np.uint64)
+        return randomized_cosine(4, path_uniforms(path_key(seed, prefix), paths, 4))
+
+    a = draw(7, (), 3)
+    assert a.tobytes() == draw(7, (), 3).tobytes()
+    for other in ((8, (), 3), (7, (0,), 3), (7, (), 4)):
+        assert not np.array_equal(a, draw(*other))
 
 
 def test_anchored_requires_two_points():
     with pytest.raises(ValueError, match="anchoring requires resolution >= 2"):
-        randomized_cosine(1, seed=0, anchored=True)
+        randomized_cosine(1, [0.5], anchored=True)
     for variant in ("chebyshev_fixed", "uniform"):
         with pytest.raises(ValueError, match="anchoring requires resolution >= 2"):
             sample_abscissas(variant, 1, anchored=True)
     for variant in ("chebyshev_fixed", "randomized_cosine", "uniform"):
         with pytest.raises(ValueError, match="resolution must be >= 1"):
-            sample_abscissas(variant, 0, seed=0)
+            sample_abscissas(variant, 0, uniforms=[])
 
 
 def test_sample_abscissas_dispatch():
@@ -116,15 +122,22 @@ def test_sample_abscissas_dispatch():
     assert np.array_equal(sample_abscissas("uniform", 5), uniform_nodes(5))
     with pytest.raises(ValueError):
         sample_abscissas("sobol", 5)
-    rc = sample_abscissas("randomized_cosine", 5, seed=3)
-    assert rc.tobytes() == randomized_cosine(5, seed=3).tobytes()
+    u = uniforms(3, (2, 3, 5))
+    rc = sample_abscissas("randomized_cosine", 5, uniforms=u)
+    assert rc.shape == (2, 3, 5)
+    assert rc.tobytes() == randomized_cosine(5, u).tobytes()
+    assert rc[1, 2].tobytes() == randomized_cosine(5, u[1, 2]).tobytes()
     with pytest.raises(ValueError):
         sample_abscissas("randomized_cosine", 5)
+    with pytest.raises(ValueError, match=r"uniforms must be \(\.\.\., 5\)"):
+        sample_abscissas("randomized_cosine", 5, uniforms=u[..., :4])
 
 
 def test_pooled_r1_draws_follow_arcsine_law():
+    # the abscissas of 100,000 paths of one plan, through the path streams
     n = 100_000
-    draws = randomized_cosine(1, seed=np.arange(n, dtype=np.uint64))[:, 0]
+    draws = randomized_cosine(1, path_uniforms(path_key(0, ()), np.arange(n, dtype=np.uint64), 1))
+    draws = draws[:, 0]
     draws.sort()
     cdf = (2.0 / np.pi) * np.arcsin(np.sqrt(draws))
     empirical_hi = np.arange(1, n + 1) / n
@@ -143,46 +156,30 @@ def test_conditioning_chebyshev_beats_uniform():
     assert c2 / c1 > 10.0
 
 
-# The batched streams against numpy itself.
-
-
-@pytest.mark.parametrize("keys", KEYS, ids=["one-word", "two-words", "three-words"])
-def test_stream_words_and_derived_seeds_equal_numpy(keys):
-    keys = np.array(keys, dtype=np.uint32)
-    for seed in SEEDS + (2**130 + 17,):  # one seed shared by every row; five words
-        words = stream_words(seed, keys, 9)
-        seeds = derive_seeds(seed, keys)
-        for k, key in enumerate(keys.tolist()):
-            want = np.random.Philox(np.random.SeedSequence(seed, spawn_key=key)).random_raw(9)
-            assert words[k].tolist() == want.tolist()
-            assert int(seeds[k]) == derive_seed(seed, *key)
-    per_row = np.resize(np.array(SEEDS, dtype=np.uint64), len(keys))  # a seed per row
-    words = stream_words(per_row, keys, 5)
-    seeds = derive_seeds(per_row, keys)
-    for k, key in enumerate(keys.tolist()):
-        want = np.random.Philox(np.random.SeedSequence(int(per_row[k]), spawn_key=key))
-        assert words[k].tolist() == want.random_raw(5).tolist()
-        assert int(seeds[k]) == derive_seed(int(per_row[k]), *key)
+# The path streams against numpy itself.
 
 
 @pytest.mark.parametrize("n", [2**31 + 1, 3 * 2**30, 2, 1000])
 def test_pair_draws_equal_generator_integers(n):
-    # near 2**31 about half the 32-bit draws are rejected; exact rows must match
-    keys = np.array([[p, 0] for p in range(400)], dtype=np.uint32)
-    pairs, exact = pair_draws(11, keys, n)
-    want = np.array([rng(11, p, 0).integers(0, n, size=2) for p in range(400)])
-    assert (pairs[exact] == want[exact]).all()
-    if n > 2**31:
-        assert 0 < exact.sum() < exact.size
-        assert (pairs[~exact] != want[~exact]).any(axis=1).any()
-    else:
-        assert exact.all()
-
-
-def test_pair_draws_leave_out_of_range_n_to_the_generator():
-    keys = np.array([[0], [1]], dtype=np.uint32)
-    for n in (0, 1, 2**32, 2**40):
-        assert not pair_draws(3, keys, n)[1].any()
+    # an accepted pair is numpy's integers(0, n, size=2) at the attempt's
+    # counter; near 2**31 about half the 32-bit draws are rejected
+    key = path_key(11, (4, 1))
+    paths = np.arange(400, dtype=np.uint64)
+    for attempt in (0, 5):
+        pairs, accepted = pair_draws(key, paths, n, attempt)
+        for p in range(400):
+            philox = np.random.Philox(key=key, counter=[p, 0, attempt, 0])
+            want = np.random.Generator(philox).integers(0, n, size=2)
+            if accepted[p]:
+                assert pairs[p].tolist() == want.tolist()
+            word = int(np.random.Philox(key=key, counter=[p, 0, attempt, 0]).random_raw(4)[0])
+            lemire = oracles.lemire_pair(word, n)
+            assert accepted[p] == (lemire is not None)
+            assert lemire is None or pairs[p].tolist() == list(lemire)
+        if n > 2**31:
+            assert 0 < accepted.sum() < accepted.size
+        else:
+            assert accepted.all()
 
 
 def test_separate_equals_the_scalar_loop_row_by_row():
@@ -203,15 +200,21 @@ def test_separate_equals_the_scalar_loop_row_by_row():
 
 @pytest.mark.parametrize("r,anchored", [(1, False), (5, True), (8, False), (15, True)])
 def test_batched_randomized_cosine_equals_the_generator(r, anchored):
-    seeds = np.array([derive_seed(s, p, 1) for s in SEEDS for p in range(20)], dtype=np.uint64)
-    got = randomized_cosine(r, seed=seeds, anchored=anchored)
-    for k, seed in enumerate(seeds.tolist()):
-        want = oracles.randomized_cosine(r, seed, anchored)
-        assert got[k].tobytes() == want.tobytes()
-        assert randomized_cosine(r, seed, anchored).tobytes() == want.tobytes()
+    # every path's row equals numpy's Generator.uniform at the path's counter,
+    # in one batched call and path by path
+    for seed in SEEDS:
+        for prefix in PREFIXES:
+            key = path_key(seed, prefix)
+            got = randomized_cosine(r, path_uniforms(key, PATHS, r), anchored)
+            for k, p in enumerate(PATHS.tolist()):
+                want = oracles.randomized_cosine(r, seed, prefix + (p,), anchored)
+                assert got[k].tobytes() == want.tobytes()
+                alone = randomized_cosine(r, path_uniforms(key, PATHS[k : k + 1], r)[0], anchored)
+                assert alone.tobytes() == want.tobytes()
 
 
 def test_deterministic_schemes_ignore_seeds():
-    seeds = np.arange(4, dtype=np.uint64)
-    assert np.array_equal(sample_abscissas("chebyshev_fixed", 5, seed=seeds), chebyshev_nodes(5))
-    assert np.array_equal(sample_abscissas("uniform", 5, seed=seeds), uniform_nodes(5))
+    # and the uniforms a seeded scheme would read
+    u = uniforms(0, (4, 5))
+    assert np.array_equal(sample_abscissas("chebyshev_fixed", 5, uniforms=u), chebyshev_nodes(5))
+    assert np.array_equal(sample_abscissas("uniform", 5, uniforms=u), uniform_nodes(5))

@@ -7,10 +7,12 @@ finite differences, per the derivation they implement.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from effdeg.basis import design_matrix
 from effdeg.estimator import EstimatorConfig, fit_paths
-from effdeg.sampling import chebyshev_nodes, randomized_cosine
+from effdeg.sampling import chebyshev_nodes, randomized_cosine, sample_abscissas
 from effdeg.surrogate import (
     COND_LIMIT,
     EDValue,
@@ -26,7 +28,7 @@ from oracles import damped_normal_solve, fd_gradient, plans_of
 
 
 def random_instance(rng, r=8, K=5):
-    abscissas = randomized_cosine(r, seed=int(rng.integers(2**31)))
+    abscissas = randomized_cosine(r, rng.random(r))
     ys = rng.standard_normal(r)
     return abscissas, ys
 
@@ -159,6 +161,41 @@ def test_gradient_sign_flip():
     assert np.allclose(g_neg, -g_pos, atol=1e-13)
 
 
+def test_gradient_of_the_exact_quadratic_is_stable_under_rounding_noise():
+    # y = (2a - 1)^2 = (T_0 + T_2) / 2: c_1 and c_3..c_5 are rounding noise
+    nodes = chebyshev_nodes(8)
+    y = (2.0 * nodes - 1.0) ** 2
+    base = ed_gradient(nodes, y, 5, 0.0, "chebyshev")
+    noise = 1e-15 * np.random.default_rng(0).standard_normal((200, 8))
+    moved = max(np.abs(ed_gradient(nodes, y + e, 5, 0.0, "chebyshev") - base).max() for e in noise)
+    assert moved < 1e-6
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    max_degree=st.integers(1, 8),
+    extra=st.integers(0, 6),
+    basis=st.sampled_from(["chebyshev", "legendre"]),
+    scheme=st.sampled_from(["chebyshev_fixed", "randomized_cosine"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_gradient_of_a_function_in_the_basis_is_stable_under_noise(
+    max_degree, extra, basis, scheme, seed
+):
+    # a function already in the basis has exact zero coefficients; rounding
+    # noise of 1e-15 in its values must not flip their signs in the gradient
+    rng = np.random.default_rng(seed)
+    r = max_degree + 1 + extra
+    nodes = sample_abscissas(scheme, r, uniforms=rng.random(r))
+    coeffs = rng.choice([-1.0, 1.0], max_degree + 1) * rng.uniform(0.1, 10.0, max_degree + 1)
+    coeffs[rng.random(max_degree + 1) < 0.5] = 0.0
+    coeffs[rng.integers(max_degree + 1)] = 1.0  # the zero function has no scale to compare to
+    y = design_matrix(basis, nodes, max_degree) @ coeffs
+    base = ed_gradient(nodes, y, max_degree, 0.0, basis)
+    for e in 1e-15 * rng.standard_normal((20, r)):
+        assert np.abs(ed_gradient(nodes, y + e, max_degree, 0.0, basis) - base).max() < 1e-6
+
+
 def test_gradient_matches_finite_differences_single():
     rng = np.random.default_rng(35)
     abscissas, ys = random_instance(rng, r=8, K=5)
@@ -182,7 +219,7 @@ def test_gradient_sweep_small():
         K = int(rng.integers(3, min(r, 15)))
         eps = float(rng.choice([1e-6, 1e-3]))
         basis = str(rng.choice(["chebyshev", "legendre"]))
-        abscissas = randomized_cosine(r, seed=int(rng.integers(2**31)))
+        abscissas = randomized_cosine(r, rng.random(r))
         ys = rng.standard_normal(r)
         c = fit(abscissas, ys, K, eps, basis)
         if np.abs(c).min() <= 1e-8:
@@ -227,7 +264,7 @@ def test_mean_ed_over_values():
 
 def test_fit_matrix_matches_columns():
     rng = np.random.default_rng(37)
-    abscissas = randomized_cosine(7, seed=5)
+    abscissas = randomized_cosine(7, np.random.default_rng(5).random(7))
     Y = rng.standard_normal((7, 3))
     C = fit_matrix(abscissas, Y, 4, 1e-6, "chebyshev")
     for j in range(3):
@@ -237,7 +274,7 @@ def test_fit_matrix_matches_columns():
 
 def test_gradient_matrix_matches_columns():
     rng = np.random.default_rng(38)
-    abscissas = randomized_cosine(7, seed=6)
+    abscissas = randomized_cosine(7, np.random.default_rng(6).random(7))
     Y = rng.standard_normal((7, 2))
     _, G = fit_matrix(abscissas, Y, 4, 1e-6, "chebyshev", with_gradient=True)
     for j in range(2):
@@ -250,7 +287,7 @@ def test_fit_matrix_with_gradient_reuses_one_gram():
     # against a freshly built T^t T + eps I
     rng = np.random.default_rng(39)
     for damping in (0.0, 1e-6):
-        abscissas = randomized_cosine(8, seed=7)
+        abscissas = randomized_cosine(8, np.random.default_rng(7).random(8))
         Y = rng.standard_normal((8, 3))
         C, G = fit_matrix(abscissas, Y, 5, damping, "legendre", with_gradient=True)
         assert C.tobytes() == fit_matrix(abscissas, Y, 5, damping, "legendre").tobytes()
