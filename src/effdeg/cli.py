@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import inspect
 import io
@@ -113,7 +114,9 @@ def render_csv(header: list[str], rows: list[list]) -> str:
     writer = csv.writer(buf)
     writer.writerow(header)
     for row in rows:
-        writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
+        writer.writerow(
+            [int(v) if isinstance(v, bool) else repr(v) if isinstance(v, float) else v for v in row]
+        )
     return buf.getvalue()
 
 
@@ -331,10 +334,7 @@ def cmd_estimate(args) -> int:
     X, labels_int = load_dataset_csv(args.data)
     oracle = resolve_oracle(cfg.pop("oracle"), X.shape[1])
     est_cfg = EstimatorConfig(**cfg)
-    try:
-        est_cfg.validate()
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    est_cfg.validate()
     anchor_labels = None
     if est_cfg.anchored:
         if labels_int is None:
@@ -370,7 +370,7 @@ def cmd_estimate(args) -> int:
     write_artifact(out_dir, "estimate.json", "estimate", config_out, result)
     path_header = ["index", "endpoint_i", "endpoint_j", "ed", "ed_norm", "pca_ties"]
     path_rows = [
-        [p.index, p.endpoint_indices[0], p.endpoint_indices[1], p.ed, p.ed_norm, int(p.pca_ties)]
+        [p.index, p.endpoint_indices[0], p.endpoint_indices[1], p.ed, p.ed_norm, p.pca_ties]
         for p in report.per_path
     ]
     write_csv(out_dir, "estimate_paths.csv", path_header, path_rows)
@@ -399,10 +399,7 @@ def cmd_train(args) -> int:
     targets = nets.one_hot(labels_int, n_classes)
     hidden = cfg.pop("hidden")
     train_cfg = nets.TrainConfig(**cfg)
-    try:
-        train_cfg.validate()
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    train_cfg.validate()
     network = nets.FeedForwardNet.create(
         (X.shape[1],) + hidden + (n_classes,), seed=train_cfg.seed
     )
@@ -504,17 +501,7 @@ _PNN_SPEC = _spec(nets.pnn_study, "strict")
 def cmd_pnn_study(args) -> int:
     report = nets.pnn_study(**resolve_config(args), strict=not args.keep_going)
     out_dir = _out_dir(args)
-    rows = [
-        {
-            "task": r.task,
-            "target_degree": r.target_degree,
-            "final_mse": r.final_mse,
-            "converged": r.converged,
-            "restarts": r.restarts,
-            **r.metrics(),
-        }
-        for r in report.rows
-    ]
+    rows = [dataclasses.asdict(r) for r in report.rows]
     result = {
         "rows": rows,
         "orderings": report.orderings,
@@ -525,17 +512,8 @@ def cmd_pnn_study(args) -> int:
         **report.evaluation,
     }
     write_artifact(out_dir, "pnn_study.json", "pnn-study", dict(report.config), result)
-    table_header = [
-        "task", "target_degree", "final_mse", "converged", "restarts",
-        "ed_cheb", "ed_norm_cheb", "ed_legendre", "ed_pca1", "ed_pca2",
-    ]
-    table_rows = [
-        [
-            r.task, r.target_degree, r.final_mse, int(r.converged), r.restarts,
-            r.ed_cheb, r.ed_norm_cheb, r.ed_legendre, r.ed_pca1, r.ed_pca2,
-        ]
-        for r in report.rows
-    ]
+    table_header = [f.name for f in dataclasses.fields(nets.PNNTaskResult)]
+    table_rows = [list(row.values()) for row in rows]
     write_csv(out_dir, "pnn_study.csv", table_header, table_rows)
     summary = {k: v for k, v in result.items() if k != "rows"}
     emit(args, summary, table_header, table_rows)
@@ -565,7 +543,7 @@ def cmd_gradcheck(args) -> int:
         {**summary, "ok": ok},
         ["suite", "n_checks", "max_rel_err", "tolerance", "ok"],
         [
-            [name, suite["n_checks"], suite["max_rel_err"], suite["tolerance"], int(suite["ok"])]
+            [name, suite["n_checks"], suite["max_rel_err"], suite["tolerance"], suite["ok"]]
             for name, suite in suites.items()
         ],
     )

@@ -698,15 +698,6 @@ class PNNTaskResult:
     ed_pca1: float
     ed_pca2: float
 
-    def metrics(self) -> dict[str, float]:
-        return {
-            "ed_cheb": self.ed_cheb,
-            "ed_norm_cheb": self.ed_norm_cheb,
-            "ed_legendre": self.ed_legendre,
-            "ed_pca1": self.ed_pca1,
-            "ed_pca2": self.ed_pca2,
-        }
-
 
 @dataclass(frozen=True)
 class PNNStudyReport:
