@@ -12,7 +12,7 @@ Every stage works on a whole stack of P paths:
 - fit_paths takes the stacked (P, r, out) raw outputs, applies softmax,
   label anchoring and PCA as configured, fits every path's per-output
   surrogates in one call and returns each path's effective degree, plus
-  its gradient in the raw outputs on request.
+  its gradient in the raw outputs on request (with_gradient).
 
 Every stacked step computes each path exactly as if it were alone, so a
 path's results do not depend on the batch it was fitted in; one path is
@@ -158,7 +158,7 @@ class PathFits:
 
     ed holds (P,) arrays, pca_ties is (P,) bool, projection is the stacked
     PathProjection (None without PCA), and grad is dED/d(raw outputs),
-    (P, r, out), divided by the requested divisor; None unless requested.
+    (P, r, out); None unless requested.
     """
 
     ed: sg.EDValue
@@ -322,7 +322,7 @@ def fit_paths(
     config: EstimatorConfig,
     labels: np.ndarray | None = None,
     projection: PathProjection | None = None,
-    grad_divisor: float | None = None,
+    with_gradient: bool = False,
 ) -> PathFits:
     """Effective degrees of P paths from their stacked (P, r, out) raw outputs.
 
@@ -334,11 +334,10 @@ def fit_paths(
     pass the stacked projection of an earlier call to freeze the PCA maps;
     by default each path's map is fit to its values.
 
-    With grad_divisor set, the result also carries the gradient of
-    ed / grad_divisor in raw.  The PCA map is differentiated as a fixed
-    linear map, anchored rows get zero gradient (they are labels, not
-    outputs), and the softmax is backpropagated last.  The division comes
-    before the anchoring and the softmax, which fixes the gradient's rounding.
+    With with_gradient set, the result also carries the gradient of ed in
+    raw.  The PCA map is differentiated as a fixed linear map, anchored
+    rows get zero gradient (they are labels, not outputs), and the softmax
+    is backpropagated last.
     """
     raw = np.asarray(raw, dtype=float)
     finite = np.isfinite(raw).all(axis=(1, 2))
@@ -360,17 +359,16 @@ def fit_paths(
         fit_target = projection.apply(values)
     fitted = sg.fit_matrix(
         plans.alphas, fit_target, config.max_degree, config.damping, config.basis,
-        with_gradient=grad_divisor is not None,
+        with_gradient=with_gradient,
     )
-    coeffs = fitted if grad_divisor is None else fitted[0]
+    coeffs = fitted[0] if with_gradient else fitted
     ed = sg.mean_ed(sg.ed_from_coefficients(np.swapaxes(coeffs, -1, -2)))
     ties = np.zeros(len(plans), bool) if projection is None else projection.degenerate_ties
-    if grad_divisor is None:
+    if not with_gradient:
         return PathFits(ed=ed, pca_ties=ties, projection=projection)
     grad = fitted[1] / fit_target.shape[-1]
     if projection is not None:
         grad = grad @ projection.components
-    grad = grad / grad_divisor
     if config.anchored:
         grad[:, 0, :] = 0.0
         grad[:, -1, :] = 0.0

@@ -339,44 +339,33 @@ def ed_penalty(
 ):
     """Mean path effective degree over the planned paths, with parameter gradients.
 
-    All paths run through one forward pass and one fit_paths call.  The
-    average divides by the configured path count, so dropped degenerate
-    paths contribute zero instead of reweighting the survivors.  Passing
-    the projections returned by an earlier call freezes the PCA maps,
-    which is what finite-difference checks of the composite objective
-    require.
+    All paths run through one forward pass, one fit_paths call and one
+    backward pass.  The average divides by the configured path count, so
+    dropped degenerate paths contribute zero instead of reweighting the
+    survivors.  Passing the projections returned by an earlier call
+    freezes the PCA maps, which is what finite-difference checks of the
+    composite objective require.
 
     Returns (penalty, (d_weights, d_biases) or None, projections).
     """
     n_planned = max(config.reg_paths, 1)
-    d_w = [np.zeros_like(w) for w in net.weights]
-    d_b = [np.zeros_like(b) for b in net.biases]
-    grads = (d_w, d_b) if want_grads else None
     if not plans:
-        return 0.0, grads, None
-    raw, (pre, post) = net.forward_cached(path_points(batch, plans))
+        zeros = ([np.zeros_like(w) for w in net.weights], [np.zeros_like(b) for b in net.biases])
+        return 0.0, zeros if want_grads else None, None
+    raw, cache = net.forward_cached(path_points(batch, plans))
     fitted = fit_paths(
         raw.reshape(len(plans), config.resolution, -1),
         plans,
         config.estimator_config(),
         labels=targets,
         projection=projections,
-        grad_divisor=n_planned if want_grads else None,
+        with_gradient=want_grads,
     )
-    total = 0.0
-    for k, ed in enumerate(fitted.ed.ed.tolist()):
-        total += ed
-        if want_grads:
-            # one backward per path over its rows of the shared cache: a
-            # single backward over the stack would sum the parameter
-            # gradient in another order and move its last bits
-            rows = slice(k * config.resolution, (k + 1) * config.resolution)
-            cache = ([z[rows] for z in pre], [a[rows] for a in post])
-            dw_k, db_k = net.backward(cache, fitted.grad[k])
-            for l in range(len(d_w)):
-                d_w[l] += dw_k[l]
-                d_b[l] += db_k[l]
-    return total / n_planned, grads, fitted.projection
+    penalty = float(fitted.ed.ed.sum()) / n_planned
+    if not want_grads:
+        return penalty, None, fitted.projection
+    d_raw = fitted.grad.reshape(raw.shape) / n_planned
+    return penalty, net.backward(cache, d_raw), fitted.projection
 
 
 @dataclass(frozen=True)
@@ -736,7 +725,9 @@ _STUDY_EVAL = dict(
 )
 
 # (step size, init scale) ladder tried in order until the fit target is met
-_PNN_LADDER = ((0.05, 0.35), (0.02, 0.35), (0.05, 0.25), (0.01, 0.45), (0.02, 0.25))
+_PNN_LADDER = (
+    (0.05, 0.35), (0.02, 0.35), (0.05, 0.25), (0.01, 0.45), (0.02, 0.25), (0.01, 0.25),
+)
 
 
 def _train_pnn_task(

@@ -57,9 +57,10 @@ def pca_project(values: np.ndarray, n_components: int) -> PathProjection:
     """PCA maps of (..., r, out) path outputs onto their top principal directions.
 
     Each stacked (r, out) matrix gets its own map, computed as if alone.
-    The map is fit here and applied by PathProjection.apply.  The
-    covariance uses divisor r - 1, eigenpairs come from a symmetric
-    eigendecomposition sorted by descending eigenvalue, and each
+    The map is fit here and applied by PathProjection.apply.  One thin
+    SVD U S V^T of the centered values gives the eigenpairs of their
+    covariance (divisor r - 1) in descending order: the components are
+    the first m rows of V^T and the variances S**2 / (r - 1).  Each
     component's sign is fixed so its largest-magnitude entry is
     nonnegative.
     """
@@ -74,27 +75,21 @@ def pca_project(values: np.ndarray, n_components: int) -> PathProjection:
         raise ValueError(f"n_components must be in [1, {min(r, out)}], got {m}")
 
     mean = y.mean(axis=-2)
-    centered = y - mean[..., None, :]
-    cov = np.swapaxes(centered, -1, -2) @ centered
-    cov /= r - 1
-    eigvals, eigvecs = np.linalg.eigh(cov)
-    order = np.argsort(eigvals, axis=-1)[..., ::-1]
-    eigvals = np.take_along_axis(eigvals, order, axis=-1)
+    _, s, vt = np.linalg.svd(y - mean[..., None, :], full_matrices=False)
+    eigvals = s * s / (r - 1)
 
-    comps = np.swapaxes(np.take_along_axis(eigvecs, order[..., None, :m], axis=-1), -1, -2)
+    comps = vt[..., :m, :]
     pivot = np.argmax(np.abs(comps), axis=-1)[..., None]
     flip = np.take_along_axis(comps, pivot, axis=-1) < 0
     comps = np.ascontiguousarray(np.where(flip, -comps, comps))
 
-    variance = np.clip(eigvals[..., :m], 0.0, None)
-
     # A tie matters when it straddles the chosen cut or reorders kept
     # components; gaps among the first m + 1 eigenvalues cover both.
-    upto = min(m + 1, out)
+    upto = min(m + 1, eigvals.shape[-1])
     gaps = np.diff(eigvals[..., :upto], axis=-1)
     pairs_alive = np.maximum(eigvals[..., : upto - 1], eigvals[..., 1:upto]) >= EIGENVALUE_FLOOR
     ties = np.any((np.abs(gaps) < TIE_GAP) & pairs_alive, axis=-1)
 
     return PathProjection(
-        mean=mean, components=comps, explained_variance=variance, degenerate_ties=ties
+        mean=mean, components=comps, explained_variance=eigvals[..., :m], degenerate_ties=ties
     )

@@ -14,15 +14,17 @@ based (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3",
 SC'11), so path p reads its own counters:
 
 - attempt t at its endpoint pair reads word 0 of
-  Philox(key=K, counter=[p, 0, t, 0]).random_raw(4); pair_draws takes i
+  Philox(key=K, counter=[p, 0, t, 1]).random_raw(4); pair_draws takes i
   from its low 32-bit half and j from its high half by Lemire's method;
 - its abscissas read the first r words of
-  Philox(key=K, counter=[p * B, 1, 0, 0]) with B = ceil(r / 4), as the
+  Philox(key=K, counter=[p * B, 1, 0, 1]) with B = ceil(r / 4), as the
   uniforms (w >> 11) * 2**-53 (path_uniforms).
 
 Philox at state counter c yields blocks c + 1, c + 2, ..., so one
 random_raw call covers a whole run of consecutive path indices, and any
-single path can still be drawn on its own with the same bits.
+single path can still be drawn on its own with the same bits.  K is also
+the key of rng(seed, *prefix), whose counter starts at 0; counter word 3
+is 1 on every path stream, so no path reads a word of an rng stream.
 """
 
 from __future__ import annotations
@@ -54,6 +56,8 @@ _TIE_NUDGE = 1e-9
 
 # Philox counter word 1: the stream a path's words belong to.
 _PAIR_STREAM, _ABSCISSA_STREAM = 0, 1
+# Philox counter word 3 of every path stream; rng streams keep it at 0.
+_PATH_WORD = 1
 _MASK32 = np.uint64(0xFFFFFFFF)
 _SHIFT32 = np.uint64(32)
 _SHIFT11 = np.uint64(11)
@@ -82,7 +86,7 @@ def path_key(seed: int, prefix: tuple) -> np.ndarray:
 def _blocks(
     key: np.ndarray, paths: np.ndarray, stream: int, attempt: int, blocks: int
 ) -> np.ndarray:
-    """Each path's Philox blocks from counter [p * blocks, stream, attempt, 0], as (P, 4 * blocks).
+    """Each path's Philox blocks from counter [p * blocks, stream, attempt, 1], as (P, 4 * blocks).
 
     paths is (P,) uint64; one random_raw call per run of consecutive indices.
     """
@@ -92,7 +96,7 @@ def _blocks(
         return out
     bounds = [0, *(np.flatnonzero(np.diff(paths) != 1) + 1).tolist(), paths.size]
     for start, stop in zip(bounds[:-1], bounds[1:]):
-        counter = [int(paths[start]) * blocks, stream, attempt, 0]
+        counter = [int(paths[start]) * blocks, stream, attempt, _PATH_WORD]
         words = np.random.Philox(key=key, counter=counter).random_raw(width * (stop - start))
         out[start:stop] = words.reshape(stop - start, width)
     return out

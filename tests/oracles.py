@@ -148,8 +148,8 @@ def horner(coefficients, alpha):
 # ---------------------------------------------------------------------------
 # The per-path engine, one path at a time: the reference the batched engine
 # (estimator.fit_paths, ed_estimate, net.ed_penalty) must equal bit for bit.
-# Each path is fitted alone through unstacked 2-D linear algebra, and ED is
-# reduced one coefficient column at a time.
+# Each path is fitted alone through unstacked 2-D linear algebra (its PCA
+# from a 2-D SVD), and ED is reduced one coefficient column at a time.
 # ---------------------------------------------------------------------------
 
 
@@ -169,28 +169,23 @@ class PerPathProjection:
 
 
 def pca_project(values, n_components):
-    """PCA map of one path's (r, out) outputs, eigenpairs sorted and signs fixed row by row."""
+    """PCA map of one path's (r, out) outputs from a 2-D thin SVD, signs fixed row by row."""
     y = np.asarray(values, dtype=float)
     r = y.shape[0]
     m = int(n_components)
     mean = y.mean(axis=0)
-    centered = y - mean
-    cov = centered.T @ centered / (r - 1)
-    eigvals, eigvecs = np.linalg.eigh(cov)
-    order = np.argsort(eigvals)[::-1]
-    eigvals = eigvals[order]
-    eigvecs = eigvecs[:, order]
-    comps = eigvecs[:, :m].T.copy()
+    _, s, vt = np.linalg.svd(y - mean, full_matrices=False)
+    eigvals = s * s / (r - 1)
+    comps = vt[:m].copy()
     for row in comps:
         pivot = int(np.argmax(np.abs(row)))
         if row[pivot] < 0:
             row *= -1.0
-    variance = np.clip(eigvals[:m], 0.0, None)
     upto = min(m + 1, eigvals.size)
     gaps = np.diff(eigvals[:upto])
     pairs_alive = np.maximum(eigvals[: upto - 1], eigvals[1:upto]) >= EIGENVALUE_FLOOR
     ties = bool(np.any((np.abs(gaps) < TIE_GAP) & pairs_alive))
-    return PerPathProjection(mean, comps, variance, ties)
+    return PerPathProjection(mean, comps, eigvals[:m], ties)
 
 
 def fit_matrix(alphas, values, max_degree, damping, basis, with_gradient=False):
@@ -248,7 +243,7 @@ def randomized_cosine(resolution, seed, key, anchored=False):
     r = resolution
     lows = np.arange(r, dtype=float) * np.pi / r
     highs = lows + np.pi / r
-    counter = [int(key[-1]) * -(-r // 4), 1, 0, 0]
+    counter = [int(key[-1]) * -(-r // 4), 1, 0, 1]
     theta = np.random.Generator(path_philox(seed, key, counter)).uniform(lows, highs)
     if anchored:
         theta[0] = 0.0
@@ -275,7 +270,7 @@ def plan_paths(inputs, seed, keys, scheme, resolution, anchored, max_redraws=16)
     kept, pairs, alphas = [], [], []
     for key in keys:
         for attempt in range(max_redraws):
-            word = int(path_philox(seed, key, [int(key[-1]), 0, attempt, 0]).random_raw(4)[0])
+            word = int(path_philox(seed, key, [int(key[-1]), 0, attempt, 1]).random_raw(4)[0])
             pair = lemire_pair(word, n)
             if pair is None or pair[0] == pair[1]:
                 continue
@@ -314,7 +309,7 @@ def plans_of(alphas, i=0, j=1, anchored=False):
     )
 
 
-def fit_path(raw, plans, k, config, labels=None, projection=None, grad_divisor=None):
+def fit_path(raw, plans, k, config, labels=None, projection=None, with_gradient=False):
     """Path k's (ed, ed_norm, pca_ties, projection, grad) from its raw (r, out) outputs."""
     outputs = softmax(raw, axis=1) if config.post_softmax else np.asarray(raw, dtype=float)
     values = outputs
@@ -331,19 +326,18 @@ def fit_path(raw, plans, k, config, labels=None, projection=None, grad_divisor=N
         fit_target = projection.apply(values)
     fitted = fit_matrix(
         plans.alphas[k], fit_target, config.max_degree, config.damping, config.basis,
-        with_gradient=grad_divisor is not None,
+        with_gradient=with_gradient,
     )
-    coeffs = fitted if grad_divisor is None else fitted[0]
+    coeffs = fitted[0] if with_gradient else fitted
     columns = [ed_of_column(coeffs[:, j]) for j in range(coeffs.shape[1])]
     ed = float(np.mean([c[0] for c in columns]))
     ed_norm = float(np.mean([c[1] for c in columns]))
     ties = projection is not None and projection.degenerate_ties
-    if grad_divisor is None:
+    if not with_gradient:
         return ed, ed_norm, ties, projection, None
     grad = fitted[1] / fit_target.shape[1]
     if projection is not None:
         grad = grad @ projection.components
-    grad = grad / grad_divisor
     if config.anchored:
         grad[0, :] = 0.0
         grad[-1, :] = 0.0
@@ -373,26 +367,28 @@ def ed_estimate(oracle, inputs, config, labels=None):
 
 
 def ed_penalty(net, batch, targets, plans, config, want_grads=True, projections=None):
-    """net.ed_penalty path by path: one forward, fit and backward per plan."""
+    """net.ed_penalty path by path: one forward and fit per plan, one backward over them all."""
     ecfg = config.estimator_config()
     n_planned = max(config.reg_paths, 1)
-    total = 0.0
-    d_w = [np.zeros_like(w) for w in net.weights]
-    d_b = [np.zeros_like(b) for b in net.biases]
-    out_projections = []
+    eds, caches, grads, out_projections = [], [], [], []
     for k in range(len(plans)):
         a = plans.alphas[k][:, None]
         raw, cache = net.forward_cached(a * batch[plans.i[k]] + (1.0 - a) * batch[plans.j[k]])
         ed, _, _, projection, grad = fit_path(
             raw, plans, k, ecfg, labels=targets,
             projection=None if projections is None else projections[k],
-            grad_divisor=n_planned if want_grads else None,
+            with_gradient=want_grads,
         )
+        eds.append(ed)
+        caches.append(cache)
+        grads.append(grad)
         out_projections.append(projection)
-        total += ed
-        if want_grads:
-            dw_k, db_k = net.backward(cache, grad)
-            for l in range(len(d_w)):
-                d_w[l] += dw_k[l]
-                d_b[l] += db_k[l]
-    return total / n_planned, ((d_w, d_b) if want_grads else None), out_projections
+    penalty = float(np.sum(eds)) / n_planned
+    if not want_grads:
+        return penalty, None, out_projections
+    if not caches:
+        zeros = ([np.zeros_like(w) for w in net.weights], [np.zeros_like(b) for b in net.biases])
+        return penalty, zeros, out_projections
+    pre = [np.concatenate(z) for z in zip(*(cache[0] for cache in caches))]
+    post = [np.concatenate(a) for a in zip(*(cache[1] for cache in caches))]
+    return penalty, net.backward((pre, post), np.concatenate(grads) / n_planned), out_projections

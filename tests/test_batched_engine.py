@@ -1,10 +1,11 @@
 """The batched path engine equals the per-path reference bit for bit.
 
 tests/oracles.py keeps the engine as it ran one path at a time: one oracle
-call, PCA, fit and ED reduction per path, and one forward and backward pass
-per penalty path.  The batched engine stacks every path of an estimate or a
-penalty step into one call of each; these properties require every result
-to be equal (==, byte for byte on arrays), not close.
+call, PCA, fit and ED reduction per path, and one forward pass per penalty
+path, with one backward pass over the concatenated paths.  The batched
+engine stacks every path of an estimate or a penalty step into one call of
+each; these properties require every result to be equal (==, byte for byte
+on arrays), not close.
 """
 
 import numpy as np
@@ -138,17 +139,16 @@ def test_fit_paths_equals_per_path_reference(setting, seed, kinds, with_grad):
     )
     raw = np.stack([block(rng, kind, r, out) for kind in kinds])
     labels = rng.standard_normal((2, out))
-    divisor = 3.0 if with_grad else None
     try:
         want = [
-            oracles.fit_path(raw[k], plans, k, config, labels=labels, grad_divisor=divisor)
+            oracles.fit_path(raw[k], plans, k, config, labels=labels, with_gradient=with_grad)
             for k in range(len(plans))
         ]
     except SingularFitError:
         with pytest.raises(SingularFitError):
-            fit_paths(raw, plans, config, labels=labels, grad_divisor=divisor)
+            fit_paths(raw, plans, config, labels=labels, with_gradient=with_grad)
         return
-    got = fit_paths(raw, plans, config, labels=labels, grad_divisor=divisor)
+    got = fit_paths(raw, plans, config, labels=labels, with_gradient=with_grad)
     assert got.ed.ed.tolist() == [w[0] for w in want]
     assert got.ed.ed_norm.tolist() == [w[1] for w in want]
     assert got.pca_ties.tolist() == [w[2] for w in want]
@@ -163,12 +163,13 @@ def test_fit_paths_equals_per_path_reference(setting, seed, kinds, with_grad):
     if config.pca_dim is not None:
         moved = raw + rng.standard_normal(raw.shape)
         again = fit_paths(
-            moved, plans, config, labels=labels, projection=got.projection, grad_divisor=divisor
+            moved, plans, config, labels=labels, projection=got.projection,
+            with_gradient=with_grad,
         )
         for k in range(len(plans)):
             ed, ed_norm, _, _, grad = oracles.fit_path(
                 moved[k], plans, k, config, labels=labels, projection=want[k][3],
-                grad_divisor=divisor,
+                with_gradient=with_grad,
             )
             assert (again.ed.ed[k], again.ed.ed_norm[k]) == (ed, ed_norm)
             if with_grad:
@@ -322,11 +323,11 @@ def test_stacking_does_not_change_a_path():
     plans = estimator.plan_paths(X, 5, [(p,) for p in range(5)], cfg.scheme, 6, False)
     assert len(plans) == 5
     raw = rng.standard_normal((5, 6, 3))
-    together = fit_paths(raw, plans, cfg, grad_divisor=2.0)
+    together = fit_paths(raw, plans, cfg, with_gradient=True)
     for k in range(5):
         alone = fit_paths(
             raw[k : k + 1], estimator.plan_paths(X, 5, [(k,)], cfg.scheme, 6, False), cfg,
-            grad_divisor=2.0,
+            with_gradient=True,
         )
         assert alone.ed.ed.tolist() == together.ed.ed[k : k + 1].tolist()
         assert same(alone.grad[0], together.grad[k])

@@ -8,7 +8,7 @@ identities instead.
 import numpy as np
 import pytest
 
-from effdeg import estimator
+from effdeg import estimator, net as nets
 from effdeg.estimator import NonFiniteOutputError
 from effdeg.net import (
     ACTIVATIONS,
@@ -19,6 +19,7 @@ from effdeg.net import (
     TrainConfig,
     accuracy,
     build_pnn,
+    composite_objective,
     ed_penalty,
     lambda_schedule,
     load_checkpoint,
@@ -455,6 +456,34 @@ def test_pnn_tasks_scale_pairs():
         base = PNN_TASKS[k][1](X)
         doubled = PNN_TASKS[k + 3][1](X)
         assert np.allclose(doubled, 2.0 * base, atol=1e-13)
+
+
+def test_pnn_ladder_trains_seed_3_t4():
+    # t4 at seed 3 diverges on the first five rungs; the last one fits it
+    mse, _, restarts = nets._train_pnn_task(
+        PNN_TASKS[3][1], seed=3, task_index=3, width=16, n_train=512, n_steps=3000,
+        mse_target=1e-4,
+    )
+    assert restarts == 5
+    assert mse < 1e-4
+
+
+def test_composite_step_runs_one_backward_for_the_penalty(monkeypatch):
+    # one backward for the task loss and one for every penalty path together
+    calls = []
+    backward = FeedForwardNet.backward
+    monkeypatch.setattr(
+        FeedForwardNet, "backward", lambda self, *args: calls.append(1) or backward(self, *args)
+    )
+    net = tiny_net(12)
+    X = np.random.default_rng(13).standard_normal((16, 2))
+    T = np.random.default_rng(14).standard_normal((16, 3))
+    cfg = TrainConfig(reg_strength=1.0, ramp_fraction=0.0, reg_paths=8, seed=15)
+    plans = plan_paths(X, cfg, step=0)
+    assert len(plans) == 8
+    record, _, _ = composite_objective(net, X, T, cfg, step=0, plans=plans)
+    assert record.penalty > 0.0 and record.lambda_eff == 1.0
+    assert len(calls) == 2
 
 
 def test_penalty_nonfinite_output_names_the_path():

@@ -1,7 +1,9 @@
-"""Package hygiene: every name a module exports exists and star-imports."""
+"""Package hygiene: every name a module exports exists and star-imports; one version."""
 
 import importlib
 import pkgutil
+import re
+from pathlib import Path
 
 import pytest
 
@@ -25,3 +27,9 @@ def test_every_exported_name_exists(name):
     namespace = {}
     exec(f"from {name} import *", namespace)
     assert set(module.__all__) <= set(namespace)
+
+
+def test_pyproject_version_is_the_package_version():
+    # a regex, not tomllib: tomllib is missing on Python 3.10
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    assert re.findall(r'^version = "([^"]+)"$', text, flags=re.M) == [effdeg.__version__]

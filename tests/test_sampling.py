@@ -168,11 +168,11 @@ def test_pair_draws_equal_generator_integers(n):
     for attempt in (0, 5):
         pairs, accepted = pair_draws(key, paths, n, attempt)
         for p in range(400):
-            philox = np.random.Philox(key=key, counter=[p, 0, attempt, 0])
+            philox = np.random.Philox(key=key, counter=[p, 0, attempt, 1])
             want = np.random.Generator(philox).integers(0, n, size=2)
             if accepted[p]:
                 assert pairs[p].tolist() == want.tolist()
-            word = int(np.random.Philox(key=key, counter=[p, 0, attempt, 0]).random_raw(4)[0])
+            word = int(np.random.Philox(key=key, counter=[p, 0, attempt, 1]).random_raw(4)[0])
             lemire = oracles.lemire_pair(word, n)
             assert accepted[p] == (lemire is not None)
             assert lemire is None or pairs[p].tolist() == list(lemire)
@@ -180,6 +180,16 @@ def test_pair_draws_equal_generator_integers(n):
             assert 0 < accepted.sum() < accepted.size
         else:
             assert accepted.all()
+
+
+@pytest.mark.parametrize("seed", [0, 5, 2**32 + 7])
+def test_path_streams_share_no_word_with_the_rng_stream(seed):
+    # rng(seed) and the paths keyed (p,) share one Philox key; counter word
+    # 3 keeps an estimate's endpoint pairs off the bits a net of that seed
+    # was initialised from
+    words = set(sampling.rng(seed).bit_generator.random_raw(64).tolist())
+    pairs = sampling._blocks(path_key(seed, ()), np.arange(16, dtype=np.uint64), 0, 0, 1)
+    assert words.isdisjoint(pairs.ravel().tolist())
 
 
 def test_separate_equals_the_scalar_loop_row_by_row():
