@@ -9,6 +9,15 @@ preserve the ordering of true degrees.
 
 A polynomial is a dict from exponent tuples to Fraction coefficients; zero
 coefficients are never stored.  The zero polynomial has degree -inf.
+
+Fraction is the interface, not the arithmetic.  Inside, restrict,
+degree_drops and verify_order_preservation work in Python integers: a
+polynomial is compiled once to integer coefficients over the lcm of their
+denominators, an endpoint pair is converted once to an integer base x2 * D
+and step (x1 - x2) * D over the lcm D of its coordinates' denominators, and
+restrict divides by the one common scale at the end.  verify tests the
+leading part at the step first and runs the full restriction only when it
+vanishes.
 """
 
 from __future__ import annotations
@@ -16,6 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -129,39 +139,98 @@ class UniPoly:
         return f"UniPoly({list(self.coefficients)})"
 
 
-def _binomial_power(a: Fraction, b: Fraction, e: int) -> list[Fraction]:
+def _binomial_power(a: int, b: int, e: int) -> list[int]:
     """Coefficient list of (a + b t)^e in t."""
-    return [Fraction(math.comb(e, j)) * a ** (e - j) * b**j for j in range(e + 1)]
+    return [math.comb(e, j) * a ** (e - j) * b**j for j in range(e + 1)]
 
 
-def _convolve(u: list[Fraction], v: list[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * (len(u) + len(v) - 1)
+def _convolve(u: list[int], v: list[int]) -> list[int]:
+    out = [0] * (len(u) + len(v) - 1)
     for i, ui in enumerate(u):
-        if ui == 0:
+        if not ui:
             continue
         for j, vj in enumerate(v):
             out[i + j] += ui * vj
     return out
 
 
+class _IntPoly(NamedTuple):
+    """poly = (sum of c * x^e over terms) / scale, every c an integer.
+
+    A term is (c, ((i, e_i) for the nonzero exponents), total degree); lead
+    holds the (c, exponents) of the terms of top degree.
+    """
+
+    top: int
+    scale: int
+    terms: tuple
+    lead: tuple
+
+
+def _compile(poly: MultiPoly) -> _IntPoly:
+    """Integer form of a nonzero poly."""
+    scale = math.lcm(*(c.denominator for c in poly.terms.values()))
+    terms = tuple(
+        (
+            c.numerator * (scale // c.denominator),
+            tuple((i, e) for i, e in enumerate(exp) if e),
+            sum(exp),
+        )
+        for exp, c in poly.terms.items()
+    )
+    top = max(deg for _, _, deg in terms)
+    lead = tuple((c, exps) for c, exps, deg in terms if deg == top)
+    return _IntPoly(top, scale, terms, lead)
+
+
+def _endpoints(dim: int, x1, x2) -> tuple[int, list[int], list[int]]:
+    """(den, base, step) with base = x2 * den and step = (x1 - x2) * den all integers.
+
+    den is the lcm of the denominators of all 2 * dim coordinates.
+    """
+    x1 = [v if isinstance(v, Fraction) else Fraction(v) for v in x1]
+    x2 = [v if isinstance(v, Fraction) else Fraction(v) for v in x2]
+    if len(x1) != dim or len(x2) != dim:
+        raise ValueError("endpoint dimension mismatch")
+    den = math.lcm(*(v.denominator for v in x1), *(v.denominator for v in x2))
+    base = [v.numerator * (den // v.denominator) for v in x2]
+    step = [v.numerator * (den // v.denominator) - b for v, b in zip(x1, base)]
+    return den, base, step
+
+
+def _leading_value(ipoly: _IntPoly, step: list[int]) -> int:
+    """scale * den^top times the leading part of poly at x1 - x2."""
+    total = 0
+    for c, exps in ipoly.lead:
+        for i, e in exps:
+            c *= step[i] ** e
+        total += c
+    return total
+
+
+def _restrict_ints(ipoly: _IntPoly, den: int, base: list[int], step: list[int]) -> list[int]:
+    """Coefficients in a of scale * den^top * poly(x2 + a (x1 - x2)).
+
+    Term c x^e contributes c * den^(top - |e|) * prod_i (base_i + step_i a)^e_i.
+    """
+    acc = [0] * (ipoly.top + 1)
+    for c, exps, deg in ipoly.terms:
+        factor = [c * den ** (ipoly.top - deg)]
+        for i, e in exps:
+            factor = _convolve(factor, _binomial_power(base[i], step[i], e))
+        for k, v in enumerate(factor):
+            acc[k] += v
+    return acc
+
+
 def restrict(poly: MultiPoly, x1, x2) -> UniPoly:
     """Exact restriction of poly to the segment a -> x2 + a (x1 - x2)."""
-    x1 = [Fraction(v) for v in x1]
-    x2 = [Fraction(v) for v in x2]
-    if len(x1) != poly.dim or len(x2) != poly.dim:
-        raise ValueError("endpoint dimension mismatch")
-    direction = [a - b for a, b in zip(x1, x2)]
-    acc = [Fraction(0)]
-    for exp, coef in poly.terms.items():
-        factor = [coef]
-        for base, step, e in zip(x2, direction, exp):
-            if e:
-                factor = _convolve(factor, _binomial_power(base, step, e))
-        if len(factor) > len(acc):
-            acc.extend([Fraction(0)] * (len(factor) - len(acc)))
-        for k, c in enumerate(factor):
-            acc[k] += c
-    return UniPoly(acc)
+    den, base, step = _endpoints(poly.dim, x1, x2)
+    if poly.is_zero():
+        return UniPoly([])
+    ipoly = _compile(poly)
+    scale = ipoly.scale * den**ipoly.top
+    return UniPoly(Fraction(c, scale) for c in _restrict_ints(ipoly, den, base, step))
 
 
 def leading_part(poly: MultiPoly) -> MultiPoly:
@@ -177,13 +246,14 @@ def leading_part(poly: MultiPoly) -> MultiPoly:
 def degree_drops(poly: MultiPoly, x1, x2) -> bool:
     """True when the restriction to the (x1, x2) segment loses total degree.
 
-    Equivalent to the leading homogeneous part vanishing at x1 - x2; both
-    sides are computed exactly, and the equivalence is what the tests pin.
+    That is the leading homogeneous part vanishing at x1 - x2, the
+    coefficient of a^top of the restriction; the tests pin the equivalence
+    against the full restriction.
     """
     if poly.is_zero():
         raise ValueError("degree drop is undefined for the zero polynomial")
-    v = [Fraction(a) - Fraction(b) for a, b in zip(x1, x2)]
-    return leading_part(poly).evaluate(v) == 0
+    _, _, step = _endpoints(poly.dim, x1, x2)
+    return _leading_value(_compile(poly), step) == 0
 
 
 @dataclass(frozen=True)
@@ -207,10 +277,12 @@ class OrderPreservationRecord:
         }
 
 
-def _restricted_degree(poly: MultiPoly, x1, x2) -> float:
-    d = restrict(poly, x1, x2).degree()
+def _restricted_degree(ipoly: _IntPoly, den: int, base: list[int], step: list[int]) -> float:
+    if _leading_value(ipoly, step):
+        return float(ipoly.top)
+    acc = _restrict_ints(ipoly, den, base, step)
     # the zero restriction is recorded as degree 0 so averages stay finite
-    return 0.0 if d == NEG_INF else float(d)
+    return float(max((k for k, c in enumerate(acc) if c), default=0))
 
 
 def verify_order_preservation(
@@ -228,18 +300,24 @@ def verify_order_preservation(
     """
     if poly_a.is_zero() or poly_b.is_zero():
         raise ValueError("order preservation needs nonzero polynomials")
+    if poly_a.dim != poly_b.dim:
+        raise ValueError(
+            f"polynomials differ in dimension: poly_a has dim {poly_a.dim}, "
+            f"poly_b has dim {poly_b.dim}"
+        )
     if n_pairs < 1:
         raise ValueError("n_pairs must be >= 1")
     rng = sampling.rng(seed)
+    ipolys = (_compile(poly_a), _compile(poly_b))
     degs_a: list[float] = []
     degs_b: list[float] = []
     drops = [0, 0]
     for _ in range(n_pairs):
-        x1, x2 = sampler(rng)
-        for slot, poly, sink in ((0, poly_a, degs_a), (1, poly_b, degs_b)):
-            d = _restricted_degree(poly, x1, x2)
+        den, base, step = _endpoints(poly_a.dim, *sampler(rng))
+        for slot, ipoly, sink in ((0, ipolys[0], degs_a), (1, ipolys[1], degs_b)):
+            d = _restricted_degree(ipoly, den, base, step)
             sink.append(d)
-            if d < poly.degree():
+            if d < ipoly.top:
                 drops[slot] += 1
     mean_a = float(np.mean(degs_a))
     mean_b = float(np.mean(degs_b))
@@ -273,7 +351,12 @@ def gaussian_pair_sampler(dim: int):
 
 
 def dyadic_uniform_pair_sampler(dim: int, bits: int = 63):
-    """Endpoint pairs with coordinates k / 2^bits, k uniform over a 64-bit range."""
+    """Endpoint pairs with coordinates k / 2^bits, k uniform on [-2^bits, 2^bits - 1].
+
+    bits lies in 0..63, so that k fits numpy's int64.
+    """
+    if not 0 <= bits <= 63:
+        raise ValueError(f"bits must lie in 0..63, got {bits}")
     den = 1 << bits
 
     def sample(rng: np.random.Generator):

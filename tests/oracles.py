@@ -6,9 +6,12 @@ the eigensolver is cyclic Jacobi, and basis references come from closed forms
 or numpy.polynomial rather than our recurrences.  The last section is the
 path engine run one path at a time, the reference for the batched engine's
 bits: plan_paths draws every key alone from its own numpy Philox and
-Generator, and plans_of builds PathPlans over hand-picked abscissas.
+Generator, and plans_of builds PathPlans over hand-picked abscissas.  The
+polylab section is the Fraction restriction the integer core replaced, run
+once per endpoint pair and polynomial.
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -19,6 +22,7 @@ import numpy.polynomial.polynomial as nppoly
 from effdeg import sampling
 from effdeg.basis import design_matrix
 from effdeg.estimator import DEGENERATE_NORM, PathPlans, softmax
+from effdeg.polylab import NEG_INF, OrderPreservationRecord, UniPoly
 from effdeg.reduce import EIGENVALUE_FLOOR, TIE_GAP
 from effdeg.surrogate import COND_LIMIT, SIGN_DEAD_ZONE, SingularFitError
 
@@ -392,3 +396,75 @@ def ed_penalty(net, batch, targets, plans, config, want_grads=True, projections=
     pre = [np.concatenate(z) for z in zip(*(cache[0] for cache in caches))]
     post = [np.concatenate(a) for a in zip(*(cache[1] for cache in caches))]
     return penalty, net.backward((pre, post), np.concatenate(grads) / n_planned), out_projections
+
+
+# --- polylab: Fraction arithmetic throughout -------------------------------
+
+
+def _binomial_power(a: Fraction, b: Fraction, e: int) -> list[Fraction]:
+    """Coefficient list of (a + b t)^e in t."""
+    return [Fraction(math.comb(e, j)) * a ** (e - j) * b**j for j in range(e + 1)]
+
+
+def _convolve(u: list[Fraction], v: list[Fraction]) -> list[Fraction]:
+    out = [Fraction(0)] * (len(u) + len(v) - 1)
+    for i, ui in enumerate(u):
+        if ui == 0:
+            continue
+        for j, vj in enumerate(v):
+            out[i + j] += ui * vj
+    return out
+
+
+def restrict(poly, x1, x2) -> UniPoly:
+    """Exact restriction of poly to the segment a -> x2 + a (x1 - x2)."""
+    x1 = [Fraction(v) for v in x1]
+    x2 = [Fraction(v) for v in x2]
+    if len(x1) != poly.dim or len(x2) != poly.dim:
+        raise ValueError("endpoint dimension mismatch")
+    direction = [a - b for a, b in zip(x1, x2)]
+    acc = [Fraction(0)]
+    for exp, coef in poly.terms.items():
+        factor = [coef]
+        for base, step, e in zip(x2, direction, exp):
+            if e:
+                factor = _convolve(factor, _binomial_power(base, step, e))
+        if len(factor) > len(acc):
+            acc.extend([Fraction(0)] * (len(factor) - len(acc)))
+        for k, c in enumerate(factor):
+            acc[k] += c
+    return UniPoly(acc)
+
+
+def verify_order_preservation(poly_a, poly_b, n_pairs, sampler, seed=0):
+    """polylab.verify_order_preservation with one Fraction restrict per pair and polynomial."""
+    rng = sampling.rng(seed)
+    degs_a: list[float] = []
+    degs_b: list[float] = []
+    drops = [0, 0]
+    for _ in range(n_pairs):
+        x1, x2 = sampler(rng)
+        for slot, poly, sink in ((0, poly_a, degs_a), (1, poly_b, degs_b)):
+            d = restrict(poly, x1, x2).degree()
+            # the zero restriction is recorded as degree 0 so averages stay finite
+            d = 0.0 if d == NEG_INF else float(d)
+            sink.append(d)
+            if d < poly.degree():
+                drops[slot] += 1
+    mean_a = float(np.mean(degs_a))
+    mean_b = float(np.mean(degs_b))
+    da, db = int(poly_a.degree()), int(poly_b.degree())
+    if da > db:
+        ordered = mean_a > mean_b
+    elif da < db:
+        ordered = mean_a < mean_b
+    else:
+        ordered = mean_a == mean_b
+    return OrderPreservationRecord(
+        true_degrees=(da, db),
+        restricted_degrees=(tuple(degs_a), tuple(degs_b)),
+        mean_degrees=(mean_a, mean_b),
+        drop_counts=(drops[0], drops[1]),
+        n_pairs=n_pairs,
+        ordered=ordered,
+    )

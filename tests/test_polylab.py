@@ -1,14 +1,19 @@
 """Exact-arithmetic lab: restriction, degree drops, samplers, parsing.
 
 The restriction operator is cross-checked against direct evaluation at
-rational points, which exercises none of the convolution code.
+rational points, which exercises none of the convolution code, and its
+integer core against the Fraction restriction in oracles.py with ==.
 """
 
+import itertools
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from effdeg.polylab import (
     NEG_INF,
@@ -28,6 +33,7 @@ from effdeg.polylab import (
     verify_order_preservation,
 )
 
+import oracles
 from oracles import exact_point, horner
 
 
@@ -334,3 +340,172 @@ def test_random_multipoly_degree_by_construction():
     with pytest.raises(ValueError):
         # dim 2 degree 1 has only three monomials
         random_multipoly(2, 1, rng, n_terms=4)
+
+
+# --- the integer core against the Fraction reference ------------------------
+
+EXACT = settings(max_examples=80, deadline=None, derandomize=True, database=None)
+
+coefficients = st.one_of(
+    st.sampled_from([Fraction(1, 3), Fraction(-7, 4)]),
+    st.fractions(-9, 9, max_denominator=24),
+).filter(bool)
+
+
+@st.composite
+def exponents(draw, dim: int, total: int):
+    cuts = sorted(draw(st.lists(st.integers(0, total), min_size=dim - 1, max_size=dim - 1)))
+    bounds = [0, *cuts, total]
+    return tuple(b - a for a, b in zip(bounds, bounds[1:]))
+
+
+@st.composite
+def polys(draw, dim: int):
+    """Polynomials of exact total degree 0..6 with rational coefficients."""
+    degree = draw(st.integers(0, 6))
+    terms = {draw(exponents(dim, degree)): draw(coefficients)}
+    for _ in range(draw(st.integers(0, 5))):
+        terms[draw(exponents(dim, draw(st.integers(0, degree))))] = draw(coefficients)
+    return MultiPoly(dim, terms)
+
+
+def subnormal(k: int) -> Fraction:
+    return Fraction(math.ldexp(k, -1074))
+
+
+coordinates = st.one_of(
+    st.fractions(-5, 5, max_denominator=60),
+    st.integers(-(2**52) + 1, 2**52 - 1).map(subnormal),
+    st.floats(-1e3, 1e3).map(Fraction),
+)
+
+
+@st.composite
+def samplers(draw, dim: int):
+    """A factory of fresh samplers: one of the three library samplers or hand-made pairs.
+
+    Hand-made pairs mix denominators, Fraction(float) of subnormal floats,
+    and collapsed pairs x1 == x2, on which every non-constant part drops.
+    """
+    kind = draw(st.sampled_from(["gaussian", "dyadic", "shared", "mixed", "collapsed"]))
+    if kind == "gaussian":
+        return lambda: gaussian_pair_sampler(dim)
+    if kind == "dyadic":
+        bits = draw(st.integers(0, 63))
+        return lambda: dyadic_uniform_pair_sampler(dim, bits)
+    if kind == "shared":
+        coordinate = draw(st.integers(0, dim - 1))
+        return lambda: shared_coordinate_pair_sampler(dim, coordinate)
+    point = st.tuples(*[coordinates] * dim)
+    pairs = draw(st.lists(st.tuples(point, point), min_size=1, max_size=4))
+    if kind == "collapsed":
+        pairs = [(x2, x2) for _, x2 in pairs]
+
+    def factory():
+        draws = itertools.cycle(pairs)
+        return lambda rng: next(draws)
+
+    return factory
+
+
+@st.composite
+def poly_and_pair(draw):
+    dim = draw(st.integers(1, 6))
+    poly = draw(polys(dim))
+    seed = draw(st.integers(0, 2**32))
+    x1, x2 = draw(samplers(dim))()(np.random.default_rng(seed))
+    return poly, x1, x2
+
+
+@EXACT
+@given(case=poly_and_pair())
+def test_restrict_equals_fraction_reference(case):
+    poly, x1, x2 = case
+    assert restrict(poly, x1, x2) == oracles.restrict(poly, x1, x2)
+
+
+@EXACT
+@given(case=poly_and_pair())
+def test_degree_drops_equals_reference_degree_test(case):
+    poly, x1, x2 = case
+    want = oracles.restrict(poly, x1, x2).degree() < poly.degree()
+    assert degree_drops(poly, x1, x2) == want
+
+
+@EXACT
+@given(case=poly_and_pair())
+def test_restrict_of_zero_polynomial_is_zero(case):
+    poly, x1, x2 = case
+    assert restrict(MultiPoly(poly.dim), x1, x2) == UniPoly([])
+
+
+@st.composite
+def experiments(draw):
+    dim = draw(st.integers(1, 6))
+    return (
+        draw(polys(dim)),
+        draw(polys(dim)),
+        draw(st.integers(1, 12)),
+        draw(samplers(dim)),
+        draw(st.integers(0, 2**32)),
+    )
+
+
+@EXACT
+@given(case=experiments())
+def test_verify_record_equals_reference_loop(case):
+    poly_a, poly_b, n_pairs, sampler, seed = case
+    got = verify_order_preservation(poly_a, poly_b, n_pairs, sampler(), seed=seed)
+    want = oracles.verify_order_preservation(poly_a, poly_b, n_pairs, sampler(), seed=seed)
+    assert got == want
+
+
+def test_verify_record_equals_reference_on_forced_drops():
+    hyperplane = (Path(__file__).parent / "fixtures" / "hyperplane.txt").read_text(encoding="utf-8")
+    low, high = parse_poly_bundle(hyperplane)
+    for seed in range(3):
+        got = verify_order_preservation(high, low, 40, shared_coordinate_pair_sampler(2), seed=seed)
+        want = oracles.verify_order_preservation(
+            high, low, 40, shared_coordinate_pair_sampler(2), seed=seed
+        )
+        assert got == want
+        assert got.drop_counts == (40, 40)
+
+
+def test_zero_restriction_is_recorded_as_degree_zero():
+    # a collapsed pair at a root of poly: the restriction is the zero polynomial
+    poly = parse_poly("x1^2 - x2")
+    root = (Fraction(1, 3), Fraction(1, 9))
+    record = verify_order_preservation(poly, poly, 3, lambda rng: (root, root))
+    assert restrict(poly, root, root) == UniPoly([])
+    assert record.restricted_degrees == ((0.0,) * 3, (0.0,) * 3)
+    assert record.drop_counts == (3, 3)
+
+
+def test_degree_drops_rejects_wrong_dimension_endpoints():
+    poly = parse_poly("x1*x2")
+    with pytest.raises(ValueError, match="endpoint dimension mismatch"):
+        degree_drops(poly, (1, 2, 3), (0, 0))
+    with pytest.raises(ValueError, match="endpoint dimension mismatch"):
+        degree_drops(poly, (1, 2), (0, 0, 0))
+    with pytest.raises(ValueError, match="endpoint dimension mismatch"):
+        restrict(poly, (1, 2, 3), (0, 0))
+
+
+def test_order_preservation_rejects_mixed_dimensions_before_sampling():
+    def sampler(rng):
+        raise AssertionError("no pair may be drawn")
+
+    with pytest.raises(ValueError, match="dim 2.*dim 3"):
+        verify_order_preservation(parse_poly("x1*x2"), parse_poly("x3"), 5, sampler)
+
+
+def test_dyadic_sampler_bits_range():
+    for bits in (64, 65, -1):
+        with pytest.raises(ValueError, match=r"0\.\.63"):
+            dyadic_uniform_pair_sampler(2, bits)
+    rng = np.random.default_rng(82)
+    for bits in (0, 1, 63):
+        x1, x2 = dyadic_uniform_pair_sampler(2, bits)(rng)
+        assert all(abs(v) <= 1 for v in x1 + x2)
+        assert all((v * 2**bits).denominator == 1 for v in x1 + x2)
