@@ -26,9 +26,9 @@ import hashlib
 import inspect
 import io
 import json
+import math
 import os
 import sys
-import tempfile
 import typing
 from datetime import datetime, timezone
 
@@ -79,20 +79,6 @@ def canonical_hash(document: dict, exclude=("created", "canonical_sha256")) -> s
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def _atomic_write(path: str, data: bytes) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def write_artifact(out_dir: str, name: str, schema: str, config: dict, result: dict) -> dict:
     doc = {
         "schema": schema,
@@ -102,7 +88,7 @@ def write_artifact(out_dir: str, name: str, schema: str, config: dict, result: d
         "result": result,
     }
     doc["canonical_sha256"] = canonical_hash(doc)
-    _atomic_write(
+    nets.atomic_write(
         os.path.join(out_dir, name),
         json.dumps(doc, sort_keys=True, indent=2).encode() + b"\n",
     )
@@ -121,7 +107,7 @@ def render_csv(header: list[str], rows: list[list]) -> str:
 
 
 def write_csv(out_dir: str, name: str, header: list[str], rows: list[list]) -> None:
-    _atomic_write(os.path.join(out_dir, name), render_csv(header, rows).encode())
+    nets.atomic_write(os.path.join(out_dir, name), render_csv(header, rows).encode())
 
 
 def emit(args, summary: dict, header: list[str], rows: list[list]) -> None:
@@ -226,7 +212,7 @@ def _sha256_file(path: str) -> str:
 
 
 def load_dataset_csv(path: str) -> tuple[np.ndarray, np.ndarray | None]:
-    """Read feature columns x0..x{d-1} plus an optional integer label column."""
+    """Read finite feature columns x0..x{d-1} plus an optional label column of integers >= 0."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -252,11 +238,17 @@ def load_dataset_csv(path: str) -> tuple[np.ndarray, np.ndarray | None]:
             if len(row) != len(header):
                 raise ConfigError(f"{path}:{ln}: expected {len(header)} fields")
             try:
-                rows.append([float(row[k]) for k in feature_pos])
-                if has_label:
-                    labels.append(int(row[label_pos]))
+                features = [float(row[k]) for k in feature_pos]
+                label = int(row[label_pos]) if has_label else 0
             except ValueError as exc:
                 raise ConfigError(f"{path}:{ln}: {exc}") from exc
+            if not all(map(math.isfinite, features)):
+                raise ConfigError(f"{path}:{ln}: features must be finite, got {features}")
+            if label < 0:
+                raise ConfigError(f"{path}:{ln}: labels must be >= 0, got {label}")
+            rows.append(features)
+            if has_label:
+                labels.append(label)
     if not rows:
         raise ConfigError(f"{path} holds no data rows")
     X = np.array(rows, dtype=float)
@@ -347,6 +339,8 @@ def cmd_estimate(args) -> int:
             )
     report = ed_estimate(oracle, X, est_cfg, labels=anchor_labels)
     out_dir = _out_dir(args)
+    path_header = list(report.per_path.dtype.names)
+    path_rows = report.per_path.tolist()
     result = {
         "mean_ed": report.mean_ed,
         "mean_ed_norm": report.mean_ed_norm,
@@ -355,24 +349,12 @@ def cmd_estimate(args) -> int:
         "n_skipped": report.n_skipped,
         "oracle": oracle.name,
         "per_path": [
-            {
-                "index": p.index,
-                "endpoints": list(p.endpoint_indices),
-                "ed": p.ed,
-                "ed_norm": p.ed_norm,
-                "pca_ties": p.pca_ties,
-            }
-            for p in report.per_path
+            {"index": index, "endpoints": [i, j], "ed": ed, "ed_norm": ed_norm, "pca_ties": ties}
+            for index, i, j, ed, ed_norm, ties in path_rows
         ],
     }
-    config_out = dict(report.config)
-    config_out["oracle"] = oracle.name
+    config_out = {**dataclasses.asdict(est_cfg), "oracle": oracle.name}
     write_artifact(out_dir, "estimate.json", "estimate", config_out, result)
-    path_header = ["index", "endpoint_i", "endpoint_j", "ed", "ed_norm", "pca_ties"]
-    path_rows = [
-        [p.index, p.endpoint_indices[0], p.endpoint_indices[1], p.ed, p.ed_norm, p.pca_ties]
-        for p in report.per_path
-    ]
     write_csv(out_dir, "estimate_paths.csv", path_header, path_rows)
     summary = {k: v for k, v in result.items() if k != "per_path"}
     emit(args, summary, path_header, path_rows)
@@ -405,10 +387,8 @@ def cmd_train(args) -> int:
     )
     log = nets.train(network, X, targets, train_cfg)
     out_dir = _out_dir(args)
-    os.makedirs(out_dir, exist_ok=True)
     ckpt_path = os.path.join(out_dir, "model.ckpt")
-    full_config = dict(train_cfg.fingerprint())
-    full_config["hidden"] = list(hidden)
+    full_config = {**dataclasses.asdict(train_cfg), "hidden": list(hidden)}
     nets.save_checkpoint(network, ckpt_path, config=full_config)
     ckpt_sha = _sha256_file(ckpt_path)
     acc = nets.accuracy(network, X, labels_int)
@@ -499,21 +479,14 @@ _PNN_SPEC = _spec(nets.pnn_study, "strict")
 
 
 def cmd_pnn_study(args) -> int:
-    report = nets.pnn_study(**resolve_config(args), strict=not args.keep_going)
+    cfg = resolve_config(args)
+    report = nets.pnn_study(**cfg, strict=not args.keep_going)
     out_dir = _out_dir(args)
-    rows = [dataclasses.asdict(r) for r in report.rows]
-    result = {
-        "rows": rows,
-        "orderings": report.orderings,
-        "norm_gaps": report.norm_gaps,
-        "scaling_ok": report.scaling_ok,
-        "all_converged": report.all_converged,
-        "all_ok": report.all_ok,
-        **report.evaluation,
-    }
-    write_artifact(out_dir, "pnn_study.json", "pnn-study", dict(report.config), result)
+    result = dataclasses.asdict(report)
+    result.update(result.pop("evaluation"))
+    write_artifact(out_dir, "pnn_study.json", "pnn-study", cfg, result)
     table_header = [f.name for f in dataclasses.fields(nets.PNNTaskResult)]
-    table_rows = [list(row.values()) for row in rows]
+    table_rows = [list(row.values()) for row in result["rows"]]
     write_csv(out_dir, "pnn_study.csv", table_header, table_rows)
     summary = {k: v for k, v in result.items() if k != "rows"}
     emit(args, summary, table_header, table_rows)

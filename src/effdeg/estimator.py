@@ -31,7 +31,7 @@ plan_paths(inputs, seed, [(p,)], ...) plans it alone with the same bits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass
 from typing import Callable, Iterable
 
 import numpy as np
@@ -47,7 +47,6 @@ __all__ = [
     "EstimatorConfig",
     "PathPlans",
     "PathFits",
-    "PathResult",
     "EDReport",
     "PathSamplingError",
     "NonFiniteOutputError",
@@ -130,9 +129,6 @@ class EstimatorConfig:
         if self.anchored and self.resolution < 2:
             raise ValueError("anchoring requires resolution >= 2")
 
-    def fingerprint(self) -> dict:
-        return asdict(self)
-
 
 @dataclass(frozen=True)
 class PathPlans:
@@ -168,22 +164,13 @@ class PathFits:
 
 
 @dataclass(frozen=True)
-class PathResult:
-    """One path's endpoints, effective degree, and degeneracy notes."""
-
-    index: int
-    endpoint_indices: tuple[int, int]
-    ed: float
-    ed_norm: float
-    pca_ties: bool
-
-
-@dataclass(frozen=True)
 class EDReport:
     """Aggregate of an estimation run.
 
-    n_paths counts every attempted path, so n_paths = len(per_path) +
-    n_skipped always holds.
+    per_path is a record array with one record per fitted path and the
+    fields index (the path index p of its key (p,)), endpoint_i,
+    endpoint_j, ed, ed_norm and pca_ties.  n_paths counts every attempted
+    path, so n_paths = len(per_path) + n_skipped always holds.
     """
 
     mean_ed: float
@@ -191,12 +178,11 @@ class EDReport:
     std_ed: float
     n_paths: int
     n_skipped: int
-    per_path: tuple[PathResult, ...]
-    config: dict = field(default_factory=dict)
+    per_path: np.recarray
 
     @property
     def tie_path_indices(self) -> tuple[int, ...]:
-        return tuple(p.index for p in self.per_path if p.pca_ties)
+        return tuple(self.per_path.index[self.per_path.pca_ties].tolist())
 
 
 def softmax(values: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -419,19 +405,6 @@ def ed_estimate(
         )
     fitted = fit_paths(path_values(oracle, X, plans), plans, config, labels=labels)
     eds = fitted.ed.ed
-    results = tuple(
-        PathResult(
-            index=key[0],
-            endpoint_indices=(i, j),
-            ed=ed,
-            ed_norm=ed_norm,
-            pca_ties=ties,
-        )
-        for key, i, j, ed, ed_norm, ties in zip(
-            plans.keys, plans.i.tolist(), plans.j.tolist(),
-            eds.tolist(), fitted.ed.ed_norm.tolist(), fitted.pca_ties.tolist(),
-        )
-    )
     with np.errstate(over="ignore", invalid="ignore"):
         mean = float(eds.mean())
         std = float(eds.std(ddof=1)) if eds.size > 1 else 0.0
@@ -447,6 +420,9 @@ def ed_estimate(
         std_ed=std,
         n_paths=config.n_paths,
         n_skipped=config.n_paths - len(plans),
-        per_path=results,
-        config=config.fingerprint(),
+        per_path=np.rec.fromarrays(
+            [[key[0] for key in plans.keys], plans.i, plans.j,
+             eds, fitted.ed.ed_norm, fitted.pca_ties],
+            names="index,endpoint_i,endpoint_j,ed,ed_norm,pca_ties",
+        ),
     )

@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from dataclasses import dataclass, field, asdict, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -53,6 +53,7 @@ __all__ = [
     "train",
     "accuracy",
     "one_hot",
+    "atomic_write",
     "save_checkpoint",
     "load_checkpoint",
     "make_two_cluster_dataset",
@@ -300,9 +301,6 @@ class TrainConfig:
             raise ValueError("reg_paths must be >= 0")
         self.estimator_config().validate()
 
-    def fingerprint(self) -> dict:
-        return asdict(self)
-
 
 def lambda_schedule(step: int, config: TrainConfig) -> float:
     """Sinusoidal ramp from 0 to reg_strength over the first ramp_fraction of steps."""
@@ -519,8 +517,10 @@ def train(
     aborts immediately.  Classification runs log full-set accuracy per step.
     """
     config.validate()
-    X = np.asarray(inputs, dtype=float)
-    T = np.asarray(targets, dtype=float)
+    # C order, as a fancy-indexed minibatch X[idx] has: a full-batch step
+    # passes X and T themselves, and BLAS results may depend on the layout
+    X = np.ascontiguousarray(inputs, dtype=float)
+    T = np.ascontiguousarray(targets, dtype=float)
     if X.ndim != 2 or T.ndim != 2 or X.shape[0] != T.shape[0]:
         raise ValueError("inputs (n, d) and targets (n, out) must align")
     if X.shape[0] < config.batch_size:
@@ -532,17 +532,36 @@ def train(
     labels = T.argmax(axis=1) if config.task == "cross_entropy" else None
     log: list[StepRecord] = []
     for step in range(config.n_steps):
-        if config.batch_size == X.shape[0]:
-            idx = np.arange(X.shape[0])
-        else:
+        batch_x, batch_t = X, T
+        if config.batch_size < X.shape[0]:
             idx = sampling.rng(config.seed, step, 0).choice(
                 X.shape[0], size=config.batch_size, replace=False
             )
-        record = regularized_step(net, X[idx], T[idx], config, step, velocity)
+            batch_x, batch_t = X[idx], T[idx]
+        record = regularized_step(net, batch_x, batch_t, config, step, velocity)
         if labels is not None:
             record = replace(record, accuracy=accuracy(net, X, labels))
         log.append(record)
     return log
+
+
+def atomic_write(path: str, data: bytes) -> None:
+    """Write data to path through a temp file and one rename, creating the directory.
+
+    A reader sees the old file or the new one, never part of either; the
+    temp file is removed if the write fails.
+    """
+    directory = os.path.dirname(os.path.abspath(path))
+    os.makedirs(directory, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def save_checkpoint(
@@ -565,39 +584,48 @@ def save_checkpoint(
         "extra": extra or {},
     }
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-    payload = _CKPT_MAGIC + len(blob).to_bytes(8, "little") + blob + b"".join(buffers)
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".ckpt-")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(payload)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    atomic_write(path, _CKPT_MAGIC + len(blob).to_bytes(8, "little") + blob + b"".join(buffers))
 
 
 def load_checkpoint(path: str) -> tuple[FeedForwardNet, dict]:
-    """Read a checkpoint; returns the network and its header."""
+    """Read a checkpoint; returns the network and its header.
+
+    Raises ValueError naming path when the file is not a checkpoint, its
+    header runs past the end of the file, is not a JSON object or lacks a
+    key, or its payload is not exactly the arrays the header lists.
+    """
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[: len(_CKPT_MAGIC)] != _CKPT_MAGIC:
         raise ValueError(f"{path} is not a checkpoint file")
-    pos = len(_CKPT_MAGIC)
-    header_len = int.from_bytes(blob[pos : pos + 8], "little")
-    pos += 8
-    header = json.loads(blob[pos : pos + header_len])
+    pos = len(_CKPT_MAGIC) + 8
+    header_len = int.from_bytes(blob[pos - 8 : pos], "little")
+    if pos + header_len > len(blob):
+        raise ValueError(f"{path}: checkpoint header of {header_len} bytes runs past the file end")
+    try:
+        header = json.loads(blob[pos : pos + header_len])
+    except ValueError as exc:
+        raise ValueError(f"{path}: checkpoint header is not JSON: {exc}") from None
+    if not isinstance(header, dict):
+        raise ValueError(f"{path}: checkpoint header is not a JSON object")
+    missing = [key for key in ("arrays", "layer_sizes", "activations") if key not in header]
+    if missing:
+        raise ValueError(f"{path}: checkpoint header lacks {', '.join(missing)}")
     pos += header_len
+    sizes = [8 * int(np.prod(spec_["shape"])) for spec_ in header["arrays"]]
+    if len(blob) - pos != sum(sizes):
+        raise ValueError(
+            f"{path}: checkpoint payload holds {len(blob) - pos} bytes, "
+            f"the arrays its header lists need {sum(sizes)}"
+        )
     arrays = {}
-    for spec_ in header["arrays"]:
-        count = int(np.prod(spec_["shape"])) if spec_["shape"] else 1
-        size = count * 8
-        arrays[spec_["name"]] = np.frombuffer(
-            blob[pos : pos + size], dtype="<f8"
-        ).reshape(spec_["shape"])
+    for spec_, size in zip(header["arrays"], sizes):
+        arrays[spec_["name"]] = np.frombuffer(blob[pos : pos + size], "<f8").reshape(spec_["shape"])
         pos += size
     n_layers = len(header["layer_sizes"]) - 1
+    unlisted = {f"{kind}{l}" for l in range(n_layers) for kind in "wb"} - arrays.keys()
+    if unlisted:
+        raise ValueError(f"{path}: checkpoint header lists no array {sorted(unlisted)}")
     weights = [arrays[f"w{l}"].copy() for l in range(n_layers)]
     biases = [arrays[f"b{l}"].copy() for l in range(n_layers)]
     return FeedForwardNet(weights, biases, header["activations"]), header
@@ -692,8 +720,7 @@ class PNNTaskResult:
 class PNNStudyReport:
     """All six task rows plus the ordering verdicts the study is about.
 
-    config holds the study's settings (pnn_study's keyword arguments),
-    evaluation the fixed ED protocol every row is measured with.
+    evaluation is the fixed ED protocol every row is measured with.
     """
 
     rows: tuple[PNNTaskResult, ...]
@@ -702,7 +729,6 @@ class PNNStudyReport:
     scaling_ok: bool = True
     all_converged: bool = True
     all_ok: bool = False
-    config: dict = field(default_factory=dict)
     evaluation: dict = field(default_factory=dict)
 
 
@@ -846,13 +872,5 @@ def pnn_study(
         scaling_ok=scaling_ok,
         all_converged=all_converged,
         all_ok=all_ok,
-        config={
-            "seed": seed,
-            "width": width,
-            "n_train": n_train,
-            "n_steps": n_steps,
-            "n_eval": n_eval,
-            "mse_target": mse_target,
-        },
         evaluation={"eval_box": _EVAL_BOX, "eval": dict(_STUDY_EVAL)},
     )

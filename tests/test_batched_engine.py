@@ -113,7 +113,10 @@ def test_estimate_equals_per_path_reference(setting, data_seed, distinct, dim):
         return
     report = ed_estimate(oracle, X, config, labels=labels)
     assert report.n_skipped == skipped
-    got = [(p.index, p.endpoint_indices, p.ed, p.ed_norm, p.pca_ties) for p in report.per_path]
+    got = [
+        (p.index, (p.endpoint_i, p.endpoint_j), p.ed, p.ed_norm, p.pca_ties)
+        for p in report.per_path
+    ]
     assert got == want
 
 

@@ -31,7 +31,7 @@ from effdeg.cli import (
     load_dataset_csv,
     main,
 )
-from effdeg.estimator import EstimatorConfig, NonFiniteOutputError, PathSamplingError
+from effdeg.estimator import EstimatorConfig, NonFiniteOutputError, PathSamplingError, ed_estimate
 from effdeg.net import load_checkpoint
 from effdeg.surrogate import SingularFitError
 
@@ -159,6 +159,53 @@ def test_estimate_csv_stdout_mode(tmp_path, capsys):
     assert float(rows[1][3]) == json.loads(
         Path(out, "estimate.json").read_text()
     )["result"]["per_path"][0]["ed"]
+
+
+def test_estimate_json_per_path_matches_csv_rows(tmp_path, capsys):
+    rng = np.random.default_rng(8)
+    data = write_dataset(tmp_path / "d.csv", rng.standard_normal((9, 3)))
+    out = str(tmp_path / "out")
+    assert main([
+        "estimate", "--data", data, "--oracle", "product", "--paths", "7",
+        "--pca-dim", "1", "--out", out,
+    ]) == EXIT_OK
+    capsys.readouterr()
+    with open(os.path.join(out, "estimate_paths.csv"), newline="", encoding="utf-8") as fh:
+        header, *rows = list(csv.reader(fh))
+    X, _ = load_dataset_csv(data)
+    report = ed_estimate(
+        cli.resolve_oracle("product", 3), X, EstimatorConfig(n_paths=7, pca_dim=1)
+    )
+    assert tuple(header) == report.per_path.dtype.names
+    entries = read_json(out, "estimate.json")["result"]["per_path"]
+    assert len(entries) == len(rows) == 7
+    for entry, row in zip(entries, rows):
+        index, i, j, ed, ed_norm, ties = row
+        assert entry == {
+            "index": int(index),
+            "endpoints": [int(i), int(j)],
+            "ed": float(ed),
+            "ed_norm": float(ed_norm),
+            "pca_ties": bool(int(ties)),
+        }
+
+
+def test_malformed_inputs_exit_two_naming_the_file(tmp_path, capsys):
+    ckpt = tmp_path / "model.ckpt"
+    blob = json.dumps({"layer_sizes": [2, 1], "activations": ["identity"]}).encode()
+    ckpt.write_bytes(b"EDNETCK1" + len(blob).to_bytes(8, "little") + blob)
+    data = write_dataset(tmp_path / "d.csv", np.random.default_rng(9).standard_normal((6, 2)))
+    runs = [(["estimate", "--data", data, "--oracle", f"checkpoint:{ckpt}"], "model.ckpt")]
+    for name, body in [("neg.csv", "0.5,1.0,-1"), ("nan.csv", "nan,1.0,0")]:
+        bad = tmp_path / name
+        bad.write_text(f"x0,x1,label\n1.0,2.0,1\n-1.0,0.5,0\n{body}\n", encoding="utf-8")
+        runs += [
+            (["train", "--data", str(bad), "--steps", "2", "--batch-size", "2"], f"{name}:4"),
+            (["estimate", "--data", str(bad), "--anchored", "--oracle", "affine"], f"{name}:4"),
+        ]
+    for argv, named in runs:
+        assert main(argv + ["--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert named in capsys.readouterr().err
 
 
 def test_csv_artifacts_use_crlf(tmp_path, capsys):
@@ -302,6 +349,17 @@ def test_dataset_loader_errors(tmp_path):
     ragged.write_text("x0,x1\n1.0\n", encoding="utf-8")
     with pytest.raises(Exception):
         load_dataset_csv(str(ragged))
+
+    # a negative label or a non-finite feature is named by file and line
+    for name, body in [
+        ("neg.csv", "x0,x1,label\n1.5,2.5,1\n0.0,-1.0,-1\n"),
+        ("nan.csv", "x0,x1,label\n1.5,2.5,1\n0.0,nan,0\n"),
+        ("inf.csv", "x0,x1\n1.5,2.5\n-inf,1.0\n"),
+    ]:
+        bad = tmp_path / name
+        bad.write_text(body, encoding="utf-8")
+        with pytest.raises(ConfigError, match=f"{name}:3"):
+            load_dataset_csv(str(bad))
 
     good = tmp_path / "g.csv"
     good.write_text("x0,x1,label\n1.5,2.5,1\n0.0,-1.0,0\n", encoding="utf-8")

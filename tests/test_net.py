@@ -5,6 +5,8 @@ are only trustworthy on smooth objectives; relu paths are covered by exact
 identities instead.
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -414,11 +416,42 @@ def test_checkpoint_round_trip_and_stability(tmp_path):
         assert fa.read() == fb.read()
 
 
+def checkpoint_blob(header, payload):
+    blob = json.dumps(header).encode()
+    return b"EDNETCK1" + len(blob).to_bytes(8, "little") + blob + payload
+
+
 def test_checkpoint_rejects_foreign_file(tmp_path):
     path = tmp_path / "junk.bin"
     path.write_bytes(b"PNGJUNK" + b"\x00" * 64)
     with pytest.raises(ValueError):
         load_checkpoint(str(path))
+
+    # malformed checkpoints: each raises ValueError naming the file
+    good = str(tmp_path / "good.ckpt")
+    save_checkpoint(tiny_net(40, activations=("identity",), sizes=(2, 3)), good)
+    _, header = load_checkpoint(good)
+    payload = np.arange(9.0).astype("<f8").tobytes()
+    bad = {
+        **{
+            f"no {key}": checkpoint_blob({k: v for k, v in header.items() if k != key}, payload)
+            for key in ("arrays", "layer_sizes", "activations")
+        },
+        "header past the end": b"EDNETCK1" + (1 << 20).to_bytes(8, "little") + b"{}",
+        "short length word": b"EDNETCK1\x05",
+        "header not an object": checkpoint_blob([1, 2], b""),
+        "payload short": checkpoint_blob(header, payload[:-8]),
+        "payload long": checkpoint_blob(header, payload + b"\x00" * 8),
+        "array missing": checkpoint_blob({**header, "arrays": header["arrays"][:1]}, payload[:48]),
+    }
+    path = tmp_path / "bad.ckpt"
+    path.write_bytes(checkpoint_blob(header, payload))
+    loaded, _ = load_checkpoint(str(path))  # the unaltered header and payload load
+    assert loaded.weights[0].ravel().tolist() == list(range(6))
+    for blob in bad.values():
+        path.write_bytes(blob)
+        with pytest.raises(ValueError, match="bad.ckpt"):
+            load_checkpoint(str(path))
 
 
 def test_one_hot_and_accuracy():
