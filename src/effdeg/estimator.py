@@ -2,10 +2,10 @@
 
 Every stage works on a whole stack of P paths:
 
-- plan_paths draws, for each stream key, an endpoint pair (x_i, x_j) from a
-  dataset and the abscissas a of the segment a x_i + (1 - a) x_j, and
-  returns them stacked as one PathPlans: keys, (P,) row indices i and j,
-  and (P, r) alphas;
+- plan_paths draws, for each path index p, an endpoint pair (x_i, x_j)
+  from a dataset and the abscissas a of the segment a x_i + (1 - a) x_j,
+  and returns them stacked as one PathPlans: the key prefix, the (P,) path
+  indices, (P,) row indices i and j, and (P, r) alphas;
 - the caller evaluates its function once on the stacked segment points of
   every planned path (path_values for an oracle, one network forward pass
   over path_points for the training penalty);
@@ -18,15 +18,15 @@ Every stacked step computes each path exactly as if it were alone, so a
 path's results do not depend on the batch it was fitted in; one path is
 the P = 1 case.  ed_estimate averages the per-path effective degrees over a
 dataset, and net.ed_penalty averages them over a minibatch; both run this
-engine.
+engine, and both read their shared settings from one PathSettings.
 
-Randomness is splittable: the keys of one plan_paths call share every word
-but the last, a path index p, and path p's draws depend only on (seed, the
-shared prefix, p), in the stream layout the sampling module states.
-plan_paths draws every path's pair attempt, and then every kept path's
-abscissas, in one batched call each; ed_estimate plans path p under key
-(p,), so any single path can be replayed without replaying the others:
-plan_paths(inputs, seed, [(p,)], ...) plans it alone with the same bits.
+Randomness is splittable: a plan names its paths by a key prefix and a
+path index p, and path p's draws depend only on (seed, prefix, p), in the
+stream layout the sampling module states.  plan_paths draws every path's
+pair attempt, and then every kept path's abscissas, in one batched call
+each; ed_estimate plans path p under the empty prefix, so any single path
+can be replayed without replaying the others: plan_paths(inputs, config,
+(), [p]) plans it alone with the same bits.
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ from .sampling import SCHEME_VARIANTS, sample_abscissas
 
 __all__ = [
     "FunctionOracle",
+    "PathSettings",
     "EstimatorConfig",
     "PathPlans",
     "PathFits",
@@ -97,10 +98,9 @@ class FunctionOracle:
 
 
 @dataclass(frozen=True)
-class EstimatorConfig:
-    """Knobs for one estimation run."""
+class PathSettings:
+    """How each path is planned and fitted; shared by estimation and the training penalty."""
 
-    n_paths: int = 100
     resolution: int = 4
     max_degree: int = 3
     damping: float = 1e-6
@@ -108,12 +108,9 @@ class EstimatorConfig:
     scheme: str = "randomized_cosine"
     pca_dim: int | None = None
     anchored: bool = False
-    post_softmax: bool = False
     seed: int = 0
 
     def validate(self) -> None:
-        if self.n_paths < 1:
-            raise ValueError("n_paths must be >= 1")
         if self.resolution < self.max_degree + 1:
             raise ValueError("resolution must be >= max_degree + 1")
         if self.max_degree < 0:
@@ -131,21 +128,36 @@ class EstimatorConfig:
 
 
 @dataclass(frozen=True)
+class EstimatorConfig(PathSettings):
+    """Knobs for one estimation run: the path settings, the path count and the output softmax."""
+
+    n_paths: int = 100
+    post_softmax: bool = False
+
+    def validate(self) -> None:
+        if self.n_paths < 1:
+            raise ValueError("n_paths must be >= 1")
+        super().validate()
+
+
+@dataclass(frozen=True)
 class PathPlans:
     """Frozen randomness of P paths: path k runs from inputs[i[k]] (a = 1) to inputs[j[k]] (a = 0).
 
-    keys[k] is the stream key path k was drawn under and names it in errors;
-    alphas is (P, r); anchored means every row of alphas holds a = 0 and a = 1.
+    Path k was drawn under the stream key prefix + (paths[k],), which names
+    it in errors; paths is (P,) int64, alphas is (P, r); anchored means
+    every row of alphas holds a = 0 and a = 1.
     """
 
-    keys: tuple[tuple[int, ...], ...]
+    prefix: tuple[int, ...]
+    paths: np.ndarray
     i: np.ndarray
     j: np.ndarray
     alphas: np.ndarray
     anchored: bool
 
     def __len__(self) -> int:
-        return len(self.keys)
+        return len(self.paths)
 
 
 @dataclass(frozen=True)
@@ -193,49 +205,33 @@ def softmax(values: np.ndarray, axis: int = -1) -> np.ndarray:
     return e / e.sum(axis=axis, keepdims=True)
 
 
-def _path_indices(keys: list[tuple[int, ...]]) -> tuple[tuple, np.ndarray]:
-    """The prefix shared by every key, and each key's last word as a (P,) uint64 path index.
-
-    Raises ValueError naming the first key that differs from the first key
-    anywhere but its last word, or whose last word is outside [0, 2**32).
-    """
-    prefix = keys[0][:-1] if keys else ()
-    for key in keys:
-        if not key or key[:-1] != prefix:
-            raise ValueError(
-                f"path key {key} is not the prefix {prefix} of key {keys[0]} plus a path "
-                "index; the keys of one plan may differ only in their last word"
-            )
-        if not 0 <= key[-1] < 1 << 32:
-            raise ValueError(f"path key {key}: path index {key[-1]} is outside [0, 2**32)")
-    return prefix, np.array([key[-1] for key in keys], dtype=np.uint64)
-
-
 def plan_paths(
     inputs: np.ndarray,
-    seed: int,
-    keys: Iterable[tuple[int, ...]],
-    scheme: str,
-    resolution: int,
-    anchored: bool,
+    settings: PathSettings,
+    prefix: tuple[int, ...],
+    paths: Iterable[int],
 ) -> PathPlans:
-    """Draw the endpoint pair and abscissas of the path keyed by (seed, key), for every key.
+    """Draw the endpoint pair and abscissas of path prefix + (p,) under settings.seed, for every p.
 
-    The keys may differ only in their last word, a path index below 2**32,
-    and inputs may hold at most 2**32 - 1 rows; anything else raises
-    ValueError.  An attempt that draws a rejected index, equal rows or rows
-    within DEGENERATE_NORM of each other moves on to the path's next
-    attempt, up to _MAX_REDRAWS; a key whose every attempt fails is
-    dropped, so the plans hold the surviving keys in their given order.
+    The path indices p must lie in [0, 2**32), and inputs may hold at most
+    2**32 - 1 rows; anything else raises ValueError.  The abscissas follow
+    settings.scheme, settings.resolution and settings.anchored.  An attempt
+    that draws a rejected index, equal rows or rows within DEGENERATE_NORM
+    of each other moves on to the path's next attempt, up to _MAX_REDRAWS;
+    a path whose every attempt fails is dropped, so the plans hold the
+    surviving paths in their given order.
     """
-    keys = [tuple(key) for key in keys]
+    prefix, paths = tuple(prefix), [int(p) for p in paths]
     n = inputs.shape[0]
     if n >= 1 << 32:
         raise ValueError(f"cannot plan paths over {n} rows; at most 2**32 - 1 are supported")
-    prefix, paths = _path_indices(keys)
-    philox_key = sampling.path_key(seed, prefix)
-    pairs = np.zeros((len(keys), 2), dtype=np.intp)
-    pending = np.arange(len(keys))
+    for p in paths:
+        if not 0 <= p < 1 << 32:
+            raise ValueError(f"path key {prefix + (p,)}: path index {p} is outside [0, 2**32)")
+    paths = np.array(paths, dtype=np.int64)
+    philox_key = sampling.path_key(settings.seed, prefix)
+    pairs = np.zeros((paths.size, 2), dtype=np.intp)
+    pending = np.arange(paths.size)
     for attempt in range(_MAX_REDRAWS if n > 1 else 0):
         if not pending.size:
             break
@@ -245,25 +241,28 @@ def plan_paths(
         ok &= np.einsum("pd,pd->p", diff, diff) > DEGENERATE_NORM**2  # i = j is distance 0
         pairs[pending[ok]] = drawn[ok]
         pending = pending[~ok]
-    kept = np.ones(len(keys), dtype=bool)
+    kept = np.ones(paths.size, dtype=bool)
     kept[pending] = False
     uniforms = None
-    if scheme in sampling.SEEDED_VARIANTS:
-        uniforms = sampling.path_uniforms(philox_key, paths[kept], resolution)
-    alphas = sample_abscissas(scheme, resolution, anchored=anchored, uniforms=uniforms)
+    if settings.scheme in sampling.SEEDED_VARIANTS:
+        uniforms = sampling.path_uniforms(philox_key, paths[kept], settings.resolution)
+    alphas = sample_abscissas(
+        settings.scheme, settings.resolution, anchored=settings.anchored, uniforms=uniforms
+    )
     pairs = pairs[kept]
     return PathPlans(
-        keys=tuple(key for key, ok in zip(keys, kept.tolist()) if ok),
+        prefix=prefix,
+        paths=paths[kept],
         i=pairs[:, 0],
         j=pairs[:, 1],
         alphas=np.tile(alphas, (len(pairs), 1)) if alphas.ndim == 1 else alphas,
-        anchored=anchored,
+        anchored=settings.anchored,
     )
 
 
 def _path_name(plans: PathPlans, k: int) -> str:
     """Path k's key (joined by ":") and endpoint rows, for error messages."""
-    key = ":".join(str(part) for part in plans.keys[k])
+    key = ":".join(str(part) for part in plans.prefix + (int(plans.paths[k]),))
     return f"path {key} (endpoint rows {int(plans.i[k])} and {int(plans.j[k])})"
 
 
@@ -395,10 +394,7 @@ def ed_estimate(
     ):
         raise ValueError("pca_dim exceeds min(resolution, output_dim)")
 
-    plans = plan_paths(
-        X, config.seed, [(p,) for p in range(config.n_paths)],
-        config.scheme, config.resolution, config.anchored,
-    )
+    plans = plan_paths(X, config, (), range(config.n_paths))
     if not plans:
         raise PathSamplingError(
             "all sampled endpoint pairs were degenerate; the dataset has no spread"
@@ -421,7 +417,7 @@ def ed_estimate(
         n_paths=config.n_paths,
         n_skipped=config.n_paths - len(plans),
         per_path=np.rec.fromarrays(
-            [[key[0] for key in plans.keys], plans.i, plans.j,
+            [plans.paths, plans.i, plans.j,
              eds, fitted.ed.ed_norm, fitted.pca_ties],
             names="index,endpoint_i,endpoint_j,ed,ed_norm,pca_ties",
         ),

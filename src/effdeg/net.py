@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -29,10 +29,10 @@ from .estimator import (
     EstimatorConfig,
     FunctionOracle,
     PathPlans,
+    PathSettings,
     ed_estimate,
     fit_paths,
     path_points,
-    softmax,
 )
 from .surrogate import audit_gradients
 
@@ -124,6 +124,8 @@ class FeedForwardNet:
         sizes = [int(s) for s in layer_sizes]
         if len(sizes) < 2:
             raise ValueError("need at least an input and an output size")
+        if min(sizes) < 1:
+            raise ValueError(f"every layer size must be >= 1, got {tuple(sizes)}")
         n_layers = len(sizes) - 1
         if activations is None:
             activations = ("relu",) * (n_layers - 1) + ("identity",)
@@ -225,11 +227,6 @@ def accuracy(net: FeedForwardNet, inputs: np.ndarray, labels: np.ndarray) -> flo
     return float(np.mean(pred == np.asarray(labels, dtype=int)))
 
 
-def _log_softmax(z: np.ndarray) -> np.ndarray:
-    z = z - z.max(axis=1, keepdims=True)
-    return z - np.log(np.exp(z).sum(axis=1, keepdims=True))
-
-
 def task_loss_and_grad(raw: np.ndarray, targets: np.ndarray, task: str):
     """Loss value and dL/d(raw outputs) for the supported task heads."""
     raw = np.asarray(raw, dtype=float)
@@ -241,15 +238,17 @@ def task_loss_and_grad(raw: np.ndarray, targets: np.ndarray, task: str):
         diff = raw - targets
         return float(np.mean(diff * diff)), 2.0 * diff / raw.size
     if task == "cross_entropy":
-        logp = _log_softmax(raw)
-        loss = float(-(targets * logp).sum() / n)
-        return loss, (softmax(raw, axis=1) - targets) / n
+        z = raw - raw.max(axis=1, keepdims=True)
+        e = np.exp(z)
+        s = e.sum(axis=1, keepdims=True)
+        loss = float(-(targets * (z - np.log(s))).sum() / n)
+        return loss, (e / s - targets) / n
     raise ValueError(f"unknown task {task!r}")
 
 
 @dataclass(frozen=True)
-class TrainConfig:
-    """Hyperparameters for regularized training."""
+class TrainConfig(PathSettings):
+    """Hyperparameters for regularized training: the penalty's path settings plus the descent's."""
 
     task: str = "mse"
     n_steps: int = 1000
@@ -259,27 +258,12 @@ class TrainConfig:
     reg_strength: float = 0.0
     ramp_fraction: float = 0.3
     reg_paths: int = 8
-    resolution: int = 4
-    max_degree: int = 3
-    damping: float = 1e-6
-    basis: str = "chebyshev"
-    scheme: str = "randomized_cosine"
-    pca_dim: int | None = None
-    anchored: bool = False
-    seed: int = 0
 
     def estimator_config(self) -> EstimatorConfig:
         return EstimatorConfig(
             n_paths=max(self.reg_paths, 1),
-            resolution=self.resolution,
-            max_degree=self.max_degree,
-            damping=self.damping,
-            basis=self.basis,
-            scheme=self.scheme,
-            pca_dim=self.pca_dim,
-            anchored=self.anchored,
             post_softmax=self.task == "cross_entropy",
-            seed=self.seed,
+            **{f.name: getattr(self, f.name) for f in fields(PathSettings)},
         )
 
     def validate(self) -> None:
@@ -299,7 +283,7 @@ class TrainConfig:
             raise ValueError("ramp_fraction must be in [0, 1]")
         if self.reg_paths < 0:
             raise ValueError("reg_paths must be >= 0")
-        self.estimator_config().validate()
+        super().validate()
 
 
 def lambda_schedule(step: int, config: TrainConfig) -> float:
@@ -317,13 +301,9 @@ def plan_paths(batch: np.ndarray, config: TrainConfig, step: int) -> PathPlans:
     """Draw the penalty paths for one step; degenerate pairs are dropped.
 
     Path p of the step is planned under key (step, 1, p), so it can be
-    replayed alone with estimator.plan_paths(batch, config.seed,
-    [(step, 1, p)], ...).
+    replayed alone with estimator.plan_paths(batch, config, (step, 1), [p]).
     """
-    keys = [(step, 1, p) for p in range(config.reg_paths)]
-    return estimator.plan_paths(
-        batch, config.seed, keys, config.scheme, config.resolution, config.anchored
-    )
+    return estimator.plan_paths(batch, config, (step, 1), range(config.reg_paths))
 
 
 def ed_penalty(

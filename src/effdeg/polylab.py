@@ -396,6 +396,8 @@ def random_multipoly(
     coeff_bound: int = 9,
 ) -> MultiPoly:
     """Random sparse polynomial of exact total degree with small integer coefficients."""
+    if dim < 1:
+        raise ValueError("dim must be >= 1")
     if degree < 0:
         raise ValueError("degree must be >= 0")
     if n_terms < 1:

@@ -88,7 +88,8 @@ def _blocks(
 ) -> np.ndarray:
     """Each path's Philox blocks from counter [p * blocks, stream, attempt, 1], as (P, 4 * blocks).
 
-    paths is (P,) uint64; one random_raw call per run of consecutive indices.
+    paths is (P,) integer path indices below 2**32; one random_raw call per
+    run of consecutive indices.
     """
     width = 4 * blocks
     out = np.empty((paths.size, width), dtype=np.uint64)

@@ -191,8 +191,11 @@ def audit_gradients(draw, n_checks: int, tolerance: float) -> dict:
     attempt; each kept cell gains rel_err = max|analytic - fd| / max|fd|,
     where fd is the central difference of objective at x.  At most
     20 * n_checks attempts are drawn.  The audit is ok when n_checks cells
-    were kept and every rel_err is below tolerance.
+    were kept and every rel_err is below tolerance; n_checks below 1 raises
+    ValueError, since an audit of nothing would pass.
     """
+    if n_checks < 1:
+        raise ValueError(f"n_checks must be >= 1, got {n_checks}")
     cells = []
     for attempt in range(20 * n_checks):
         if len(cells) == n_checks:

@@ -5,7 +5,7 @@ code paths under test: the linear solver is hand-rolled Gaussian elimination,
 the eigensolver is cyclic Jacobi, and basis references come from closed forms
 or numpy.polynomial rather than our recurrences.  The last section is the
 path engine run one path at a time, the reference for the batched engine's
-bits: plan_paths draws every key alone from its own numpy Philox and
+bits: plan_paths draws every path alone from its own numpy Philox and
 Generator, and plans_of builds PathPlans over hand-picked abscissas.  The
 polylab section is the Fraction restriction the integer core replaced, run
 once per endpoint pair and polynomial.
@@ -118,6 +118,17 @@ def legendre_reference(k, x):
     return npleg.legval(x, e)
 
 
+def _alpha_monomial_to_x(coeffs):
+    """Monomial coefficients in x = 2a - 1 of q(alpha) = sum a_j alpha^j."""
+    composed = np.zeros(1)
+    half = np.array([0.5, 0.5])  # alpha = (x + 1) / 2
+    power = np.array([1.0])
+    for a in coeffs:
+        composed = nppoly.polyadd(composed, float(a) * power)
+        power = nppoly.polymul(power, half)
+    return composed
+
+
 def alpha_monomial_to_cheb(coeffs):
     """Map q(alpha) = sum a_j alpha^j to Chebyshev coefficients in x = 2a - 1.
 
@@ -125,13 +136,12 @@ def alpha_monomial_to_cheb(coeffs):
     the Chebyshev basis; all through numpy.polynomial, independent of the
     library's own recurrences.
     """
-    composed = np.zeros(1)
-    half = np.array([0.5, 0.5])  # alpha = (x + 1) / 2
-    power = np.array([1.0])
-    for a in coeffs:
-        composed = nppoly.polyadd(composed, float(a) * power)
-        power = nppoly.polymul(power, half)
-    return npcheb.poly2cheb(composed)
+    return npcheb.poly2cheb(_alpha_monomial_to_x(coeffs))
+
+
+def alpha_monomial_to_leg(coeffs):
+    """alpha_monomial_to_cheb's Legendre twin, through numpy.polynomial.legendre.poly2leg."""
+    return npleg.poly2leg(_alpha_monomial_to_x(coeffs))
 
 
 def exact_point(x1, x2, alpha):
@@ -268,19 +278,23 @@ def separate(alphas, uppers):
     return out
 
 
-def plan_paths(inputs, seed, keys, scheme, resolution, anchored, max_redraws=16):
+def plan_paths(inputs, settings, prefix, paths, max_redraws=16):
     """estimator.plan_paths key by key: a Philox per key and attempt, Lemire in Python ints."""
     n = inputs.shape[0]
+    seed, scheme, resolution, anchored = (
+        settings.seed, settings.scheme, settings.resolution, settings.anchored
+    )
     kept, pairs, alphas = [], [], []
-    for key in keys:
+    for p in paths:
+        key = tuple(prefix) + (p,)
         for attempt in range(max_redraws):
-            word = int(path_philox(seed, key, [int(key[-1]), 0, attempt, 1]).random_raw(4)[0])
+            word = int(path_philox(seed, key, [p, 0, attempt, 1]).random_raw(4)[0])
             pair = lemire_pair(word, n)
             if pair is None or pair[0] == pair[1]:
                 continue
             d = inputs[pair[0]] - inputs[pair[1]]
             if float(np.sum(d * d)) > DEGENERATE_NORM**2:
-                kept.append(tuple(key))
+                kept.append(p)
                 pairs.append(pair)
                 if scheme == "randomized_cosine":
                     alphas.append(randomized_cosine(resolution, seed, key, anchored))
@@ -289,7 +303,8 @@ def plan_paths(inputs, seed, keys, scheme, resolution, anchored, max_redraws=16)
                 break
     pairs = np.array(pairs, dtype=np.intp).reshape(len(kept), 2)
     return PathPlans(
-        keys=tuple(kept),
+        prefix=tuple(prefix),
+        paths=np.array(kept, dtype=np.int64),
         i=pairs[:, 0],
         j=pairs[:, 1],
         alphas=np.array(alphas, dtype=float).reshape(len(kept), resolution),
@@ -305,7 +320,8 @@ def plans_of(alphas, i=0, j=1, anchored=False):
     alphas = np.atleast_2d(np.asarray(alphas, dtype=float))
     n = alphas.shape[0]
     return PathPlans(
-        keys=tuple((p,) for p in range(n)),
+        prefix=(),
+        paths=np.arange(n, dtype=np.int64),
         i=np.broadcast_to(np.asarray(i, dtype=np.intp), (n,)).copy(),
         j=np.broadcast_to(np.asarray(j, dtype=np.intp), (n,)).copy(),
         alphas=alphas,
@@ -356,9 +372,7 @@ def ed_estimate(oracle, inputs, config, labels=None):
     X = np.asarray(inputs, dtype=float)
     records, skipped = [], 0
     for p in range(config.n_paths):
-        plan = plan_paths(
-            X, config.seed, [(p,)], config.scheme, config.resolution, config.anchored
-        )
+        plan = plan_paths(X, config, (), [p])
         if not plan:
             skipped += 1
             continue
@@ -434,6 +448,31 @@ def restrict(poly, x1, x2) -> UniPoly:
         for k, c in enumerate(factor):
             acc[k] += c
     return UniPoly(acc)
+
+
+def net_restriction(net, x1, x2) -> list[list[Fraction]]:
+    """Each output of a square/identity network along a -> x2 + a (x1 - x2), exactly.
+
+    Float weights and endpoints are dyadic rationals, so every layer runs in
+    Fractions with no rounding; the result holds one alpha-monomial
+    coefficient list per output.
+    """
+    units = [[Fraction(v), Fraction(u) - Fraction(v)] for u, v in zip(x1, x2)]
+    for w, b, activation in zip(net.weights, net.biases, net.activations):
+        layer = []
+        for k in range(w.shape[1]):
+            acc = [Fraction(b[k])] + [Fraction(0)] * (max(map(len, units)) - 1)
+            for d, poly in enumerate(units):
+                weight = Fraction(w[d, k])
+                for e, c in enumerate(poly):
+                    acc[e] += weight * c
+            if activation == "square":
+                acc = _convolve(acc, acc)
+            elif activation != "identity":
+                raise ValueError(f"no exact restriction through {activation!r}")
+            layer.append(acc)
+        units = layer
+    return units
 
 
 def verify_order_preservation(poly_a, poly_b, n_pairs, sampler, seed=0):

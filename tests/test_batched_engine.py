@@ -19,6 +19,7 @@ from effdeg.estimator import (
     EstimatorConfig,
     FunctionOracle,
     PathSamplingError,
+    PathSettings,
     ed_estimate,
     fit_paths,
 )
@@ -224,20 +225,20 @@ def test_penalty_equals_per_path_reference(setting, task, reg_paths, hidden, see
 
 
 @st.composite
-def key_lists(draw):
-    """1 to 40 keys: a prefix of 0 to 2 words plus path indices, in runs and out of order."""
-    prefix = tuple(draw(st.lists(st.integers(0, 2**32 - 1) | st.just(2**40 + 3), max_size=2)))
+def path_lists(draw):
+    """1 to 40 path indices, in runs and out of order."""
     start = draw(st.sampled_from([0, 2**32 - 40]) | st.integers(0, 2**32 - 40))
     paths = list(range(start, start + draw(st.integers(0, 30))))
     for p in draw(st.lists(st.integers(0, 2**32 - 1), max_size=10)):
         paths.insert(draw(st.integers(0, len(paths))), p)
-    return [prefix + (p,) for p in paths or [0]]
+    return paths or [0]
 
 
 @PROPERTY
 @given(
     seed=st.integers(0, 2**32 - 1) | st.integers(2**63, 2**160),
-    keys=key_lists(),
+    prefix=st.lists(st.integers(0, 2**32 - 1) | st.just(2**40 + 3), max_size=2).map(tuple),
+    paths=path_lists(),
     scheme=st.sampled_from(SCHEME_VARIANTS),
     resolution=st.integers(2, 12),
     anchored=st.booleans(),
@@ -246,16 +247,20 @@ def key_lists(draw):
     distinct=st.integers(1, 6),
     dim=st.integers(1, 3),
 )
-@example(seed=2**64 - 1, keys=[(3, 1, p) for p in range(20)], scheme="randomized_cosine",
+@example(seed=2**64 - 1, prefix=(3, 1), paths=list(range(20)), scheme="randomized_cosine",
          resolution=15, anchored=True, data_seed=0, n=3, distinct=2, dim=2)
 def test_plan_paths_equals_per_key_reference(
-    seed, keys, scheme, resolution, anchored, data_seed, n, distinct, dim
+    seed, prefix, paths, scheme, resolution, anchored, data_seed, n, distinct, dim
 ):
-    # few distinct rows force redraws and dropped keys
+    # few distinct rows force redraws and dropped paths
     X = dataset(data_seed, n, dim, distinct)
-    got = estimator.plan_paths(X, seed, keys, scheme, resolution, anchored)
-    want = oracles.plan_paths(X, seed, keys, scheme, resolution, anchored)
-    assert got.keys == want.keys
+    settings = PathSettings(
+        resolution=resolution, max_degree=0, scheme=scheme, anchored=anchored, seed=seed
+    )
+    got = estimator.plan_paths(X, settings, prefix, paths)
+    want = oracles.plan_paths(X, settings, prefix, paths)
+    assert got.prefix == want.prefix == prefix
+    assert same(got.paths, want.paths)
     assert same(got.i, want.i) and same(got.j, want.j)
     assert same(got.alphas, want.alphas)
     assert got.anchored == want.anchored
@@ -263,15 +268,16 @@ def test_plan_paths_equals_per_key_reference(
 
 @pytest.mark.parametrize("scheme", SCHEME_VARIANTS)
 def test_every_path_replays_alone(scheme):
-    # a plan over many keys equals each key planned on its own: a run from
+    # a plan over many paths equals each path planned on its own: a run from
     # index 0 on, a run that is not contiguous, duplicates forcing redraws
     X = dataset(4, 30, 2, 5)
+    settings = PathSettings(resolution=7, scheme=scheme, anchored=True, seed=17)
     scattered = (9, 10, 11, 3, 0, 1, 30, 2**32 - 1)
-    for keys in ([(p,) for p in range(40)], [(6, 1, p) for p in scattered]):
-        together = estimator.plan_paths(X, 17, keys, scheme, 7, True)
-        alone = [estimator.plan_paths(X, 17, [key], scheme, 7, True) for key in keys]
+    for prefix, paths in (((), range(40)), ((6, 1), scattered)):
+        together = estimator.plan_paths(X, settings, prefix, paths)
+        alone = [estimator.plan_paths(X, settings, prefix, [p]) for p in paths]
         alone = [plan for plan in alone if plan]
-        assert together.keys == tuple(plan.keys[0] for plan in alone)
+        assert together.paths.tolist() == [plan.paths[0] for plan in alone]
         for k, plan in enumerate(alone):
             assert (together.i[k], together.j[k]) == (plan.i[0], plan.j[0])
             assert same(together.alphas[k], plan.alphas[0])
@@ -280,10 +286,10 @@ def test_every_path_replays_alone(scheme):
 def test_plan_paths_redraw_test_decides_as_linalg_norm():
     # rows 1e-12 apart sit on the redraw threshold: some pairs are redrawn, some kept
     X = np.array([[0.0, 0.0], [5e-13, 0.0], [1.2e-12, 0.0], [0.0, 1.5e-12], [3e-12, 0.0]])
-    keys = [(p,) for p in range(300)]
-    got = estimator.plan_paths(X, 8, keys, "randomized_cosine", 4, False)
-    want = oracles.plan_paths(X, 8, keys, "randomized_cosine", 4, False)
-    assert got.keys == want.keys
+    settings = PathSettings(seed=8)
+    got = estimator.plan_paths(X, settings, (), range(300))
+    want = oracles.plan_paths(X, settings, (), range(300))
+    assert same(got.paths, want.paths)
     assert same(got.i, want.i) and same(got.j, want.j) and same(got.alphas, want.alphas)
     pairs = {frozenset(pair) for pair in zip(got.i.tolist(), got.j.tolist())}
     assert {0, 1} not in pairs and {1, 2} not in pairs  # 5e-13 and 7e-13 apart
@@ -292,16 +298,18 @@ def test_plan_paths_redraw_test_decides_as_linalg_norm():
 
 def test_deterministic_schemes_draw_no_abscissa_stream(monkeypatch):
     X = np.random.default_rng(3).standard_normal((30, 2))
-    keys = [(p,) for p in range(50)]
-    schemes = ("chebyshev_fixed", "uniform")
-    want = {s: estimator.plan_paths(X, 4, keys, s, 6, True) for s in schemes}
+    settings = {
+        s: PathSettings(resolution=6, scheme=s, anchored=True, seed=4)
+        for s in ("chebyshev_fixed", "uniform")
+    }
+    want = {s: estimator.plan_paths(X, settings[s], (), range(50)) for s in settings}
 
     def refuse(*args):
         raise AssertionError("a deterministic scheme drew abscissa uniforms")
 
     monkeypatch.setattr(sampling, "path_uniforms", refuse)
     for scheme, plans in want.items():
-        got = estimator.plan_paths(X, 4, keys, scheme, 6, True)
+        got = estimator.plan_paths(X, settings[scheme], (), range(50))
         assert same(got.alphas, plans.alphas)
         assert same(got.alphas, np.tile(sample_abscissas(scheme, 6, anchored=True), (len(got), 1)))
 
@@ -321,15 +329,15 @@ def test_reference_fixtures_reach_dead_components_and_ties():
 def test_stacking_does_not_change_a_path():
     # a path fitted with others equals the same path fitted alone (P = 1)
     rng = np.random.default_rng(1)
-    cfg = EstimatorConfig(resolution=6, max_degree=4, pca_dim=2, post_softmax=True)
+    cfg = EstimatorConfig(resolution=6, max_degree=4, pca_dim=2, post_softmax=True, seed=5)
     X = rng.standard_normal((4, 2))
-    plans = estimator.plan_paths(X, 5, [(p,) for p in range(5)], cfg.scheme, 6, False)
+    plans = estimator.plan_paths(X, cfg, (), range(5))
     assert len(plans) == 5
     raw = rng.standard_normal((5, 6, 3))
     together = fit_paths(raw, plans, cfg, with_gradient=True)
     for k in range(5):
         alone = fit_paths(
-            raw[k : k + 1], estimator.plan_paths(X, 5, [(k,)], cfg.scheme, 6, False), cfg,
+            raw[k : k + 1], estimator.plan_paths(X, cfg, (), [k]), cfg,
             with_gradient=True,
         )
         assert alone.ed.ed.tolist() == together.ed.ed[k : k + 1].tolist()
@@ -342,7 +350,7 @@ def test_estimate_evaluates_the_oracle_once_on_all_paths():
     oracle = FunctionOracle(2, 2, lambda p: seen.append(p.copy()) or p, name="identity")
     cfg = EstimatorConfig(n_paths=3, resolution=4, max_degree=2, scheme="uniform", seed=2)
     ed_estimate(oracle, X, cfg)
-    plans = estimator.plan_paths(X, cfg.seed, [(p,) for p in range(3)], cfg.scheme, 4, False)
+    plans = estimator.plan_paths(X, cfg, (), range(3))
     assert len(seen) == 1 and seen[0].shape == (12, 2)
     for k in range(len(plans)):  # path k's rows, in plan order
         a = plans.alphas[k][:, None]

@@ -208,6 +208,27 @@ def test_malformed_inputs_exit_two_naming_the_file(tmp_path, capsys):
         assert named in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["train", "--hidden", "0"],
+        ["train", "--hidden", "4,0"],
+        ["verify-degree", "--dim", "0", "--terms", "1"],
+        ["pnn-study", "--width", "0", "--steps", "5", "--train-points", "8",
+         "--eval-points", "8"],
+        ["gradcheck", "--surrogate-checks", "-1"],
+        ["gradcheck", "--surrogate-checks", "0", "--composite-checks", "0"],
+    ],
+)
+def test_empty_layers_polynomials_and_audits_exit_two_writing_nothing(argv, tmp_path, capsys):
+    if argv[0] == "train":
+        argv = argv + ["--data", cluster_dataset(tmp_path / "c.csv", n=16), "--steps", "2"]
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
 def test_csv_artifacts_use_crlf(tmp_path, capsys):
     data = write_dataset(tmp_path / "d.csv", np.random.default_rng(6).standard_normal((6, 2)))
     out = str(tmp_path / "out")

@@ -20,6 +20,7 @@ from effdeg.estimator import (
     FunctionOracle,
     NonFiniteOutputError,
     PathSamplingError,
+    PathSettings,
     anchor_values,
     ed_estimate,
     fit_paths,
@@ -27,11 +28,12 @@ from effdeg.estimator import (
     plan_paths,
     softmax,
 )
+from effdeg.net import build_pnn
 from effdeg.reduce import pca_project
-from effdeg.sampling import chebyshev_nodes, sample_abscissas
+from effdeg.sampling import SCHEME_VARIANTS, chebyshev_nodes, sample_abscissas
 from effdeg.surrogate import fit_matrix
 
-from oracles import alpha_monomial_to_cheb, plans_of
+from oracles import alpha_monomial_to_cheb, alpha_monomial_to_leg, net_restriction, plans_of
 
 
 def identity_oracle(d):
@@ -174,6 +176,38 @@ def test_fit_matches_symbolic_restriction_random_endpoints():
         padded = np.zeros(5)
         padded[: len(want)] = want
         assert np.max(np.abs(got - padded)) < 1e-8
+
+
+@pytest.fixture(scope="module")
+def square_net_paths():
+    # a degree-8 network, its dataset, and each planned pair's exact restriction
+    net = build_pnn(seed=0)
+    X = np.random.default_rng(8).uniform(-2.0, 2.0, size=(12, 3))
+    plans = plan_paths(X, PathSettings(seed=5), (), range(6))
+    pairs = zip(plans.i.tolist(), plans.j.tolist())
+    exact = {(i, j): net_restriction(net, X[i], X[j]) for i, j in pairs}
+    return net, X, exact
+
+
+@pytest.mark.parametrize("resolution", [9, 15])
+@pytest.mark.parametrize("scheme", SCHEME_VARIANTS)
+@pytest.mark.parametrize("basis", ["chebyshev", "legendre"])
+def test_square_net_estimate_equals_its_exact_restriction(
+    square_net_paths, basis, scheme, resolution
+):
+    # at K = 8 and no damping each path's fit recovers the network's restriction
+    net, X, exact = square_net_paths
+    to_basis = alpha_monomial_to_cheb if basis == "chebyshev" else alpha_monomial_to_leg
+    cfg = EstimatorConfig(
+        n_paths=6, resolution=resolution, max_degree=8, damping=0.0, basis=basis,
+        scheme=scheme, seed=5,
+    )
+    report = ed_estimate(net.as_oracle(), X, cfg)
+    assert len(report.per_path) == 6
+    for path in report.per_path:
+        outputs = exact[(path.endpoint_i, path.endpoint_j)]
+        want = np.mean([np.abs(to_basis(c)) @ np.arange(len(c)) for c in outputs])
+        assert path.ed == pytest.approx(want, rel=1e-10, abs=0.0)
 
 
 def test_constant_function_gives_zero_ed():
@@ -326,9 +360,7 @@ def test_single_path_replays_on_its_own():
     report = ed_estimate(oracle, X, cfg, labels=labels)
     assert len(report.per_path) == 12
     for result in reversed(report.per_path):
-        plan = plan_paths(
-            X, cfg.seed, [(result.index,)], cfg.scheme, cfg.resolution, cfg.anchored
-        )
+        plan = plan_paths(X, cfg, (), [result.index])
         fitted = fit_paths(path_values(oracle, X, plan), plan, cfg, labels=labels)
         assert (plan.i[0], plan.j[0]) == (result.endpoint_i, result.endpoint_j)
         assert fitted.ed.ed[0] == result.ed
@@ -338,7 +370,7 @@ def test_single_path_replays_on_its_own():
 
 def test_plan_path_redraws_coincident_pairs():
     X = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0]])
-    plans = plan_paths(X, 3, [(p,) for p in range(20)], "chebyshev_fixed", 4, False)
+    plans = plan_paths(X, PathSettings(scheme="chebyshev_fixed", seed=3), (), range(20))
     assert len(plans) == 20
     assert ((plans.i == 2) | (plans.j == 2)).all()
 
@@ -347,39 +379,26 @@ def exit_code(exc):
     return next(code for kind, code in EXIT_CODES if isinstance(exc, kind))
 
 
-@pytest.mark.parametrize(
-    "keys,named",
-    [
-        ([(2, 0), (2, 1), (3, 2)], r"\(3, 2\)"),  # a prefix word differs
-        ([(0,), (1,), (0, 2)], r"\(0, 2\)"),  # a longer key
-        ([(5, 1), ()], r"\(\)"),  # no path index
-    ],
-)
-def test_plan_paths_rejects_keys_that_differ_before_the_last_word(keys, named):
-    X = np.random.default_rng(0).standard_normal((5, 2))
-    with pytest.raises(ValueError, match=f"path key {named} is not the prefix") as err:
-        plan_paths(X, 0, keys, "randomized_cosine", 4, False)
-    assert exit_code(err.value) == EXIT_CONFIG
-
-
 @pytest.mark.parametrize("index", [-1, 2**32, 2**64])
 def test_plan_paths_rejects_path_indices_outside_32_bits(index):
     X = np.random.default_rng(0).standard_normal((5, 2))
-    keys = [(7, 0), (7, 2**32 - 1), (7, index)]
+    settings = PathSettings(scheme="chebyshev_fixed")
+    paths = [0, 2**32 - 1, index]
     named = rf"path key \(7, {index}\): path index {index} is outside"
     with pytest.raises(ValueError, match=named) as err:
-        plan_paths(X, 0, keys, "chebyshev_fixed", 4, False)
+        plan_paths(X, settings, (7,), paths)
     assert exit_code(err.value) == EXIT_CONFIG
-    assert len(plan_paths(X, 0, keys[:2], "chebyshev_fixed", 4, False)) == 2
+    assert len(plan_paths(X, settings, (7,), paths[:2])) == 2
 
 
 def test_plan_paths_rejects_datasets_of_2_to_the_32_rows():
     # zero-stride views: no memory behind the rows, and every row coincides
     largest = np.broadcast_to(np.arange(2.0), (2**32 - 1, 2))
-    assert len(plan_paths(largest, 0, [(0,)], "uniform", 4, False)) == 0
+    settings = PathSettings(scheme="uniform")
+    assert len(plan_paths(largest, settings, (), [0])) == 0
     too_many = np.broadcast_to(np.arange(2.0), (2**32, 2))
     with pytest.raises(ValueError, match="cannot plan paths over 4294967296 rows") as err:
-        plan_paths(too_many, 0, [(0,)], "uniform", 4, False)
+        plan_paths(too_many, settings, (), [0])
     assert exit_code(err.value) == EXIT_CONFIG
 
 
@@ -390,12 +409,12 @@ def test_nonfinite_oracle_output_names_the_path():
         2, 1, lambda p: np.where(p[:, :1] > 2.0, np.nan, p[:, :1]), name="nan-beyond-2"
     )
     cfg = EstimatorConfig(n_paths=12, resolution=4, max_degree=3, seed=6)
-    plans = plan_paths(X, cfg.seed, [(p,) for p in range(cfg.n_paths)], cfg.scheme, 4, False)
+    plans = plan_paths(X, cfg, (), range(cfg.n_paths))
     first = int(np.flatnonzero((plans.i == 3) | (plans.j == 3))[0])
     with pytest.raises(NonFiniteOutputError) as err:
         ed_estimate(oracle, X, cfg)
     assert str(err.value) == (
-        f"non-finite output on path {plans.keys[first][0]} "
+        f"non-finite output on path {plans.paths[first]} "
         f"(endpoint rows {plans.i[first]} and {plans.j[first]})"
     )
     infinite = FunctionOracle(2, 1, lambda p: np.where(p[:, :1] > 2.0, -np.inf, p[:, :1]))
@@ -408,7 +427,7 @@ def test_overflowing_ed_statistics_name_the_largest_path():
     X = np.random.default_rng(0).standard_normal((20, 2))
     oracle = FunctionOracle(2, 1, lambda p: 1e300 * p[:, :1] ** 2, name="huge")
     cfg = EstimatorConfig(n_paths=10, seed=1)
-    plans = plan_paths(X, cfg.seed, [(p,) for p in range(10)], cfg.scheme, cfg.resolution, False)
+    plans = plan_paths(X, cfg, (), range(10))
     eds = fit_paths(path_values(oracle, X, plans), plans, cfg).ed.ed
     assert np.isfinite(eds).all()
     k = int(np.argmax(eds))
@@ -418,5 +437,5 @@ def test_overflowing_ed_statistics_name_the_largest_path():
             ed_estimate(oracle, X, cfg)
     assert str(err.value) == (
         f"effective-degree statistics overflow: largest ED {eds[k]:.3e} on path "
-        f"{plans.keys[k][0]} (endpoint rows {plans.i[k]} and {plans.j[k]})"
+        f"{plans.paths[k]} (endpoint rows {plans.i[k]} and {plans.j[k]})"
     )

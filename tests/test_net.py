@@ -335,11 +335,9 @@ def test_plan_paths_are_plan_path_at_step_keys():
     cfg = TrainConfig(reg_paths=6, resolution=5, anchored=True, seed=31)
     plans = plan_paths(X, cfg, step=7)
     assert len(plans) == 6
-    assert plans.keys == tuple((7, 1, p) for p in range(6))
-    for k, key in enumerate(plans.keys):  # each path replayed alone
-        alone = estimator.plan_paths(
-            X, cfg.seed, [key], cfg.scheme, cfg.resolution, cfg.anchored
-        )
+    assert plans.prefix == (7, 1) and plans.paths.tolist() == list(range(6))
+    for k, p in enumerate(plans.paths):  # each path replayed alone
+        alone = estimator.plan_paths(X, cfg, (7, 1), [p])
         assert (alone.i[0], alone.j[0]) == (plans.i[k], plans.j[k])
         assert alone.alphas.tobytes() == plans.alphas[k].tobytes()
 
@@ -530,6 +528,6 @@ def test_penalty_nonfinite_output_names_the_path():
     with pytest.raises(NonFiniteOutputError) as err:
         ed_penalty(net, X, T, plans, cfg)
     assert str(err.value) == (
-        f"non-finite output on path 2:1:{plans.keys[0][-1]} "
+        f"non-finite output on path 2:1:{plans.paths[0]} "
         f"(endpoint rows {plans.i[0]} and {plans.j[0]})"
     )
