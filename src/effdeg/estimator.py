@@ -126,6 +126,11 @@ class PathSettings:
         if self.anchored and self.resolution < 2:
             raise ValueError("anchoring requires resolution >= 2")
 
+    def check_output_dim(self, output_dim: int) -> None:
+        """Reject a pca_dim that outputs of this width cannot supply on a path."""
+        if self.pca_dim is not None and self.pca_dim > min(self.resolution, output_dim):
+            raise ValueError("pca_dim exceeds min(resolution, output_dim)")
+
 
 @dataclass(frozen=True)
 class EstimatorConfig(PathSettings):
@@ -389,10 +394,7 @@ def ed_estimate(
             labels = labels[:, None]
         if labels.shape != (X.shape[0], oracle.output_dim):
             raise ValueError(f"labels must be (n, {oracle.output_dim})")
-    if config.pca_dim is not None and config.pca_dim > min(
-        config.resolution, oracle.output_dim
-    ):
-        raise ValueError("pca_dim exceeds min(resolution, output_dim)")
+    config.check_output_dim(oracle.output_dim)
 
     plans = plan_paths(X, config, (), range(config.n_paths))
     if not plans:

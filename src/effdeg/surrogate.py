@@ -184,24 +184,27 @@ def central_difference(f, x: np.ndarray, step: float = 1e-6) -> np.ndarray:
     return grad
 
 
-def audit_gradients(draw, n_checks: int, tolerance: float) -> dict:
+def audit_gradients(draw, n_checks: int, tolerance: float, *, skipped: str) -> dict:
     """Compare analytic gradients with central differences on n_checks drawn cells.
 
     draw(attempt) returns (cell, analytic, objective, x), or None to skip the
-    attempt; each kept cell gains rel_err = max|analytic - fd| / max|fd|,
-    where fd is the central difference of objective at x.  At most
-    20 * n_checks attempts are drawn.  The audit is ok when n_checks cells
-    were kept and every rel_err is below tolerance; n_checks below 1 raises
-    ValueError, since an audit of nothing would pass.
+    attempt; the report counts skipped attempts under the key skipped.  Each
+    kept cell gains rel_err = max|analytic - fd| / max|fd|, where fd is the
+    central difference of objective at x.  At most 20 * n_checks attempts
+    are drawn.  The audit is ok when n_checks cells were kept and every
+    rel_err is below tolerance; n_checks below 1 raises ValueError, since an
+    audit of nothing would pass.
     """
     if n_checks < 1:
         raise ValueError(f"n_checks must be >= 1, got {n_checks}")
     cells = []
+    n_skipped = 0
     for attempt in range(20 * n_checks):
         if len(cells) == n_checks:
             break
         drawn = draw(attempt)
         if drawn is None:
+            n_skipped += 1
             continue
         cell, analytic, objective, x = drawn
         reference = central_difference(objective, x, step=1e-6)
@@ -213,6 +216,7 @@ def audit_gradients(draw, n_checks: int, tolerance: float) -> dict:
         "max_rel_err": worst,
         "tolerance": tolerance,
         "ok": bool(len(cells) == n_checks and worst < tolerance),
+        skipped: n_skipped,
         "cells": cells,
     }
 
@@ -222,7 +226,8 @@ def gradcheck(n_checks: int, seed: int) -> dict:
 
     Each cell draws a resolution, degree cap, damping, basis and
     randomized_cosine abscissas from sampling.rng(seed, 1).  Cells with a
-    coefficient within 1e-8 of zero sit on a kink of ED and are skipped.
+    coefficient within 1e-8 of zero sit on a kink of ED: they are skipped
+    and counted as kink_cells.
     """
     rng = sampling.rng(seed, 1)
 
@@ -246,4 +251,4 @@ def gradcheck(n_checks: int, seed: int) -> dict:
         cell = {"resolution": r, "max_degree": max_degree, "damping": damping, "basis": basis}
         return cell, grad[:, 0], objective, y
 
-    return audit_gradients(draw, n_checks, tolerance=1e-4)
+    return audit_gradients(draw, n_checks, tolerance=1e-4, skipped="kink_cells")

@@ -466,6 +466,19 @@ def test_train_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("strength", ["0", "1"])
+def test_train_rejects_pca_dim_wider_than_the_outputs(tmp_path, capsys, strength):
+    # two classes give two outputs: pca_dim 3 fails before step 0, penalty or not
+    data = cluster_dataset(tmp_path / "c.csv", n=16, seed=14)
+    out = tmp_path / "out"
+    assert main([
+        "train", "--data", data, "--hidden", "4", "--steps", "2", "--batch-size", "8",
+        "--pca-dim", "3", "--reg-strength", strength, "--out", str(out),
+    ]) == EXIT_CONFIG
+    assert "pca_dim exceeds min(resolution, output_dim)" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_checkpoint_oracle_round_trip(tmp_path, capsys):
     data = cluster_dataset(tmp_path / "c.csv", n=24, seed=15)
     out = str(tmp_path / "out")
@@ -618,6 +631,8 @@ def test_gradcheck_passes_and_lists_cells(tmp_path, capsys):
     jsonschema.validate(doc, load_schema("gradcheck.schema.json"))
     surrogate = doc["result"]["surrogate"]
     assert surrogate["n_checks"] == 5 and len(surrogate["cells"]) == 5
+    assert surrogate["kink_cells"] == 0
+    assert doc["result"]["composite"]["short_batches"] == 0
     assert {"resolution", "max_degree", "damping", "basis", "rel_err"} <= set(
         surrogate["cells"][0]
     )
@@ -676,9 +691,13 @@ def test_pnn_study_smoke_and_rerun(tmp_path, capsys):
     assert without_created(a) == without_created(b)
     jsonschema.validate(a, load_schema("pnn_study.schema.json"))
     assert len(a["result"]["rows"]) == 6
+    # the 30-step cap ends every rung before the 200-step stop window can
+    assert a["result"]["stop_rule"] == {"window": 200, "divisor": 30}
+    assert [row["steps"] for row in a["result"]["rows"]] == [30] * 6
     with open(os.path.join(outs[0], "pnn_study.csv"), newline="", encoding="utf-8") as fh:
         rows = list(csv.reader(fh))
     assert len(rows) == 7
+    assert rows[0][rows[0].index("restarts") + 1] == "steps"
 
 
 def test_pnn_study_strict_failure_exits_six(tmp_path, capsys):

@@ -6,11 +6,12 @@ identities instead.
 """
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from effdeg import estimator, net as nets
+from effdeg import estimator, net as nets, sampling
 from effdeg.estimator import NonFiniteOutputError
 from effdeg.net import (
     ACTIVATIONS,
@@ -115,6 +116,62 @@ def test_backward_matches_fd_on_smooth_net():
     analytic = flat_grads(net, *net.backward(cache, d_raw))
     fd = fd_gradient(objective, net.get_flat())
     assert np.max(np.abs(analytic - fd)) < 1e-6 * (1.0 + np.max(np.abs(fd)))
+
+
+@pytest.mark.parametrize(
+    "activations",
+    [
+        ("identity",),
+        ("relu", "identity"),
+        ("identity", "square"),
+        ("relu", "square", "identity"),
+        ("square", "identity", "relu"),
+    ],
+)
+def test_backward_matches_central_differences(activations):
+    # relu preactivations stay clear of 0 at this seed, so differences are valid there
+    sizes = (3,) + (4,) * (len(activations) - 1) + (2,)
+    net = FeedForwardNet.create(sizes, activations=activations, seed=17, scale=0.7)
+    X = np.random.default_rng(18).standard_normal((9, 3))
+    T = np.random.default_rng(19).standard_normal((9, 2))
+    _, (pre, _) = net.forward_cached(X)
+    assert min(np.abs(z).min() for z in pre) > 1e-4
+
+    def objective(flat):
+        probe = net.clone()
+        probe.set_flat(flat)
+        return task_loss_and_grad(probe.forward(X), T, "mse")[0]
+
+    raw, cache = net.forward_cached(X)
+    analytic = flat_grads(net, *net.backward(cache, task_loss_and_grad(raw, T, "mse")[1]))
+    fd = fd_gradient(objective, net.get_flat())
+    assert np.max(np.abs(analytic - fd)) <= 1e-6 * np.max(np.abs(fd))
+
+
+def test_train_stop_rule_waits_for_a_whole_window():
+    # w -> 1 under heavy momentum overshoots: the loss dips under the
+    # threshold, rises again, and only later stays under it
+    def fresh():
+        return FeedForwardNet([np.zeros((1, 1))], [np.zeros(1)], ("identity",))
+
+    X = np.array([[1.0], [0.5], [-0.25]])
+    cfg = TrainConfig(task="mse", n_steps=400, batch_size=3, step_size=0.5, momentum=0.9)
+    losses = [r.task_loss for r in train(fresh(), X, X, cfg)]
+    threshold, window = 1e-3, 12
+    below = [loss < threshold for loss in losses]
+    first = below.index(True)
+    stop = next(s for s in range(window - 1, len(below)) if all(below[s - window + 1 : s + 1]))
+    assert not all(below[first:stop])  # the first dip did not last
+
+    log = train(fresh(), X, X, cfg, stop_below=(threshold, window))
+    assert len(log) == stop + 1
+    assert [r.task_loss for r in log] == losses[: stop + 1]
+    # n_steps stays a cap, and a window of one stops on the first dip
+    capped = replace(cfg, n_steps=stop)
+    assert len(train(fresh(), X, X, capped, stop_below=(threshold, window))) == stop
+    assert len(train(fresh(), X, X, cfg, stop_below=(threshold, 1))) == first + 1
+    with pytest.raises(ValueError, match="stop window"):
+        train(fresh(), X, X, cfg, stop_below=(threshold, 0))
 
 
 def test_task_loss_perfect_fit():
@@ -491,12 +548,16 @@ def test_pnn_tasks_scale_pairs():
 
 def test_pnn_ladder_trains_seed_3_t4():
     # t4 at seed 3 diverges on the first five rungs; the last one fits it
-    mse, _, restarts = nets._train_pnn_task(
+    mse, net, restarts, steps = nets._train_pnn_task(
         PNN_TASKS[3][1], seed=3, task_index=3, width=16, n_train=512, n_steps=3000,
         mse_target=1e-4,
     )
     assert restarts == 5
     assert mse < 1e-4
+    assert 200 <= steps <= 3000
+    # the reported mse is the returned net's, not the loss before the last update
+    X = sampling.rng(3, 3, 0).uniform(-1.0, 1.0, size=(512, 3))
+    assert mse == np.mean((net.forward(X) - PNN_TASKS[3][1](X)) ** 2)
 
 
 def test_composite_step_runs_one_backward_for_the_penalty(monkeypatch):

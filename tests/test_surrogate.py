@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from effdeg import surrogate
 from effdeg.basis import design_matrix
 from effdeg.estimator import EstimatorConfig, fit_paths
 from effdeg.sampling import chebyshev_nodes, randomized_cosine, sample_abscissas
@@ -310,18 +311,38 @@ def test_audit_gradients_reports_each_kept_cell():
         x = np.array([1.0, -2.0])
         return {"attempt": attempt}, sign * 2.0 * x, lambda v: float(v @ v), x
 
-    report = audit_gradients(draw, 1, tolerance=1e-6)
-    assert report["ok"] is True and report["n_checks"] == 1
+    report = audit_gradients(draw, 1, tolerance=1e-6, skipped="gaps")
+    assert report["ok"] is True and report["n_checks"] == 1 and report["gaps"] == 0
     assert report["cells"][0]["rel_err"] < 1e-6
-    report = audit_gradients(draw, 3, tolerance=1e-6)
+    report = audit_gradients(draw, 3, tolerance=1e-6, skipped="gaps")
     assert [c["attempt"] for c in report["cells"]] == [0, 2, 3]
+    assert report["gaps"] == 1
     assert report["cells"][1]["rel_err"] == pytest.approx(2.0, rel=1e-6)
     assert report["max_rel_err"] == report["cells"][1]["rel_err"]
     assert report["ok"] is False
     # too few cells within 20 * n_checks attempts is a failure too
-    assert audit_gradients(lambda attempt: None, 1, tolerance=1.0) == {
-        "n_checks": 0, "max_rel_err": 0.0, "tolerance": 1.0, "ok": False, "cells": [],
+    assert audit_gradients(lambda attempt: None, 1, tolerance=1.0, skipped="gaps") == {
+        "n_checks": 0, "max_rel_err": 0.0, "tolerance": 1.0, "ok": False, "gaps": 20,
+        "cells": [],
     }
+
+
+def test_gradcheck_counts_kink_cells(monkeypatch):
+    # zero one coefficient of every other fit: those cells sit on a kink of ED
+    fit = surrogate.fit_matrix
+    calls = []
+
+    def kinked(*args, with_gradient=False, **kwargs):
+        out = fit(*args, with_gradient=with_gradient, **kwargs)
+        if with_gradient:
+            calls.append(1)
+            if len(calls) % 2:
+                out[0][0, 0] = 0.0
+        return out
+
+    monkeypatch.setattr(surrogate, "fit_matrix", kinked)
+    report = surrogate.gradcheck(3, seed=0)
+    assert report["kink_cells"] == 3 and report["n_checks"] == 3 and report["ok"] is True
 
 
 
