@@ -154,7 +154,8 @@ def _check(key: str, kind, value):
     """value as `kind`, or ConfigError naming key.
 
     JSON booleans, numbers and strings do not stand in for each other; an
-    int field takes a float only when it is integral.
+    int field takes a float only when it is integral, and a float field
+    takes no NaN or infinity.
     """
     if value is None and type(None) in typing.get_args(kind):
         return None
@@ -176,6 +177,8 @@ def _check(key: str, kind, value):
         ok = isinstance(value, kind)
     if not ok or isinstance(value, bool) and kind is not bool:
         raise ConfigError(f"{key} must be {kind.__name__}, got {value!r}")
+    if kind is float and not math.isfinite(value):
+        raise ConfigError(f"{key} must be finite, got {value!r}")
     return kind(value)
 
 
@@ -212,14 +215,20 @@ def _sha256_file(path: str) -> str:
 
 
 def load_dataset_csv(path: str) -> tuple[np.ndarray, np.ndarray | None]:
-    """Read finite feature columns x0..x{d-1} plus an optional label column of integers >= 0."""
+    """Read finite feature columns x0..x{d-1}, d >= 1, plus an optional label column of
+    integers >= 0; no column name may repeat."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
         except StopIteration:
             raise ConfigError(f"{path} is empty")
+        repeated = sorted({h for h in header if header.count(h) > 1})
+        if repeated:
+            raise ConfigError(f"{path}: repeated columns {repeated}")
         feature_cols = [h for h in header if h.startswith("x")]
+        if not feature_cols:
+            raise ConfigError(f"{path}: no feature columns x0..x{{d-1}}, got {header}")
         expected = [f"x{k}" for k in range(len(feature_cols))]
         if feature_cols != expected:
             raise ConfigError(

@@ -115,7 +115,7 @@ class PathSettings:
             raise ValueError("resolution must be >= max_degree + 1")
         if self.max_degree < 0:
             raise ValueError("max_degree must be >= 0")
-        if self.damping < 0:
+        if not self.damping >= 0:
             raise ValueError("damping must be >= 0")
         if self.basis not in BASIS_KINDS:
             raise ValueError(f"basis must be one of {BASIS_KINDS}")
@@ -140,8 +140,8 @@ class EstimatorConfig(PathSettings):
     post_softmax: bool = False
 
     def validate(self) -> None:
-        if self.n_paths < 1:
-            raise ValueError("n_paths must be >= 1")
+        if not 1 <= self.n_paths <= 2**32:
+            raise ValueError("n_paths must lie in 1..2**32")
         super().validate()
 
 

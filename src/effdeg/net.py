@@ -280,16 +280,16 @@ class TrainConfig(PathSettings):
             raise ValueError("n_steps must be >= 1")
         if self.batch_size < 2:
             raise ValueError("batch_size must be >= 2 so endpoint pairs exist")
-        if self.step_size <= 0:
+        if not self.step_size > 0:
             raise ValueError("step_size must be > 0")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError("momentum must be in [0, 1)")
-        if self.reg_strength < 0:
+        if not self.reg_strength >= 0:
             raise ValueError("reg_strength must be >= 0")
         if not 0.0 <= self.ramp_fraction <= 1.0:
             raise ValueError("ramp_fraction must be in [0, 1]")
-        if self.reg_paths < 0:
-            raise ValueError("reg_paths must be >= 0")
+        if not 0 <= self.reg_paths <= 2**32:
+            raise ValueError("reg_paths must lie in 0..2**32")
         super().validate()
 
 
@@ -592,12 +592,23 @@ def save_checkpoint(
     atomic_write(path, _CKPT_MAGIC + len(blob).to_bytes(8, "little") + blob + b"".join(buffers))
 
 
+def _is_array_spec(spec_) -> bool:
+    """True for a checkpoint header entry {"name": str, "shape": [int >= 0, ...]}."""
+    return (
+        isinstance(spec_, dict)
+        and isinstance(spec_.get("name"), str)
+        and isinstance(spec_.get("shape"), list)
+        and all(type(n) is int and n >= 0 for n in spec_["shape"])
+    )
+
+
 def load_checkpoint(path: str) -> tuple[FeedForwardNet, dict]:
     """Read a checkpoint; returns the network and its header.
 
     Raises ValueError naming path when the file is not a checkpoint, its
-    header runs past the end of the file, is not a JSON object or lacks a
-    key, or its payload is not exactly the arrays the header lists.
+    header runs past the end of the file, is not a JSON object, lacks a key
+    or holds one of the wrong type, its payload is not exactly the arrays
+    the header lists, or those arrays do not form a network.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -616,6 +627,14 @@ def load_checkpoint(path: str) -> tuple[FeedForwardNet, dict]:
     missing = [key for key in ("arrays", "layer_sizes", "activations") if key not in header]
     if missing:
         raise ValueError(f"{path}: checkpoint header lacks {', '.join(missing)}")
+    if not isinstance(header["arrays"], list) or not all(map(_is_array_spec, header["arrays"])):
+        raise ValueError(
+            f"{path}: checkpoint header's arrays must be a list of "
+            "{name: string, shape: list of integers >= 0}"
+        )
+    for key in ("layer_sizes", "activations"):
+        if not isinstance(header[key], list):
+            raise ValueError(f"{path}: checkpoint header's {key} must be a list")
     pos += header_len
     sizes = [8 * int(np.prod(spec_["shape"])) for spec_ in header["arrays"]]
     if len(blob) - pos != sum(sizes):
@@ -633,7 +652,10 @@ def load_checkpoint(path: str) -> tuple[FeedForwardNet, dict]:
         raise ValueError(f"{path}: checkpoint header lists no array {sorted(unlisted)}")
     weights = [arrays[f"w{l}"].copy() for l in range(n_layers)]
     biases = [arrays[f"b{l}"].copy() for l in range(n_layers)]
-    return FeedForwardNet(weights, biases, header["activations"]), header
+    try:
+        return FeedForwardNet(weights, biases, header["activations"]), header
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def make_two_cluster_dataset(

@@ -1,23 +1,25 @@
-"""Exact rational polynomials and their restrictions to line segments.
+"""Exact rational polynomials and the order-preservation experiment.
 
 The lab exists to check one structural fact with no floating point in the
 loop: restricting a polynomial P of total degree D to the line
 x2 + a (x1 - x2) keeps degree D in a exactly when the leading homogeneous
 part of P does not vanish at v = x1 - x2.  Degree drops are therefore a
 measure-zero event for generic endpoints, and average restricted degrees
-preserve the ordering of true degrees.
+preserve the ordering of true degrees; verify_order_preservation measures
+both over sampled endpoint pairs.
 
 A polynomial is a dict from exponent tuples to Fraction coefficients; zero
 coefficients are never stored.  The zero polynomial has degree -inf.
 
-Fraction is the interface, not the arithmetic.  Inside, restrict,
-degree_drops and verify_order_preservation work in Python integers: a
-polynomial is compiled once to integer coefficients over the lcm of their
-denominators, an endpoint pair is converted once to an integer base x2 * D
-and step (x1 - x2) * D over the lcm D of its coordinates' denominators, and
-restrict divides by the one common scale at the end.  verify tests the
-leading part at the step first and runs the full restriction only when it
-vanishes.
+Fraction is the interface, not the arithmetic.  verify's loop runs in
+Python integers: each polynomial is compiled once to integer coefficients
+over the lcm of their denominators, and each endpoint pair is converted
+once to an integer base x2 * D and step (x1 - x2) * D over the lcm D of its
+coordinates' denominators.  Every value the loop computes is then the exact
+one times a positive integer, so no test it makes needs a division.  For
+each pair and polynomial it evaluates the leading part at the step first: a
+nonzero value means degree D is kept, and only a zero value runs the full
+restriction to find the degree the polynomial dropped to.
 """
 
 from __future__ import annotations
@@ -34,10 +36,6 @@ from . import sampling
 __all__ = [
     "NEG_INF",
     "MultiPoly",
-    "UniPoly",
-    "restrict",
-    "leading_part",
-    "degree_drops",
     "OrderPreservationRecord",
     "verify_order_preservation",
     "gaussian_pair_sampler",
@@ -89,19 +87,6 @@ class MultiPoly:
             return NEG_INF
         return max(sum(exp) for exp in self.terms)
 
-    def evaluate(self, point) -> Fraction:
-        pt = [Fraction(v) for v in point]
-        if len(pt) != self.dim:
-            raise ValueError("point dimension mismatch")
-        total = Fraction(0)
-        for exp, coef in self.terms.items():
-            val = coef
-            for x, e in zip(pt, exp):
-                if e:
-                    val *= x**e
-            total += val
-        return total
-
     def __eq__(self, other):
         if not isinstance(other, MultiPoly):
             return NotImplemented
@@ -109,34 +94,6 @@ class MultiPoly:
 
     def __repr__(self):
         return f"MultiPoly({self.dim}, {format_poly(self)!r})"
-
-
-class UniPoly:
-    """Dense exact univariate polynomial; trailing zero coefficients are stripped."""
-
-    __slots__ = ("coefficients",)
-
-    def __init__(self, coefficients):
-        coeffs = [Fraction(c) for c in coefficients]
-        while coeffs and coeffs[-1] == 0:
-            coeffs.pop()
-        self.coefficients = tuple(coeffs)
-
-    def is_zero(self) -> bool:
-        return not self.coefficients
-
-    def degree(self) -> float:
-        if not self.coefficients:
-            return NEG_INF
-        return len(self.coefficients) - 1
-
-    def __eq__(self, other):
-        if not isinstance(other, UniPoly):
-            return NotImplemented
-        return self.coefficients == other.coefficients
-
-    def __repr__(self):
-        return f"UniPoly({list(self.coefficients)})"
 
 
 def _binomial_power(a: int, b: int, e: int) -> list[int]:
@@ -157,12 +114,12 @@ def _convolve(u: list[int], v: list[int]) -> list[int]:
 class _IntPoly(NamedTuple):
     """poly = (sum of c * x^e over terms) / scale, every c an integer.
 
-    A term is (c, ((i, e_i) for the nonzero exponents), total degree); lead
-    holds the (c, exponents) of the terms of top degree.
+    scale is the lcm of poly's denominators; nothing divides by it, so it
+    is not kept.  A term is (c, ((i, e_i) for the nonzero exponents), total
+    degree); lead holds the (c, exponents) of the terms of top degree.
     """
 
     top: int
-    scale: int
     terms: tuple
     lead: tuple
 
@@ -180,7 +137,7 @@ def _compile(poly: MultiPoly) -> _IntPoly:
     )
     top = max(deg for _, _, deg in terms)
     lead = tuple((c, exps) for c, exps, deg in terms if deg == top)
-    return _IntPoly(top, scale, terms, lead)
+    return _IntPoly(top, terms, lead)
 
 
 def _endpoints(dim: int, x1, x2) -> tuple[int, list[int], list[int]]:
@@ -221,39 +178,6 @@ def _restrict_ints(ipoly: _IntPoly, den: int, base: list[int], step: list[int]) 
         for k, v in enumerate(factor):
             acc[k] += v
     return acc
-
-
-def restrict(poly: MultiPoly, x1, x2) -> UniPoly:
-    """Exact restriction of poly to the segment a -> x2 + a (x1 - x2)."""
-    den, base, step = _endpoints(poly.dim, x1, x2)
-    if poly.is_zero():
-        return UniPoly([])
-    ipoly = _compile(poly)
-    scale = ipoly.scale * den**ipoly.top
-    return UniPoly(Fraction(c, scale) for c in _restrict_ints(ipoly, den, base, step))
-
-
-def leading_part(poly: MultiPoly) -> MultiPoly:
-    """Homogeneous part of top total degree; undefined for the zero polynomial."""
-    if poly.is_zero():
-        raise ValueError("zero polynomial has no leading part")
-    top = poly.degree()
-    return MultiPoly(
-        poly.dim, {e: c for e, c in poly.terms.items() if sum(e) == top}
-    )
-
-
-def degree_drops(poly: MultiPoly, x1, x2) -> bool:
-    """True when the restriction to the (x1, x2) segment loses total degree.
-
-    That is the leading homogeneous part vanishing at x1 - x2, the
-    coefficient of a^top of the restriction; the tests pin the equivalence
-    against the full restriction.
-    """
-    if poly.is_zero():
-        raise ValueError("degree drop is undefined for the zero polynomial")
-    _, _, step = _endpoints(poly.dim, x1, x2)
-    return _leading_value(_compile(poly), step) == 0
 
 
 @dataclass(frozen=True)
@@ -388,12 +312,15 @@ def shared_coordinate_pair_sampler(dim: int, coordinate: int = 0):
     return sample
 
 
+# random_multipoly's coefficients are nonzero integers in [-_COEFF_BOUND, _COEFF_BOUND]
+_COEFF_BOUND = 9
+
+
 def random_multipoly(
     dim: int,
     degree: int,
     rng: np.random.Generator,
     n_terms: int = 8,
-    coeff_bound: int = 9,
 ) -> MultiPoly:
     """Random sparse polynomial of exact total degree with small integer coefficients."""
     if dim < 1:
@@ -412,7 +339,7 @@ def random_multipoly(
     def draw_coef() -> Fraction:
         c = 0
         while c == 0:
-            c = int(rng.integers(-coeff_bound, coeff_bound, endpoint=True))
+            c = int(rng.integers(-_COEFF_BOUND, _COEFF_BOUND, endpoint=True))
         return Fraction(c)
 
     terms: dict[Exponent, Fraction] = {}

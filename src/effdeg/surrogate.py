@@ -83,7 +83,7 @@ def _normal_solve(
     design: np.ndarray, rhs: np.ndarray, damping: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Solve (T^t T + eps I) c = T^t rhs per stacked system; returns (c, the damped Grams)."""
-    if damping < 0:
+    if not damping >= 0:
         raise ValueError("damping must be >= 0")
     design_t = np.swapaxes(design, -1, -2)
     gram = design_t @ design

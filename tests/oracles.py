@@ -7,8 +7,9 @@ or numpy.polynomial rather than our recurrences.  The last section is the
 path engine run one path at a time, the reference for the batched engine's
 bits: plan_paths draws every path alone from its own numpy Philox and
 Generator, and plans_of builds PathPlans over hand-picked abscissas.  The
-polylab section is the Fraction restriction the integer core replaced, run
-once per endpoint pair and polynomial.
+polylab section is direct evaluation of a polynomial at a rational point
+and the Fraction restriction the integer core replaced, run once per
+endpoint pair and polynomial.
 """
 
 import math
@@ -22,7 +23,7 @@ import numpy.polynomial.polynomial as nppoly
 from effdeg import sampling
 from effdeg.basis import design_matrix
 from effdeg.estimator import DEGENERATE_NORM, PathPlans, softmax
-from effdeg.polylab import NEG_INF, OrderPreservationRecord, UniPoly
+from effdeg.polylab import OrderPreservationRecord
 from effdeg.reduce import EIGENVALUE_FLOOR, TIE_GAP
 from effdeg.surrogate import COND_LIMIT, SIGN_DEAD_ZONE, SingularFitError
 
@@ -430,8 +431,23 @@ def _convolve(u: list[Fraction], v: list[Fraction]) -> list[Fraction]:
     return out
 
 
-def restrict(poly, x1, x2) -> UniPoly:
-    """Exact restriction of poly to the segment a -> x2 + a (x1 - x2)."""
+def evaluate(poly, point) -> Fraction:
+    """Exact value of a MultiPoly at a rational point, term by term."""
+    pt = [Fraction(v) for v in point]
+    if len(pt) != poly.dim:
+        raise ValueError("point dimension mismatch")
+    total = Fraction(0)
+    for exp, coef in poly.terms.items():
+        val = coef
+        for x, e in zip(pt, exp):
+            if e:
+                val *= x**e
+        total += val
+    return total
+
+
+def restrict(poly, x1, x2) -> tuple[Fraction, ...]:
+    """Coefficients in a of poly(x2 + a (x1 - x2)), trailing zeros stripped."""
     x1 = [Fraction(v) for v in x1]
     x2 = [Fraction(v) for v in x2]
     if len(x1) != poly.dim or len(x2) != poly.dim:
@@ -447,7 +463,9 @@ def restrict(poly, x1, x2) -> UniPoly:
             acc.extend([Fraction(0)] * (len(factor) - len(acc)))
         for k, c in enumerate(factor):
             acc[k] += c
-    return UniPoly(acc)
+    while acc and acc[-1] == 0:
+        acc.pop()
+    return tuple(acc)
 
 
 def net_restriction(net, x1, x2) -> list[list[Fraction]]:
@@ -484,9 +502,8 @@ def verify_order_preservation(poly_a, poly_b, n_pairs, sampler, seed=0):
     for _ in range(n_pairs):
         x1, x2 = sampler(rng)
         for slot, poly, sink in ((0, poly_a, degs_a), (1, poly_b, degs_b)):
-            d = restrict(poly, x1, x2).degree()
             # the zero restriction is recorded as degree 0 so averages stay finite
-            d = 0.0 if d == NEG_INF else float(d)
+            d = float(max(len(restrict(poly, x1, x2)) - 1, 0))
             sink.append(d)
             if d < poly.degree():
                 drops[slot] += 1

@@ -35,6 +35,9 @@ from effdeg.estimator import EstimatorConfig, NonFiniteOutputError, PathSampling
 from effdeg.net import load_checkpoint
 from effdeg.surrogate import SingularFitError
 
+from oracles import evaluate
+from test_net import checkpoint_blob, mistyped_checkpoint_headers
+
 FIXTURES = Path(__file__).parent / "fixtures"
 
 
@@ -388,6 +391,66 @@ def test_dataset_loader_errors(tmp_path):
     assert X.shape == (2, 2) and list(y) == [1, 0]
 
 
+@pytest.mark.parametrize(
+    "text,reason",
+    [
+        ("x0,x1,label,label\n1,2,0,1\n3,5,1,0\n", "repeated columns"),
+        ("label\n0\n1\n", "no feature columns"),
+    ],
+    ids=["repeated column", "no feature column"],
+)
+def test_dataset_header_errors_exit_two_naming_the_file(tmp_path, capsys, text, reason):
+    data = tmp_path / "bad_header.csv"
+    data.write_text(text, encoding="utf-8")
+    with pytest.raises(ConfigError, match=f"bad_header.csv: {reason}"):
+        load_dataset_csv(str(data))
+    out = tmp_path / "out"
+    assert main(["estimate", "--data", str(data), "--out", str(out)]) == EXIT_CONFIG
+    assert f"bad_header.csv: {reason}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_float_settings_exit_two(tmp_path, capsys, value):
+    data = cluster_dataset(tmp_path / "c.csv", n=16, seed=18)
+    out = tmp_path / "out"
+    argv = ["estimate", "--data", data, "--damping", value, "--out", str(out)]
+    assert main(argv) == EXIT_CONFIG
+    assert "damping must be finite" in capsys.readouterr().err
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"reg_strength": float(value)}), encoding="utf-8")
+    argv = ["train", "--data", data, "--config", str(cfg), "--out", str(out)]
+    assert main(argv) == EXIT_CONFIG
+    assert "reg_strength must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_path_count_past_two_to_the_32_exits_two(tmp_path, capsys):
+    # validate() refuses the count, so no plan of that size is ever drawn
+    data = cluster_dataset(tmp_path / "c.csv", n=16, seed=18)
+    out = tmp_path / "out"
+    argv = ["estimate", "--data", data, "--paths", "4294967297", "--out", str(out)]
+    assert main(argv) == EXIT_CONFIG
+    assert "n_paths" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_mistyped_checkpoint_headers_exit_two_naming_the_file(tmp_path, capsys):
+    data = cluster_dataset(tmp_path / "c.csv", n=16, seed=18)
+    good = tmp_path / "good.ckpt"
+    nets.save_checkpoint(nets.FeedForwardNet.create((2, 3), seed=0), str(good))
+    _, header = load_checkpoint(str(good))
+    payload = np.arange(9.0).astype("<f8").tobytes()
+    bad = tmp_path / "bad.ckpt"
+    out = tmp_path / "out"
+    for mistyped in mistyped_checkpoint_headers(header).values():
+        bad.write_bytes(checkpoint_blob(mistyped, payload))
+        argv = ["estimate", "--data", data, "--oracle", f"checkpoint:{bad}", "--out", str(out)]
+        assert main(argv) == EXIT_CONFIG
+        assert "bad.ckpt" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_train_writes_log_and_checkpoint(tmp_path, capsys):
     data = cluster_dataset(tmp_path / "c.csv", n=32, seed=10)
     out = str(tmp_path / "out")
@@ -545,7 +608,7 @@ def test_polyfile_oracle_matches_exact_evaluation(tmp_path):
     assert got.shape == (50, 3)
     for row, values in zip(X, got):
         point = [Fraction(float(v)) for v in row]
-        want = [float(poly.evaluate(point)) for poly in polys]
+        want = [float(evaluate(poly, point)) for poly in polys]
         assert values == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 

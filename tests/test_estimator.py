@@ -1,8 +1,8 @@
 """Path estimation pipeline: construction, anchoring, aggregation, Eq.-level checks.
 
 The product-function fit is cross-checked against the exact symbolic path
-restriction from the rational-arithmetic lab, converted to the Chebyshev
-basis by numpy.polynomial (tests/oracles.py).
+restriction, in Fractions, converted to the Chebyshev basis by
+numpy.polynomial (both in tests/oracles.py).
 """
 
 import warnings
@@ -33,7 +33,9 @@ from effdeg.reduce import pca_project
 from effdeg.sampling import SCHEME_VARIANTS, chebyshev_nodes, sample_abscissas
 from effdeg.surrogate import fit_matrix
 
-from oracles import alpha_monomial_to_cheb, alpha_monomial_to_leg, net_restriction, plans_of
+from oracles import (
+    alpha_monomial_to_cheb, alpha_monomial_to_leg, net_restriction, plans_of, restrict,
+)
 
 
 def identity_oracle(d):
@@ -146,7 +148,7 @@ def test_fit_matches_symbolic_restriction():
     poly = polylab.parse_poly("x1*x2")
     x1 = (Fraction(1), Fraction(0))
     x2 = (Fraction(0), Fraction(1))
-    want = alpha_monomial_to_cheb(polylab.restrict(poly, x1, x2).coefficients)
+    want = alpha_monomial_to_cheb(restrict(poly, x1, x2))
 
     nodes = chebyshev_nodes(4)
     values = one_path(product_oracle(), np.array([1.0, 0.0]), np.array([0.0, 1.0]), nodes)
@@ -163,10 +165,10 @@ def test_fit_matches_symbolic_restriction_random_endpoints():
         b = rng.integers(-4, 5, size=2)
         if np.array_equal(a, b):
             continue
-        restriction = polylab.restrict(
+        restriction = restrict(
             poly, tuple(Fraction(int(v)) for v in a), tuple(Fraction(int(v)) for v in b)
         )
-        want = alpha_monomial_to_cheb(restriction.coefficients)
+        want = alpha_monomial_to_cheb(restriction)
         oracle = FunctionOracle(
             2, 1, lambda p: 2 * p[:, 0] ** 2 * p[:, 1] - p[:, 1] ** 2 + 3 * p[:, 0]
         )
@@ -316,6 +318,12 @@ def test_config_validation():
         EstimatorConfig(anchored=True, resolution=1, max_degree=0).validate()
     with pytest.raises(ValueError):
         EstimatorConfig(damping=-1.0).validate()
+    with pytest.raises(ValueError, match="damping"):
+        PathSettings(damping=float("nan")).validate()
+    # path indices lie in [0, 2**32): validate() refuses more paths without planning any
+    EstimatorConfig(n_paths=2**32).validate()
+    with pytest.raises(ValueError, match="n_paths"):
+        EstimatorConfig(n_paths=2**32 + 1).validate()
 
 
 def test_anchored_estimate_requires_labels():

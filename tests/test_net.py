@@ -450,6 +450,15 @@ def test_train_config_validation():
     ):
         with pytest.raises(ValueError):
             bad.validate()
+    TrainConfig(reg_paths=2**32).validate()
+    for key, value in (
+        ("step_size", float("nan")),
+        ("reg_strength", float("nan")),
+        ("damping", float("nan")),
+        ("reg_paths", 2**32 + 1),
+    ):
+        with pytest.raises(ValueError, match=key):
+            TrainConfig(**{key: value}).validate()
 
 
 def test_checkpoint_round_trip_and_stability(tmp_path):
@@ -476,6 +485,18 @@ def checkpoint_blob(header, payload):
     return b"EDNETCK1" + len(blob).to_bytes(8, "little") + blob + payload
 
 
+def mistyped_checkpoint_headers(header):
+    """Five variants of a valid checkpoint header, each with one value of the wrong type."""
+    w, b = header["arrays"]
+    return {
+        "shape a string": {**header, "arrays": [{**w, "shape": "2,3"}, b]},
+        "array with no name": {**header, "arrays": [{"shape": w["shape"]}, b]},
+        "arrays a number": {**header, "arrays": 5},
+        "layer_sizes a number": {**header, "layer_sizes": 3},
+        "activations a number": {**header, "activations": 7},
+    }
+
+
 def test_checkpoint_rejects_foreign_file(tmp_path):
     path = tmp_path / "junk.bin"
     path.write_bytes(b"PNGJUNK" + b"\x00" * 64)
@@ -498,6 +519,14 @@ def test_checkpoint_rejects_foreign_file(tmp_path):
         "payload short": checkpoint_blob(header, payload[:-8]),
         "payload long": checkpoint_blob(header, payload + b"\x00" * 8),
         "array missing": checkpoint_blob({**header, "arrays": header["arrays"][:1]}, payload[:48]),
+        **{
+            label: checkpoint_blob(mistyped, payload)
+            for label, mistyped in mistyped_checkpoint_headers(header).items()
+        },
+        "activation unknown": checkpoint_blob({**header, "activations": ["tanh"]}, payload),
+        "weight not 2-D": checkpoint_blob(
+            {**header, "arrays": [{"name": "w0", "shape": [6]}, header["arrays"][1]]}, payload
+        ),
     }
     path = tmp_path / "bad.ckpt"
     path.write_bytes(checkpoint_blob(header, payload))

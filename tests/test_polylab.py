@@ -1,8 +1,9 @@
-"""Exact-arithmetic lab: restriction, degree drops, samplers, parsing.
+"""Exact-arithmetic lab: order preservation, samplers, parsing.
 
-The restriction operator is cross-checked against direct evaluation at
-rational points, which exercises none of the convolution code, and its
-integer core against the Fraction restriction in oracles.py with ==.
+verify_order_preservation's integer loop is checked against hand-worked
+pairs and, with ==, against the Fraction reference loop in oracles.py.  That
+reference's restriction is itself checked against direct evaluation at
+rational points, which exercises none of the convolution code.
 """
 
 import itertools
@@ -19,16 +20,12 @@ from effdeg.polylab import (
     NEG_INF,
     MultiPoly,
     PolyParseError,
-    UniPoly,
-    degree_drops,
     dyadic_uniform_pair_sampler,
     format_poly,
     gaussian_pair_sampler,
-    leading_part,
     parse_poly,
     parse_poly_bundle,
     random_multipoly,
-    restrict,
     shared_coordinate_pair_sampler,
     verify_order_preservation,
 )
@@ -37,19 +34,14 @@ import oracles
 from oracles import exact_point, horner
 
 
-def test_restrict_product_to_unit_segment():
-    poly = parse_poly("x1*x2")
-    r = restrict(poly, (Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
-    assert r == UniPoly([0, 1, -1])  # a - a^2
-    assert r.degree() == 2
-
-
 def test_restrict_shared_coordinate_is_constant():
+    # x1^2 on a pair sharing x1 = 3/7 restricts to the constant 9/49
     c = Fraction(3, 7)
     poly = parse_poly("x1^2", dim=2)
-    r = restrict(poly, (c, Fraction(1)), (c, Fraction(0)))
-    assert r == UniPoly([c * c])
-    assert r.degree() == 0
+    pair = ((c, Fraction(1)), (c, Fraction(0)))
+    record = verify_order_preservation(poly, poly, 1, lambda rng: pair)
+    assert record.restricted_degrees == ((0.0,), (0.0,))
+    assert record.drop_counts == (1, 1)
 
 
 def test_restrict_generic_keeps_degree():
@@ -58,8 +50,9 @@ def test_restrict_generic_keeps_degree():
     x1 = tuple(Fraction(int(v)) for v in rng.integers(-9, 10, size=4))
     x2 = tuple(Fraction(int(v)) for v in rng.integers(-9, 10, size=4))
     assert x1 != x2
-    assert not degree_drops(poly, x1, x2)
-    assert restrict(poly, x1, x2).degree() == 5
+    record = verify_order_preservation(poly, poly, 1, lambda rng: (x1, x2))
+    assert record.restricted_degrees == ((5.0,), (5.0,))
+    assert record.drop_counts == (0, 0)
 
 
 def test_restrict_agrees_with_direct_evaluation():
@@ -70,79 +63,32 @@ def test_restrict_agrees_with_direct_evaluation():
         deg = int(rng.integers(2, 6))
         poly = random_multipoly(3, deg, rng, n_terms=5)
         x1, x2 = sampler(rng)
-        r = restrict(poly, x1, x2)
+        restriction = oracles.restrict(poly, x1, x2)
         for a in alphas:
-            assert horner(r.coefficients, a) == poly.evaluate(exact_point(x1, x2, a))
-
-
-def test_restricted_degree_never_exceeds_total_degree():
-    rng = np.random.default_rng(72)
-    sampler = gaussian_pair_sampler(2)
-    for _ in range(100):
-        deg = int(rng.integers(2, 7))
-        poly = random_multipoly(2, deg, rng, n_terms=4)
-        x1, x2 = sampler(rng)
-        assert restrict(poly, x1, x2).degree() <= poly.degree()
-
-
-def test_leading_coefficient_identity():
-    # coefficient of a^D in the restriction equals the top homogeneous part
-    # evaluated at the direction x1 - x2
-    rng = np.random.default_rng(73)
-    sampler = dyadic_uniform_pair_sampler(3)
-    for _ in range(50):
-        deg = int(rng.integers(2, 6))
-        poly = random_multipoly(3, deg, rng, n_terms=6)
-        x1, x2 = sampler(rng)
-        v = tuple(a - b for a, b in zip(x1, x2))
-        coefficients = restrict(poly, x1, x2).coefficients
-        top = coefficients[deg] if len(coefficients) > deg else 0
-        assert top == leading_part(poly).evaluate(v)
-
-
-def test_leading_part_examples():
-    p = parse_poly("x1^2*x2 + x1 + 3")
-    assert leading_part(p) == parse_poly("x1^2*x2", dim=2)
-    q = parse_poly("x1^2 + x2^2 + x1*x2 + x1")
-    assert leading_part(q) == parse_poly("x1^2 + x2^2 + x1*x2")
-    with pytest.raises(ValueError):
-        leading_part(MultiPoly(2))
+            assert horner(restriction, a) == oracles.evaluate(poly, exact_point(x1, x2, a))
 
 
 def test_degree_drops_examples():
+    # x1*x2 restricts to 3 + 3a along direction (1, 0) and to (1 + a)(1 + 2a) along (1, 2)
     poly = parse_poly("x1*x2")
-    assert degree_drops(poly, (Fraction(2), Fraction(3)), (Fraction(1), Fraction(3)))
-    assert not degree_drops(poly, (Fraction(2), Fraction(3)), (Fraction(1), Fraction(1)))
-    with pytest.raises(ValueError):
-        degree_drops(MultiPoly(2), (Fraction(0), Fraction(0)), (Fraction(1), Fraction(1)))
-
-
-def test_degree_drops_matches_restriction():
-    # the predicate and the actual restricted degree must agree exactly
-    rng = np.random.default_rng(74)
-    samplers = [
-        gaussian_pair_sampler(2),
-        shared_coordinate_pair_sampler(2, 0),
-        dyadic_uniform_pair_sampler(2),
-    ]
-    for i in range(150):
-        deg = int(rng.integers(2, 6))
-        poly = random_multipoly(2, deg, rng, n_terms=4)
-        x1, x2 = samplers[i % len(samplers)](rng)
-        dropped = restrict(poly, x1, x2).degree() < poly.degree()
-        assert degree_drops(poly, x1, x2) == dropped
+    draws = iter([
+        ((Fraction(2), Fraction(3)), (Fraction(1), Fraction(3))),
+        ((Fraction(2), Fraction(3)), (Fraction(1), Fraction(1))),
+    ])
+    record = verify_order_preservation(poly, poly, 2, lambda rng: next(draws))
+    assert record.restricted_degrees == ((1.0, 2.0), (1.0, 2.0))
+    assert record.drop_counts == (1, 1)
 
 
 def test_random_pairs_never_drop():
     # rational endpoints with 63-bit numerators make the drop set unreachable
     rng = np.random.default_rng(75)
     sampler = dyadic_uniform_pair_sampler(3)
-    for _ in range(20):
+    for seed in range(20):
         deg = int(rng.integers(2, 7))
         poly = random_multipoly(3, deg, rng)
-        for _ in range(200):
-            x1, x2 = sampler(rng)
-            assert not degree_drops(poly, x1, x2)
+        record = verify_order_preservation(poly, poly, 200, sampler, seed=seed)
+        assert record.drop_counts == (0, 0)
 
 
 def test_shared_coordinate_sampler_always_drops():
@@ -152,8 +98,9 @@ def test_shared_coordinate_sampler_always_drops():
     for _ in range(100):
         x1, x2 = sampler(rng)
         assert x1[0] == x2[0]
-        assert degree_drops(poly, x1, x2)
-        assert restrict(poly, x1, x2).degree() == 0
+    record = verify_order_preservation(poly, poly, 100, sampler, seed=76)
+    assert record.drop_counts == (100, 100)
+    assert record.restricted_degrees == ((0.0,) * 100,) * 2
 
 
 def test_order_preservation_generic_pair():
@@ -224,7 +171,7 @@ def test_gaussian_sampler_is_exact():
 
 def test_multipoly_exact_evaluation():
     poly = parse_poly("1/3*x1^2 - 2*x2 + 5/7")
-    value = poly.evaluate((Fraction(1, 2), Fraction(3, 5)))
+    value = oracles.evaluate(poly, (Fraction(1, 2), Fraction(3, 5)))
     assert value == Fraction(1, 3) * Fraction(1, 4) - 2 * Fraction(3, 5) + Fraction(5, 7)
 
 
@@ -237,18 +184,6 @@ def test_multipoly_validation():
         MultiPoly(2, {(-1, 0): Fraction(1)})
     assert MultiPoly(2).is_zero() and MultiPoly(2).degree() == NEG_INF
     assert MultiPoly(2, {(1, 0): 0, (0, 2): Fraction(3, 4)}).terms == {(0, 2): Fraction(3, 4)}
-
-
-def test_unipoly_basics():
-    p = UniPoly([Fraction(1), Fraction(2), Fraction(0)])
-    assert p.coefficients == (Fraction(1), Fraction(2))
-    assert p.degree() == 1
-    assert not p.is_zero()
-    assert p == UniPoly([1, 2])
-    zero = UniPoly([0, 0])
-    assert zero.is_zero()
-    assert zero.degree() == NEG_INF
-    assert zero == UniPoly([])
 
 
 def test_format_parse_round_trip():
@@ -409,37 +344,6 @@ def samplers(draw, dim: int):
 
 
 @st.composite
-def poly_and_pair(draw):
-    dim = draw(st.integers(1, 6))
-    poly = draw(polys(dim))
-    seed = draw(st.integers(0, 2**32))
-    x1, x2 = draw(samplers(dim))()(np.random.default_rng(seed))
-    return poly, x1, x2
-
-
-@EXACT
-@given(case=poly_and_pair())
-def test_restrict_equals_fraction_reference(case):
-    poly, x1, x2 = case
-    assert restrict(poly, x1, x2) == oracles.restrict(poly, x1, x2)
-
-
-@EXACT
-@given(case=poly_and_pair())
-def test_degree_drops_equals_reference_degree_test(case):
-    poly, x1, x2 = case
-    want = oracles.restrict(poly, x1, x2).degree() < poly.degree()
-    assert degree_drops(poly, x1, x2) == want
-
-
-@EXACT
-@given(case=poly_and_pair())
-def test_restrict_of_zero_polynomial_is_zero(case):
-    poly, x1, x2 = case
-    assert restrict(MultiPoly(poly.dim), x1, x2) == UniPoly([])
-
-
-@st.composite
 def experiments(draw):
     dim = draw(st.integers(1, 6))
     return (
@@ -449,6 +353,19 @@ def experiments(draw):
         draw(samplers(dim)),
         draw(st.integers(0, 2**32)),
     )
+
+
+@EXACT
+@given(case=experiments())
+def test_restricted_degree_never_exceeds_total_degree(case):
+    # drop_counts counts exactly the restricted degrees below the true degree
+    poly_a, poly_b, n_pairs, sampler, seed = case
+    record = verify_order_preservation(poly_a, poly_b, n_pairs, sampler(), seed=seed)
+    for top, degrees, drops in zip(
+        record.true_degrees, record.restricted_degrees, record.drop_counts
+    ):
+        assert all(d <= top for d in degrees)
+        assert drops == sum(d < top for d in degrees)
 
 
 @EXACT
@@ -477,19 +394,16 @@ def test_zero_restriction_is_recorded_as_degree_zero():
     poly = parse_poly("x1^2 - x2")
     root = (Fraction(1, 3), Fraction(1, 9))
     record = verify_order_preservation(poly, poly, 3, lambda rng: (root, root))
-    assert restrict(poly, root, root) == UniPoly([])
+    assert oracles.restrict(poly, root, root) == ()
     assert record.restricted_degrees == ((0.0,) * 3, (0.0,) * 3)
     assert record.drop_counts == (3, 3)
 
 
-def test_degree_drops_rejects_wrong_dimension_endpoints():
+def test_verify_rejects_wrong_dimension_endpoints():
     poly = parse_poly("x1*x2")
-    with pytest.raises(ValueError, match="endpoint dimension mismatch"):
-        degree_drops(poly, (1, 2, 3), (0, 0))
-    with pytest.raises(ValueError, match="endpoint dimension mismatch"):
-        degree_drops(poly, (1, 2), (0, 0, 0))
-    with pytest.raises(ValueError, match="endpoint dimension mismatch"):
-        restrict(poly, (1, 2, 3), (0, 0))
+    for pair in (((1, 2, 3), (0, 0)), ((1, 2), (0, 0, 0))):
+        with pytest.raises(ValueError, match="endpoint dimension mismatch"):
+            verify_order_preservation(poly, poly, 3, lambda rng: pair)
 
 
 def test_order_preservation_rejects_mixed_dimensions_before_sampling():
