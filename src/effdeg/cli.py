@@ -335,7 +335,6 @@ def cmd_estimate(args) -> int:
     X, labels_int = load_dataset_csv(args.data)
     oracle = resolve_oracle(cfg.pop("oracle"), X.shape[1])
     est_cfg = EstimatorConfig(**cfg)
-    est_cfg.validate()
     anchor_labels = None
     if est_cfg.anchored:
         if labels_int is None:
@@ -390,7 +389,6 @@ def cmd_train(args) -> int:
     targets = nets.one_hot(labels_int, n_classes)
     hidden = cfg.pop("hidden")
     train_cfg = nets.TrainConfig(**cfg)
-    train_cfg.validate()
     network = nets.FeedForwardNet.create(
         (X.shape[1],) + hidden + (n_classes,), seed=train_cfg.seed
     )
@@ -564,7 +562,7 @@ _HELP = {
     "hidden": "comma-separated hidden layer sizes, e.g. 32,32",
     "reg_strength": "penalty strength",
     "dim": "variables for random polynomials",
-    "terms": "terms per random polynomial",
+    "terms": "at most this many terms per random polynomial",
     "pairs": "endpoint pairs to sample",
 }
 

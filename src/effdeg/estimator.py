@@ -169,12 +169,13 @@ class PathPlans:
 class PathFits:
     """Effective degrees of P stacked paths, the PCA maps they were fitted through, and gradients.
 
-    ed holds (P,) arrays, pca_ties is (P,) bool, projection is the stacked
-    PathProjection (None without PCA), and grad is dED/d(raw outputs),
-    (P, r, out); None unless requested.
+    ed and ed_norm are (P,) means over each path's fitted outputs, pca_ties
+    is (P,) bool, projection is the stacked PathProjection (None without
+    PCA), and grad is dED/d(raw outputs), (P, r, out); None unless requested.
     """
 
-    ed: sg.EDValue
+    ed: np.ndarray
+    ed_norm: np.ndarray
     pca_ties: np.ndarray
     projection: PathProjection | None
     grad: np.ndarray | None = None
@@ -202,12 +203,12 @@ class EDReport:
         return tuple(self.per_path.index[self.per_path.pca_ties].tolist())
 
 
-def softmax(values: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Row-stable softmax."""
+def softmax(values: np.ndarray) -> np.ndarray:
+    """Stable softmax over the last axis."""
     z = np.asarray(values, dtype=float)
-    z = z - z.max(axis=axis, keepdims=True)
+    z = z - z.max(axis=-1, keepdims=True)
     e = np.exp(z)
-    return e / e.sum(axis=axis, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def plan_paths(
@@ -309,14 +310,16 @@ def anchor_values(values: np.ndarray, plans: PathPlans, labels: np.ndarray) -> n
 def fit_paths(
     raw: np.ndarray,
     plans: PathPlans,
-    config: EstimatorConfig,
+    config: PathSettings,
     labels: np.ndarray | None = None,
     projection: PathProjection | None = None,
     with_gradient: bool = False,
 ) -> PathFits:
     """Effective degrees of P paths from their stacked (P, r, out) raw outputs.
 
-    Raises NonFiniteOutputError when a path's outputs hold NaN or infinity,
+    config is path settings that also carry post_softmax: an
+    EstimatorConfig, or the net.TrainConfig of a penalty step.  Raises
+    NonFiniteOutputError when a path's outputs hold NaN or infinity,
     naming the first such path by its key (joined by ":") and endpoint rows.
     The outputs are softmaxed (config.post_softmax), their endpoint rows
     replaced by labels[plans.i] and labels[plans.j] (config.anchored), and
@@ -334,7 +337,7 @@ def fit_paths(
     if not finite.all():
         first = int(np.argmin(finite))
         raise NonFiniteOutputError(f"non-finite output on {_path_name(plans, first)}")
-    outputs = softmax(raw, axis=-1) if config.post_softmax else raw
+    outputs = softmax(raw) if config.post_softmax else raw
     values = outputs
     if config.anchored:
         if labels is None:
@@ -352,10 +355,11 @@ def fit_paths(
         with_gradient=with_gradient,
     )
     coeffs = fitted[0] if with_gradient else fitted
-    ed = sg.mean_ed(sg.ed_from_coefficients(np.swapaxes(coeffs, -1, -2)))
+    per_output = sg.ed_from_coefficients(np.swapaxes(coeffs, -1, -2))
+    ed, ed_norm = per_output.ed.mean(axis=-1), per_output.ed_norm.mean(axis=-1)
     ties = np.zeros(len(plans), bool) if projection is None else projection.degenerate_ties
     if not with_gradient:
-        return PathFits(ed=ed, pca_ties=ties, projection=projection)
+        return PathFits(ed=ed, ed_norm=ed_norm, pca_ties=ties, projection=projection)
     grad = fitted[1] / fit_target.shape[-1]
     if projection is not None:
         grad = grad @ projection.components
@@ -365,7 +369,7 @@ def fit_paths(
     if config.post_softmax:
         inner = (grad * outputs).sum(axis=-1, keepdims=True)
         grad = outputs * (grad - inner)
-    return PathFits(ed=ed, pca_ties=ties, projection=projection, grad=grad)
+    return PathFits(ed=ed, ed_norm=ed_norm, pca_ties=ties, projection=projection, grad=grad)
 
 
 def ed_estimate(
@@ -402,7 +406,7 @@ def ed_estimate(
             "all sampled endpoint pairs were degenerate; the dataset has no spread"
         )
     fitted = fit_paths(path_values(oracle, X, plans), plans, config, labels=labels)
-    eds = fitted.ed.ed
+    eds = fitted.ed
     with np.errstate(over="ignore", invalid="ignore"):
         mean = float(eds.mean())
         std = float(eds.std(ddof=1)) if eds.size > 1 else 0.0
@@ -414,13 +418,13 @@ def ed_estimate(
         )
     return EDReport(
         mean_ed=mean,
-        mean_ed_norm=float(fitted.ed.ed_norm.mean()),
+        mean_ed_norm=float(fitted.ed_norm.mean()),
         std_ed=std,
         n_paths=config.n_paths,
         n_skipped=config.n_paths - len(plans),
         per_path=np.rec.fromarrays(
             [plans.paths, plans.i, plans.j,
-             eds, fitted.ed.ed_norm, fitted.pca_ties],
+             eds, fitted.ed_norm, fitted.pca_ties],
             names="index,endpoint_i,endpoint_j,ed,ed_norm,pca_ties",
         ),
     )

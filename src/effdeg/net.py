@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -266,12 +266,10 @@ class TrainConfig(PathSettings):
     ramp_fraction: float = 0.3
     reg_paths: int = 8
 
-    def estimator_config(self) -> EstimatorConfig:
-        return EstimatorConfig(
-            n_paths=max(self.reg_paths, 1),
-            post_softmax=self.task == "cross_entropy",
-            **{f.name: getattr(self, f.name) for f in fields(PathSettings)},
-        )
+    @property
+    def post_softmax(self) -> bool:
+        """Whether the penalty fits softmax outputs: it does for a classification task."""
+        return self.task == "cross_entropy"
 
     def validate(self) -> None:
         if self.task not in TASKS:
@@ -341,12 +339,12 @@ def ed_penalty(
     fitted = fit_paths(
         raw.reshape(len(plans), config.resolution, -1),
         plans,
-        config.estimator_config(),
+        config,
         labels=targets,
         projection=projections,
         with_gradient=want_grads,
     )
-    penalty = float(fitted.ed.ed.sum()) / n_planned
+    penalty = float(fitted.ed.sum()) / n_planned
     if not want_grads:
         return penalty, None, fitted.projection
     d_raw = fitted.grad.reshape(raw.shape) / n_planned
@@ -658,9 +656,10 @@ def load_checkpoint(path: str) -> tuple[FeedForwardNet, dict]:
         raise ValueError(f"{path}: {exc}") from None
 
 
-def make_two_cluster_dataset(
-    n: int = 512, noise: float = 0.12, seed: int = 7
-) -> tuple[np.ndarray, np.ndarray]:
+_CLUSTER_NOISE = 0.12  # standard deviation of the jitter on each crescent point
+
+
+def make_two_cluster_dataset(n: int = 512, seed: int = 7) -> tuple[np.ndarray, np.ndarray]:
     """Two interleaved crescent clusters in the plane with integer labels."""
     if n < 4:
         raise ValueError("n must be >= 4")
@@ -671,7 +670,7 @@ def make_two_cluster_dataset(
     t1 = rng.uniform(0.0, np.pi, size=n1)
     upper = np.stack([np.cos(t0), np.sin(t0)], axis=1)
     lower = np.stack([1.0 - np.cos(t1), 0.5 - np.sin(t1)], axis=1)
-    X = np.concatenate([upper, lower]) + rng.standard_normal((n, 2)) * noise
+    X = np.concatenate([upper, lower]) + rng.standard_normal((n, 2)) * _CLUSTER_NOISE
     y = np.concatenate([np.zeros(n0, dtype=int), np.ones(n1, dtype=int)])
     perm = rng.permutation(n)
     return X[perm], y[perm]
@@ -852,8 +851,15 @@ def pnn_study(
     for window consecutive steps, or for n_steps steps; the report's
     evaluation["stop_rule"] gives the window and divisor.  With strict=True
     a task that misses the mse target raises TrainingFailure; otherwise the
-    row is kept and flagged.
+    row is kept and flagged.  n_train and n_eval below 2, or an mse_target
+    that is not > 0, raise ValueError before any training.
     """
+    if n_train < 2:
+        raise ValueError(f"n_train must be >= 2, got {n_train}")
+    if n_eval < 2:
+        raise ValueError(f"n_eval must be >= 2, got {n_eval}")
+    if not mse_target > 0:
+        raise ValueError(f"mse_target must be > 0, got {mse_target}")
     X_eval = sampling.rng(seed, 999).uniform(-_EVAL_BOX, _EVAL_BOX, size=(n_eval, 3))
 
     def measure(net: FeedForwardNet, basis: str, pca_dim):

@@ -322,18 +322,15 @@ def random_multipoly(
     rng: np.random.Generator,
     n_terms: int = 8,
 ) -> MultiPoly:
-    """Random sparse polynomial of exact total degree with small integer coefficients."""
+    """Random polynomial of exact total degree, small nonzero integer coefficients and
+    min(n_terms, C(degree + dim, dim)) terms: never more than there are monomials."""
     if dim < 1:
         raise ValueError("dim must be >= 1")
     if degree < 0:
         raise ValueError("degree must be >= 0")
     if n_terms < 1:
         raise ValueError("n_terms must be >= 1")
-    available = math.comb(degree + dim, dim)
-    if n_terms > available:
-        raise ValueError(
-            f"n_terms {n_terms} exceeds the {available} monomials of degree <= {degree}"
-        )
+    n_terms = min(n_terms, math.comb(degree + dim, dim))
     probs = np.full(dim, 1.0 / dim)
 
     def draw_coef() -> Fraction:

@@ -65,7 +65,10 @@ _TWO_M53 = 1.0 / 9007199254740992.0
 
 
 def _seed_sequence(seed: int, key: tuple) -> np.random.SeedSequence:
-    return np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(k) for k in key))
+    seed = int(seed)
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    return np.random.SeedSequence(entropy=seed, spawn_key=tuple(int(k) for k in key))
 
 
 def rng(seed: int, *key: int) -> np.random.Generator:
@@ -179,8 +182,7 @@ def randomized_cosine(resolution: int, uniforms, anchored: bool = False) -> np.n
     uniforms is a (..., r) array on [0, 1); theta_i = lo_i + (hi_i - lo_i) u_i,
     and the result has the shape of uniforms.  Each stratum holds exactly
     one point, so the abscissas are ascending by construction.  With
-    anchored=True the boundary angles are pinned to 0 and pi, which puts
-    a = 0 and a = 1 in the sample exactly.
+    anchored=True the first and last abscissas are pinned to exactly 0 and 1.
     """
     r = _checked_resolution(resolution, anchored)
     u = np.asarray(uniforms, dtype=float)
@@ -189,9 +191,6 @@ def randomized_cosine(resolution: int, uniforms, anchored: bool = False) -> np.n
     lows = np.arange(r, dtype=float) * np.pi / r
     highs = lows + np.pi / r
     theta = (lows + (highs - lows) * u).reshape(-1, r)
-    if anchored:
-        theta[:, 0] = 0.0
-        theta[:, -1] = np.pi
     alphas = _theta_to_alpha(theta)
     if anchored:
         alphas[:, 0] = 0.0

@@ -38,7 +38,6 @@ __all__ = [
     "EDValue",
     "fit_matrix",
     "ed_from_coefficients",
-    "mean_ed",
     "central_difference",
     "audit_gradients",
     "gradcheck",
@@ -49,6 +48,9 @@ COND_LIMIT = 1e12
 
 # Post-solve residual guard, relative to the right-hand side scale.
 _RESIDUAL_TOL = 1e-8
+
+# Central-difference step of the gradient audits.
+_FD_STEP = 1e-6
 
 # A coefficient within this fraction of its column's mass sum_k |c_k| is
 # rounding noise of an exact zero (a function already in the basis): the
@@ -117,7 +119,8 @@ def fit_matrix(
     This is the only fit.  alphas is (..., r), one row of abscissas per
     stacked system: P paths are fitted in one call with (P, r) alphas and
     (P, r, m) values, and one sampled path y is the unstacked one-column
-    case, fit_matrix(alphas, y[:, None], ...)[:, 0].  Every system is
+    case, fit_matrix(alphas, y[:, None], ...)[:, 0].  r must be at least
+    max_degree + 1, so no system is underdetermined.  Every system is
     solved as if alone, so stacking does not change any result.  With
     with_gradient=True returns (coefficients, gradients), where column j
     of the (..., r, m) gradients is dED/dy of column j.  Both come from
@@ -131,6 +134,10 @@ def fit_matrix(
     y = np.asarray(values, dtype=float)
     if a.ndim < 1 or y.shape[:-1] != a.shape:
         raise ValueError("values must be (..., r, m) with one row per abscissa")
+    if a.shape[-1] < max_degree + 1:
+        raise ValueError(
+            f"need at least max_degree + 1 = {max_degree + 1} abscissas, got {a.shape[-1]}"
+        )
     design = design_matrix(basis, a, max_degree)
     coeffs, gram = _normal_solve(design, y, damping)
     if not with_gradient:
@@ -160,26 +167,19 @@ def ed_from_coefficients(coefficients: np.ndarray) -> EDValue:
     return EDValue(ed=ed[()], ed_norm=ed_norm[()])
 
 
-def mean_ed(value: EDValue) -> EDValue:
-    """Mean of stacked EDValue entries over their last axis (a path's outputs)."""
-    return EDValue(
-        ed=np.mean(value.ed, axis=-1)[()], ed_norm=np.mean(value.ed_norm, axis=-1)[()]
-    )
-
-
-def central_difference(f, x: np.ndarray, step: float = 1e-6) -> np.ndarray:
-    """Central finite-difference gradient of a scalar function of an array."""
+def central_difference(f, x: np.ndarray) -> np.ndarray:
+    """Central finite-difference gradient, with step _FD_STEP, of a scalar function of an array."""
     x = np.asarray(x, dtype=float)
     grad = np.zeros_like(x)
     it = np.nditer(x, flags=["multi_index"])
     while not it.finished:
         idx = it.multi_index
         bumped = x.copy()
-        bumped[idx] = x[idx] + step
+        bumped[idx] = x[idx] + _FD_STEP
         hi = f(bumped)
-        bumped[idx] = x[idx] - step
+        bumped[idx] = x[idx] - _FD_STEP
         lo = f(bumped)
-        grad[idx] = (hi - lo) / (2.0 * step)
+        grad[idx] = (hi - lo) / (2.0 * _FD_STEP)
         it.iternext()
     return grad
 
@@ -207,7 +207,7 @@ def audit_gradients(draw, n_checks: int, tolerance: float, *, skipped: str) -> d
             n_skipped += 1
             continue
         cell, analytic, objective, x = drawn
-        reference = central_difference(objective, x, step=1e-6)
+        reference = central_difference(objective, x)
         denom = max(float(np.abs(reference).max()), 1e-12)
         cells.append({**cell, "rel_err": float(np.abs(analytic - reference).max()) / denom})
     worst = max((c["rel_err"] for c in cells), default=0.0)

@@ -332,7 +332,7 @@ def plans_of(alphas, i=0, j=1, anchored=False):
 
 def fit_path(raw, plans, k, config, labels=None, projection=None, with_gradient=False):
     """Path k's (ed, ed_norm, pca_ties, projection, grad) from its raw (r, out) outputs."""
-    outputs = softmax(raw, axis=1) if config.post_softmax else np.asarray(raw, dtype=float)
+    outputs = softmax(raw) if config.post_softmax else np.asarray(raw, dtype=float)
     values = outputs
     if config.anchored:
         values = np.array(outputs, copy=True)
@@ -387,14 +387,13 @@ def ed_estimate(oracle, inputs, config, labels=None):
 
 def ed_penalty(net, batch, targets, plans, config, want_grads=True, projections=None):
     """net.ed_penalty path by path: one forward and fit per plan, one backward over them all."""
-    ecfg = config.estimator_config()
     n_planned = max(config.reg_paths, 1)
     eds, caches, grads, out_projections = [], [], [], []
     for k in range(len(plans)):
         a = plans.alphas[k][:, None]
         raw, cache = net.forward_cached(a * batch[plans.i[k]] + (1.0 - a) * batch[plans.j[k]])
         ed, _, _, projection, grad = fit_path(
-            raw, plans, k, ecfg, labels=targets,
+            raw, plans, k, config, labels=targets,
             projection=None if projections is None else projections[k],
             with_gradient=want_grads,
         )

@@ -10,7 +10,6 @@ before asserting, so a red run still shows the measured values.
 
 import hashlib
 import json
-import math
 import os
 import time
 from pathlib import Path
@@ -223,12 +222,8 @@ def test_4_degree_preservation_at_scale():
         dim = int(rng.integers(3, 7))
         deg_low = int(rng.integers(1, 6))
         deg_high = int(rng.integers(deg_low + 1, 7))
-        poly_a = random_multipoly(
-            dim, deg_high, rng, n_terms=min(8, math.comb(deg_high + dim, dim))
-        )
-        poly_b = random_multipoly(
-            dim, deg_low, rng, n_terms=min(8, math.comb(deg_low + dim, dim))
-        )
+        poly_a = random_multipoly(dim, deg_high, rng, n_terms=8)
+        poly_b = random_multipoly(dim, deg_low, rng, n_terms=8)
         record = verify_order_preservation(
             poly_a, poly_b, 1000, dyadic_uniform_pair_sampler(dim), seed=trial
         )

@@ -3,18 +3,21 @@
 import numpy as np
 import pytest
 
-from effdeg.basis import basis_table, design_matrix
+from effdeg.basis import design_matrix
 from effdeg.sampling import chebyshev_nodes
+from effdeg.surrogate import fit_matrix
 
 from oracles import chebyshev_closed_form, legendre_reference
 
 
 def phi(kind, k, x):
-    """phi_k at each of the points x, read off basis_table's last column."""
-    return basis_table(kind, np.atleast_1d(np.asarray(x, dtype=float)), k)[:, k]
+    """phi_k at each of the points x, read off design_matrix's last column at a = (x + 1) / 2."""
+    a = (np.atleast_1d(np.asarray(x, dtype=float)) + 1.0) / 2.0
+    return design_matrix(kind, a, k)[:, k]
 
 
 def test_chebyshev_point_values():
+    # one abscissa, degrees up to 3: design_matrix tabulates past r - 1
     assert phi("chebyshev", 0, 0.37)[0] == 1.0
     assert phi("chebyshev", 2, 0.5)[0] == pytest.approx(-0.5, abs=1e-15)
     assert phi("chebyshev", 3, -1.0)[0] == pytest.approx(-1.0, abs=1e-15)
@@ -22,18 +25,19 @@ def test_chebyshev_point_values():
 
 
 def test_low_orders_exact():
-    # k = 0 and k = 1 are returned without arithmetic on them
-    xs = np.array([-1.0, -0.25, 0.0, 0.7, 1.0])
+    # k = 0 and k = 1 are returned without arithmetic on them past x = 2 a - 1
+    alphas = np.array([0.0, 0.375, 0.5, 0.85, 1.0])
     for basis in ("chebyshev", "legendre"):
-        table = basis_table(basis, xs, 4)
+        table = design_matrix(basis, alphas, 4)
         assert np.array_equal(table[:, 0], np.ones(5))
-        assert np.array_equal(table[:, 1], xs)
+        assert np.array_equal(table[:, 1], 2.0 * alphas - 1.0)
 
 
 def test_chebyshev_matches_closed_form():
     rng = np.random.default_rng(11)
-    xs = rng.uniform(-1.0, 1.0, size=100)
-    table = basis_table("chebyshev", xs, 20)
+    alphas = rng.uniform(0.0, 1.0, size=100)
+    xs = 2.0 * alphas - 1.0
+    table = design_matrix("chebyshev", alphas, 20)
     assert table.shape == (100, 21)
     for k in range(21):
         want = chebyshev_closed_form(k, xs)
@@ -42,27 +46,28 @@ def test_chebyshev_matches_closed_form():
 
 def test_legendre_matches_numpy():
     rng = np.random.default_rng(12)
-    xs = rng.uniform(-1.0, 1.0, size=100)
-    table = basis_table("legendre", xs, 20)
+    alphas = rng.uniform(0.0, 1.0, size=100)
+    xs = 2.0 * alphas - 1.0
+    table = design_matrix("legendre", alphas, 20)
     for k in range(21):
         want = legendre_reference(k, xs)
         assert np.max(np.abs(table[:, k] - want)) < 1e-10
 
 
 def test_basis_eval_is_total_via_clamping():
-    # out-of-domain x is clamped, never rejected
-    assert phi("chebyshev", 5, 1.0 + 5e-13)[0] == pytest.approx(1.0)
-    assert phi("chebyshev", 5, 2.0)[0] == pytest.approx(1.0)
-    assert phi("legendre", 3, -7.0)[0] == pytest.approx(-1.0)
+    # abscissas within the rounding slack of [0, 1] are clamped, never rejected
+    assert phi("chebyshev", 5, 1.0 + 1e-12)[0] == 1.0
+    assert design_matrix("chebyshev", [1.0 + 5e-13], 5)[0, 5] == 1.0
+    assert design_matrix("legendre", [-5e-13], 3)[0, 3] == -1.0
 
 
 def test_basis_eval_rejects_bad_inputs():
     with pytest.raises(ValueError):
-        basis_table("chebyshev", np.zeros(1), -1)
+        design_matrix("chebyshev", [0.5], -1)
     with pytest.raises(ValueError):
-        basis_table("fourier", np.zeros(1), 0)
-    with pytest.raises(ValueError):
-        basis_table("chebyshev", np.zeros((2, 2)), 1)
+        design_matrix("fourier", [0.5], 0)
+    with pytest.raises(ValueError, match="sample axis"):
+        design_matrix("chebyshev", 0.5, 1)
 
 
 def test_design_matrix_k1_example():
@@ -88,9 +93,11 @@ def test_design_matrix_first_column_ones():
         assert M.shape == (9, 5)
 
 
-def test_design_matrix_rejects_underdetermined():
-    with pytest.raises(ValueError):
-        design_matrix("chebyshev", [0.0, 1.0], 2)
+def test_design_matrix_tabulates_past_r_minus_1_but_fit_matrix_rejects_it():
+    M = design_matrix("chebyshev", [0.0, 1.0], 2)
+    assert np.array_equal(M, np.array([[1.0, -1.0, 1.0], [1.0, 1.0, 1.0]]))
+    with pytest.raises(ValueError, match=r"need at least max_degree \+ 1 = 3 abscissas, got 2"):
+        fit_matrix([0.0, 1.0], np.zeros((2, 1)), 2)
 
 
 def test_design_matrix_rejects_out_of_range_alpha():

@@ -153,8 +153,8 @@ def test_fit_paths_equals_per_path_reference(setting, seed, kinds, with_grad):
             fit_paths(raw, plans, config, labels=labels, with_gradient=with_grad)
         return
     got = fit_paths(raw, plans, config, labels=labels, with_gradient=with_grad)
-    assert got.ed.ed.tolist() == [w[0] for w in want]
-    assert got.ed.ed_norm.tolist() == [w[1] for w in want]
+    assert got.ed.tolist() == [w[0] for w in want]
+    assert got.ed_norm.tolist() == [w[1] for w in want]
     assert got.pca_ties.tolist() == [w[2] for w in want]
     for k, (_, _, _, projection, grad) in enumerate(want):
         if with_grad:
@@ -175,9 +175,32 @@ def test_fit_paths_equals_per_path_reference(setting, seed, kinds, with_grad):
                 moved[k], plans, k, config, labels=labels, projection=want[k][3],
                 with_gradient=with_grad,
             )
-            assert (again.ed.ed[k], again.ed.ed_norm[k]) == (ed, ed_norm)
+            assert (again.ed[k], again.ed_norm[k]) == (ed, ed_norm)
             if with_grad:
                 assert same(again.grad[k], grad)
+
+
+@pytest.mark.parametrize("task", ["mse", "cross_entropy"])
+@pytest.mark.parametrize("anchored", [False, True])
+@pytest.mark.parametrize("pca_dim", [None, 2])
+def test_fit_paths_on_a_train_config_equals_its_estimator_config(task, anchored, pca_dim):
+    # the penalty fits with its TrainConfig; post_softmax is derived from the task
+    settings_ = dict(resolution=6, max_degree=4, pca_dim=pca_dim, anchored=anchored, seed=9)
+    train_cfg = TrainConfig(task=task, reg_paths=4, **settings_)
+    est_cfg = EstimatorConfig(post_softmax=task == "cross_entropy", **settings_)
+    rng = np.random.default_rng(17)
+    X = rng.standard_normal((6, 2))
+    plans = plan_paths(X, train_cfg, step=3)
+    assert len(plans) == 4
+    raw = rng.standard_normal((4, 6, 3))
+    labels = rng.standard_normal((6, 3))
+    got = fit_paths(raw, plans, train_cfg, labels=labels, with_gradient=True)
+    want = fit_paths(raw, plans, est_cfg, labels=labels, with_gradient=True)
+    for name in ("ed", "ed_norm", "pca_ties", "grad"):
+        assert same(getattr(got, name), getattr(want, name))
+    if pca_dim is not None:
+        for name in ("mean", "components", "explained_variance", "degenerate_ties"):
+            assert same(getattr(got.projection, name), getattr(want.projection, name))
 
 
 @PROPERTY
@@ -323,7 +346,7 @@ def test_reference_fixtures_reach_dead_components_and_ties():
     assert tie.pca_ties.tolist() == [True]
     dead = fit_paths(np.zeros((1, 4, 3)), plan, cfg)
     assert (dead.projection.explained_variance < 1e-12).all()
-    assert dead.ed.ed.tolist() == [0.0]
+    assert dead.ed.tolist() == [0.0]
 
 
 def test_stacking_does_not_change_a_path():
@@ -340,7 +363,7 @@ def test_stacking_does_not_change_a_path():
             raw[k : k + 1], estimator.plan_paths(X, cfg, (), [k]), cfg,
             with_gradient=True,
         )
-        assert alone.ed.ed.tolist() == together.ed.ed[k : k + 1].tolist()
+        assert alone.ed.tolist() == together.ed[k : k + 1].tolist()
         assert same(alone.grad[0], together.grad[k])
 
 
@@ -392,8 +415,8 @@ def test_ed_is_absolutely_homogeneous_and_ed_norm_scale_free(fit, scale, seed):
             uniforms=np.random.default_rng(seed).random((raw.shape[0], config.resolution)),
         )
     )
-    base = fit_paths(raw, plans, config).ed
-    scaled = fit_paths(scale * raw, plans, config).ed
+    base = fit_paths(raw, plans, config)
+    scaled = fit_paths(scale * raw, plans, config)
     assert np.allclose(scaled.ed, abs(scale) * base.ed, rtol=1e-12, atol=0.0)
     assert np.allclose(scaled.ed_norm, base.ed_norm, rtol=1e-12, atol=0.0)
 
@@ -407,9 +430,9 @@ def test_reversed_path_at_chebyshev_nodes_has_the_same_ed(fit):
     n = raw.shape[0]
     nodes = np.tile(chebyshev_nodes(config.resolution), (n, 1))
     rows = np.arange(n)
-    forward = fit_paths(raw, oracles.plans_of(nodes, i=rows, j=rows + n), config).ed
+    forward = fit_paths(raw, oracles.plans_of(nodes, i=rows, j=rows + n), config)
     reverse = oracles.plans_of(1.0 - nodes[:, ::-1], i=rows + n, j=rows)
-    backward = fit_paths(raw[:, ::-1, :], reverse, config).ed
+    backward = fit_paths(raw[:, ::-1, :], reverse, config)
     assert np.allclose(backward.ed, forward.ed, rtol=1e-12, atol=0.0)
     assert np.allclose(backward.ed_norm, forward.ed_norm, rtol=1e-12, atol=0.0)
 

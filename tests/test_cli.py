@@ -425,6 +425,48 @@ def test_non_finite_float_settings_exit_two(tmp_path, capsys, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["estimate"],
+        ["train", "--steps", "2"],
+        ["verify-degree", "--pairs", "4"],
+        ["pnn-study", "--steps", "5", "--width", "4", "--train-points", "8",
+         "--eval-points", "8"],
+        ["gradcheck", "--surrogate-checks", "1", "--composite-checks", "1"],
+    ],
+)
+def test_negative_seed_exits_two_naming_seed(tmp_path, capsys, argv):
+    if argv[0] in ("estimate", "train"):
+        argv = argv + ["--data", cluster_dataset(tmp_path / "c.csv", n=16, seed=18)]
+    out = tmp_path / "out"
+    assert main(argv + ["--seed", "-1", "--out", str(out)]) == EXIT_CONFIG
+    assert "seed must be >= 0, got -1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flag,value,setting",
+    [
+        ("--eval-points", "1", "n_eval"),
+        ("--train-points", "1", "n_train"),
+        ("--mse-target", "-1", "mse_target"),
+    ],
+)
+def test_pnn_study_argument_errors_exit_two_before_training(
+    tmp_path, capsys, monkeypatch, flag, value, setting
+):
+    def no_training(*args):
+        raise AssertionError("pnn-study trained before checking its arguments")
+
+    monkeypatch.setattr(nets, "_train_pnn_task", no_training)
+    out = tmp_path / "out"
+    argv = ["pnn-study", "--steps", "5", "--width", "4", "--keep-going", flag, value]
+    assert main(argv + ["--out", str(out)]) == EXIT_CONFIG
+    assert setting in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_path_count_past_two_to_the_32_exits_two(tmp_path, capsys):
     # validate() refuses the count, so no plan of that size is ever drawn
     data = cluster_dataset(tmp_path / "c.csv", n=16, seed=18)
@@ -665,6 +707,18 @@ def test_verify_degree_random_mode_rerun(tmp_path, capsys):
     assert a["result"]["true_degrees"] == [4, 2]
 
 
+@pytest.mark.parametrize("dim", ["1", "2"])
+def test_verify_degree_in_few_variables_caps_the_terms(tmp_path, capsys, dim):
+    # the default 8 terms exceed the monomials of degree <= 2 in one or two variables
+    out = str(tmp_path / "out")
+    assert main(["verify-degree", "--dim", dim, "--pairs", "20", "--out", out]) == EXIT_OK
+    capsys.readouterr()
+    polys = read_json(out, "verify_degree.json")["result"]["polynomials"]
+    # degrees 3 and 2 have 4 and 3 monomials in one variable, 10 and 6 in two
+    want = {"1": [4, 3], "2": [8, 6]}[dim]
+    assert [len(polylab.parse_poly(text).terms) for text in polys] == want
+
+
 def test_verify_degree_rejects_wrong_poly_count(tmp_path, capsys):
     one = tmp_path / "one.txt"
     one.write_text("x1 + 1\n", encoding="utf-8")
@@ -832,6 +886,11 @@ def test_every_config_field_is_a_flag():
     for name, config in (("estimate", EstimatorConfig), ("train", nets.TrainConfig)):
         dests = {a.dest for a in parsers[name]._actions}
         assert {f.name for f in dataclasses.fields(config)} <= dests
+    # the penalty's post_softmax follows the task: no field, flag or config key
+    assert "post_softmax" not in {f.name for f in dataclasses.fields(nets.TrainConfig)}
+    assert "post_softmax" not in {a.dest for a in parsers["train"]._actions}
+    assert nets.TrainConfig(task="cross_entropy").post_softmax
+    assert not nets.TrainConfig(task="mse").post_softmax
 
 
 def test_cli_defaults_are_library_defaults():

@@ -461,6 +461,20 @@ def test_train_config_validation():
             TrainConfig(**{key: value}).validate()
 
 
+@pytest.mark.parametrize(
+    "setting,value",
+    [("n_train", 1), ("n_eval", 1), ("mse_target", -1.0), ("mse_target", 0.0),
+     ("mse_target", float("nan"))],
+)
+def test_pnn_study_checks_its_arguments_before_training(monkeypatch, setting, value):
+    def no_training(*args):
+        raise AssertionError("pnn_study trained before checking its arguments")
+
+    monkeypatch.setattr(nets, "_train_pnn_task", no_training)
+    with pytest.raises(ValueError, match=setting):
+        nets.pnn_study(**{setting: value})
+
+
 def test_checkpoint_round_trip_and_stability(tmp_path):
     net = tiny_net(39)
     path = str(tmp_path / "model.ckpt")

@@ -1,8 +1,10 @@
 """Package hygiene: every name a module exports exists and star-imports; one version."""
 
+import ast
 import importlib
 import pkgutil
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -33,3 +35,17 @@ def test_pyproject_version_is_the_package_version():
     # a regex, not tomllib: tomllib is missing on Python 3.10
     text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text(encoding="utf-8")
     assert re.findall(r'^version = "([^"]+)"$', text, flags=re.M) == [effdeg.__version__]
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    allowed = {"numpy", "effdeg"} | set(sys.stdlib_module_names)
+    imported = set()
+    for path in (Path(effdeg.__file__).parent).glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported |= {alias.name.split(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    assert "numpy" in imported and imported <= allowed, sorted(imported - allowed)
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    assert re.findall(r"^dependencies = (\[.*\])$", text, flags=re.M) == ['["numpy>=1.24"]']

@@ -192,6 +192,13 @@ def test_path_streams_share_no_word_with_the_rng_stream(seed):
     assert words.isdisjoint(pairs.ravel().tolist())
 
 
+def test_negative_seed_is_rejected_naming_seed():
+    # every stream, path key and derived seed starts from the one seed check
+    for draw in (sampling.rng, sampling.derive_seed, lambda s: path_key(s, ())):
+        with pytest.raises(ValueError, match=r"seed must be >= 0, got -1"):
+            draw(-1)
+
+
 def test_separate_equals_the_scalar_loop_row_by_row():
     r = 6
     uppers = 0.5 * (1.0 - np.cos((np.arange(r) + 1.0) * np.pi / r))

@@ -22,7 +22,6 @@ from effdeg.surrogate import (
     central_difference,
     ed_from_coefficients,
     fit_matrix,
-    mean_ed,
 )
 
 from oracles import damped_normal_solve, fd_gradient, plans_of
@@ -247,20 +246,12 @@ def test_ed_vector_mean():
     x = 2.0 * nodes - 1.0
     plan = plans_of(nodes)
     cfg = EstimatorConfig(n_paths=1, resolution=5, max_degree=3, damping=0.0)
-    v = fit_paths(np.stack([2.0 * x, 4.0 * x], axis=1)[None], plan, cfg).ed  # ed 2 and ed 4
+    v = fit_paths(np.stack([2.0 * x, 4.0 * x], axis=1)[None], plan, cfg)  # ed 2 and ed 4
     assert v.ed[0] == pytest.approx(3.0, abs=1e-9)
-    single = fit_paths((2.0 * x)[None, :, None], plan, cfg).ed
+    single = fit_paths((2.0 * x)[None, :, None], plan, cfg)
     direct = ed_from_coefficients(fit(nodes, 2.0 * x, 3, 0.0, "chebyshev"))
     assert single.ed[0] == direct.ed and single.ed_norm[0] == direct.ed_norm
-    assert fit_paths(np.zeros((1, 5, 2)), plan, cfg).ed.ed.tolist() == [0.0]
-
-
-def test_mean_ed_over_values():
-    # the mean runs over the last axis, one row per stacked path
-    v = mean_ed(EDValue(np.array([2.0, 4.0]), np.array([1.0, 0.5])))
-    assert v.ed == 3.0 and v.ed_norm == 0.75
-    rows = mean_ed(EDValue(np.array([[2.0, 4.0], [1.0, 1.0]]), np.array([[1.0, 0.5], [0.0, 1.0]])))
-    assert rows.ed.tolist() == [3.0, 1.0] and rows.ed_norm.tolist() == [0.75, 0.5]
+    assert fit_paths(np.zeros((1, 5, 2)), plan, cfg).ed.tolist() == [0.0]
 
 
 def test_fit_matrix_matches_columns():
