@@ -11,15 +11,16 @@ both over sampled endpoint pairs.
 A polynomial is a dict from exponent tuples to Fraction coefficients; zero
 coefficients are never stored.  The zero polynomial has degree -inf.
 
-Fraction is the interface, not the arithmetic.  verify's loop runs in
-Python integers: each polynomial is compiled once to integer coefficients
-over the lcm of their denominators, and each endpoint pair is converted
-once to an integer base x2 * D and step (x1 - x2) * D over the lcm D of its
-coordinates' denominators.  Every value the loop computes is then the exact
-one times a positive integer, so no test it makes needs a division.  For
-each pair and polynomial it evaluates the leading part at the step first: a
-nonzero value means degree D is kept, and only a zero value runs the full
-restriction to find the degree the polynomial dropped to.
+Fraction is the polynomial interface, not the arithmetic.  verify's loop
+runs in Python integers: each polynomial is compiled once to integer
+coefficients over the lcm of their denominators, and a sampler returns
+endpoint pairs, _PAIR_BLOCK at a time from one numpy call, as integer rows
+(den, base, step) with base = x2 * den and step = (x1 - x2) * den.  Every
+value the loop computes is then the exact one times a positive integer, so
+no test it makes needs a division.  For each pair and polynomial it
+evaluates the leading part at the step first: a nonzero value means degree
+D is kept, and only a zero value runs the full restriction to find the
+degree the polynomial dropped to.
 """
 
 from __future__ import annotations
@@ -140,21 +141,6 @@ def _compile(poly: MultiPoly) -> _IntPoly:
     return _IntPoly(top, terms, lead)
 
 
-def _endpoints(dim: int, x1, x2) -> tuple[int, list[int], list[int]]:
-    """(den, base, step) with base = x2 * den and step = (x1 - x2) * den all integers.
-
-    den is the lcm of the denominators of all 2 * dim coordinates.
-    """
-    x1 = [v if isinstance(v, Fraction) else Fraction(v) for v in x1]
-    x2 = [v if isinstance(v, Fraction) else Fraction(v) for v in x2]
-    if len(x1) != dim or len(x2) != dim:
-        raise ValueError("endpoint dimension mismatch")
-    den = math.lcm(*(v.denominator for v in x1), *(v.denominator for v in x2))
-    base = [v.numerator * (den // v.denominator) for v in x2]
-    step = [v.numerator * (den // v.denominator) - b for v, b in zip(x1, base)]
-    return den, base, step
-
-
 def _leading_value(ipoly: _IntPoly, step: list[int]) -> int:
     """scale * den^top times the leading part of poly at x1 - x2."""
     total = 0
@@ -209,6 +195,10 @@ def _restricted_degree(ipoly: _IntPoly, den: int, base: list[int], step: list[in
     return float(max((k for k, c in enumerate(acc) if c), default=0))
 
 
+# verify draws its endpoint rows this many pairs at a time, bounding their memory
+_PAIR_BLOCK = 1024
+
+
 def verify_order_preservation(
     poly_a: MultiPoly,
     poly_b: MultiPoly,
@@ -218,9 +208,10 @@ def verify_order_preservation(
 ) -> OrderPreservationRecord:
     """Compare average restricted degrees of two polynomials over shared endpoints.
 
-    sampler(rng) must yield an (x1, x2) pair of rational points.  The record
-    is 'ordered' when the sample means relate the same way the true total
-    degrees do.
+    sampler(rng, n) returns n endpoint rows (den, base, step) of Python ints,
+    den > 0 and base = x2 * den, step = (x1 - x2) * den lists of dim ints, and
+    is asked for at most _PAIR_BLOCK rows at a time.  The record is 'ordered'
+    when the sample means relate the same way the true total degrees do.
     """
     if poly_a.is_zero() or poly_b.is_zero():
         raise ValueError("order preservation needs nonzero polynomials")
@@ -236,13 +227,17 @@ def verify_order_preservation(
     degs_a: list[float] = []
     degs_b: list[float] = []
     drops = [0, 0]
-    for _ in range(n_pairs):
-        den, base, step = _endpoints(poly_a.dim, *sampler(rng))
-        for slot, ipoly, sink in ((0, ipolys[0], degs_a), (1, ipolys[1], degs_b)):
-            d = _restricted_degree(ipoly, den, base, step)
-            sink.append(d)
-            if d < ipoly.top:
-                drops[slot] += 1
+    for start in range(0, n_pairs, _PAIR_BLOCK):
+        for den, base, step in sampler(rng, min(_PAIR_BLOCK, n_pairs - start)):
+            if len(base) != poly_a.dim or len(step) != poly_a.dim:
+                raise ValueError("endpoint dimension mismatch")
+            for slot, ipoly, sink in ((0, ipolys[0], degs_a), (1, ipolys[1], degs_b)):
+                d = _restricted_degree(ipoly, den, base, step)
+                sink.append(d)
+                if d < ipoly.top:
+                    drops[slot] += 1
+    if len(degs_a) != n_pairs:
+        raise ValueError(f"sampler returned {len(degs_a)} rows for {n_pairs} pairs")
     mean_a = float(np.mean(degs_a))
     mean_b = float(np.mean(degs_b))
     da, db = int(poly_a.degree()), int(poly_b.degree())
@@ -264,12 +259,18 @@ def verify_order_preservation(
 
 def gaussian_pair_sampler(dim: int):
     """Endpoint pairs from exact dyadic rationals of standard normal draws."""
+    if dim < 1:
+        raise ValueError("dim must be >= 1")
 
-    def sample(rng: np.random.Generator):
-        pts = rng.standard_normal((2, dim))
-        x1 = tuple(Fraction(float(v)) for v in pts[0])
-        x2 = tuple(Fraction(float(v)) for v in pts[1])
-        return x1, x2
+    def sample(rng: np.random.Generator, n: int) -> list:
+        rows = []
+        for draw in rng.standard_normal((n, 2 * dim)).tolist():
+            # every denominator is a power of two, so the largest is their lcm
+            ratios = [v.as_integer_ratio() for v in draw]
+            den = max(d for _, d in ratios)
+            nums = [p * (den // d) for p, d in ratios]
+            rows.append((den, nums[dim:], [a - b for a, b in zip(nums, nums[dim:])]))
+        return rows
 
     return sample
 
@@ -277,37 +278,36 @@ def gaussian_pair_sampler(dim: int):
 def dyadic_uniform_pair_sampler(dim: int, bits: int = 63):
     """Endpoint pairs with coordinates k / 2^bits, k uniform on [-2^bits, 2^bits - 1].
 
-    bits lies in 0..63, so that k fits numpy's int64.
+    bits is an integer in 0..63, so that k fits numpy's int64; each row's den is 2^bits.
     """
-    if not 0 <= bits <= 63:
-        raise ValueError(f"bits must lie in 0..63, got {bits}")
-    den = 1 << bits
+    if dim < 1:
+        raise ValueError("dim must be >= 1")
+    if not isinstance(bits, (int, np.integer)) or not 0 <= bits <= 63:
+        raise ValueError(f"bits must be an integer in 0..63, got {bits!r}")
+    den = 1 << int(bits)
 
-    def sample(rng: np.random.Generator):
-        nums = rng.integers(-den, den - 1, size=(2, dim), dtype=np.int64, endpoint=True)
-        x1 = tuple(Fraction(int(v), den) for v in nums[0])
-        x2 = tuple(Fraction(int(v), den) for v in nums[1])
-        return x1, x2
+    def sample(rng: np.random.Generator, n: int) -> list:
+        nums = rng.integers(-den, den - 1, size=(n, 2, dim), dtype=np.int64, endpoint=True)
+        return [(den, x2, [a - b for a, b in zip(x1, x2)]) for x1, x2 in nums.tolist()]
 
     return sample
 
 
 def shared_coordinate_pair_sampler(dim: int, coordinate: int = 0):
-    """Adversarial pairs with one shared coordinate, so that direction entry is 0.
+    """Adversarial gaussian pairs with one shared coordinate, so that direction entry is 0.
 
     Any polynomial whose leading part is a power of that coordinate drops
     degree on every such pair.
     """
-    if not 0 <= coordinate < dim:
-        raise ValueError("coordinate out of range")
-    base = gaussian_pair_sampler(dim)
+    gaussian = gaussian_pair_sampler(dim)
+    if not isinstance(coordinate, (int, np.integer)) or not 0 <= coordinate < dim:
+        raise ValueError(f"coordinate must be an integer in 0..{dim - 1}, got {coordinate!r}")
 
-    def sample(rng: np.random.Generator):
-        x1, x2 = base(rng)
-        x1 = tuple(
-            x2[coordinate] if k == coordinate else v for k, v in enumerate(x1)
-        )
-        return x1, x2
+    def sample(rng: np.random.Generator, n: int) -> list:
+        rows = gaussian(rng, n)
+        for _, _, step in rows:
+            step[coordinate] = 0
+        return rows
 
     return sample
 

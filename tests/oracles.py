@@ -7,11 +7,13 @@ or numpy.polynomial rather than our recurrences.  The last section is the
 path engine run one path at a time, the reference for the batched engine's
 bits: plan_paths draws every path alone from its own numpy Philox and
 Generator, and plans_of builds PathPlans over hand-picked abscissas.  The
-polylab section is direct evaluation of a polynomial at a rational point
-and the Fraction restriction the integer core replaced, run once per
-endpoint pair and polynomial.
+polylab section is direct evaluation of a polynomial at a rational point,
+the Fraction restriction the integer core replaced, run once per endpoint
+pair and polynomial, and the one-pair Fraction samplers the batched integer
+rows replaced, with the conversions between pairs and rows.
 """
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -492,14 +494,77 @@ def net_restriction(net, x1, x2) -> list[list[Fraction]]:
     return units
 
 
+def gaussian_pair(dim):
+    """One (x1, x2) pair of Fraction points per call, as polylab.gaussian_pair_sampler."""
+
+    def sample(rng):
+        pts = rng.standard_normal((2, dim))
+        x1 = tuple(Fraction(float(v)) for v in pts[0])
+        x2 = tuple(Fraction(float(v)) for v in pts[1])
+        return x1, x2
+
+    return sample
+
+
+def dyadic_uniform_pair(dim, bits=63):
+    """One (x1, x2) pair per call, as polylab.dyadic_uniform_pair_sampler."""
+    den = 1 << bits
+
+    def sample(rng):
+        nums = rng.integers(-den, den - 1, size=(2, dim), dtype=np.int64, endpoint=True)
+        x1 = tuple(Fraction(int(v), den) for v in nums[0])
+        x2 = tuple(Fraction(int(v), den) for v in nums[1])
+        return x1, x2
+
+    return sample
+
+
+def shared_coordinate_pair(dim, coordinate=0):
+    """One (x1, x2) pair per call, as polylab.shared_coordinate_pair_sampler."""
+    base = gaussian_pair(dim)
+
+    def sample(rng):
+        x1, x2 = base(rng)
+        x1 = tuple(x2[coordinate] if k == coordinate else v for k, v in enumerate(x1))
+        return x1, x2
+
+    return sample
+
+
+def endpoint_row(x1, x2):
+    """The (den, base, step) row of a rational pair, den the lcm of its denominators."""
+    x1 = [Fraction(v) for v in x1]
+    x2 = [Fraction(v) for v in x2]
+    den = math.lcm(*(v.denominator for v in x1 + x2))
+    base = [int(v * den) for v in x2]
+    return den, base, [int(v * den) - b for v, b in zip(x1, base)]
+
+
+def endpoints(row):
+    """The (x1, x2) pair of Fraction points a (den, base, step) row stands for."""
+    den, base, step = row
+    x1 = tuple(Fraction(b + s, den) for b, s in zip(base, step))
+    return x1, tuple(Fraction(b, den) for b in base)
+
+
+def pair_sampler(pairs):
+    """A polylab sampler returning the rows of the given (x1, x2) pairs, cycling."""
+    rows = itertools.cycle([endpoint_row(x1, x2) for x1, x2 in pairs])
+    return lambda rng, n: [next(rows) for _ in range(n)]
+
+
 def verify_order_preservation(poly_a, poly_b, n_pairs, sampler, seed=0):
-    """polylab.verify_order_preservation with one Fraction restrict per pair and polynomial."""
+    """polylab.verify_order_preservation with one Fraction restrict per pair and polynomial.
+
+    It asks the sampler for one row at a time and reads it back as Fractions.
+    """
     rng = sampling.rng(seed)
     degs_a: list[float] = []
     degs_b: list[float] = []
     drops = [0, 0]
     for _ in range(n_pairs):
-        x1, x2 = sampler(rng)
+        (row,) = sampler(rng, 1)
+        x1, x2 = endpoints(row)
         for slot, poly, sink in ((0, poly_a, degs_a), (1, poly_b, degs_b)):
             # the zero restriction is recorded as degree 0 so averages stay finite
             d = float(max(len(restrict(poly, x1, x2)) - 1, 0))

@@ -3,10 +3,11 @@
 verify_order_preservation's integer loop is checked against hand-worked
 pairs and, with ==, against the Fraction reference loop in oracles.py.  That
 reference's restriction is itself checked against direct evaluation at
-rational points, which exercises none of the convolution code.
+rational points, which exercises none of the convolution code.  The batched
+samplers' integer rows are checked, as exact rationals, against successive
+draws of the one-pair Fraction samplers in oracles.py from the same stream.
 """
 
-import itertools
 import math
 from fractions import Fraction
 from pathlib import Path
@@ -16,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from effdeg import polylab, sampling
 from effdeg.polylab import (
     NEG_INF,
     MultiPoly,
@@ -39,7 +41,7 @@ def test_restrict_shared_coordinate_is_constant():
     c = Fraction(3, 7)
     poly = parse_poly("x1^2", dim=2)
     pair = ((c, Fraction(1)), (c, Fraction(0)))
-    record = verify_order_preservation(poly, poly, 1, lambda rng: pair)
+    record = verify_order_preservation(poly, poly, 1, oracles.pair_sampler([pair]))
     assert record.restricted_degrees == ((0.0,), (0.0,))
     assert record.drop_counts == (1, 1)
 
@@ -50,14 +52,14 @@ def test_restrict_generic_keeps_degree():
     x1 = tuple(Fraction(int(v)) for v in rng.integers(-9, 10, size=4))
     x2 = tuple(Fraction(int(v)) for v in rng.integers(-9, 10, size=4))
     assert x1 != x2
-    record = verify_order_preservation(poly, poly, 1, lambda rng: (x1, x2))
+    record = verify_order_preservation(poly, poly, 1, oracles.pair_sampler([(x1, x2)]))
     assert record.restricted_degrees == ((5.0,), (5.0,))
     assert record.drop_counts == (0, 0)
 
 
 def test_restrict_agrees_with_direct_evaluation():
     rng = np.random.default_rng(71)
-    sampler = dyadic_uniform_pair_sampler(3)
+    sampler = oracles.dyadic_uniform_pair(3)
     alphas = [Fraction(0), Fraction(1), Fraction(1, 3), Fraction(-2, 5), Fraction(7, 4)]
     for _ in range(40):
         deg = int(rng.integers(2, 6))
@@ -71,11 +73,11 @@ def test_restrict_agrees_with_direct_evaluation():
 def test_degree_drops_examples():
     # x1*x2 restricts to 3 + 3a along direction (1, 0) and to (1 + a)(1 + 2a) along (1, 2)
     poly = parse_poly("x1*x2")
-    draws = iter([
+    sampler = oracles.pair_sampler([
         ((Fraction(2), Fraction(3)), (Fraction(1), Fraction(3))),
         ((Fraction(2), Fraction(3)), (Fraction(1), Fraction(1))),
     ])
-    record = verify_order_preservation(poly, poly, 2, lambda rng: next(draws))
+    record = verify_order_preservation(poly, poly, 2, sampler)
     assert record.restricted_degrees == ((1.0, 2.0), (1.0, 2.0))
     assert record.drop_counts == (1, 1)
 
@@ -94,10 +96,7 @@ def test_random_pairs_never_drop():
 def test_shared_coordinate_sampler_always_drops():
     poly = parse_poly("x1^2", dim=2)
     sampler = shared_coordinate_pair_sampler(2, 0)
-    rng = np.random.default_rng(76)
-    for _ in range(100):
-        x1, x2 = sampler(rng)
-        assert x1[0] == x2[0]
+    assert all(step[0] == 0 for _, _, step in sampler(np.random.default_rng(76), 100))
     record = verify_order_preservation(poly, poly, 100, sampler, seed=76)
     assert record.drop_counts == (100, 100)
     assert record.restricted_degrees == ((0.0,) * 100,) * 2
@@ -147,25 +146,28 @@ def test_order_preservation_summary_keys():
     assert set(s) == {"true_degrees", "mean_degrees", "drop_counts", "n_pairs", "ordered"}
 
 
+def dyadic_rows_in_range(rows, dim: int, bits: int) -> bool:
+    """Every row is Python ints over den 2^bits with both endpoints' numerators in range."""
+    den = 1 << bits
+    return all(
+        type(d) is int and d == den and len(base) == len(step) == dim
+        and all(type(v) is int for v in base + step)
+        and all(-den <= v <= den - 1 for v in base + [b + s for b, s in zip(base, step)])
+        for d, base, step in rows
+    )
+
+
 def test_dyadic_sampler_range_and_denominator():
-    sampler = dyadic_uniform_pair_sampler(4)
-    rng = np.random.default_rng(80)
-    den = 1 << 63
-    for _ in range(25):
-        x1, x2 = sampler(rng)
-        for pt in (x1, x2):
-            assert len(pt) == 4
-            for v in pt:
-                assert isinstance(v, Fraction)
-                assert den % v.denominator == 0
-                assert abs(v) <= 1
+    rows = dyadic_uniform_pair_sampler(4)(np.random.default_rng(80), 25)
+    assert len(rows) == 25
+    assert dyadic_rows_in_range(rows, 4, 63)
 
 
 def test_gaussian_sampler_is_exact():
-    sampler = gaussian_pair_sampler(3)
-    rng = np.random.default_rng(81)
-    x1, x2 = sampler(rng)
-    # Fraction(float) is exact, so round-tripping back to float is lossless
+    # each row holds its standard normal draws exactly: x1 then x2
+    (row,) = gaussian_pair_sampler(3)(np.random.default_rng(81), 1)
+    x1, x2 = oracles.endpoints(row)
+    assert [float(v) for v in x1 + x2] == np.random.default_rng(81).standard_normal(6).tolist()
     assert all(float(v) == v for v in x1 + x2)
 
 
@@ -333,12 +335,7 @@ def samplers(draw, dim: int):
     pairs = draw(st.lists(st.tuples(point, point), min_size=1, max_size=4))
     if kind == "collapsed":
         pairs = [(x2, x2) for _, x2 in pairs]
-
-    def factory():
-        draws = itertools.cycle(pairs)
-        return lambda rng: next(draws)
-
-    return factory
+    return lambda: oracles.pair_sampler(pairs)
 
 
 @st.composite
@@ -391,7 +388,7 @@ def test_zero_restriction_is_recorded_as_degree_zero():
     # a collapsed pair at a root of poly: the restriction is the zero polynomial
     poly = parse_poly("x1^2 - x2")
     root = (Fraction(1, 3), Fraction(1, 9))
-    record = verify_order_preservation(poly, poly, 3, lambda rng: (root, root))
+    record = verify_order_preservation(poly, poly, 3, oracles.pair_sampler([(root, root)]))
     assert oracles.restrict(poly, root, root) == ()
     assert record.restricted_degrees == ((0.0,) * 3, (0.0,) * 3)
     assert record.drop_counts == (3, 3)
@@ -399,13 +396,21 @@ def test_zero_restriction_is_recorded_as_degree_zero():
 
 def test_verify_rejects_wrong_dimension_endpoints():
     poly = parse_poly("x1*x2")
-    for pair in (((1, 2, 3), (0, 0)), ((1, 2), (0, 0, 0))):
+    for row in ((1, [0, 0], [1, 2, 3]), (1, [0, 0, 0], [1, 2]), (1, [0], [1])):
         with pytest.raises(ValueError, match="endpoint dimension mismatch"):
-            verify_order_preservation(poly, poly, 3, lambda rng: pair)
+            verify_order_preservation(poly, poly, 3, lambda rng, n, row=row: [row] * n)
+
+
+def test_verify_rejects_a_sampler_returning_the_wrong_row_count():
+    poly = parse_poly("x1*x2")
+    row = (1, [0, 0], [1, 2])
+    for count in (lambda n: n - 1, lambda n: n + 1):
+        with pytest.raises(ValueError, match="sampler returned"):
+            verify_order_preservation(poly, poly, 3, lambda rng, n: [row] * count(n))
 
 
 def test_order_preservation_rejects_mixed_dimensions_before_sampling():
-    def sampler(rng):
+    def sampler(rng, n):
         raise AssertionError("no pair may be drawn")
 
     with pytest.raises(ValueError, match="dim 2.*dim 3"):
@@ -418,6 +423,93 @@ def test_dyadic_sampler_bits_range():
             dyadic_uniform_pair_sampler(2, bits)
     rng = np.random.default_rng(82)
     for bits in (0, 1, 63):
-        x1, x2 = dyadic_uniform_pair_sampler(2, bits)(rng)
-        assert all(abs(v) <= 1 for v in x1 + x2)
-        assert all((v * 2**bits).denominator == 1 for v in x1 + x2)
+        rows = dyadic_uniform_pair_sampler(2, bits)(rng, 30)
+        assert len(rows) == 30
+        assert dyadic_rows_in_range(rows, 2, bits)
+    # 30 pairs at bits 0 reach both ends of the range -1..0
+    rows = dyadic_uniform_pair_sampler(2, 0)(rng, 30)
+    assert {v for _, base, _ in rows for v in base} == {-1, 0}
+
+
+@pytest.mark.parametrize(
+    "factory, args, message",
+    [
+        (gaussian_pair_sampler, (0,), "dim must be >= 1"),
+        (dyadic_uniform_pair_sampler, (-1,), "dim must be >= 1"),
+        (shared_coordinate_pair_sampler, (0,), "dim must be >= 1"),
+        (dyadic_uniform_pair_sampler, (2, 2.5), r"bits must be an integer in 0\.\.63, got 2\.5"),
+        (shared_coordinate_pair_sampler, (2, 0.5), r"coordinate must be an integer in 0\.\.1"),
+        (shared_coordinate_pair_sampler, (2, 2), r"coordinate must be .* 0\.\.1, got 2$"),
+    ],
+    ids=[
+        "gaussian-dim-0", "dyadic-dim-minus-1", "shared-dim-0", "dyadic-bits-2.5",
+        "shared-coordinate-0.5", "shared-coordinate-2",
+    ],
+)
+def test_sampler_factories_reject_bad_settings(factory, args, message):
+    with pytest.raises(ValueError, match=message):
+        factory(*args)
+
+
+def test_library_samplers_build_no_fraction(monkeypatch):
+    poly = parse_poly("x1^2*x2 - 3*x3 + 1/2")
+    built = []
+    fraction_new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        built.append(args)
+        return fraction_new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting_new)
+    assert Fraction(1, 2) == Fraction(2, 4) and len(built) == 2
+    built.clear()
+    for sampler in (
+        dyadic_uniform_pair_sampler(3),
+        gaussian_pair_sampler(3),
+        shared_coordinate_pair_sampler(3, 2),
+    ):
+        verify_order_preservation(poly, poly, 40, sampler, seed=3)
+    assert built == []
+
+
+# --- batched rows against the one-pair Fraction samplers --------------------
+
+
+@EXACT
+@given(
+    dim=st.integers(1, 6),
+    bits=st.integers(0, 63),
+    seed=st.integers(0, 2**32),
+    n=st.integers(1, 20),
+    split=st.integers(0, 20),
+    coordinate=st.integers(0, 5),
+)
+def test_sampler_rows_equal_successive_reference_draws(dim, bits, seed, n, split, coordinate):
+    # numpy buffers 32-bit draws in the bit generator, so the identity holds
+    # across calls too: rows drawn in two calls equal n one-pair draws
+    split = min(split, n)
+    coordinate %= dim
+    for library, reference in (
+        (gaussian_pair_sampler(dim), oracles.gaussian_pair(dim)),
+        (dyadic_uniform_pair_sampler(dim, bits), oracles.dyadic_uniform_pair(dim, bits)),
+        (
+            shared_coordinate_pair_sampler(dim, coordinate),
+            oracles.shared_coordinate_pair(dim, coordinate),
+        ),
+    ):
+        rng = sampling.rng(seed)
+        rows = library(rng, split) + library(rng, n - split)
+        assert all(type(v) is int for den, base, step in rows for v in [den, *base, *step])
+        rng = sampling.rng(seed)
+        assert [oracles.endpoints(row) for row in rows] == [reference(rng) for _ in range(n)]
+
+
+@EXACT
+@given(case=experiments())
+def test_verify_record_does_not_depend_on_the_block_size(case):
+    poly_a, poly_b, n_pairs, sampler, seed = case
+    want = verify_order_preservation(poly_a, poly_b, n_pairs, sampler(), seed=seed)
+    with pytest.MonkeyPatch.context() as mp:
+        for block in (1, 3, 7):
+            mp.setattr(polylab, "_PAIR_BLOCK", block)
+            assert verify_order_preservation(poly_a, poly_b, n_pairs, sampler(), seed=seed) == want
