@@ -72,9 +72,9 @@ def _now() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
 
-def canonical_hash(document: dict, exclude=("created", "canonical_sha256")) -> str:
-    """sha256 of the sorted-key JSON rendering minus volatile fields."""
-    core = {k: v for k, v in document.items() if k not in exclude}
+def canonical_hash(document: dict) -> str:
+    """sha256 of the sorted-key JSON rendering minus the volatile created and canonical_sha256."""
+    core = {k: v for k, v in document.items() if k not in ("created", "canonical_sha256")}
     blob = json.dumps(core, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()
 
@@ -200,9 +200,7 @@ def resolve_config(args) -> dict:
 
 
 def _out_dir(args) -> str:
-    if getattr(args, "out", None):
-        return args.out
-    return os.environ.get(OUT_DIR_ENV, "effdeg-out")
+    return args.out or os.environ.get(OUT_DIR_ENV, "effdeg-out")
 
 
 def _sha256_file(path: str) -> str:
@@ -626,8 +624,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 # (exception type, exit code), first match wins
 EXIT_CODES = (
-    (ConfigError, EXIT_CONFIG),
-    (polylab.PolyParseError, EXIT_CONFIG),
     (ValueError, EXIT_CONFIG),
     (OSError, EXIT_IO),
     (SingularFitError, EXIT_NUMERICAL),

@@ -150,8 +150,7 @@ class PathPlans:
     """Frozen randomness of P paths: path k runs from inputs[i[k]] (a = 1) to inputs[j[k]] (a = 0).
 
     Path k was drawn under the stream key prefix + (paths[k],), which names
-    it in errors; paths is (P,) int64, alphas is (P, r); anchored means
-    every row of alphas holds a = 0 and a = 1.
+    it in errors; paths is (P,) int64, alphas is (P, r).
     """
 
     prefix: tuple[int, ...]
@@ -159,7 +158,6 @@ class PathPlans:
     i: np.ndarray
     j: np.ndarray
     alphas: np.ndarray
-    anchored: bool
 
     def __len__(self) -> int:
         return len(self.paths)
@@ -262,7 +260,6 @@ def plan_paths(
         i=pairs[:, 0],
         j=pairs[:, 1],
         alphas=np.tile(alphas, (len(pairs), 1)) if alphas.ndim == 1 else alphas,
-        anchored=settings.anchored,
     )
 
 
@@ -294,12 +291,12 @@ def anchor_values(values: np.ndarray, plans: PathPlans, labels: np.ndarray) -> n
     """Replace each path's endpoint rows with labels.
 
     values is (P, r, out) in plan order; the a = 0 row of path k gets
-    labels[plans.j[k]] and its a = 1 row labels[plans.i[k]].  Requires
-    abscissas that actually contain both endpoints (an anchored scheme);
-    anchoring interior-only samples would mislabel the path.
+    labels[plans.j[k]] and its a = 1 row labels[plans.i[k]].  Every row of
+    plans.alphas must start at a = 0 and end at a = 1, as anchored schemes
+    and uniform do; anchoring interior-only samples would mislabel the path.
     """
-    if not plans.anchored:
-        raise ValueError("label anchoring requires an anchored abscissa scheme")
+    if not ((plans.alphas[:, 0] == 0.0).all() and (plans.alphas[:, -1] == 1.0).all()):
+        raise ValueError("label anchoring requires each path's first abscissa a = 0 and last a = 1")
     labels = np.asarray(labels, dtype=float)
     out = np.array(values, dtype=float, copy=True)
     out[:, 0, :] = labels[plans.j]
@@ -328,9 +325,9 @@ def fit_paths(
     by default each path's map is fit to its values.
 
     With with_gradient set, the result also carries the gradient of ed in
-    raw.  The PCA map is differentiated as a fixed linear map, anchored
-    rows get zero gradient (they are labels, not outputs), and the softmax
-    is backpropagated last.
+    raw.  The PCA map is held constant, so with pca_dim set this is the
+    gradient of ED(P_sg(y) y), not of the live-map ed; anchored rows get
+    zero gradient (they are labels, not outputs); the softmax comes last.
     """
     raw = np.asarray(raw, dtype=float)
     finite = np.isfinite(raw).all(axis=(1, 2))

@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -317,7 +317,6 @@ def ed_penalty(
     targets: np.ndarray,
     plans: PathPlans,
     config: TrainConfig,
-    want_grads: bool = True,
     projections=None,
 ):
     """Mean path effective degree over the planned paths, with parameter gradients.
@@ -325,16 +324,16 @@ def ed_penalty(
     All paths run through one forward pass, one fit_paths call and one
     backward pass.  The average divides by the configured path count, so
     dropped degenerate paths contribute zero instead of reweighting the
-    survivors.  Passing the projections returned by an earlier call
-    freezes the PCA maps, which is what finite-difference checks of the
-    composite objective require.
+    survivors.  With pca_dim set, the value uses each path's live PCA map,
+    the gradient holds it constant (that of ED(P_sg(y) y)), and passing an
+    earlier call's projections freezes the maps for finite differences.
 
-    Returns (penalty, (d_weights, d_biases) or None, projections).
+    Returns (penalty, (d_weights, d_biases), projections).
     """
     n_planned = max(config.reg_paths, 1)
     if not plans:
         zeros = ([np.zeros_like(w) for w in net.weights], [np.zeros_like(b) for b in net.biases])
-        return 0.0, zeros if want_grads else None, None
+        return 0.0, zeros, None
     raw, cache = net.forward_cached(path_points(batch, plans))
     fitted = fit_paths(
         raw.reshape(len(plans), config.resolution, -1),
@@ -342,11 +341,9 @@ def ed_penalty(
         config,
         labels=targets,
         projection=projections,
-        with_gradient=want_grads,
+        with_gradient=True,
     )
     penalty = float(fitted.ed.sum()) / n_planned
-    if not want_grads:
-        return penalty, None, fitted.projection
     d_raw = fitted.grad.reshape(raw.shape) / n_planned
     return penalty, net.backward(cache, d_raw), fitted.projection
 
@@ -369,16 +366,15 @@ def composite_objective(
     batch_t: np.ndarray,
     config: TrainConfig,
     step: int,
-    plans: PathPlans | None = None,
     projections=None,
 ):
     """Task loss + lambda(step) * path penalty, and its parameter gradient.
 
     This is the objective regularized_step descends and gradcheck audits.
     The penalty is skipped (0) when config.reg_paths or config.reg_strength
-    is 0; otherwise it runs on the given plans, or on plan_paths(batch_x,
-    config, step).  Passing the projections returned by an earlier call
-    freezes the PCA maps, as in ed_penalty.
+    is 0; otherwise it runs on plan_paths(batch_x, config, step), and its
+    gradient is added when lambda(step) > 0.  Passing the projections
+    returned by an earlier call freezes the PCA maps, as in ed_penalty.
 
     Returns (StepRecord, (d_weights, d_biases), projections).
     """
@@ -388,13 +384,11 @@ def composite_objective(
     lam = lambda_schedule(step, config)
     penalty = 0.0
     if config.reg_paths > 0 and config.reg_strength > 0.0:
-        if plans is None:
-            plans = plan_paths(batch_x, config, step)
         penalty, penalty_grads, projections = ed_penalty(
-            net, batch_x, batch_t, plans, config,
-            want_grads=lam > 0.0, projections=projections,
+            net, batch_x, batch_t, plan_paths(batch_x, config, step), config,
+            projections=projections,
         )
-        if penalty_grads is not None:
+        if lam > 0.0:
             for l in range(len(grads[0])):
                 grads[0][l] += lam * penalty_grads[0][l]
                 grads[1][l] += lam * penalty_grads[1][l]
@@ -438,10 +432,10 @@ def gradcheck(n_checks: int, seed: int) -> dict:
 
     Each cell is a small square-activation net on a random batch, with the
     task, anchoring and PCA drawn from sampling.rng(seed, 2, attempt) and
-    lambda = reg_strength = 1 from the first step.  The differences run on
-    the same paths with the PCA maps frozen at the analytic call's.  A batch
-    that yields fewer than reg_paths paths is skipped and counted as
-    short_batches.
+    lambda = reg_strength = 1 from the first step.  The differences re-plan
+    the same paths with the PCA maps frozen at the analytic call's, so PCA
+    cells agree by construction with the frozen-map gradient (ed_penalty).
+    A batch with fewer than reg_paths paths is counted as short_batches.
     """
 
     def draw(attempt):
@@ -468,18 +462,15 @@ def gradcheck(n_checks: int, seed: int) -> dict:
             T = one_hot(rng.integers(0, 3, size=8), 3)
         else:
             T = rng.standard_normal((8, 3))
-        plans = plan_paths(X, cfg, step=0)
-        if len(plans) < cfg.reg_paths:
+        if len(plan_paths(X, cfg, step=0)) < cfg.reg_paths:
             return None
-        _, (d_w, d_b), projections = composite_objective(network, X, T, cfg, 0, plans=plans)
+        _, (d_w, d_b), projections = composite_objective(network, X, T, cfg, 0)
         analytic = np.concatenate([g.ravel() for pair in zip(d_w, d_b) for g in pair])
         probe = network.clone()
 
         def objective(flat):
             probe.set_flat(flat)
-            record, _, _ = composite_objective(
-                probe, X, T, cfg, 0, plans=plans, projections=projections
-            )
+            record, _, _ = composite_objective(probe, X, T, cfg, 0, projections=projections)
             return record.total_loss
 
         cell = {"task": task, "anchored": anchored, "pca_dim": pca_dim}
@@ -499,8 +490,8 @@ def train(
     """Run the configured number of descent steps in place; returns the log.
 
     Minibatches are drawn without replacement per step from a splittable
-    stream, the penalty uses live per-path PCA (when configured) but
-    backpropagates through the frozen projection, and a non-finite objective
+    stream, the penalty uses live per-path PCA maps but its gradient holds
+    them constant (that of ED(P_sg(y) y)), and a non-finite objective
     aborts immediately.  Classification runs log full-set accuracy per step.
 
     stop_below=(threshold, window) makes config.n_steps a cap: training
@@ -752,12 +743,12 @@ class PNNStudyReport:
     """
 
     rows: tuple[PNNTaskResult, ...]
-    orderings: dict = field(default_factory=dict)
-    norm_gaps: dict = field(default_factory=dict)
-    scaling_ok: bool = True
-    all_converged: bool = True
-    all_ok: bool = False
-    evaluation: dict = field(default_factory=dict)
+    orderings: dict
+    norm_gaps: dict
+    scaling_ok: bool
+    all_converged: bool
+    all_ok: bool
+    evaluation: dict
 
 
 # study evaluation protocol: deterministic abscissas, one shared seed, no

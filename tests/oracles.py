@@ -311,11 +311,10 @@ def plan_paths(inputs, settings, prefix, paths, max_redraws=16):
         i=pairs[:, 0],
         j=pairs[:, 1],
         alphas=np.array(alphas, dtype=float).reshape(len(kept), resolution),
-        anchored=anchored,
     )
 
 
-def plans_of(alphas, i=0, j=1, anchored=False):
+def plans_of(alphas, i=0, j=1):
     """PathPlans over hand-picked abscissas: one row of alphas per path, path p keyed (p,).
 
     i and j are each path's endpoint rows, one int for every path or one per path.
@@ -328,7 +327,6 @@ def plans_of(alphas, i=0, j=1, anchored=False):
         i=np.broadcast_to(np.asarray(i, dtype=np.intp), (n,)).copy(),
         j=np.broadcast_to(np.asarray(j, dtype=np.intp), (n,)).copy(),
         alphas=alphas,
-        anchored=anchored,
     )
 
 
@@ -387,7 +385,7 @@ def ed_estimate(oracle, inputs, config, labels=None):
     return records, skipped
 
 
-def ed_penalty(net, batch, targets, plans, config, want_grads=True, projections=None):
+def ed_penalty(net, batch, targets, plans, config, projections=None):
     """net.ed_penalty path by path: one forward and fit per plan, one backward over them all."""
     n_planned = max(config.reg_paths, 1)
     eds, caches, grads, out_projections = [], [], [], []
@@ -397,15 +395,13 @@ def ed_penalty(net, batch, targets, plans, config, want_grads=True, projections=
         ed, _, _, projection, grad = fit_path(
             raw, plans, k, config, labels=targets,
             projection=None if projections is None else projections[k],
-            with_gradient=want_grads,
+            with_gradient=True,
         )
         eds.append(ed)
         caches.append(cache)
         grads.append(grad)
         out_projections.append(projection)
     penalty = float(np.sum(eds)) / n_planned
-    if not want_grads:
-        return penalty, None, out_projections
     if not caches:
         zeros = ([np.zeros_like(w) for w in net.weights], [np.zeros_like(b) for b in net.biases])
         return penalty, zeros, out_projections

@@ -178,16 +178,14 @@ def test_3_composite_objective_gradient():
         if len(plans) < cfg.reg_paths:
             continue
         lam = lambda_schedule(0, cfg)
-        _, _, projections = ed_penalty(net, X, T, plans, cfg, want_grads=False)
+        _, _, projections = ed_penalty(net, X, T, plans, cfg)
 
         def objective(flat, probe_net=net, X=X, T=T, plans=plans, cfg=cfg, lam=lam,
                       projections=projections):
             probe = probe_net.clone()
             probe.set_flat(flat)
             loss, _ = task_loss_and_grad(probe.forward(X), T, cfg.task)
-            penalty, _, _ = ed_penalty(
-                probe, X, T, plans, cfg, want_grads=False, projections=projections
-            )
+            penalty, _, _ = ed_penalty(probe, X, T, plans, cfg, projections=projections)
             return loss + lam * penalty
 
         raw, cache = net.forward_cached(X)

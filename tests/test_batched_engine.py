@@ -139,7 +139,6 @@ def test_fit_paths_equals_per_path_reference(setting, seed, kinds, with_grad):
     plans = oracles.plans_of(
         [sample_abscissas(config.scheme, r, anchored=config.anchored, uniforms=rng.random(r))
          for _ in kinds],
-        anchored=config.anchored,
     )
     raw = np.stack([block(rng, kind, r, out) for kind in kinds])
     labels = rng.standard_normal((2, out))
@@ -234,7 +233,6 @@ def test_penalty_equals_per_path_reference(setting, task, reg_paths, hidden, see
     assert got[0] == want[0]
     for g, w in zip(got[1][0] + got[1][1], want[1][0] + want[1][1]):
         assert same(g, w)
-    assert ed_penalty(net, X, T, plans, config, want_grads=False)[0] == want[0]
     if config.pca_dim is None or not plans:
         return
     # frozen maps on a moved net, as the composite gradient check runs them
@@ -286,7 +284,6 @@ def test_plan_paths_equals_per_key_reference(
     assert same(got.paths, want.paths)
     assert same(got.i, want.i) and same(got.j, want.j)
     assert same(got.alphas, want.alphas)
-    assert got.anchored == want.anchored
 
 
 @pytest.mark.parametrize("scheme", SCHEME_VARIANTS)

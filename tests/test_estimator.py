@@ -57,10 +57,9 @@ def one_path(oracle, x1, x2, abscissas):
     return path_values(oracle, np.stack([x1, x2]), plans_of(abscissas))[0]
 
 
-def anchor_one(values, abscissas, t1, t2, anchored=True):
+def anchor_one(values, abscissas, t1, t2):
     """Anchor one path's values: the one-path case of anchor_values."""
-    plan = plans_of(abscissas, anchored=anchored)
-    return anchor_values(values[None], plan, np.stack([t1, t2]))[0]
+    return anchor_values(values[None], plans_of(abscissas), np.stack([t1, t2]))[0]
 
 
 def test_build_path_identity():
@@ -106,10 +105,35 @@ def test_label_anchor_one_hot():
 
 
 def test_label_anchor_rejects_unanchored_abscissas():
-    ab = sample_abscissas("chebyshev_fixed", 4)
-    values = one_path(identity_oracle(2), np.ones(2), np.zeros(2), ab)
-    with pytest.raises(ValueError):
-        anchor_one(values, ab, np.ones(2), np.zeros(2), anchored=False)
+    # interior-only abscissas, and rows that hold only one of the two endpoints
+    rule = "first abscissa a = 0 and last a = 1"
+    for ab in ([0.1, 0.5, 0.9], [0.0, 0.5, 0.9], [0.1, 0.5, 1.0], [1.0, 0.5, 0.0]):
+        values = one_path(identity_oracle(2), np.ones(2), np.zeros(2), np.array(ab))
+        with pytest.raises(ValueError, match=rule):
+            anchor_one(values, np.array(ab), np.ones(2), np.zeros(2))
+    # one unanchored path among anchored ones fails the whole stack
+    plans = plans_of([[0.0, 0.5, 1.0], [0.1, 0.5, 1.0]])
+    with pytest.raises(ValueError, match=rule):
+        anchor_values(np.zeros((2, 3, 2)), plans, np.zeros((2, 2)))
+
+
+@pytest.mark.parametrize("scheme", SCHEME_VARIANTS)
+def test_anchor_values_checks_the_planned_abscissas(scheme):
+    # unanchored uniform plans still hold a = 0 and a = 1, so they anchor;
+    # the other schemes' unanchored plans are interior-only and are refused
+    X = np.random.default_rng(54).standard_normal((10, 2))
+    labels = np.random.default_rng(55).standard_normal((10, 2))
+    for anchored in (True, False):
+        settings = PathSettings(resolution=5, scheme=scheme, anchored=anchored, seed=56)
+        plans = plan_paths(X, settings, (), range(6))
+        values = path_values(identity_oracle(2), X, plans)
+        if anchored or scheme == "uniform":
+            out = anchor_values(values, plans, labels)
+            assert out[:, 0].tobytes() == labels[plans.j].tobytes()
+            assert out[:, -1].tobytes() == labels[plans.i].tobytes()
+        else:
+            with pytest.raises(ValueError, match="first abscissa a = 0 and last a = 1"):
+                anchor_values(values, plans, labels)
 
 
 def test_anchor_then_project_differs_from_project_then_anchor():
@@ -133,7 +157,7 @@ def test_anchoring_with_own_outputs_is_identity():
     values = one_path(oracle, x1, x2, ab)
     labels = oracle.evaluate(np.stack([x1, x2]))
     assert anchor_one(values, ab, labels[0], labels[1]).tobytes() == values.tobytes()
-    plan = plans_of(ab, anchored=True)
+    plan = plans_of(ab)
     cfg = EstimatorConfig(n_paths=1, resolution=5, max_degree=3)
     plain = fit_paths(values[None], plan, cfg)
     anchored = fit_paths(values[None], plan, replace(cfg, anchored=True), labels=labels)

@@ -310,15 +310,13 @@ def test_composite_gradient_matches_fd(task, anchored, pca_dim):
     lam = lambda_schedule(0, cfg)
     plans = plan_paths(X, cfg, 0)
     assert plans
-    _, _, projections = ed_penalty(net, X, T, plans, cfg, want_grads=False)
+    _, _, projections = ed_penalty(net, X, T, plans, cfg)
 
     def objective(flat):
         probe = net.clone()
         probe.set_flat(flat)
         loss, _ = task_loss_and_grad(probe.forward(X), T, cfg.task)
-        pen, _, _ = ed_penalty(
-            probe, X, T, plans, cfg, want_grads=False, projections=projections
-        )
+        pen, _, _ = ed_penalty(probe, X, T, plans, cfg, projections=projections)
         return loss + lam * pen
 
     raw, cache = net.forward_cached(X)
@@ -329,6 +327,34 @@ def test_composite_gradient_matches_fd(task, anchored, pca_dim):
     fd = fd_gradient(objective, net.get_flat())
     rel = np.max(np.abs(analytic - fd)) / (1.0 + np.max(np.abs(fd)))
     assert rel < 1e-3
+
+
+def test_pca_penalty_gradient_holds_the_maps_constant():
+    # with pca_dim the analytic gradient is that of ED(P_sg(y) y): it matches
+    # central differences with the maps frozen, and on this cell misses the
+    # differences of the live-map penalty by far more than their error
+    net = tiny_net(4)
+    rng = np.random.default_rng(4)
+    X, T = rng.standard_normal((8, 2)), rng.standard_normal((8, 3))
+    cfg = TrainConfig(
+        task="mse", reg_strength=1.0, ramp_fraction=0.0, reg_paths=3,
+        resolution=6, max_degree=3, pca_dim=1, seed=4,
+    )
+    _, (d_w, d_b), projections = composite_objective(net, X, T, cfg, 0)
+    analytic = flat_grads(net, d_w, d_b)
+    probe = net.clone()
+
+    def objective(frozen):
+        def total_loss(flat):
+            probe.set_flat(flat)
+            return composite_objective(probe, X, T, cfg, 0, projections=frozen)[0].total_loss
+        return total_loss
+
+    def rel(fd):
+        return np.max(np.abs(analytic - fd)) / (1.0 + np.max(np.abs(fd)))
+
+    assert rel(fd_gradient(objective(projections), net.get_flat())) < 1e-3
+    assert rel(fd_gradient(objective(None), net.get_flat())) > 1e-2
 
 
 def test_relu_rescaling_leaves_ed_invariant():
@@ -358,7 +384,7 @@ def test_pure_penalty_descent_is_monotone():
         reg_paths=4, resolution=5, max_degree=3, seed=26,
     )
     plans = plan_paths(X, cfg, 0)
-    _, _, projections = ed_penalty(net, X, T, plans, cfg, want_grads=False)
+    _, _, projections = ed_penalty(net, X, T, plans, cfg)
     lr = 1e-3
     prev = np.inf
     for _ in range(100):
@@ -614,11 +640,38 @@ def test_composite_step_runs_one_backward_for_the_penalty(monkeypatch):
     X = np.random.default_rng(13).standard_normal((16, 2))
     T = np.random.default_rng(14).standard_normal((16, 3))
     cfg = TrainConfig(reg_strength=1.0, ramp_fraction=0.0, reg_paths=8, seed=15)
-    plans = plan_paths(X, cfg, step=0)
-    assert len(plans) == 8
-    record, _, _ = composite_objective(net, X, T, cfg, step=0, plans=plans)
+    assert len(plan_paths(X, cfg, step=0)) == 8
+    record, _, _ = composite_objective(net, X, T, cfg, step=0)
     assert record.penalty > 0.0 and record.lambda_eff == 1.0
     assert len(calls) == 2
+
+
+@pytest.mark.parametrize("anchored,pca_dim", [(False, None), (True, None), (True, 1)])
+@pytest.mark.parametrize("step", [0, 3, 20])
+def test_composite_objective_is_task_loss_plus_lambda_penalty(step, anchored, pca_dim):
+    # the penalty runs on plan_paths(batch, config, step); at step 0 lambda
+    # is 0, so the penalty is reported but adds no gradient
+    net = tiny_net(42)
+    rng = np.random.default_rng(43)
+    X = rng.standard_normal((16, 2))
+    T = one_hot(rng.integers(0, 3, size=16), 3)
+    cfg = TrainConfig(
+        task="cross_entropy", n_steps=20, reg_strength=0.8, ramp_fraction=0.5,
+        reg_paths=4, resolution=5, max_degree=3, anchored=anchored, pca_dim=pca_dim, seed=44,
+    )
+    record, (d_w, d_b), projections = composite_objective(net, X, T, cfg, step)
+    raw, cache = net.forward_cached(X)
+    task_loss, d_raw = task_loss_and_grad(raw, T, cfg.task)
+    task_w, task_b = net.backward(cache, d_raw)
+    lam = lambda_schedule(step, cfg)
+    penalty, (pen_w, pen_b), want = ed_penalty(net, X, T, plan_paths(X, cfg, step), cfg)
+    assert (step == 0) == (lam == 0.0)
+    assert record == StepRecord(step, task_loss, penalty, lam, task_loss + lam * penalty)
+    for got, g, pg in zip(d_w + d_b, task_w + task_b, pen_w + pen_b):
+        assert got.tobytes() == (g + lam * pg if lam > 0.0 else g).tobytes()
+    assert (projections is None) == (want is None)
+    if want is not None:
+        assert projections.components.tobytes() == want.components.tobytes()
 
 
 def test_penalty_nonfinite_output_names_the_path():
