@@ -315,9 +315,9 @@ def fit_paths(
     """Effective degrees of P paths from their stacked (P, r, out) raw outputs.
 
     config is path settings that also carry post_softmax: an
-    EstimatorConfig, or the net.TrainConfig of a penalty step.  Raises
-    NonFiniteOutputError when a path's outputs hold NaN or infinity,
-    naming the first such path by its key (joined by ":") and endpoint rows.
+    EstimatorConfig, or the net.TrainConfig of a penalty step.  Non-finite
+    outputs raise NonFiniteOutputError and a singular fit SingularFitError,
+    naming the first failing path by key (joined by ":") and endpoint rows.
     The outputs are softmaxed (config.post_softmax), their endpoint rows
     replaced by labels[plans.i] and labels[plans.j] (config.anchored), and
     projected to config.pca_dim components before the fit.  A caller may
@@ -347,10 +347,14 @@ def fit_paths(
         if projection is None:
             projection = pca_project(values, config.pca_dim)
         fit_target = projection.apply(values)
-    fitted = sg.fit_matrix(
-        plans.alphas, fit_target, config.max_degree, config.damping, config.basis,
-        with_gradient=with_gradient,
-    )
+    try:
+        fitted = sg.fit_matrix(
+            plans.alphas, fit_target, config.max_degree, config.damping, config.basis,
+            with_gradient=with_gradient,
+        )
+    except sg.SingularFitError as exc:
+        where = "" if exc.system is None else f" on {_path_name(plans, exc.system)}"
+        raise sg.SingularFitError(f"{exc}{where}", exc.system) from exc
     coeffs = fitted[0] if with_gradient else fitted
     per_output = sg.ed_from_coefficients(np.swapaxes(coeffs, -1, -2))
     ed, ed_norm = per_output.ed.mean(axis=-1), per_output.ed_norm.mean(axis=-1)

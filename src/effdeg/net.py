@@ -558,9 +558,7 @@ def atomic_write(path: str, data: bytes) -> None:
         raise
 
 
-def save_checkpoint(
-    net: FeedForwardNet, path: str, config: dict | None = None, extra: dict | None = None
-) -> None:
+def save_checkpoint(net: FeedForwardNet, path: str, config: dict | None = None) -> None:
     """Write a bit-reproducible checkpoint: JSON header plus raw float64 buffers."""
     arrays = []
     buffers = []
@@ -575,7 +573,7 @@ def save_checkpoint(
         "activations": list(net.activations),
         "arrays": arrays,
         "config": config or {},
-        "extra": extra or {},
+        "extra": {},
     }
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
     atomic_write(path, _CKPT_MAGIC + len(blob).to_bytes(8, "little") + blob + b"".join(buffers))

@@ -49,11 +49,6 @@ SCHEME_VARIANTS = ("chebyshev_fixed", "randomized_cosine", "uniform")
 # The variants whose abscissas come from a path's uniforms.
 SEEDED_VARIANTS = ("randomized_cosine",)
 
-# Adjacent abscissas closer than this collapse the design matrix; the later
-# one is nudged without leaving its stratum.
-_TIE_GAP = 1e-12
-_TIE_NUDGE = 1e-9
-
 # Philox counter word 1: the stream a path's words belong to.
 _PAIR_STREAM, _ABSCISSA_STREAM = 0, 1
 # Philox counter word 3 of every path stream; rng streams keep it at 0.
@@ -132,26 +127,6 @@ def _theta_to_alpha(theta: np.ndarray) -> np.ndarray:
     return 0.5 * (1.0 - np.cos(theta))
 
 
-def _separate_row(alphas: np.ndarray, uppers: np.ndarray) -> np.ndarray:
-    # ascending input; nudge later duplicates forward, keeping each inside
-    # its own stratum and the unit interval
-    out = alphas.copy()
-    for i in range(1, out.size):
-        if out[i] - out[i - 1] < _TIE_GAP:
-            out[i] = min(out[i - 1] + _TIE_NUDGE, uppers[i], 1.0)
-    return out
-
-
-def _separate(alphas: np.ndarray, uppers: np.ndarray) -> np.ndarray:
-    """_separate_row on every row of (P, r) alphas; rows without a tie pass through unchanged."""
-    tied = np.flatnonzero((np.diff(alphas, axis=1) < _TIE_GAP).any(axis=1))
-    if tied.size:
-        alphas = alphas.copy()
-        for k in tied:
-            alphas[k] = _separate_row(alphas[k], uppers)
-    return alphas
-
-
 def _checked_resolution(resolution: int, anchored: bool) -> int:
     r = int(resolution)
     if r < 1:
@@ -180,9 +155,11 @@ def randomized_cosine(resolution: int, uniforms, anchored: bool = False) -> np.n
     """Stratified cosine sampling: theta_i uniform on [(i-1) pi / r, i pi / r].
 
     uniforms is a (..., r) array on [0, 1); theta_i = lo_i + (hi_i - lo_i) u_i,
-    and the result has the shape of uniforms.  Each stratum holds exactly
-    one point, so the abscissas are ascending by construction.  With
-    anchored=True the first and last abscissas are pinned to exactly 0 and 1.
+    the result has the shape of uniforms, and anchored=True pins the first
+    and last abscissas to exactly 0 and 1.  Every row plan_paths draws is
+    strictly ascending.  Crafted uniforms can tie two points at a stratum
+    bound (or cross them by an ulp); the fit's damping absorbs a tie, and at
+    damping 0 the fit fails naming the path (exit 4).
     """
     r = _checked_resolution(resolution, anchored)
     u = np.asarray(uniforms, dtype=float)
@@ -190,12 +167,11 @@ def randomized_cosine(resolution: int, uniforms, anchored: bool = False) -> np.n
         raise ValueError(f"uniforms must be (..., {r})")
     lows = np.arange(r, dtype=float) * np.pi / r
     highs = lows + np.pi / r
-    theta = (lows + (highs - lows) * u).reshape(-1, r)
-    alphas = _theta_to_alpha(theta)
+    alphas = _theta_to_alpha(lows + (highs - lows) * u)
     if anchored:
-        alphas[:, 0] = 0.0
-        alphas[:, -1] = 1.0
-    return _separate(alphas, _theta_to_alpha(highs)).reshape(u.shape)
+        alphas[..., 0] = 0.0
+        alphas[..., -1] = 1.0
+    return alphas
 
 
 def uniform_nodes(resolution: int, anchored: bool = False) -> np.ndarray:

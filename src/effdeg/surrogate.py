@@ -31,7 +31,6 @@ import numpy as np
 
 from . import sampling
 from .basis import design_matrix
-from .sampling import sample_abscissas
 
 __all__ = [
     "SingularFitError",
@@ -59,7 +58,11 @@ SIGN_DEAD_ZONE = 1e-12
 
 
 class SingularFitError(RuntimeError):
-    """Undamped normal system is numerically singular or the solve failed."""
+    """A normal system is singular or its solve failed; system is its stacked index, or None."""
+
+    def __init__(self, message: str, system: int | None = None):
+        super().__init__(message)
+        self.system = system
 
 
 @dataclass(frozen=True)
@@ -91,18 +94,19 @@ def _normal_solve(
     gram = design_t @ design
     if damping > 0:
         gram = gram + damping * np.eye(gram.shape[-1])
-    elif np.any(np.linalg.cond(gram) >= COND_LIMIT):
+    elif (illposed := np.ravel(np.linalg.cond(gram) >= COND_LIMIT)).any():
         raise SingularFitError(
             "normal matrix condition number exceeds COND_LIMIT with damping 0; "
-            "increase damping or change the abscissas"
+            "increase damping or change the abscissas",
+            int(np.argmax(illposed)),
         )
     b = design_t @ rhs
     coeffs = _solve(gram, b)
-    resid = np.abs(gram @ coeffs - b).max(axis=(-2, -1))
-    failed = ~(resid < _RESIDUAL_TOL * (1.0 + np.abs(b).max(axis=(-2, -1))))
-    if np.any(failed):
-        first = np.ravel(resid[failed])[0]
-        raise SingularFitError(f"normal system residual {first:.3e} above tolerance")
+    resid = np.ravel(np.abs(gram @ coeffs - b).max(axis=(-2, -1)))
+    failed = ~(resid < _RESIDUAL_TOL * (1.0 + np.ravel(np.abs(b).max(axis=(-2, -1)))))
+    if failed.any():
+        first = int(np.argmax(failed))
+        raise SingularFitError(f"normal system residual {resid[first]:.3e} above tolerance", first)
     return coeffs, gram
 
 
@@ -236,7 +240,7 @@ def gradcheck(n_checks: int, seed: int) -> dict:
         max_degree = int(rng.integers(3, min(r, 15)))
         damping = float(rng.choice([1e-6, 1e-3]))
         basis = str(rng.choice(["chebyshev", "legendre"]))
-        abscissas = sample_abscissas("randomized_cosine", r, uniforms=rng.random(r))
+        abscissas = sampling.randomized_cosine(r, rng.random(r))
         y = rng.standard_normal(r)
         coeffs, grad = fit_matrix(
             abscissas, y[:, None], max_degree, damping, basis, with_gradient=True

@@ -256,7 +256,7 @@ def lemire_pair(word, n):
 
 
 def randomized_cosine(resolution, seed, key, anchored=False):
-    """Path key's randomized_cosine abscissas: Generator.uniform at its counter, then separate."""
+    """Path key's randomized_cosine abscissas: Generator.uniform at its counter."""
     r = resolution
     lows = np.arange(r, dtype=float) * np.pi / r
     highs = lows + np.pi / r
@@ -269,16 +269,7 @@ def randomized_cosine(resolution, seed, key, anchored=False):
     if anchored:
         alphas[0] = 0.0
         alphas[-1] = 1.0
-    return separate(alphas, 0.5 * (1.0 - np.cos(highs)))
-
-
-def separate(alphas, uppers):
-    """sampling._separate of one ascending row: nudge each later duplicate up by 1e-9, capped."""
-    out = np.array(alphas, dtype=float, copy=True)
-    for i in range(1, out.size):
-        if out[i] - out[i - 1] < 1e-12:
-            out[i] = min(out[i - 1] + 1e-9, uppers[i], 1.0)
-    return out
+    return alphas
 
 
 def plan_paths(inputs, settings, prefix, paths, max_redraws=16):

@@ -6,6 +6,7 @@ import inspect
 import io
 import json
 import os
+import re
 import shutil
 from fractions import Fraction
 from importlib import resources
@@ -338,14 +339,23 @@ def test_nonfinite_oracle_output_exits_five_naming_the_path(tmp_path, capsys):
 
 
 def test_singular_undamped_fit_exits_four(tmp_path, capsys):
-    # equispaced nodes at degree 29 make the undamped Gram unusable
-    data = write_dataset(tmp_path / "d.csv", np.random.default_rng(10).standard_normal((3, 2)))
-    argv = [
-        "estimate", "--data", data, "--scheme", "uniform", "--resolution", "30",
-        "--max-degree", "29", "--damping", "0", "--paths", "2", "--out", str(tmp_path / "o"),
+    # equispaced nodes at degree 29 make the undamped Gram unusable; the
+    # message names the failing path, for estimate and for a step-0 penalty
+    X = np.random.default_rng(10).standard_normal((3, 2))
+    data = write_dataset(tmp_path / "d.csv", X, labels=[0, 1, 0])
+    fit = [
+        "--data", data, "--scheme", "uniform", "--resolution", "30", "--max-degree", "29",
+        "--damping", "0", "--out", str(tmp_path / "o"),
     ]
-    assert main(argv) == EXIT_NUMERICAL
-    assert "COND_LIMIT" in capsys.readouterr().err
+    penalty = ["--reg-strength", "1", "--batch-size", "3", "--steps", "1"]
+    for argv, key in (
+        (["estimate", *fit, "--paths", "2"], r"\d+"),
+        (["train", *fit, *penalty], r"0:1:\d+"),
+    ):
+        assert main(argv) == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert "COND_LIMIT" in err
+        assert re.search(rf"on path {key} \(endpoint rows \d+ and \d+\)\n$", err)
 
 
 def test_dataset_loader_errors(tmp_path):

@@ -504,18 +504,18 @@ def test_pnn_study_checks_its_arguments_before_training(monkeypatch, setting, va
 def test_checkpoint_round_trip_and_stability(tmp_path):
     net = tiny_net(39)
     path = str(tmp_path / "model.ckpt")
-    save_checkpoint(net, path, config={"step_size": 0.05}, extra={"note": "fit"})
+    save_checkpoint(net, path, config={"step_size": 0.05})
     loaded, header = load_checkpoint(path)
     for l in range(len(net.weights)):
         assert net.weights[l].tobytes() == loaded.weights[l].tobytes()
         assert net.biases[l].tobytes() == loaded.biases[l].tobytes()
     assert loaded.activations == net.activations
     assert header["config"] == {"step_size": 0.05}
-    assert header["extra"] == {"note": "fit"}
+    assert header["extra"] == {}
     assert tuple(header["layer_sizes"]) == net.layer_sizes
 
     other = str(tmp_path / "model2.ckpt")
-    save_checkpoint(net, other, config={"step_size": 0.05}, extra={"note": "fit"})
+    save_checkpoint(net, other, config={"step_size": 0.05})
     with open(path, "rb") as fa, open(other, "rb") as fb:
         assert fa.read() == fb.read()
 

@@ -199,22 +199,6 @@ def test_negative_seed_is_rejected_naming_seed():
             draw(-1)
 
 
-def test_separate_equals_the_scalar_loop_row_by_row():
-    r = 6
-    uppers = 0.5 * (1.0 - np.cos((np.arange(r) + 1.0) * np.pi / r))
-    rows = np.tile(chebyshev_nodes(r), (6, 1))
-    rows[1, 2] = rows[1, 1]  # exact duplicate
-    rows[2, 3] = rows[2, 2] + 1e-13  # within the tie gap
-    rows[3, 1:4] = rows[3, 1]  # a run of three: nudges cascade
-    rows[4, 3:5] = uppers[4] - np.array([5e-13, 4e-13])  # the nudge is capped by the stratum bound
-    rows[5, -2:] = 1.0 - np.array([5e-13, 4e-13])  # and by the unit interval
-    got = sampling._separate(rows, uppers)
-    for k in range(rows.shape[0]):
-        assert got[k].tobytes() == oracles.separate(rows[k], uppers).tobytes()
-    assert got[0].tobytes() == rows[0].tobytes()
-    assert all(got[k].tobytes() != rows[k].tobytes() for k in range(1, 6))
-
-
 @pytest.mark.parametrize("r,anchored", [(1, False), (5, True), (8, False), (15, True)])
 def test_batched_randomized_cosine_equals_the_generator(r, anchored):
     # every path's row equals numpy's Generator.uniform at the path's counter,

@@ -5,6 +5,8 @@ elimination solver (tests/oracles.py) and the gradient against central
 finite differences, per the derivation they implement.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -95,6 +97,42 @@ def test_fit_singular_without_damping():
         fit(squeezed, ys, 5, 0.0, "chebyshev")
     # damping rescues the same system
     assert np.all(np.isfinite(fit(squeezed, ys, 5, 1e-6, "chebyshev")))
+
+
+def test_singular_fits_name_the_first_failing_path(monkeypatch):
+    # the condition check and the residual check report the first failing
+    # stacked system, and fit_paths names its path by key and endpoint rows
+    good, squeezed = chebyshev_nodes(6), 0.5 + np.arange(6) * 1e-11
+    plans = plans_of([good, good, squeezed, squeezed], i=[0, 1, 2, 3], j=[4, 5, 6, 7])
+    raw = np.sin(plans.alphas)[..., None]
+    cfg = EstimatorConfig(resolution=6, max_degree=5, damping=0.0)
+    with pytest.raises(SingularFitError, match="COND_LIMIT") as caught:
+        fit_matrix(plans.alphas, raw, 5, 0.0)
+    assert caught.value.system == 2
+    named = r" on path {} \(endpoint rows {} and {}\)$"
+    with pytest.raises(SingularFitError, match="COND_LIMIT.*" + named.format(2, 2, 6)):
+        fit_paths(raw, plans, cfg)
+
+    monkeypatch.setattr(surrogate, "_RESIDUAL_TOL", -1.0)
+    keyed = dataclasses.replace(plans, prefix=(5,), paths=np.array([7, 9, 11, 13]))
+    with pytest.raises(SingularFitError, match="residual .*" + named.format("5:7", 0, 4)):
+        fit_paths(raw, keyed, dataclasses.replace(cfg, damping=1e-6))
+
+
+def test_a_crafted_tie_is_left_to_the_fit():
+    # u_1 = 1 - 2**-53 and u_2 = 0 put alpha_1 and alpha_2 on their shared
+    # stratum bound: damping 0 refuses the tie, damping absorbs it
+    tied = randomized_cosine(4, [0.3, 1.0 - 2.0**-53, 0.0, 0.6])
+    assert tied[1] == tied[2]
+    nudged = tied + np.array([0.0, 0.0, 1e-9, 0.0])
+
+    def ed(alphas, damping):
+        return ed_from_coefficients(fit(alphas, np.exp(2.0 * alphas), 3, damping, "chebyshev")).ed
+
+    with pytest.raises(SingularFitError):
+        ed(tied, 0.0)
+    assert np.isfinite(ed(tied, 1e-6))
+    assert ed(tied, 1e-6) == pytest.approx(ed(nudged, 1e-6), rel=1e-8, abs=0.0)
 
 
 def test_effective_degree_examples():
