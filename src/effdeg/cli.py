@@ -378,6 +378,11 @@ _TRAIN_SPEC = {
 }
 
 
+# With pca_dim set, the penalty's gradient holds each path's PCA map P,
+# fitted to the live outputs y, constant: it differentiates ED(P_sg(y) y).
+PCA_PENALTY_GRADIENT = "ED(P_sg(y) y): each path's PCA map held constant"
+
+
 def cmd_train(args) -> int:
     cfg = resolve_config(args)
     X, labels_int = load_dataset_csv(args.data)
@@ -407,6 +412,7 @@ def cmd_train(args) -> int:
         "n_steps": len(log),
         "checkpoint": "model.ckpt",
         "checkpoint_sha256": ckpt_sha,
+        "pca_gradient": None if train_cfg.pca_dim is None else PCA_PENALTY_GRADIENT,
     }
     write_artifact(out_dir, "train.json", "train", full_config, result)
     columns = ["step", "task_loss", "ed_term", "lambda_eff"]

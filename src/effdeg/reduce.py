@@ -7,6 +7,14 @@ coordinates keeps the per-output work bounded when out is large.  The
 projection is treated as a fixed linear map by downstream gradients: the
 mean and components are constants of the path, not functions of the values
 being differentiated.
+
+The map comes from the method of snapshots (Sirovich, "Turbulence and the
+dynamics of coherent structures", 1987): with r samples and C the centered
+(r, out) block, the eigenpairs (lambda_i, u_i) of the r x r Gram C C^T give
+the covariance variances lambda_i / (r - 1) and its principal directions
+C^T u_i / sqrt(lambda_i).  The Gram rounds its small eigenvalues at about
+r * eps * lambda_max, so every eigenvalue at or below that level is taken
+as an exact zero: its component is dead, and its row is exactly zero.
 """
 
 from __future__ import annotations
@@ -57,12 +65,17 @@ def pca_project(values: np.ndarray, n_components: int) -> PathProjection:
     """PCA maps of (..., r, out) path outputs onto their top principal directions.
 
     Each stacked (r, out) matrix gets its own map, computed as if alone.
-    The map is fit here and applied by PathProjection.apply.  One thin
-    SVD U S V^T of the centered values gives the eigenpairs of their
-    covariance (divisor r - 1) in descending order: the components are
-    the first m rows of V^T and the variances S**2 / (r - 1).  Each
-    component's sign is fixed so its largest-magnitude entry is
-    nonnegative.
+    The map is fit here and applied by PathProjection.apply.  The values
+    are centered once into C, and one batched symmetric eigensolve of the
+    r x r Gram C C^T, reordered to descending, gives the eigenvalues
+    lambda_i (clamped at 0, the first min(r, out) kept).  Those at or
+    below r * eps * lambda_max are rounding noise of the Gram and count
+    as exact zeros, before both the dead-component floor and the tie test.
+    The variances are lambda_i / (r - 1); a live component is
+    C^T u_i / sqrt(lambda_i), a dead one an exact zero row, so no 0/0
+    arises and gradients pulled back through the components stay
+    finite.  Each component's sign is fixed so its largest-magnitude
+    entry is nonnegative.
     """
     y = np.asarray(values, dtype=float)
     if y.ndim < 2:
@@ -75,13 +88,19 @@ def pca_project(values: np.ndarray, n_components: int) -> PathProjection:
         raise ValueError(f"n_components must be in [1, {min(r, out)}], got {m}")
 
     mean = y.mean(axis=-2)
-    _, s, vt = np.linalg.svd(y - mean[..., None, :], full_matrices=False)
-    eigvals = s * s / (r - 1)
+    centered = y - mean[..., None, :]
+    lam, u = np.linalg.eigh(centered @ np.swapaxes(centered, -1, -2))
+    lam = np.maximum(lam[..., ::-1][..., : min(r, out)], 0.0)
+    lam = np.where(lam <= r * np.finfo(float).eps * lam[..., :1], 0.0, lam)
+    eigvals = lam / (r - 1)
 
-    comps = vt[..., :m, :]
+    live = lam[..., :m] > 0.0
+    basis = np.swapaxes(u[..., ::-1][..., :m], -1, -2) @ centered
+    root = np.sqrt(np.where(live, lam[..., :m], 1.0))
+    comps = np.where(live[..., None], basis / root[..., None], 0.0)
     pivot = np.argmax(np.abs(comps), axis=-1)[..., None]
     flip = np.take_along_axis(comps, pivot, axis=-1) < 0
-    comps = np.ascontiguousarray(np.where(flip, -comps, comps))
+    comps = np.where(flip, -comps, comps)
 
     # A tie matters when it straddles the chosen cut or reorders kept
     # components; gaps among the first m + 1 eigenvalues cover both.

@@ -166,7 +166,7 @@ def horner(coefficients, alpha):
 # The per-path engine, one path at a time: the reference the batched engine
 # (estimator.fit_paths, ed_estimate, net.ed_penalty) must equal bit for bit.
 # Each path is fitted alone through unstacked 2-D linear algebra (its PCA
-# from a 2-D SVD), and ED is reduced one coefficient column at a time.
+# from a 2-D Gram + eigh), and ED is reduced one coefficient column at a time.
 # ---------------------------------------------------------------------------
 
 
@@ -186,7 +186,35 @@ class PerPathProjection:
 
 
 def pca_project(values, n_components):
-    """PCA map of one path's (r, out) outputs from a 2-D thin SVD, signs fixed row by row."""
+    """PCA map of one path's (r, out) outputs from a 2-D Gram + eigh, signs fixed row by row."""
+    y = np.asarray(values, dtype=float)
+    r, out = y.shape
+    k = min(r, out)
+    m = int(n_components)
+    mean = y.mean(axis=0)
+    centered = y - mean
+    lam, u = np.linalg.eigh(centered @ centered.T)
+    lam = np.maximum(lam[::-1][:k], 0.0)
+    noise = r * np.finfo(float).eps * lam[0]
+    lam[lam <= noise] = 0.0
+    comps = u[:, ::-1][:, :m].T @ centered
+    for i, row in enumerate(comps):
+        if lam[i] > 0.0:
+            row /= np.sqrt(lam[i])
+        else:
+            row[:] = 0.0
+        pivot = int(np.argmax(np.abs(row)))
+        if row[pivot] < 0:
+            row *= -1.0
+    return PerPathProjection(mean, comps, lam[:m] / (r - 1), _ties(lam / (r - 1), m))
+
+
+def pca_project_svd(values, n_components):
+    """PCA map of one path's (r, out) outputs from a 2-D thin SVD, signs fixed row by row.
+
+    The form pca_project replaced: a second reference, equal to it up to
+    rounding on separated spectra.
+    """
     y = np.asarray(values, dtype=float)
     r = y.shape[0]
     m = int(n_components)
@@ -198,11 +226,15 @@ def pca_project(values, n_components):
         pivot = int(np.argmax(np.abs(row)))
         if row[pivot] < 0:
             row *= -1.0
+    return PerPathProjection(mean, comps, eigvals[:m], _ties(eigvals, m))
+
+
+def _ties(eigvals, m):
+    """Whether two adjacent live eigenvalues among the first m + 1 are within TIE_GAP."""
     upto = min(m + 1, eigvals.size)
     gaps = np.diff(eigvals[:upto])
     pairs_alive = np.maximum(eigvals[: upto - 1], eigvals[1:upto]) >= EIGENVALUE_FLOOR
-    ties = bool(np.any((np.abs(gaps) < TIE_GAP) & pairs_alive))
-    return PerPathProjection(mean, comps, eigvals[:m], ties)
+    return bool(np.any((np.abs(gaps) < TIE_GAP) & pairs_alive))
 
 
 def fit_matrix(alphas, values, max_degree, damping, basis, with_gradient=False):

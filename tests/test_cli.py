@@ -528,6 +528,20 @@ def test_train_writes_log_and_checkpoint(tmp_path, capsys):
 
     doc = read_json(out, "train.json")
     jsonschema.validate(doc, load_schema("train.schema.json"))
+    assert doc["result"]["pca_gradient"] is None
+
+
+def test_train_artifact_states_the_pca_penalty_gradient(tmp_path, capsys):
+    data = cluster_dataset(tmp_path / "c.csv", n=16, seed=13)
+    out = str(tmp_path / "out")
+    assert main([
+        "train", "--data", data, "--hidden", "4", "--steps", "3", "--batch-size", "8",
+        "--reg-strength", "0.5", "--reg-paths", "2", "--pca-dim", "1", "--out", out,
+    ]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["pca_gradient"] == cli.PCA_PENALTY_GRADIENT
+    doc = read_json(out, "train.json")
+    jsonschema.validate(doc, load_schema("train.schema.json"))
+    assert doc["result"]["pca_gradient"] == "ED(P_sg(y) y): each path's PCA map held constant"
 
 
 def test_train_mse_log_has_no_accuracy_column(tmp_path, capsys):

@@ -1,7 +1,8 @@
-"""Package hygiene: every name a module exports exists and star-imports; one version."""
+"""Package hygiene: every name a module exports exists and star-imports; one version; one numpy."""
 
 import ast
 import importlib
+import json
 import pkgutil
 import re
 import sys
@@ -49,3 +50,11 @@ def test_numpy_is_the_only_runtime_dependency():
     assert "numpy" in imported and imported <= allowed, sorted(imported - allowed)
     text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text(encoding="utf-8")
     assert re.findall(r"^dependencies = (\[.*\])$", text, flags=re.M) == ['["numpy>=1.24"]']
+
+
+def test_ci_installs_the_numpy_the_golden_hashes_were_recorded_on():
+    # on another numpy, acceptance test 8 skips its golden comparison instead of failing
+    root = Path(__file__).resolve().parents[1]
+    workflow = (root / ".github" / "workflows" / "tier1.yml").read_text(encoding="utf-8")
+    golden = json.loads((root / "tests" / "fixtures" / "golden_hashes.json").read_text("utf-8"))
+    assert re.findall(r"numpy==([0-9][^\"'\s]*)", workflow) == [golden["numpy"]]

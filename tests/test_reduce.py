@@ -1,11 +1,15 @@
-"""Per-path PCA against a cyclic-Jacobi eigensolver oracle."""
+"""Per-path PCA against a cyclic-Jacobi eigensolver oracle and the thin-SVD form it replaced."""
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from effdeg.reduce import pca_project
+from effdeg.estimator import EstimatorConfig, fit_paths
+from effdeg.reduce import PathProjection, pca_project
+from effdeg.sampling import chebyshev_nodes
 
-from oracles import jacobi_eigh
+from oracles import jacobi_eigh, pca_project_svd, plans_of
 
 
 def covariance(ys):
@@ -119,3 +123,66 @@ def test_apply_is_the_frozen_linear_map():
     want = (fresh - proj.mean) @ proj.components.T
     assert np.allclose(proj.apply(fresh), want, atol=1e-12)
 
+
+def stacked(projection):
+    """A one-path PathProjection from a per-path reference's fields."""
+    return PathProjection(
+        mean=projection.mean[None],
+        components=projection.components[None],
+        explained_variance=projection.explained_variance[None],
+        degenerate_ties=np.array([projection.degenerate_ties]),
+    )
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    r=st.integers(2, 16),
+    out=st.integers(1, 32),
+    data=st.data(),
+    log_scale=st.floats(-3.0, 4.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_snapshot_pca_matches_the_thin_svd_on_separated_spectra(r, out, data, log_scale, seed):
+    m = data.draw(st.integers(1, min(r, out)), label="m")
+    rng = np.random.default_rng(seed)
+    # column weights spread the spectrum over a few decades
+    ys = 10.0**log_scale * rng.standard_normal((r, out)) * 10.0 ** rng.uniform(-1, 1, out)
+    want = pca_project_svd(ys, m)
+    lam = np.linalg.svd(ys - ys.mean(axis=0), compute_uv=False) ** 2 / (r - 1)
+    top = lam[0]
+    assume(lam[m - 1] >= 1e-3 * top)
+    assume(np.all(-np.diff(lam[: m + 1]) >= 1e-3 * top))
+
+    got = pca_project(ys, m)
+    assert np.allclose(got.explained_variance, want.explained_variance, rtol=1e-10, atol=0.0)
+    for a, b in zip(got.components, want.components):
+        mags = np.sort(np.abs(b))
+        if mags.size > 1 and mags[-1] - mags[-2] <= 1e-10:
+            continue  # the sign rule's pivot is a coin toss between two entries
+        assert np.max(np.abs(a - b)) <= 1e-10 * np.max(np.abs(b))
+    assert bool(got.degenerate_ties) == want.degenerate_ties
+
+    config = EstimatorConfig(resolution=r, max_degree=min(r - 1, 5), pca_dim=m)
+    plans = plans_of(chebyshev_nodes(r))
+    ed = fit_paths(ys[None], plans, config).ed[0]
+    ed_svd = fit_paths(ys[None], plans, config, projection=stacked(want)).ed[0]
+    assert ed == pytest.approx(ed_svd, rel=1e-10)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e2, 1e4])
+def test_dead_components_stay_dead_at_every_output_scale(scale):
+    # rank-2 blocks: components 3 and 4 carry only the Gram's rounding noise
+    rng = np.random.default_rng(49)
+    ys = scale * rng.standard_normal((50, 8, 2)) @ rng.standard_normal((50, 2, 16))
+    proj = pca_project(ys, 4)
+    assert np.all(proj.explained_variance[:, :2] > 0.0)
+    assert np.array_equal(proj.explained_variance[:, 2:], np.zeros((50, 2)))
+    assert np.array_equal(proj.apply(ys)[..., 2:], np.zeros((50, 8, 2)))
+    assert np.array_equal(proj.components[:, 2:], np.zeros((50, 2, 16)))
+    assert not proj.degenerate_ties.any()
+
+    config = EstimatorConfig(resolution=8, max_degree=5, pca_dim=4)
+    plans = plans_of(np.tile(chebyshev_nodes(8), (50, 1)))
+    fits = fit_paths(ys, plans, config, with_gradient=True)
+    assert not fits.pca_ties.any()
+    assert np.all(np.isfinite(fits.ed)) and np.all(np.isfinite(fits.grad))
