@@ -5,7 +5,8 @@ Every stage works on a whole stack of P paths:
 - plan_paths draws, for each path index p, an endpoint pair (x_i, x_j)
   from a dataset and the abscissas a of the segment a x_i + (1 - a) x_j,
   and returns them stacked as one PathPlans: the key prefix, the (P,) path
-  indices, (P,) row indices i and j, and (P, r) alphas;
+  indices, (P,) row indices i and j, (P, r) alphas, and the normal systems
+  of the fits over those alphas;
 - the caller evaluates its function once on the stacked segment points of
   every planned path (path_values for an oracle, one network forward pass
   over path_points for the training penalty);
@@ -22,11 +23,14 @@ engine, and both read their shared settings from one PathSettings.
 
 Randomness is splittable: a plan names its paths by a key prefix and a
 path index p, and path p's draws depend only on (seed, prefix, p), in the
-stream layout the sampling module states.  plan_paths draws every path's
-pair attempt, and then every kept path's abscissas, in one batched call
-each; ed_estimate plans path p under the empty prefix, so any single path
-can be replayed without replaying the others: plan_paths(inputs, config,
-(), [p]) plans it alone with the same bits.
+stream layout the sampling module states.  plan_paths is two halves:
+draw_paths draws what needs no input values (every path's first pair
+attempt, its abscissas and its normal system) in one batched call each,
+and settle_paths checks each pair against the inputs and redraws the
+degenerate ones.  The training penalty caches the first half for blocks
+of steps (net.plan_paths).  ed_estimate plans path p under the empty
+prefix, so any single path can be replayed without replaying the others:
+plan_paths(inputs, config, (), [p]) plans it alone with the same bits.
 """
 
 from __future__ import annotations
@@ -47,11 +51,14 @@ __all__ = [
     "PathSettings",
     "EstimatorConfig",
     "PathPlans",
+    "PathDraws",
     "PathFits",
     "EDReport",
     "PathSamplingError",
     "NonFiniteOutputError",
     "softmax",
+    "draw_paths",
+    "settle_paths",
     "plan_paths",
     "path_points",
     "path_values",
@@ -150,7 +157,8 @@ class PathPlans:
     """Frozen randomness of P paths: path k runs from inputs[i[k]] (a = 1) to inputs[j[k]] (a = 0).
 
     Path k was drawn under the stream key prefix + (paths[k],), which names
-    it in errors; paths is (P,) int64, alphas is (P, r).
+    it in errors; paths is (P,) int64, alphas is (P, r), and system the
+    stacked normal system of the fits over alphas (None: fit_paths builds it).
     """
 
     prefix: tuple[int, ...]
@@ -158,9 +166,34 @@ class PathPlans:
     i: np.ndarray
     j: np.ndarray
     alphas: np.ndarray
+    system: sg.NormalSystem | None = None
 
     def __len__(self) -> int:
         return len(self.paths)
+
+
+@dataclass(frozen=True)
+class PathDraws:
+    """What plan_paths draws for P paths before it reads any input values.
+
+    key is the Philox key of the paths' prefix, paths the (P,) int64 path
+    indices, pairs the (P, 2) endpoint rows of attempt 0 and accepted (P,)
+    whether Lemire's method accepted them, alphas the (P, r) abscissas and
+    system their stacked normal system.  Indexing selects paths.
+    """
+
+    key: np.ndarray
+    paths: np.ndarray
+    pairs: np.ndarray
+    accepted: np.ndarray
+    alphas: np.ndarray
+    system: sg.NormalSystem
+
+    def __getitem__(self, index) -> "PathDraws":
+        return PathDraws(
+            self.key, self.paths[index], self.pairs[index], self.accepted[index],
+            self.alphas[index], self.system[index],
+        )
 
 
 @dataclass(frozen=True)
@@ -209,6 +242,66 @@ def softmax(values: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
+def draw_paths(
+    n: int, settings: PathSettings, key: np.ndarray, paths: np.ndarray
+) -> PathDraws:
+    """Everything plan_paths draws for paths over n rows before it reads a row's values.
+
+    key is the Philox key of the paths' prefix (sampling.path_key) and
+    paths a (P,) int64 array of indices in [0, 2**32).  Each path's
+    abscissas are drawn once, whichever attempt its endpoint pair settles
+    at, so the normal system of its fit is known here too.
+    """
+    pairs, accepted = np.zeros((paths.size, 2), dtype=np.intp), np.zeros(paths.size, bool)
+    if n > 1:
+        pairs, accepted = sampling.pair_draws(key, paths, n, 0)
+    uniforms = None
+    if settings.scheme in sampling.SEEDED_VARIANTS:
+        uniforms = sampling.path_uniforms(key, paths, settings.resolution)
+    alphas = sample_abscissas(
+        settings.scheme, settings.resolution, anchored=settings.anchored, uniforms=uniforms
+    )
+    if alphas.ndim == 1:
+        alphas = np.tile(alphas, (paths.size, 1))
+    system = sg.normal_system(alphas, settings.max_degree, settings.damping, settings.basis)
+    return PathDraws(key, paths, pairs, accepted, alphas, system)
+
+
+def settle_paths(inputs: np.ndarray, draws: PathDraws, prefix: tuple[int, ...]) -> PathPlans:
+    """Plans of the drawn paths whose endpoint pair settles on inputs, in their drawn order.
+
+    An attempt that draws a rejected index, equal rows or rows within
+    DEGENERATE_NORM of each other moves on to the path's next attempt, up
+    to _MAX_REDRAWS; a path whose every attempt fails is dropped.
+    """
+    n = inputs.shape[0]
+    pairs = draws.pairs.copy()
+    pending = np.arange(draws.paths.size)
+    drawn, ok = draws.pairs, draws.accepted
+    for attempt in range(_MAX_REDRAWS if n > 1 else 0):
+        if not pending.size:
+            break
+        if attempt:
+            drawn, ok = sampling.pair_draws(draws.key, draws.paths[pending], n, attempt)
+        diff = np.asarray(inputs[drawn[:, 0]] - inputs[drawn[:, 1]], dtype=float)
+        diff = diff.reshape(pending.size, -1)
+        ok = ok & (np.einsum("pd,pd->p", diff, diff) > DEGENERATE_NORM**2)  # i = j is distance 0
+        pairs[pending[ok]] = drawn[ok]
+        pending = pending[~ok]
+    if pending.size:
+        kept = np.ones(draws.paths.size, dtype=bool)
+        kept[pending] = False
+        draws, pairs = draws[kept], pairs[kept]
+    return PathPlans(
+        prefix=prefix,
+        paths=draws.paths,
+        i=pairs[:, 0],
+        j=pairs[:, 1],
+        alphas=draws.alphas,
+        system=draws.system,
+    )
+
+
 def plan_paths(
     inputs: np.ndarray,
     settings: PathSettings,
@@ -219,11 +312,10 @@ def plan_paths(
 
     The path indices p must lie in [0, 2**32), and inputs may hold at most
     2**32 - 1 rows; anything else raises ValueError.  The abscissas follow
-    settings.scheme, settings.resolution and settings.anchored.  An attempt
-    that draws a rejected index, equal rows or rows within DEGENERATE_NORM
-    of each other moves on to the path's next attempt, up to _MAX_REDRAWS;
-    a path whose every attempt fails is dropped, so the plans hold the
-    surviving paths in their given order.
+    settings.scheme, settings.resolution and settings.anchored.  This is
+    settle_paths(inputs, draw_paths(...), prefix): a path whose every
+    attempt fails is dropped, so the plans hold the surviving paths in
+    their given order, with the normal systems of their fits.
     """
     prefix, paths = tuple(prefix), [int(p) for p in paths]
     n = inputs.shape[0]
@@ -233,34 +325,8 @@ def plan_paths(
         if not 0 <= p < 1 << 32:
             raise ValueError(f"path key {prefix + (p,)}: path index {p} is outside [0, 2**32)")
     paths = np.array(paths, dtype=np.int64)
-    philox_key = sampling.path_key(settings.seed, prefix)
-    pairs = np.zeros((paths.size, 2), dtype=np.intp)
-    pending = np.arange(paths.size)
-    for attempt in range(_MAX_REDRAWS if n > 1 else 0):
-        if not pending.size:
-            break
-        drawn, ok = sampling.pair_draws(philox_key, paths[pending], n, attempt)
-        diff = np.asarray(inputs[drawn[:, 0]] - inputs[drawn[:, 1]], dtype=float)
-        diff = diff.reshape(pending.size, -1)
-        ok &= np.einsum("pd,pd->p", diff, diff) > DEGENERATE_NORM**2  # i = j is distance 0
-        pairs[pending[ok]] = drawn[ok]
-        pending = pending[~ok]
-    kept = np.ones(paths.size, dtype=bool)
-    kept[pending] = False
-    uniforms = None
-    if settings.scheme in sampling.SEEDED_VARIANTS:
-        uniforms = sampling.path_uniforms(philox_key, paths[kept], settings.resolution)
-    alphas = sample_abscissas(
-        settings.scheme, settings.resolution, anchored=settings.anchored, uniforms=uniforms
-    )
-    pairs = pairs[kept]
-    return PathPlans(
-        prefix=prefix,
-        paths=paths[kept],
-        i=pairs[:, 0],
-        j=pairs[:, 1],
-        alphas=np.tile(alphas, (len(pairs), 1)) if alphas.ndim == 1 else alphas,
-    )
+    draws = draw_paths(n, settings, sampling.path_key(settings.seed, prefix), paths)
+    return settle_paths(inputs, draws, prefix)
 
 
 def _path_name(plans: PathPlans, k: int) -> str:
@@ -347,11 +413,11 @@ def fit_paths(
         if projection is None:
             projection = pca_project(values, config.pca_dim)
         fit_target = projection.apply(values)
+    system = plans.system
+    if system is None:
+        system = sg.normal_system(plans.alphas, config.max_degree, config.damping, config.basis)
     try:
-        fitted = sg.fit_matrix(
-            plans.alphas, fit_target, config.max_degree, config.damping, config.basis,
-            with_gradient=with_gradient,
-        )
+        fitted = sg.solve_system(system, fit_target, with_gradient=with_gradient)
     except sg.SingularFitError as exc:
         where = "" if exc.system is None else f" on {_path_name(plans, exc.system)}"
         raise sg.SingularFitError(f"{exc}{where}", exc.system) from exc

@@ -7,8 +7,9 @@ descent with optional momentum, and an objective
 
 where ED_batch averages the per-path effective degree over paths drawn from
 the minibatch and lambda_eff ramps sinusoidally from 0 to the configured
-strength.  All path randomness is splittable by (seed, step, path), so a
-step can be replayed in isolation.
+strength.  Every penalty path of a run is keyed under one prefix, path p of
+step s at index s * reg_paths + p (plan_paths), so a step, or any one of
+its paths, can be replayed in isolation.
 
 The module also carries the square-activation network study: six polynomial
 regression targets of known total degree, each fit by a fixed architecture
@@ -17,10 +18,11 @@ and then measured with every effective-degree variant.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import tempfile
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -44,6 +46,7 @@ __all__ = [
     "TrainingFailure",
     "TrainConfig",
     "StepRecord",
+    "PENALTY_PREFIX",
     "plan_paths",
     "ed_penalty",
     "task_loss_and_grad",
@@ -288,6 +291,11 @@ class TrainConfig(PathSettings):
             raise ValueError("ramp_fraction must be in [0, 1]")
         if not 0 <= self.reg_paths <= 2**32:
             raise ValueError("reg_paths must lie in 0..2**32")
+        if self.reg_strength > 0 and self.n_steps * self.reg_paths > 2**32:
+            raise ValueError(
+                f"n_steps * reg_paths must be <= 2**32, the penalty's path indices; "
+                f"got n_steps {self.n_steps} and reg_paths {self.reg_paths}"
+            )
         super().validate()
 
 
@@ -302,13 +310,64 @@ def lambda_schedule(step: int, config: TrainConfig) -> float:
     return config.reg_strength * float(np.sin(0.5 * np.pi * frac))
 
 
+# The key prefix of every penalty path of a run: path p of step s is keyed
+# PENALTY_PREFIX + (s * reg_paths + p,).
+PENALTY_PREFIX = (1,)
+# A cached block of penalty paths holds the most whole steps whose design
+# matrices, reg_paths * r * (K + 1) entries a step, fit in this many entries.
+_BLOCK_ENTRIES = 1 << 13
+# The settings a block's draws depend on, which key the cache.
+_PATH_FIELDS = tuple(field.name for field in fields(PathSettings))
+
+
+@functools.lru_cache(maxsize=1)
+def _penalty_block(settings: PathSettings, n: int, block: int, length: int) -> estimator.PathDraws:
+    """The draws of penalty paths block * length up to (block + 1) * length over n rows.
+
+    Every plan cut from a cached block shares its arrays, so they are read-only.
+    """
+    start = block * length
+    paths = np.arange(start, min(start + length, 1 << 32), dtype=np.int64)
+    draws = estimator.draw_paths(
+        n, settings, sampling.path_key(settings.seed, PENALTY_PREFIX), paths
+    )
+    for array in (
+        draws.key, draws.paths, draws.pairs, draws.accepted, draws.alphas,
+        draws.system.design, draws.system.gram, draws.system.illposed,
+    ):
+        array.flags.writeable = False
+    return draws
+
+
 def plan_paths(batch: np.ndarray, config: TrainConfig, step: int) -> PathPlans:
     """Draw the penalty paths for one step; degenerate pairs are dropped.
 
-    Path p of the step is planned under key (step, 1, p), so it can be
-    replayed alone with estimator.plan_paths(batch, config, (step, 1), [p]).
+    Path p of the step is planned under key PENALTY_PREFIX + (q,) with
+    q = step * reg_paths + p, so it can be replayed alone with
+    estimator.plan_paths(batch, config, PENALTY_PREFIX, [q]); a q outside
+    [0, 2**32) raises ValueError naming its key.  What does not depend on
+    the batch's values (attempt 0's endpoint rows, the abscissas and the
+    fits' normal systems) is drawn once per block of consecutive steps and
+    cached by path settings, batch row count and block; per step only the
+    degeneracy check and its redraws run.  The plans may share read-only
+    arrays with the cache.
     """
-    return estimator.plan_paths(batch, config, (step, 1), range(config.reg_paths))
+    n_paths = config.reg_paths
+    first = int(step) * n_paths
+    if not 0 <= first <= (1 << 32) - n_paths:
+        q = first if first < 0 else max(first, 1 << 32)
+        raise ValueError(
+            f"path key {PENALTY_PREFIX + (q,)}: path index {q} of step {step} "
+            "is outside [0, 2**32)"
+        )
+    per_step = n_paths * config.resolution * (config.max_degree + 1)
+    if not _BLOCK_ENTRIES >= per_step > 0:  # no paths, or one step alone exceeds a block
+        return estimator.plan_paths(batch, config, PENALTY_PREFIX, range(first, first + n_paths))
+    length = _BLOCK_ENTRIES // per_step * n_paths
+    settings = PathSettings(**{name: getattr(config, name) for name in _PATH_FIELDS})
+    block = _penalty_block(settings, batch.shape[0], first // length, length)
+    start = first % length
+    return estimator.settle_paths(batch, block[start : start + n_paths], PENALTY_PREFIX)
 
 
 def ed_penalty(
@@ -322,7 +381,10 @@ def ed_penalty(
     """Mean path effective degree over the planned paths, with parameter gradients.
 
     All paths run through one forward pass, one fit_paths call and one
-    backward pass.  The average divides by the configured path count, so
+    backward pass.  Plans from plan_paths carry their fits' normal systems
+    (design matrices and damped Grams, drawn once per block of steps), so
+    the fit only solves them for this step's outputs; plans without them
+    build their own.  The average divides by the configured path count, so
     dropped degenerate paths contribute zero instead of reweighting the
     survivors.  With pca_dim set, the value uses each path's live PCA map,
     the gradient holds it constant (that of ED(P_sg(y) y)), and passing an
@@ -493,6 +555,9 @@ def train(
     stream, the penalty uses live per-path PCA maps but its gradient holds
     them constant (that of ED(P_sg(y) y)), and a non-finite objective
     aborts immediately.  Classification runs log full-set accuracy per step.
+    Step s plans its penalty paths s * reg_paths + p under the run's one
+    key prefix (plan_paths), so a penalized run may take at most
+    2**32 / reg_paths steps (TrainConfig.validate).
 
     stop_below=(threshold, window) makes config.n_steps a cap: training
     stops after the first step that ends a run of window consecutive task

@@ -25,6 +25,12 @@ random_raw call covers a whole run of consecutive path indices, and any
 single path can still be drawn on its own with the same bits.  K is also
 the key of rng(seed, *prefix), whose counter starts at 0; counter word 3
 is 1 on every path stream, so no path reads a word of an rng stream.
+
+Two prefixes are in use.  ed_estimate plans path p under (), and the
+training penalty plans path p of step s under (1,) at index
+s * reg_paths + p: a run's penalty paths share one key, so one call draws
+a block of consecutive steps, and the index bound 2**32 caps a penalized
+run at n_steps * reg_paths <= 2**32.
 """
 
 from __future__ import annotations
@@ -156,18 +162,22 @@ def randomized_cosine(resolution: int, uniforms, anchored: bool = False) -> np.n
 
     uniforms is a (..., r) array on [0, 1); theta_i = lo_i + (hi_i - lo_i) u_i,
     the result has the shape of uniforms, and anchored=True pins the first
-    and last abscissas to exactly 0 and 1.  Every row plan_paths draws is
-    strictly ascending.  Crafted uniforms can tie two points at a stratum
-    bound (or cross them by an ulp); the fit's damping absorbs a tie, and at
-    damping 0 the fit fails naming the path (exit 4).
+    and last abscissas to exactly 0 and 1.  Each abscissa is clamped into
+    its stratum [e_i, e_(i+1)], e_i = (1 - cos(i pi / r)) / 2, so rounding
+    never carries it past an edge.  Every row plan_paths draws is strictly
+    ascending.  Crafted uniforms can tie two points at a stratum edge; the
+    fit's damping absorbs a tie, and at damping 0 the fit fails naming the
+    path (exit 4).
     """
     r = _checked_resolution(resolution, anchored)
     u = np.asarray(uniforms, dtype=float)
     if u.ndim < 1 or u.shape[-1] != r:
         raise ValueError(f"uniforms must be (..., {r})")
-    lows = np.arange(r, dtype=float) * np.pi / r
+    theta = np.arange(r + 1, dtype=float) * np.pi / r
+    lows = theta[:-1]
     highs = lows + np.pi / r
-    alphas = _theta_to_alpha(lows + (highs - lows) * u)
+    edges = _theta_to_alpha(theta)
+    alphas = np.clip(_theta_to_alpha(lows + (highs - lows) * u), edges[:-1], edges[1:])
     if anchored:
         alphas[..., 0] = 0.0
         alphas[..., -1] = 1.0

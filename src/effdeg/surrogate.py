@@ -18,6 +18,9 @@ no coefficient sits at zero:
 Fits are batched: fit_matrix solves a stack of P such systems, one per
 path, in one call, and ed_from_coefficients reduces stacked coefficient
 vectors at once; each system's result is bit-identical to solving it alone.
+A fit is two halves: normal_system builds what depends on the abscissas
+alone (T and the damped Gram), and solve_system what depends on y, so a
+caller that knows its abscissas early can build the first half ahead.
 
 gradcheck audits that gradient against central differences through
 audit_gradients, the loop net.gradcheck shares for the training objective.
@@ -35,6 +38,9 @@ from .basis import design_matrix
 __all__ = [
     "SingularFitError",
     "EDValue",
+    "NormalSystem",
+    "normal_system",
+    "solve_system",
     "fit_matrix",
     "ed_from_coefficients",
     "central_difference",
@@ -84,30 +90,80 @@ def _solve(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         raise SingularFitError("normal system solve failed") from exc
 
 
-def _normal_solve(
-    design: np.ndarray, rhs: np.ndarray, damping: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Solve (T^t T + eps I) c = T^t rhs per stacked system; returns (c, the damped Grams)."""
+@dataclass(frozen=True)
+class NormalSystem:
+    """The function-independent half of stacked fits, one system per row of abscissas.
+
+    design is (..., r, K + 1), gram the damped (..., K + 1, K + 1)
+    T^t T + eps I, and illposed (...) bool marks the systems an undamped fit
+    refuses (condition number at or above COND_LIMIT; all False with
+    damping > 0).  Indexing a stacked system selects its rows.
+    """
+
+    design: np.ndarray
+    gram: np.ndarray
+    illposed: np.ndarray
+
+    def __getitem__(self, index) -> "NormalSystem":
+        return NormalSystem(self.design[index], self.gram[index], self.illposed[index])
+
+
+def normal_system(
+    alphas, max_degree: int, damping: float = 1e-6, basis: str = "chebyshev"
+) -> NormalSystem:
+    """Design matrices and damped Grams of stacked (..., r) abscissas; r must be >= max_degree + 1."""
+    a = np.asarray(alphas, dtype=float)
+    if a.ndim and a.shape[-1] < max_degree + 1:
+        raise ValueError(
+            f"need at least max_degree + 1 = {max_degree + 1} abscissas, got {a.shape[-1]}"
+        )
+    design = design_matrix(basis, a, max_degree)
     if not damping >= 0:
         raise ValueError("damping must be >= 0")
-    design_t = np.swapaxes(design, -1, -2)
-    gram = design_t @ design
+    gram = np.swapaxes(design, -1, -2) @ design
     if damping > 0:
         gram = gram + damping * np.eye(gram.shape[-1])
-    elif (illposed := np.ravel(np.linalg.cond(gram) >= COND_LIMIT)).any():
+        illposed = np.zeros(gram.shape[:-2], dtype=bool)
+    else:
+        illposed = np.linalg.cond(gram) >= COND_LIMIT
+    return NormalSystem(design, gram, illposed)
+
+
+def solve_system(
+    system: NormalSystem, values, with_gradient: bool = False
+) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
+    """Fit every column of stacked (..., r, m) values through their normal systems.
+
+    Returns the (..., K + 1, m) coefficients, and with with_gradient=True
+    also the (..., r, m) dED/dy (see fit_matrix).  An ill-posed system or a
+    solve whose residual exceeds its tolerance raises SingularFitError
+    naming the first failing stacked system.
+    """
+    design, gram = system.design, system.gram
+    y = np.asarray(values, dtype=float)
+    if y.shape[:-1] != design.shape[:-1]:
+        raise ValueError("values must be (..., r, m) with one row per abscissa")
+    if (illposed := np.ravel(system.illposed)).any():
         raise SingularFitError(
             "normal matrix condition number exceeds COND_LIMIT with damping 0; "
             "increase damping or change the abscissas",
             int(np.argmax(illposed)),
         )
-    b = design_t @ rhs
+    design_t = np.swapaxes(design, -1, -2)
+    b = design_t @ y
     coeffs = _solve(gram, b)
     resid = np.ravel(np.abs(gram @ coeffs - b).max(axis=(-2, -1)))
     failed = ~(resid < _RESIDUAL_TOL * (1.0 + np.ravel(np.abs(b).max(axis=(-2, -1)))))
     if failed.any():
         first = int(np.argmax(failed))
         raise SingularFitError(f"normal system residual {resid[first]:.3e} above tolerance", first)
-    return coeffs, gram
+    if not with_gradient:
+        return coeffs
+    degrees = np.arange(design.shape[-1], dtype=float)
+    magnitude = np.abs(coeffs)
+    live = magnitude > SIGN_DEAD_ZONE * magnitude.sum(axis=-2, keepdims=True)
+    weighted = np.where(live, np.sign(coeffs), 0.0) * degrees[:, None]
+    return coeffs, design @ _solve(gram, weighted)
 
 
 def fit_matrix(
@@ -120,10 +176,11 @@ def fit_matrix(
 ) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
     """Fit every column of stacked (..., r, m) values; returns (..., K + 1, m) coefficients.
 
-    This is the only fit.  alphas is (..., r), one row of abscissas per
-    stacked system: P paths are fitted in one call with (P, r) alphas and
-    (P, r, m) values, and one sampled path y is the unstacked one-column
-    case, fit_matrix(alphas, y[:, None], ...)[:, 0].  r must be at least
+    This is the only fit: solve_system(normal_system(alphas, ...), values).
+    alphas is (..., r), one row of abscissas per stacked system: P paths are
+    fitted in one call with (P, r) alphas and (P, r, m) values, and one
+    sampled path y is the unstacked one-column case,
+    fit_matrix(alphas, y[:, None], ...)[:, 0].  r must be at least
     max_degree + 1, so no system is underdetermined.  Every system is
     solved as if alone, so stacking does not change any result.  With
     with_gradient=True returns (coefficients, gradients), where column j
@@ -134,23 +191,7 @@ def fit_matrix(
     its column.  Only ED is differentiated; ED_norm is reported but never
     used as an objective.
     """
-    a = np.asarray(alphas, dtype=float)
-    y = np.asarray(values, dtype=float)
-    if a.ndim < 1 or y.shape[:-1] != a.shape:
-        raise ValueError("values must be (..., r, m) with one row per abscissa")
-    if a.shape[-1] < max_degree + 1:
-        raise ValueError(
-            f"need at least max_degree + 1 = {max_degree + 1} abscissas, got {a.shape[-1]}"
-        )
-    design = design_matrix(basis, a, max_degree)
-    coeffs, gram = _normal_solve(design, y, damping)
-    if not with_gradient:
-        return coeffs
-    degrees = np.arange(max_degree + 1, dtype=float)
-    magnitude = np.abs(coeffs)
-    live = magnitude > SIGN_DEAD_ZONE * magnitude.sum(axis=-2, keepdims=True)
-    weighted = np.where(live, np.sign(coeffs), 0.0) * degrees[:, None]
-    return coeffs, design @ _solve(gram, weighted)
+    return solve_system(normal_system(alphas, max_degree, damping, basis), values, with_gradient)
 
 
 def ed_from_coefficients(coefficients: np.ndarray) -> EDValue:

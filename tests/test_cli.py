@@ -350,7 +350,7 @@ def test_singular_undamped_fit_exits_four(tmp_path, capsys):
     penalty = ["--reg-strength", "1", "--batch-size", "3", "--steps", "1"]
     for argv, key in (
         (["estimate", *fit, "--paths", "2"], r"\d+"),
-        (["train", *fit, *penalty], r"0:1:\d+"),
+        (["train", *fit, *penalty], r"1:\d+"),
     ):
         assert main(argv) == EXIT_NUMERICAL
         err = capsys.readouterr().err
@@ -419,6 +419,19 @@ def test_dataset_header_errors_exit_two_naming_the_file(tmp_path, capsys, text, 
     assert main(["estimate", "--data", str(data), "--out", str(out)]) == EXIT_CONFIG
     assert f"bad_header.csv: {reason}" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_train_rejects_more_penalty_paths_than_keys(tmp_path, capsys):
+    # step s keys its paths s * reg_paths + p, and every index must stay below 2**32
+    data = cluster_dataset(tmp_path / "c.csv", n=16, seed=19)
+    out = tmp_path / "out"
+    argv = ["train", "--data", data, "--reg-strength", "1", "--reg-paths", "4", "--out", str(out)]
+    assert main(argv + ["--steps", str(2**30 + 1)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "n_steps * reg_paths must be <= 2**32" in err
+    assert f"n_steps {2**30 + 1} and reg_paths 4" in err
+    assert not out.exists()
+    assert main(argv + ["--steps", "2", "--batch-size", "8"]) == EXIT_OK
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])

@@ -11,7 +11,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from effdeg import estimator, net as nets, sampling
+from effdeg import estimator, net as nets, sampling, surrogate
 from effdeg.estimator import NonFiniteOutputError
 from effdeg.net import (
     ACTIVATIONS,
@@ -418,11 +418,107 @@ def test_plan_paths_are_plan_path_at_step_keys():
     cfg = TrainConfig(reg_paths=6, resolution=5, anchored=True, seed=31)
     plans = plan_paths(X, cfg, step=7)
     assert len(plans) == 6
-    assert plans.prefix == (7, 1) and plans.paths.tolist() == list(range(6))
+    assert plans.prefix == (1,) and plans.paths.tolist() == list(range(42, 48))
     for k, p in enumerate(plans.paths):  # each path replayed alone
-        alone = estimator.plan_paths(X, cfg, (7, 1), [p])
+        alone = estimator.plan_paths(X, cfg, (1,), [p])
         assert (alone.i[0], alone.j[0]) == (plans.i[k], plans.j[k])
         assert alone.alphas.tobytes() == plans.alphas[k].tobytes()
+
+
+def test_penalty_path_replays_alone_after_a_redraw():
+    # path p of step s is estimator.plan_paths' path s * reg_paths + p under
+    # prefix (1,), field for field, normal systems included
+    X = np.random.default_rng(32).standard_normal((4, 2))[[0, 1, 1, 2, 3, 3, 0]]
+    cfg = TrainConfig(reg_paths=5, resolution=6, max_degree=4, anchored=True, seed=33)
+    key = sampling.path_key(cfg.seed, (1,))
+    redrawn = 0
+    for step in range(12):
+        plans = plan_paths(X, cfg, step)
+        for k, q in enumerate(plans.paths.tolist()):
+            assert step * 5 <= q < step * 5 + 5
+            alone = estimator.plan_paths(X, cfg, (1,), [q])
+            assert alone.prefix == plans.prefix == (1,) and alone.paths.tolist() == [q]
+            assert (alone.i[0], alone.j[0]) == (plans.i[k], plans.j[k])
+            assert alone.alphas.tobytes() == plans.alphas[k].tobytes()
+            for name in ("design", "gram", "illposed"):
+                want = getattr(alone.system, name)[0]
+                assert getattr(plans.system, name)[k].tobytes() == want.tobytes()
+            first, _ = sampling.pair_draws(key, np.array([q]), len(X), 0)
+            redrawn += first[0].tolist() != [plans.i[k], plans.j[k]]
+    assert redrawn > 0
+
+
+def test_penalty_plans_reject_steps_past_the_key_range():
+    X = np.random.default_rng(34).standard_normal((6, 2))
+    cfg = TrainConfig(reg_paths=4, seed=35)
+    assert plan_paths(X, cfg, 2**30 - 1).paths.tolist() == list(range(2**32 - 4, 2**32))
+    for step, q in ((2**30, 2**32), (-1, -4)):
+        with pytest.raises(ValueError, match=rf"path key \(1, {q}\): path index {q} of step"):
+            plan_paths(X, cfg, step)
+
+
+def _run_steps(net, X, T, cfg, n_steps):
+    """Every step's record and objective gradients, then the parameters, as bytes."""
+    velocity = ([np.zeros_like(w) for w in net.weights], [np.zeros_like(b) for b in net.biases])
+    log = []
+    for step in range(n_steps):
+        _, (d_w, d_b), _ = composite_objective(net, X, T, cfg, step)
+        record = regularized_step(net, X, T, cfg, step, velocity)
+        log.append((record, [g.tobytes() for g in d_w + d_b]))
+    return log, net.get_flat().tobytes()
+
+
+@pytest.mark.parametrize("block_paths", [1, 3, 7])
+def test_penalty_blocks_change_no_step(monkeypatch, block_paths):
+    # capped at 1, 3 or 7 paths, a block holds no step (each is planned on its
+    # own), one or three; cold cache or warm, training is unchanged
+    X = np.random.default_rng(36).standard_normal((5, 2))[[0, 1, 2, 2, 3, 4, 4, 1, 0, 3]]
+    T = one_hot(np.arange(10) % 3, 3)
+    cfg = TrainConfig(
+        task="cross_entropy", reg_strength=0.5, ramp_fraction=0.0, reg_paths=2,
+        resolution=5, max_degree=3, anchored=True, pca_dim=1, seed=37, momentum=0.5,
+    )
+
+    def planned_alone(batch, config, step):
+        paths = range(step * config.reg_paths, (step + 1) * config.reg_paths)
+        return estimator.plan_paths(batch, config, (1,), paths)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(nets, "plan_paths", planned_alone)
+        want = _run_steps(tiny_net(38), X, T, cfg, 64)
+    monkeypatch.setattr(nets, "_BLOCK_ENTRIES", block_paths * 5 * 4)
+    nets._penalty_block.cache_clear()
+    assert _run_steps(tiny_net(38), X, T, cfg, 64) == want  # cold
+    assert _run_steps(tiny_net(38), X, T, cfg, 64) == want  # warm: the last block is cached
+    nets._penalty_block.cache_clear()
+
+
+def test_penalty_plans_draw_once_per_block(monkeypatch):
+    # at the benchmark's train-penalty settings a block holds 21 steps of 8
+    # paths: one path key and one design matrix per block, none per step
+    X, y = make_two_cluster_dataset(n=512, seed=39)
+    cfg = TrainConfig(
+        task="cross_entropy", batch_size=512, reg_strength=1.0, ramp_fraction=0.0,
+        reg_paths=8, resolution=8, max_degree=5, anchored=True, seed=40,
+    )
+    calls = {"path_key": 0, "design_matrix": 0}
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(sampling, "path_key")
+    counted(surrogate, "design_matrix")
+    nets._penalty_block.cache_clear()
+    for step in range(100):
+        assert len(plan_paths(X, cfg, step)) == 8
+    nets._penalty_block.cache_clear()
+    assert calls == {"path_key": 5, "design_matrix": 5}  # steps 0-20, 21-41, ..., 84-99
 
 
 def test_train_logs_accuracy_only_for_classification():
@@ -685,6 +781,6 @@ def test_penalty_nonfinite_output_names_the_path():
     with pytest.raises(NonFiniteOutputError) as err:
         ed_penalty(net, X, T, plans, cfg)
     assert str(err.value) == (
-        f"non-finite output on path 2:1:{plans.paths[0]} "
+        f"non-finite output on path 1:{plans.paths[0]} "
         f"(endpoint rows {plans.i[0]} and {plans.j[0]})"
     )

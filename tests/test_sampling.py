@@ -64,9 +64,8 @@ def test_uniform_nodes():
 def test_randomized_cosine_respects_strata():
     # closed strata at every resolution 1..64 over 1000 rows and the extreme planned
     # uniforms: all 0, all 1 - 2**-53, and the two alternations, where u_(i-1) near 1
-    # and u_i = 0 meet at a shared bound.  The abscissa and the bound round
-    # differently, so a crossing of at most two units of 2**-52 is allowed (the
-    # worst, 2.8e-16, is at r = 60); at r in {1, 2, 3, 5, 8} none crosses at all.
+    # and u_i = 0 meet at a shared bound.  Every abscissa is clamped into its
+    # stratum's edges, so none crosses a bound at all.
     top = 1.0 - 2.0**-53
     for r in range(1, 65):
         lo, hi = stratum_bounds(r)
@@ -75,7 +74,7 @@ def test_randomized_cosine_respects_strata():
         u[:4] = [np.zeros(r), np.full(r, top), np.where(odd, 0.0, top), np.where(odd, top, 0.0)]
         a = randomized_cosine(r, u)
         crossing = np.maximum(lo - a, a - hi).max()
-        assert crossing <= (0.0 if r in (1, 2, 3, 5, 8) else 2.0 * np.finfo(float).eps), r
+        assert crossing <= 0.0, r
 
 
 def test_randomized_cosine_strictly_increasing():
