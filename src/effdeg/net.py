@@ -890,6 +890,64 @@ def _train_pnn_task(
     return best
 
 
+def _study_row(
+    idx: int,
+    seed: int,
+    width: int,
+    n_train: int,
+    n_steps: int,
+    n_eval: int,
+    mse_target: float,
+    strict: bool,
+) -> PNNTaskResult:
+    """Train study task idx and measure every ED variant of its net.
+
+    The row depends only on its arguments, so it is the same in any process
+    and in any order the six tasks run.  With strict=True a task that misses
+    the mse target raises TrainingFailure naming it.
+    """
+    # glibc hands the top of its heap back to the OS whenever more than
+    # 128 KiB lies free there.  With some heap layouts (importing
+    # multiprocessing after effdeg left one) the training temporaries then
+    # page-fault afresh on every step, about 140 faults a step, which
+    # doubles the training time.  Freeing one mmapped 1 MiB block raises
+    # that threshold to 2 MiB for the rest of the process (the dynamic
+    # mmap threshold of mallopt(3)).
+    np.empty(1 << 17)
+    name, fn, degree = PNN_TASKS[idx]
+    mse, net, restarts, steps = _train_pnn_task(
+        fn, seed, idx, width, n_train, n_steps, mse_target
+    )
+    converged = mse < mse_target
+    if strict and not converged:
+        raise TrainingFailure(
+            f"task {name} stalled at mse {mse:.3e} (target {mse_target:.1e})"
+        )
+    X_eval = sampling.rng(seed, 999).uniform(-_EVAL_BOX, _EVAL_BOX, size=(n_eval, 3))
+
+    def measure(basis: str, pca_dim):
+        cfg = EstimatorConfig(basis=basis, pca_dim=pca_dim, seed=seed, **_STUDY_EVAL)
+        return ed_estimate(net.as_oracle(), X_eval, cfg)
+
+    cheb = measure("chebyshev", None)
+    leg = measure("legendre", None)
+    pca1 = measure("chebyshev", 1)
+    pca2 = measure("chebyshev", 2)
+    return PNNTaskResult(
+        task=name,
+        target_degree=degree,
+        final_mse=mse,
+        converged=converged,
+        restarts=restarts,
+        steps=steps,
+        ed_cheb=cheb.mean_ed,
+        ed_norm_cheb=cheb.mean_ed_norm,
+        ed_legendre=leg.mean_ed,
+        ed_pca1=pca1.mean_ed,
+        ed_pca2=pca2.mean_ed,
+    )
+
+
 def pnn_study(
     seed: int = 0,
     width: int = 16,
@@ -905,52 +963,54 @@ def pnn_study(
     for window consecutive steps, or for n_steps steps; the report's
     evaluation["stop_rule"] gives the window and divisor.  With strict=True
     a task that misses the mse target raises TrainingFailure; otherwise the
-    row is kept and flagged.  n_train and n_eval below 2, or an mse_target
-    that is not > 0, raise ValueError before any training.
+    row is kept and flagged.  width or n_steps below 1, n_train or n_eval
+    below 2, or an mse_target that is not > 0 raise ValueError before any
+    training.
+
+    The six tasks train in parallel worker processes, one per usable core
+    up to six, longest target degree first.  Every row depends only on its
+    task index and the arguments, and rows are collected by task index, so
+    the report is bit-identical whatever the worker count or schedule.
+    When tasks fail, the error of the lowest-index one is raised, as a
+    serial loop would; the pool first cancels the tasks it has not handed
+    to a worker and waits for the rest, so no worker outlives the call.
+    Workers are forked, so they inherit this process's module state and
+    warning filters and start without importing numpy again; Python 3.12
+    and later emit a DeprecationWarning when forking a process that has
+    threads, as a multi-threaded BLAS makes it.
     """
+    if width < 1:
+        raise ValueError(f"width must be >= 1, got {width}")
     if n_train < 2:
         raise ValueError(f"n_train must be >= 2, got {n_train}")
+    if n_steps < 1:
+        raise ValueError(f"n_steps must be >= 1, got {n_steps}")
     if n_eval < 2:
         raise ValueError(f"n_eval must be >= 2, got {n_eval}")
     if not mse_target > 0:
         raise ValueError(f"mse_target must be > 0, got {mse_target}")
-    X_eval = sampling.rng(seed, 999).uniform(-_EVAL_BOX, _EVAL_BOX, size=(n_eval, 3))
+    # imported here: at module top they add to every import of effdeg
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
 
-    def measure(net: FeedForwardNet, basis: str, pca_dim):
-        cfg = EstimatorConfig(
-            basis=basis, pca_dim=pca_dim, seed=seed, **_STUDY_EVAL
-        )
-        return ed_estimate(net.as_oracle(), X_eval, cfg)
-
-    rows = []
-    for idx, (name, fn, degree) in enumerate(PNN_TASKS):
-        mse, net, restarts, steps = _train_pnn_task(
-            fn, seed, idx, width, n_train, n_steps, mse_target
-        )
-        converged = mse < mse_target
-        if strict and not converged:
-            raise TrainingFailure(
-                f"task {name} stalled at mse {mse:.3e} (target {mse_target:.1e})"
-            )
-        cheb = measure(net, "chebyshev", None)
-        leg = measure(net, "legendre", None)
-        pca1 = measure(net, "chebyshev", 1)
-        pca2 = measure(net, "chebyshev", 2)
-        rows.append(
-            PNNTaskResult(
-                task=name,
-                target_degree=degree,
-                final_mse=mse,
-                converged=converged,
-                restarts=restarts,
-                steps=steps,
-                ed_cheb=cheb.mean_ed,
-                ed_norm_cheb=cheb.mean_ed_norm,
-                ed_legendre=leg.mean_ed,
-                ed_pca1=pca1.mean_ed,
-                ed_pca2=pca2.mean_ed,
-            )
-        )
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cores = os.cpu_count() or 1
+    args = (seed, width, n_train, n_steps, n_eval, mse_target, strict)
+    indices = range(len(PNN_TASKS))
+    with ProcessPoolExecutor(
+        max_workers=min(len(PNN_TASKS), cores),
+        mp_context=multiprocessing.get_context("fork"),
+    ) as pool:
+        # the highest target degrees train longest, so they start first
+        order = sorted(indices, key=lambda k: (-PNN_TASKS[k][2], k))
+        futures = {k: pool.submit(_study_row, k, *args) for k in order}
+        try:
+            rows = [futures[k].result() for k in indices]
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
 
     def increasing(vals):
         return bool(vals[0] < vals[1] < vals[2])

@@ -475,6 +475,8 @@ def test_negative_seed_exits_two_naming_seed(tmp_path, capsys, argv):
         ("--eval-points", "1", "n_eval"),
         ("--train-points", "1", "n_train"),
         ("--mse-target", "-1", "mse_target"),
+        ("--width", "0", "width"),
+        ("--steps", "0", "n_steps"),
     ],
 )
 def test_pnn_study_argument_errors_exit_two_before_training(

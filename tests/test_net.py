@@ -6,6 +6,7 @@ identities instead.
 """
 
 import json
+import multiprocessing
 from dataclasses import replace
 
 import numpy as np
@@ -20,6 +21,7 @@ from effdeg.net import (
     PNN_TASKS,
     StepRecord,
     TrainConfig,
+    TrainingFailure,
     accuracy,
     build_pnn,
     composite_objective,
@@ -585,8 +587,8 @@ def test_train_config_validation():
 
 @pytest.mark.parametrize(
     "setting,value",
-    [("n_train", 1), ("n_eval", 1), ("mse_target", -1.0), ("mse_target", 0.0),
-     ("mse_target", float("nan"))],
+    [("width", 0), ("n_train", 1), ("n_steps", 0), ("n_eval", 1), ("mse_target", -1.0),
+     ("mse_target", 0.0), ("mse_target", float("nan"))],
 )
 def test_pnn_study_checks_its_arguments_before_training(monkeypatch, setting, value):
     def no_training(*args):
@@ -595,6 +597,26 @@ def test_pnn_study_checks_its_arguments_before_training(monkeypatch, setting, va
     monkeypatch.setattr(nets, "_train_pnn_task", no_training)
     with pytest.raises(ValueError, match=setting):
         nets.pnn_study(**{setting: value})
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+def test_pnn_study_rows_equal_the_tasks_run_in_process(seed):
+    # the workers' rows, bit for bit, whatever process or order ran them
+    report = nets.pnn_study(seed=seed, width=4, n_train=64, n_steps=30, n_eval=8)
+    expected = [nets._study_row(k, seed, 4, 64, 30, 8, 1e-4, False) for k in range(6)]
+    assert len(report.rows) == len(expected)
+    for got, want in zip(report.rows, expected):
+        assert got == want
+
+
+def test_pnn_study_leaves_no_worker_behind():
+    small = dict(width=4, n_train=16, n_steps=5, n_eval=8)
+    nets.pnn_study(**small)
+    assert multiprocessing.active_children() == []
+    # every task stalls; the serial order names the first one
+    with pytest.raises(TrainingFailure, match=r"^task t1 stalled"):
+        nets.pnn_study(**small, mse_target=1e-12, strict=True)
+    assert multiprocessing.active_children() == []
 
 
 def test_checkpoint_round_trip_and_stability(tmp_path):
