@@ -12,15 +12,18 @@ A polynomial is a dict from exponent tuples to Fraction coefficients; zero
 coefficients are never stored.  The zero polynomial has degree -inf.
 
 Fraction is the polynomial interface, not the arithmetic.  verify's loop
-runs in Python integers: each polynomial is compiled once to integer
-coefficients over the lcm of their denominators, and a sampler returns
-endpoint pairs, _PAIR_BLOCK at a time from one numpy call, as integer rows
-(den, base, step) with base = x2 * den and step = (x1 - x2) * den.  Every
-value the loop computes is then the exact one times a positive integer, so
-no test it makes needs a division.  For each pair and polynomial it
-evaluates the leading part at the step first: a nonzero value means degree
-D is kept, and only a zero value runs the full restriction to find the
-degree the polynomial dropped to.
+runs in integers: each polynomial is compiled once to integer coefficients
+over the lcm of their denominators, and a sampler returns endpoint pairs,
+_PAIR_BLOCK at a time, as integer arrays (den, x1, x2): den is (n,) and
+positive, x1 and x2 are (n, dim), and pair k runs from x2[k] / den[k] to
+x1[k] / den[k].  An array is int64 where every value fits and otherwise an
+object array of Python ints.  Scaled by den, the leading part of a
+polynomial at the step x1 - x2 is an integer L; degree D is kept exactly
+when L != 0.  verify first takes every row's L modulo the prime _PRIME in
+int64 arithmetic, for the whole block at once: a nonzero residue proves
+L != 0.  Only the rows whose residue is zero are converted to Python ints,
+and there L and, when L == 0, the full restriction are computed exactly, so
+no test the loop makes needs a division or a float.
 """
 
 from __future__ import annotations
@@ -195,8 +198,43 @@ def _restricted_degree(ipoly: _IntPoly, den: int, base: list[int], step: list[in
     return float(max((k for k, c in enumerate(acc) if c), default=0))
 
 
-# verify draws its endpoint rows this many pairs at a time, bounding their memory
+# verify draws its endpoint arrays this many pairs at a time, bounding their memory
 _PAIR_BLOCK = 1024
+# verify's residue test works modulo this prime: residues are below 2**31, so
+# the product of two is below 2**62 and no int64 operation wraps
+_PRIME = 2**31 - 1
+
+
+def _check_block(block, m: int, dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (den, x1, x2) arrays of a sampler's block of m pairs, or ValueError."""
+    den, x1, x2 = (np.asarray(a) for a in block)
+    want = ((m,), (m, dim), (m, dim))
+    got = (den.shape, x1.shape, x2.shape)
+    if got != want:
+        problem = (
+            "endpoint dimension mismatch"
+            if all(shape[:1] == (m,) for shape in got)
+            else f"sampler returned a block of the wrong size for {m} pairs"
+        )
+        raise ValueError(
+            f"{problem}: expected den {want[0]} and x1, x2 {want[1]}, "
+            f"got den {got[0]}, x1 {got[1]}, x2 {got[2]}"
+        )
+    return den, x1, x2
+
+
+def _lead_residues(ipoly: _IntPoly, powers: list[np.ndarray]) -> np.ndarray:
+    """_leading_value modulo _PRIME for every row of a block.
+
+    powers[e] is the (m, dim) int64 array of the steps' residues to the e.
+    """
+    total = np.zeros(len(powers[0]), dtype=np.int64)
+    for c, exps in ipoly.lead:
+        term = np.full(len(total), c % _PRIME, dtype=np.int64)
+        for i, e in exps:
+            term = term * powers[e][:, i] % _PRIME
+        total = (total + term) % _PRIME
+    return total
 
 
 def verify_order_preservation(
@@ -208,10 +246,17 @@ def verify_order_preservation(
 ) -> OrderPreservationRecord:
     """Compare average restricted degrees of two polynomials over shared endpoints.
 
-    sampler(rng, n) returns n endpoint rows (den, base, step) of Python ints,
-    den > 0 and base = x2 * den, step = (x1 - x2) * den lists of dim ints, and
-    is asked for at most _PAIR_BLOCK rows at a time.  The record is 'ordered'
-    when the sample means relate the same way the true total degrees do.
+    sampler(rng, n) returns the integer arrays (den, x1, x2) of n endpoint
+    pairs: den is (n,) and positive, x1 and x2 are (n, dim), and pair k runs
+    from x2[k] / den[k] to x1[k] / den[k].  Each array is int64 or an object
+    array of Python ints.  The sampler is asked for at most _PAIR_BLOCK pairs
+    at a time, and a block of any other shape raises ValueError before any
+    arithmetic.  For the whole block at once, each polynomial's leading value
+    at the step is taken modulo the prime _PRIME in int64: a nonzero residue
+    proves the integer nonzero, so that pair keeps the true degree.  Pairs
+    with a zero residue run the exact restriction in Python ints.  The record
+    is 'ordered' when the sample means relate the same way the true total
+    degrees do.
     """
     if poly_a.is_zero() or poly_b.is_zero():
         raise ValueError("order preservation needs nonzero polynomials")
@@ -224,20 +269,33 @@ def verify_order_preservation(
         raise ValueError("n_pairs must be >= 1")
     rng = sampling.rng(seed)
     ipolys = (_compile(poly_a), _compile(poly_b))
-    degs_a: list[float] = []
-    degs_b: list[float] = []
+    top = max(ipoly.top for ipoly in ipolys)
+    degrees: tuple[list[float], list[float]] = ([], [])
     drops = [0, 0]
     for start in range(0, n_pairs, _PAIR_BLOCK):
-        for den, base, step in sampler(rng, min(_PAIR_BLOCK, n_pairs - start)):
-            if len(base) != poly_a.dim or len(step) != poly_a.dim:
-                raise ValueError("endpoint dimension mismatch")
-            for slot, ipoly, sink in ((0, ipolys[0], degs_a), (1, ipolys[1], degs_b)):
-                d = _restricted_degree(ipoly, den, base, step)
-                sink.append(d)
-                if d < ipoly.top:
-                    drops[slot] += 1
-    if len(degs_a) != n_pairs:
-        raise ValueError(f"sampler returned {len(degs_a)} rows for {n_pairs} pairs")
+        m = min(_PAIR_BLOCK, n_pairs - start)
+        den, x1, x2 = _check_block(sampler(rng, m), m, poly_a.dim)
+        steps = (
+            np.remainder(x1, _PRIME).astype(np.int64) - np.remainder(x2, _PRIME).astype(np.int64)
+        ) % _PRIME
+        powers = [np.ones_like(steps)]
+        for _ in range(top):
+            powers.append(powers[-1] * steps % _PRIME)
+        zero = [_lead_residues(ipoly, powers) == 0 for ipoly in ipolys]
+        # only the rows some residue leaves open become Python ints, once for both
+        exact = np.flatnonzero(zero[0] | zero[1])
+        columns = (col[exact].tolist() for col in (den, x1, x2))
+        rows = {
+            k: (d, base, [u - v for u, v in zip(a, base)])
+            for k, d, a, base in zip(exact.tolist(), *columns)
+        }
+        for slot, ipoly in enumerate(ipolys):
+            block = [float(ipoly.top)] * m
+            for k in np.flatnonzero(zero[slot]).tolist():
+                block[k] = _restricted_degree(ipoly, *rows[k])
+                drops[slot] += block[k] < ipoly.top
+            degrees[slot].extend(block)
+    degs_a, degs_b = degrees
     mean_a = float(np.mean(degs_a))
     mean_b = float(np.mean(degs_b))
     da, db = int(poly_a.degree()), int(poly_b.degree())
@@ -258,19 +316,23 @@ def verify_order_preservation(
 
 
 def gaussian_pair_sampler(dim: int):
-    """Endpoint pairs from exact dyadic rationals of standard normal draws."""
+    """Endpoint pairs from exact dyadic rationals of standard normal draws.
+
+    Every array is an object array of Python ints: a row's den is the largest
+    denominator among its draws, which can exceed int64.
+    """
     if dim < 1:
         raise ValueError("dim must be >= 1")
 
-    def sample(rng: np.random.Generator, n: int) -> list:
+    def sample(rng: np.random.Generator, n: int):
         rows = []
         for draw in rng.standard_normal((n, 2 * dim)).tolist():
             # every denominator is a power of two, so the largest is their lcm
             ratios = [v.as_integer_ratio() for v in draw]
             den = max(d for _, d in ratios)
-            nums = [p * (den // d) for p, d in ratios]
-            rows.append((den, nums[dim:], [a - b for a, b in zip(nums, nums[dim:])]))
-        return rows
+            rows.append([den] + [p * (den // d) for p, d in ratios])
+        rows = np.array(rows, dtype=object).reshape(n, 2 * dim + 1)
+        return rows[:, 0], rows[:, 1 : dim + 1], rows[:, dim + 1 :]
 
     return sample
 
@@ -278,17 +340,20 @@ def gaussian_pair_sampler(dim: int):
 def dyadic_uniform_pair_sampler(dim: int, bits: int = 63):
     """Endpoint pairs with coordinates k / 2^bits, k uniform on [-2^bits, 2^bits - 1].
 
-    bits is an integer in 0..63, so that k fits numpy's int64; each row's den is 2^bits.
+    bits is an integer in 0..63, so that x1 and x2 are int64 arrays of the k
+    straight from numpy; den is int64 too, except that 2^63 needs an object
+    array of Python ints.
     """
     if dim < 1:
         raise ValueError("dim must be >= 1")
     if not isinstance(bits, (int, np.integer)) or not 0 <= bits <= 63:
         raise ValueError(f"bits must be an integer in 0..63, got {bits!r}")
     den = 1 << int(bits)
+    den_dtype = object if bits == 63 else np.int64
 
-    def sample(rng: np.random.Generator, n: int) -> list:
+    def sample(rng: np.random.Generator, n: int):
         nums = rng.integers(-den, den - 1, size=(n, 2, dim), dtype=np.int64, endpoint=True)
-        return [(den, x2, [a - b for a, b in zip(x1, x2)]) for x1, x2 in nums.tolist()]
+        return np.full(n, den, dtype=den_dtype), nums[:, 0], nums[:, 1]
 
     return sample
 
@@ -303,11 +368,10 @@ def shared_coordinate_pair_sampler(dim: int, coordinate: int = 0):
     if not isinstance(coordinate, (int, np.integer)) or not 0 <= coordinate < dim:
         raise ValueError(f"coordinate must be an integer in 0..{dim - 1}, got {coordinate!r}")
 
-    def sample(rng: np.random.Generator, n: int) -> list:
-        rows = gaussian(rng, n)
-        for _, _, step in rows:
-            step[coordinate] = 0
-        return rows
+    def sample(rng: np.random.Generator, n: int):
+        den, x1, x2 = gaussian(rng, n)
+        x1[:, coordinate] = x2[:, coordinate]
+        return den, x1, x2
 
     return sample
 

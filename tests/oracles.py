@@ -10,7 +10,7 @@ Generator, and plans_of builds PathPlans over hand-picked abscissas.  The
 polylab section is direct evaluation of a polynomial at a rational point,
 the Fraction restriction the integer core replaced, run once per endpoint
 pair and polynomial, and the one-pair Fraction samplers the batched integer
-rows replaced, with the conversions between pairs and rows.
+arrays replaced, with the conversions between pairs and arrays.
 """
 
 import itertools
@@ -551,39 +551,43 @@ def shared_coordinate_pair(dim, coordinate=0):
 
 
 def endpoint_row(x1, x2):
-    """The (den, base, step) row of a rational pair, den the lcm of its denominators."""
+    """The (den, x1, x2) integer row of a rational pair, den the lcm of its denominators."""
     x1 = [Fraction(v) for v in x1]
     x2 = [Fraction(v) for v in x2]
     den = math.lcm(*(v.denominator for v in x1 + x2))
-    base = [int(v * den) for v in x2]
-    return den, base, [int(v * den) - b for v, b in zip(x1, base)]
+    return den, [int(v * den) for v in x1], [int(v * den) for v in x2]
 
 
-def endpoints(row):
-    """The (x1, x2) pair of Fraction points a (den, base, step) row stands for."""
-    den, base, step = row
-    x1 = tuple(Fraction(b + s, den) for b, s in zip(base, step))
-    return x1, tuple(Fraction(b, den) for b in base)
+def endpoints(block):
+    """The (x1, x2) pairs of Fraction points that a sampler's (den, x1, x2) arrays stand for."""
+    return [
+        tuple(tuple(Fraction(v, d) for v in nums) for nums in (a, b))
+        for d, a, b in zip(*(arr.tolist() for arr in block))
+    ]
 
 
 def pair_sampler(pairs):
-    """A polylab sampler returning the rows of the given (x1, x2) pairs, cycling."""
+    """A polylab sampler returning the given (x1, x2) pairs, cycling, as object arrays."""
     rows = itertools.cycle([endpoint_row(x1, x2) for x1, x2 in pairs])
-    return lambda rng, n: [next(rows) for _ in range(n)]
+
+    def sample(rng, n):
+        den, x1, x2 = zip(*[next(rows) for _ in range(n)])
+        return tuple(np.array(arr, dtype=object) for arr in (den, x1, x2))
+
+    return sample
 
 
 def verify_order_preservation(poly_a, poly_b, n_pairs, sampler, seed=0):
     """polylab.verify_order_preservation with one Fraction restrict per pair and polynomial.
 
-    It asks the sampler for one row at a time and reads it back as Fractions.
+    It asks the sampler for one pair at a time and reads it back as Fractions.
     """
     rng = sampling.rng(seed)
     degs_a: list[float] = []
     degs_b: list[float] = []
     drops = [0, 0]
     for _ in range(n_pairs):
-        (row,) = sampler(rng, 1)
-        x1, x2 = endpoints(row)
+        ((x1, x2),) = endpoints(sampler(rng, 1))
         for slot, poly, sink in ((0, poly_a, degs_a), (1, poly_b, degs_b)):
             # the zero restriction is recorded as degree 0 so averages stay finite
             d = float(max(len(restrict(poly, x1, x2)) - 1, 0))

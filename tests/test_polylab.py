@@ -4,7 +4,7 @@ verify_order_preservation's integer loop is checked against hand-worked
 pairs and, with ==, against the Fraction reference loop in oracles.py.  That
 reference's restriction is itself checked against direct evaluation at
 rational points, which exercises none of the convolution code.  The batched
-samplers' integer rows are checked, as exact rationals, against successive
+samplers' integer arrays are checked, as exact rationals, against successive
 draws of the one-pair Fraction samplers in oracles.py from the same stream.
 """
 
@@ -96,7 +96,8 @@ def test_random_pairs_never_drop():
 def test_shared_coordinate_sampler_always_drops():
     poly = parse_poly("x1^2", dim=2)
     sampler = shared_coordinate_pair_sampler(2, 0)
-    assert all(step[0] == 0 for _, _, step in sampler(np.random.default_rng(76), 100))
+    _, x1, x2 = sampler(np.random.default_rng(76), 100)
+    assert all(a == b for a, b in zip(x1[:, 0].tolist(), x2[:, 0].tolist()))
     record = verify_order_preservation(poly, poly, 100, sampler, seed=76)
     assert record.drop_counts == (100, 100)
     assert record.restricted_degrees == ((0.0,) * 100,) * 2
@@ -146,27 +147,37 @@ def test_order_preservation_summary_keys():
     assert set(s) == {"true_degrees", "mean_degrees", "drop_counts", "n_pairs", "ordered"}
 
 
-def dyadic_rows_in_range(rows, dim: int, bits: int) -> bool:
-    """Every row is Python ints over den 2^bits with both endpoints' numerators in range."""
-    den = 1 << bits
+def integer_arrays(block) -> bool:
+    """Every array is int64, or an object array of Python ints."""
     return all(
-        type(d) is int and d == den and len(base) == len(step) == dim
-        and all(type(v) is int for v in base + step)
-        and all(-den <= v <= den - 1 for v in base + [b + s for b, s in zip(base, step)])
-        for d, base, step in rows
+        arr.dtype == np.int64
+        or arr.dtype == object and all(type(v) is int for v in arr.ravel().tolist())
+        for arr in block
+    )
+
+
+def dyadic_block_in_range(block, dim: int, bits: int) -> bool:
+    """Integer arrays over den 2^bits, int64 numerators of both endpoints in range."""
+    den, x1, x2 = block
+    n = len(den)
+    return (
+        integer_arrays(block)
+        and den.shape == (n,) and x1.shape == x2.shape == (n, dim)
+        and x1.dtype == x2.dtype == np.int64
+        and all(d == 1 << bits for d in den.tolist())
+        and all(-(1 << bits) <= v <= (1 << bits) - 1 for v in [*x1.ravel(), *x2.ravel()])
     )
 
 
 def test_dyadic_sampler_range_and_denominator():
-    rows = dyadic_uniform_pair_sampler(4)(np.random.default_rng(80), 25)
-    assert len(rows) == 25
-    assert dyadic_rows_in_range(rows, 4, 63)
+    block = dyadic_uniform_pair_sampler(4)(np.random.default_rng(80), 25)
+    assert len(block[0]) == 25
+    assert dyadic_block_in_range(block, 4, 63)
 
 
 def test_gaussian_sampler_is_exact():
     # each row holds its standard normal draws exactly: x1 then x2
-    (row,) = gaussian_pair_sampler(3)(np.random.default_rng(81), 1)
-    x1, x2 = oracles.endpoints(row)
+    ((x1, x2),) = oracles.endpoints(gaussian_pair_sampler(3)(np.random.default_rng(81), 1))
     assert [float(v) for v in x1 + x2] == np.random.default_rng(81).standard_normal(6).tolist()
     assert all(float(v) == v for v in x1 + x2)
 
@@ -396,17 +407,37 @@ def test_zero_restriction_is_recorded_as_degree_zero():
 
 def test_verify_rejects_wrong_dimension_endpoints():
     poly = parse_poly("x1*x2")
-    for row in ((1, [0, 0], [1, 2, 3]), (1, [0, 0, 0], [1, 2]), (1, [0], [1])):
-        with pytest.raises(ValueError, match="endpoint dimension mismatch"):
-            verify_order_preservation(poly, poly, 3, lambda rng, n, row=row: [row] * n)
+    for x1, x2 in (([1, 2, 3], [0, 0]), ([1, 2], [0, 0, 0]), ([1], [0])):
+        def sampler(rng, n, x1=x1, x2=x2):
+            return np.ones(n, dtype=np.int64), np.array([x1] * n), np.array([x2] * n)
+
+        with pytest.raises(ValueError, match="endpoint dimension mismatch") as err:
+            verify_order_preservation(poly, poly, 3, sampler)
+        want = f"expected den (3,) and x1, x2 (3, 2), got den (3,), x1 (3, {len(x1)})"
+        assert want in str(err.value)
 
 
 def test_verify_rejects_a_sampler_returning_the_wrong_row_count():
     poly = parse_poly("x1*x2")
-    row = (1, [0, 0], [1, 2])
+    def block(n):
+        return np.ones(n, dtype=np.int64), np.array([[1, 2]] * n), np.zeros((n, 2), dtype=np.int64)
+
     for count in (lambda n: n - 1, lambda n: n + 1):
+        with pytest.raises(ValueError, match="sampler returned") as err:
+            verify_order_preservation(poly, poly, 3, lambda rng, n: block(count(n)))
+        assert f"expected den (3,) and x1, x2 (3, 2), got den ({count(3)},)" in str(err.value)
+    # each block is checked as it arrives: a short second block stops the loop there
+    calls = []
+
+    def short_second_block(rng, n):
+        calls.append(n)
+        return block(n - (len(calls) == 2))
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(polylab, "_PAIR_BLOCK", 1)
         with pytest.raises(ValueError, match="sampler returned"):
-            verify_order_preservation(poly, poly, 3, lambda rng, n: [row] * count(n))
+            verify_order_preservation(poly, poly, 3, short_second_block)
+    assert calls == [1, 1]
 
 
 def test_order_preservation_rejects_mixed_dimensions_before_sampling():
@@ -423,12 +454,12 @@ def test_dyadic_sampler_bits_range():
             dyadic_uniform_pair_sampler(2, bits)
     rng = np.random.default_rng(82)
     for bits in (0, 1, 63):
-        rows = dyadic_uniform_pair_sampler(2, bits)(rng, 30)
-        assert len(rows) == 30
-        assert dyadic_rows_in_range(rows, 2, bits)
+        block = dyadic_uniform_pair_sampler(2, bits)(rng, 30)
+        assert len(block[0]) == 30
+        assert dyadic_block_in_range(block, 2, bits)
     # 30 pairs at bits 0 reach both ends of the range -1..0
-    rows = dyadic_uniform_pair_sampler(2, 0)(rng, 30)
-    assert {v for _, base, _ in rows for v in base} == {-1, 0}
+    _, _, x2 = dyadic_uniform_pair_sampler(2, 0)(rng, 30)
+    assert set(x2.ravel().tolist()) == {-1, 0}
 
 
 @pytest.mark.parametrize(
@@ -486,7 +517,7 @@ def test_library_samplers_build_no_fraction(monkeypatch):
 )
 def test_sampler_rows_equal_successive_reference_draws(dim, bits, seed, n, split, coordinate):
     # numpy buffers 32-bit draws in the bit generator, so the identity holds
-    # across calls too: rows drawn in two calls equal n one-pair draws
+    # across calls too: pairs drawn in two calls equal n one-pair draws
     split = min(split, n)
     coordinate %= dim
     for library, reference in (
@@ -498,10 +529,11 @@ def test_sampler_rows_equal_successive_reference_draws(dim, bits, seed, n, split
         ),
     ):
         rng = sampling.rng(seed)
-        rows = library(rng, split) + library(rng, n - split)
-        assert all(type(v) is int for den, base, step in rows for v in [den, *base, *step])
+        blocks = library(rng, split), library(rng, n - split)
+        assert all(integer_arrays(block) for block in blocks)
         rng = sampling.rng(seed)
-        assert [oracles.endpoints(row) for row in rows] == [reference(rng) for _ in range(n)]
+        pairs = oracles.endpoints(blocks[0]) + oracles.endpoints(blocks[1])
+        assert pairs == [reference(rng) for _ in range(n)]
 
 
 @EXACT
@@ -513,3 +545,45 @@ def test_verify_record_does_not_depend_on_the_block_size(case):
         for block in (1, 3, 7):
             mp.setattr(polylab, "_PAIR_BLOCK", block)
             assert verify_order_preservation(poly_a, poly_b, n_pairs, sampler(), seed=seed) == want
+
+
+# --- the residue certificate -------------------------------------------------
+
+
+@pytest.mark.parametrize("dtype", [np.int64, object], ids=["int64", "object"])
+def test_a_leading_value_that_is_a_multiple_of_the_prime_keeps_its_degree(monkeypatch, dtype):
+    # steps (p, 0), (-p, 0), (2p, 0): the leading values of x1 and of
+    # x1^2 - 3*x2^2 + x2 are nonzero multiples of p, so their residues are 0
+    # and only the exact path can show that both polynomials keep their degree
+    p = polylab._PRIME
+    exact = []
+    restricted_degree = polylab._restricted_degree
+
+    def spy(ipoly, den, base, step):
+        exact.append(step)
+        return restricted_degree(ipoly, den, base, step)
+
+    monkeypatch.setattr(polylab, "_restricted_degree", spy)
+
+    def sampler(rng, n):
+        x1 = np.array([[p, 3], [-p, 5], [2 * p, -1]] * n, dtype=dtype)[:n]
+        x2 = np.array([[0, 3], [0, 5], [0, -1]] * n, dtype=dtype)[:n]
+        return np.ones(n, dtype=dtype), x1, x2
+
+    poly_a = parse_poly("x1", dim=2)
+    poly_b = parse_poly("x1^2 - 3*x2^2 + x2")
+    record = verify_order_preservation(poly_a, poly_b, 3, sampler)
+    assert record.restricted_degrees == ((1.0,) * 3, (2.0,) * 3)
+    assert record.drop_counts == (0, 0)
+    assert exact == [[p, 0], [-p, 0], [2 * p, 0]] * 2
+
+
+@EXACT
+@given(case=experiments())
+def test_verify_record_equals_reference_when_the_prime_is_three(case):
+    # modulo 3 about a third of the generic rows have a zero residue and run the exact path
+    poly_a, poly_b, n_pairs, sampler, seed = case
+    want = oracles.verify_order_preservation(poly_a, poly_b, n_pairs, sampler(), seed=seed)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(polylab, "_PRIME", 3)
+        assert verify_order_preservation(poly_a, poly_b, n_pairs, sampler(), seed=seed) == want
