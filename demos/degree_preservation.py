@@ -9,8 +9,7 @@ sampler builds the measure-zero failure case on purpose.
 
 import argparse
 
-import numpy as np
-
+from effdeg import sampling
 from effdeg.polylab import (
     dyadic_uniform_pair_sampler,
     format_poly,
@@ -30,7 +29,7 @@ def main() -> None:
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
 
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(args.seed)))
+    rng = sampling.rng(args.seed)
     high = random_multipoly(args.dim, args.deg_high, rng, n_terms=6)
     low = random_multipoly(args.dim, args.deg_low, rng, n_terms=4)
     print("P1 =", format_poly(high))

@@ -7,7 +7,7 @@ read off the effective degree from the coefficients.
 
 import numpy as np
 
-from effdeg.sampling import chebyshev_nodes, randomized_cosine
+from effdeg.sampling import chebyshev_nodes, randomized_cosine, rng
 from effdeg.surrogate import ed_from_coefficients, fit_matrix
 
 x1 = np.array([1.0, 0.0])
@@ -53,7 +53,7 @@ print()
 print("randomized abscissas approximate the same node distribution;")
 print("the estimate fluctuates but the quadratic structure is unchanged:")
 for seed in range(3):
-    draw = randomized_cosine(8, np.random.default_rng(seed).random(8))
+    draw = randomized_cosine(8, rng(seed).random(8))
     c = fit(draw, restricted(draw), 5, damping=1e-6)
     print(f"  seed {seed} -> ED {ed_from_coefficients(c).ed:.6f}")
 

@@ -21,9 +21,12 @@ object array of Python ints.  Scaled by den, the leading part of a
 polynomial at the step x1 - x2 is an integer L; degree D is kept exactly
 when L != 0.  verify first takes every row's L modulo the prime _PRIME in
 int64 arithmetic, for the whole block at once: a nonzero residue proves
-L != 0.  Only the rows whose residue is zero are converted to Python ints,
-and there L and, when L == 0, the full restriction are computed exactly, so
-no test the loop makes needs a division or a float.
+L != 0.  Only the rows whose residue is zero are converted to Python ints.
+There the restriction, scaled to an integer polynomial g(a) of degree
+d <= D, is evaluated at a = 0..D, and d is the last k whose k-th forward
+difference at a = 0 is nonzero: that difference is d! times the leading
+coefficient of g, and every higher one is zero.  So no test the loop makes
+needs a division or a float.
 """
 
 from __future__ import annotations
@@ -100,21 +103,6 @@ class MultiPoly:
         return f"MultiPoly({self.dim}, {format_poly(self)!r})"
 
 
-def _binomial_power(a: int, b: int, e: int) -> list[int]:
-    """Coefficient list of (a + b t)^e in t."""
-    return [math.comb(e, j) * a ** (e - j) * b**j for j in range(e + 1)]
-
-
-def _convolve(u: list[int], v: list[int]) -> list[int]:
-    out = [0] * (len(u) + len(v) - 1)
-    for i, ui in enumerate(u):
-        if not ui:
-            continue
-        for j, vj in enumerate(v):
-            out[i + j] += ui * vj
-    return out
-
-
 class _IntPoly(NamedTuple):
     """poly = (sum of c * x^e over terms) / scale, every c an integer.
 
@@ -144,31 +132,6 @@ def _compile(poly: MultiPoly) -> _IntPoly:
     return _IntPoly(top, terms, lead)
 
 
-def _leading_value(ipoly: _IntPoly, step: list[int]) -> int:
-    """scale * den^top times the leading part of poly at x1 - x2."""
-    total = 0
-    for c, exps in ipoly.lead:
-        for i, e in exps:
-            c *= step[i] ** e
-        total += c
-    return total
-
-
-def _restrict_ints(ipoly: _IntPoly, den: int, base: list[int], step: list[int]) -> list[int]:
-    """Coefficients in a of scale * den^top * poly(x2 + a (x1 - x2)).
-
-    Term c x^e contributes c * den^(top - |e|) * prod_i (base_i + step_i a)^e_i.
-    """
-    acc = [0] * (ipoly.top + 1)
-    for c, exps, deg in ipoly.terms:
-        factor = [c * den ** (ipoly.top - deg)]
-        for i, e in exps:
-            factor = _convolve(factor, _binomial_power(base[i], step[i], e))
-        for k, v in enumerate(factor):
-            acc[k] += v
-    return acc
-
-
 @dataclass(frozen=True)
 class OrderPreservationRecord:
     """Outcome of one order-preservation experiment on a polynomial pair."""
@@ -190,14 +153,6 @@ class OrderPreservationRecord:
         }
 
 
-def _restricted_degree(ipoly: _IntPoly, den: int, base: list[int], step: list[int]) -> float:
-    if _leading_value(ipoly, step):
-        return float(ipoly.top)
-    acc = _restrict_ints(ipoly, den, base, step)
-    # the zero restriction is recorded as degree 0 so averages stay finite
-    return float(max((k for k, c in enumerate(acc) if c), default=0))
-
-
 # verify draws its endpoint arrays this many pairs at a time, bounding their memory
 _PAIR_BLOCK = 1024
 # verify's residue test works modulo this prime: residues are below 2**31, so
@@ -206,8 +161,12 @@ _PRIME = 2**31 - 1
 
 
 def _check_block(block, m: int, dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The (den, x1, x2) arrays of a sampler's block of m pairs, or ValueError."""
-    den, x1, x2 = (np.asarray(a) for a in block)
+    """The (den, x1, x2) arrays of a sampler's block of m pairs, or ValueError.
+
+    A float array would reach the int64 residues truncated, so each array must
+    be of an integer dtype or hold only Python ints, and every den be positive.
+    """
+    arrays = den, x1, x2 = tuple(np.asarray(a) for a in block)
     want = ((m,), (m, dim), (m, dim))
     got = (den.shape, x1.shape, x2.shape)
     if got != want:
@@ -220,11 +179,22 @@ def _check_block(block, m: int, dim: int) -> tuple[np.ndarray, np.ndarray, np.nd
             f"{problem}: expected den {want[0]} and x1, x2 {want[1]}, "
             f"got den {got[0]}, x1 {got[1]}, x2 {got[2]}"
         )
+    for name, arr in zip(("den", "x1", "x2"), arrays):
+        if arr.dtype == object:
+            kinds = set(map(type, arr.flat)) - {int}
+            if kinds:
+                held = sorted(kind.__name__ for kind in kinds)
+                raise ValueError(f"{name} is an object array holding {held}, not only int")
+        elif not np.issubdtype(arr.dtype, np.integer):
+            raise ValueError(f"{name} has dtype {arr.dtype}, not an integer dtype or object")
+    if (den <= 0).any():
+        k = int(np.flatnonzero(den <= 0)[0])
+        raise ValueError(f"den must be positive, got {den[k]} at row {k}")
     return den, x1, x2
 
 
 def _lead_residues(ipoly: _IntPoly, powers: list[np.ndarray]) -> np.ndarray:
-    """_leading_value modulo _PRIME for every row of a block.
+    """scale * den^top times poly's leading part at each row's step, modulo _PRIME.
 
     powers[e] is the (m, dim) int64 array of the steps' residues to the e.
     """
@@ -235,6 +205,30 @@ def _lead_residues(ipoly: _IntPoly, powers: list[np.ndarray]) -> np.ndarray:
             term = term * powers[e][:, i] % _PRIME
         total = (total + term) % _PRIME
     return total
+
+
+def _exact_degrees(
+    ipoly: _IntPoly, den: np.ndarray, base: np.ndarray, step: np.ndarray
+) -> np.ndarray:
+    """Each row's restricted degree, from (r,) den and (r, dim) base and step of Python ints.
+
+    g(a) = scale * den^top * poly((base + a step) / den) is an integer
+    polynomial of degree d <= top, evaluated at a = 0..top; d is the last k
+    whose k-th forward difference at 0 is nonzero (lower ones can vanish).
+    The zero restriction is recorded as degree 0 so averages stay finite.
+    """
+    points = base + np.arange(ipoly.top + 1, dtype=object)[:, None, None] * step
+    values = np.zeros(points.shape[:2], dtype=object)
+    for c, exps, deg in ipoly.terms:
+        term = c * den ** (ipoly.top - deg)
+        for i, e in exps:
+            term = term * points[:, :, i] ** e
+        values = values + term
+    degrees = np.zeros(len(den))
+    for k in range(ipoly.top + 1):
+        degrees[values[0] != 0] = k
+        values = values[1:] - values[:-1]
+    return degrees
 
 
 def verify_order_preservation(
@@ -250,11 +244,15 @@ def verify_order_preservation(
     pairs: den is (n,) and positive, x1 and x2 are (n, dim), and pair k runs
     from x2[k] / den[k] to x1[k] / den[k].  Each array is int64 or an object
     array of Python ints.  The sampler is asked for at most _PAIR_BLOCK pairs
-    at a time, and a block of any other shape raises ValueError before any
-    arithmetic.  For the whole block at once, each polynomial's leading value
-    at the step is taken modulo the prime _PRIME in int64: a nonzero residue
-    proves the integer nonzero, so that pair keeps the true degree.  Pairs
-    with a zero residue run the exact restriction in Python ints.  The record
+    at a time, and a block of any other shape, of any other dtype, or with a
+    den <= 0 raises ValueError before any arithmetic.  For the whole block at
+    once, each polynomial's leading value at the step is taken modulo the
+    prime _PRIME in int64: a nonzero residue proves the integer nonzero, so
+    that pair keeps the true degree.  On pairs with a zero residue the
+    restriction, scaled to an integer polynomial in a, is evaluated in Python
+    ints at a = 0..top; its degree d is the last k whose k-th forward
+    difference at 0 is nonzero, since the d-th difference of a polynomial of
+    degree d is a nonzero constant and every higher one is zero.  The record
     is 'ordered' when the sample means relate the same way the true total
     degrees do.
     """
@@ -284,17 +282,17 @@ def verify_order_preservation(
         zero = [_lead_residues(ipoly, powers) == 0 for ipoly in ipolys]
         # only the rows some residue leaves open become Python ints, once for both
         exact = np.flatnonzero(zero[0] | zero[1])
-        columns = (col[exact].tolist() for col in (den, x1, x2))
-        rows = {
-            k: (d, base, [u - v for u, v in zip(a, base)])
-            for k, d, a, base in zip(exact.tolist(), *columns)
-        }
+        den_e, x1_e, x2_e = (col[exact].astype(object) for col in (den, x1, x2))
+        step_e = x1_e - x2_e
         for slot, ipoly in enumerate(ipolys):
-            block = [float(ipoly.top)] * m
-            for k in np.flatnonzero(zero[slot]).tolist():
-                block[k] = _restricted_degree(ipoly, *rows[k])
-                drops[slot] += block[k] < ipoly.top
-            degrees[slot].extend(block)
+            block = np.full(m, float(ipoly.top))
+            open_rows = zero[slot][exact]
+            if open_rows.any():
+                block[exact[open_rows]] = _exact_degrees(
+                    ipoly, den_e[open_rows], x2_e[open_rows], step_e[open_rows]
+                )
+            drops[slot] += int(np.count_nonzero(block < ipoly.top))
+            degrees[slot].extend(block.tolist())
     degs_a, degs_b = degrees
     mean_a = float(np.mean(degs_a))
     mean_b = float(np.mean(degs_b))

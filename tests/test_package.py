@@ -58,3 +58,26 @@ def test_ci_installs_the_numpy_the_golden_hashes_were_recorded_on():
     workflow = (root / ".github" / "workflows" / "tier1.yml").read_text(encoding="utf-8")
     golden = json.loads((root / "tests" / "fixtures" / "golden_hashes.json").read_text("utf-8"))
     assert re.findall(r"numpy==([0-9][^\"'\s]*)", workflow) == [golden["numpy"]]
+
+
+# calls that seed a random stream: numpy's bit generators and its seeding helpers
+SEEDING_CALLS = {
+    "SeedSequence", "default_rng", "RandomState", "Philox", "PCG64", "PCG64DXSM", "MT19937", "SFC64",
+}
+
+
+def test_random_streams_are_seeded_only_in_sampling():
+    # the package and its demos take every stream from sampling.rng and its kin
+    root = Path(__file__).resolve().parents[1]
+    package = [p for p in sorted((root / "src" / "effdeg").glob("*.py")) if p.name != "sampling.py"]
+    demos = sorted((root / "demos").glob("*.py"))
+    assert package and demos
+    calls = []
+    for path in package + demos:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name in SEEDING_CALLS:
+                    calls.append(f"{path.relative_to(root)}:{node.lineno} {name}")
+    assert not calls, calls

@@ -405,6 +405,58 @@ def test_zero_restriction_is_recorded_as_degree_zero():
     assert record.drop_counts == (3, 3)
 
 
+def test_the_restricted_degree_is_the_last_nonzero_forward_difference():
+    # on the line a (1, 1) the cubic parts cancel, leaving a^2 + a and a^2 - a:
+    # at a = 0 the values are 0, the first differences 2 and 0, and only the
+    # last nonzero difference, the second, gives the degree
+    plus, minus = parse_poly("x1^3 - x2^3 + x1^2 + x1"), parse_poly("x1^3 - x2^3 + x1^2 - x1")
+    pair = ((Fraction(1), Fraction(1)), (Fraction(0), Fraction(0)))
+    assert oracles.restrict(plus, *pair) == (0, 1, 1)
+    assert oracles.restrict(minus, *pair) == (0, -1, 1)
+    record = verify_order_preservation(plus, minus, 2, oracles.pair_sampler([pair]))
+    assert record.restricted_degrees == ((2.0, 2.0), (2.0, 2.0))
+    assert record.drop_counts == (2, 2)
+
+
+def test_a_step_given_exactly_over_its_den_drops():
+    # x1 - 2*x2 vanishes along the step (1, 1/2), written (2, 1) over den 2
+    poly = parse_poly("x1 - 2*x2")
+
+    def sampler(rng, n):
+        return np.full(n, 2), np.array([[2, 1]] * n), np.zeros((n, 2), dtype=np.int64)
+
+    record = verify_order_preservation(poly, poly, 1, sampler)
+    assert record.restricted_degrees == ((0.0,), (0.0,))
+    assert record.drop_counts == (1, 1)
+
+
+@pytest.mark.parametrize(
+    "slot, arr, message",
+    [
+        (0, np.ones(3), "den has dtype float64, not an integer dtype or object"),
+        (1, np.array([[1.0, 0.5]] * 3), "x1 has dtype float64"),
+        (2, np.zeros((3, 2), dtype=bool), "x2 has dtype bool"),
+        (1, np.array([[1, Fraction(1, 2)]] * 3, dtype=object), r"x1 .* holding \['Fraction'\]"),
+        (2, np.array([[0, 0.0]] * 3, dtype=object), r"x2 is an object array holding \['float'\]"),
+        (0, np.array([1, np.int64(1), 1], dtype=object), r"den .* holding \['int64'\], not only int"),
+        (0, np.array([1, 0, 1]), "den must be positive, got 0 at row 1"),
+        (0, np.array([1, 1, -(2**70)], dtype=object), f"got {-(2**70)} at row 2"),
+    ],
+    ids=[
+        "float-den", "float-x1", "bool-x2", "object-fraction", "object-float",
+        "object-numpy-int", "den-0", "den-negative",
+    ],
+)
+def test_verify_rejects_a_block_that_is_not_integers_over_positive_dens(slot, arr, message):
+    # a float x1 of (1.0, 0.5) would reach the int64 residues as the step (1, 0),
+    # along which x1 - 2*x2 keeps its degree
+    poly = parse_poly("x1 - 2*x2")
+    block = [np.ones(3, dtype=np.int64), np.array([[2, 1]] * 3), np.zeros((3, 2), dtype=np.int64)]
+    block[slot] = arr
+    with pytest.raises(ValueError, match=message):
+        verify_order_preservation(poly, poly, 3, lambda rng, n: tuple(block))
+
+
 def test_verify_rejects_wrong_dimension_endpoints():
     poly = parse_poly("x1*x2")
     for x1, x2 in (([1, 2, 3], [0, 0]), ([1, 2], [0, 0, 0]), ([1], [0])):
@@ -557,13 +609,13 @@ def test_a_leading_value_that_is_a_multiple_of_the_prime_keeps_its_degree(monkey
     # and only the exact path can show that both polynomials keep their degree
     p = polylab._PRIME
     exact = []
-    restricted_degree = polylab._restricted_degree
+    exact_degrees = polylab._exact_degrees
 
     def spy(ipoly, den, base, step):
-        exact.append(step)
-        return restricted_degree(ipoly, den, base, step)
+        exact.extend(step.tolist())
+        return exact_degrees(ipoly, den, base, step)
 
-    monkeypatch.setattr(polylab, "_restricted_degree", spy)
+    monkeypatch.setattr(polylab, "_exact_degrees", spy)
 
     def sampler(rng, n):
         x1 = np.array([[p, 3], [-p, 5], [2 * p, -1]] * n, dtype=dtype)[:n]
