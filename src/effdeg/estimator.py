@@ -27,14 +27,16 @@ stream layout the sampling module states.  plan_paths is two halves:
 draw_paths draws what needs no input values (every path's first pair
 attempt, its abscissas and its normal system) in one batched call each,
 and settle_paths checks each pair against the inputs and redraws the
-degenerate ones.  The training penalty caches the first half for blocks
-of steps (net.plan_paths).  ed_estimate plans path p under the empty
-prefix, so any single path can be replayed without replaying the others:
-plan_paths(inputs, config, (), [p]) plans it alone with the same bits.
+degenerate ones.  Both callers draw the first half through drawn_block,
+in cached blocks of whole units (block_units): a path of an estimate or a
+step of the penalty (net.plan_paths).  An estimate so holds one block plus
+about 41 bytes of records a path.  ed_estimate plans path p under (), so
+plan_paths(inputs, config, (), [p]) replays it alone, bit for bit.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
@@ -58,6 +60,8 @@ __all__ = [
     "NonFiniteOutputError",
     "softmax",
     "draw_paths",
+    "block_units",
+    "drawn_block",
     "settle_paths",
     "plan_paths",
     "path_points",
@@ -70,6 +74,9 @@ __all__ = [
 # Endpoints closer than this give a collapsed segment; the pair is redrawn.
 DEGENERATE_NORM = 1e-12
 _MAX_REDRAWS = 16
+# A block holds the most whole units (of paths) whose design matrices, r * (K + 1)
+# entries a path, fit in this many entries; a larger unit is a block alone.
+_BLOCK_ENTRIES = 1 << 14
 
 
 class PathSamplingError(RuntimeError):
@@ -252,6 +259,8 @@ def draw_paths(
     abscissas are drawn once, whichever attempt its endpoint pair settles
     at, so the normal system of its fit is known here too.
     """
+    if n >= 1 << 32:
+        raise ValueError(f"cannot plan paths over {n} rows; at most 2**32 - 1 are supported")
     pairs, accepted = np.zeros((paths.size, 2), dtype=np.intp), np.zeros(paths.size, bool)
     if n > 1:
         pairs, accepted = sampling.pair_draws(key, paths, n, 0)
@@ -265,6 +274,24 @@ def draw_paths(
         alphas = np.tile(alphas, (paths.size, 1))
     system = sg.normal_system(alphas, settings.max_degree, settings.damping, settings.basis)
     return PathDraws(key, paths, pairs, accepted, alphas, system)
+
+
+def block_units(settings: PathSettings, unit: int) -> int:
+    """How many whole units of unit paths each make one block under settings: at least one."""
+    return max(_BLOCK_ENTRIES // max(unit * settings.resolution * (settings.max_degree + 1), 1), 1)
+
+
+@functools.lru_cache(maxsize=1)
+def drawn_block(settings: PathSettings, n: int, prefix: tuple, start: int, stop: int) -> PathDraws:
+    """draw_paths of paths [start, stop) under prefix over n rows; cached, so read-only."""
+    paths = np.arange(start, stop, dtype=np.int64)
+    draws = draw_paths(n, settings, sampling.path_key(settings.seed, prefix), paths)
+    for array in (
+        draws.key, draws.paths, draws.pairs, draws.accepted, draws.alphas,
+        draws.system.design, draws.system.gram, draws.system.illposed,
+    ):
+        array.flags.writeable = False
+    return draws
 
 
 def settle_paths(inputs: np.ndarray, draws: PathDraws, prefix: tuple[int, ...]) -> PathPlans:
@@ -303,10 +330,7 @@ def settle_paths(inputs: np.ndarray, draws: PathDraws, prefix: tuple[int, ...]) 
 
 
 def plan_paths(
-    inputs: np.ndarray,
-    settings: PathSettings,
-    prefix: tuple[int, ...],
-    paths: Iterable[int],
+    inputs: np.ndarray, settings: PathSettings, prefix: tuple[int, ...], paths: Iterable[int]
 ) -> PathPlans:
     """Draw the endpoint pair and abscissas of path prefix + (p,) under settings.seed, for every p.
 
@@ -318,14 +342,11 @@ def plan_paths(
     their given order, with the normal systems of their fits.
     """
     prefix, paths = tuple(prefix), [int(p) for p in paths]
-    n = inputs.shape[0]
-    if n >= 1 << 32:
-        raise ValueError(f"cannot plan paths over {n} rows; at most 2**32 - 1 are supported")
     for p in paths:
         if not 0 <= p < 1 << 32:
             raise ValueError(f"path key {prefix + (p,)}: path index {p} is outside [0, 2**32)")
     paths = np.array(paths, dtype=np.int64)
-    draws = draw_paths(n, settings, sampling.path_key(settings.seed, prefix), paths)
+    draws = draw_paths(inputs.shape[0], settings, sampling.path_key(settings.seed, prefix), paths)
     return settle_paths(inputs, draws, prefix)
 
 
@@ -467,13 +488,19 @@ def ed_estimate(
             raise ValueError(f"labels must be (n, {oracle.output_dim})")
     config.check_output_dim(oracle.output_dim)
 
-    plans = plan_paths(X, config, (), range(config.n_paths))
-    if not plans:
+    length, columns = block_units(config, 1), []
+    for start in range(0, config.n_paths, length):
+        stop = min(start + length, config.n_paths)
+        plans = settle_paths(X, drawn_block(config, X.shape[0], (), start, stop), ())
+        if plans:
+            fit = fit_paths(path_values(oracle, X, plans), plans, config, labels=labels)
+            columns.append((plans.paths, plans.i, plans.j, fit.ed, fit.ed_norm, fit.pca_ties))
+    if not columns:
         raise PathSamplingError(
             "all sampled endpoint pairs were degenerate; the dataset has no spread"
         )
-    fitted = fit_paths(path_values(oracle, X, plans), plans, config, labels=labels)
-    eds = fitted.ed
+    # contiguous columns: a sum over the strided record fields may differ in its last bit
+    paths, i, j, eds, ed_norm, ties = (np.concatenate(column) for column in zip(*columns))
     with np.errstate(over="ignore", invalid="ignore"):
         mean = float(eds.mean())
         std = float(eds.std(ddof=1)) if eds.size > 1 else 0.0
@@ -481,17 +508,16 @@ def ed_estimate(
         k = int(np.argmax(eds))
         raise NonFiniteOutputError(
             f"effective-degree statistics overflow: largest ED {eds[k]:.3e} "
-            f"on {_path_name(plans, k)}"
+            f"on path {paths[k]} (endpoint rows {i[k]} and {j[k]})"
         )
     return EDReport(
         mean_ed=mean,
-        mean_ed_norm=float(fitted.ed_norm.mean()),
+        mean_ed_norm=float(ed_norm.mean()),
         std_ed=std,
         n_paths=config.n_paths,
-        n_skipped=config.n_paths - len(plans),
+        n_skipped=config.n_paths - eds.size,
         per_path=np.rec.fromarrays(
-            [plans.paths, plans.i, plans.j,
-             eds, fitted.ed_norm, fitted.pca_ties],
+            [paths, i, j, eds, ed_norm, ties],
             names="index,endpoint_i,endpoint_j,ed,ed_norm,pca_ties",
         ),
     )

@@ -18,11 +18,10 @@ and then measured with every effective-degree variant.
 
 from __future__ import annotations
 
-import functools
 import json
 import os
 import tempfile
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -313,30 +312,6 @@ def lambda_schedule(step: int, config: TrainConfig) -> float:
 # The key prefix of every penalty path of a run: path p of step s is keyed
 # PENALTY_PREFIX + (s * reg_paths + p,).
 PENALTY_PREFIX = (1,)
-# A cached block of penalty paths holds the most whole steps whose design
-# matrices, reg_paths * r * (K + 1) entries a step, fit in this many entries.
-_BLOCK_ENTRIES = 1 << 13
-# The settings a block's draws depend on, which key the cache.
-_PATH_FIELDS = tuple(field.name for field in fields(PathSettings))
-
-
-@functools.lru_cache(maxsize=1)
-def _penalty_block(settings: PathSettings, n: int, block: int, length: int) -> estimator.PathDraws:
-    """The draws of penalty paths block * length up to (block + 1) * length over n rows.
-
-    Every plan cut from a cached block shares its arrays, so they are read-only.
-    """
-    start = block * length
-    paths = np.arange(start, min(start + length, 1 << 32), dtype=np.int64)
-    draws = estimator.draw_paths(
-        n, settings, sampling.path_key(settings.seed, PENALTY_PREFIX), paths
-    )
-    for array in (
-        draws.key, draws.paths, draws.pairs, draws.accepted, draws.alphas,
-        draws.system.design, draws.system.gram, draws.system.illposed,
-    ):
-        array.flags.writeable = False
-    return draws
 
 
 def plan_paths(batch: np.ndarray, config: TrainConfig, step: int) -> PathPlans:
@@ -347,10 +322,10 @@ def plan_paths(batch: np.ndarray, config: TrainConfig, step: int) -> PathPlans:
     estimator.plan_paths(batch, config, PENALTY_PREFIX, [q]); a q outside
     [0, 2**32) raises ValueError naming its key.  What does not depend on
     the batch's values (attempt 0's endpoint rows, the abscissas and the
-    fits' normal systems) is drawn once per block of consecutive steps and
-    cached by path settings, batch row count and block; per step only the
-    degeneracy check and its redraws run.  The plans may share read-only
-    arrays with the cache.
+    fits' normal systems) is drawn once per block of consecutive steps
+    (estimator.block_units, with a step as the unit) and cached by
+    estimator.drawn_block; per step only the degeneracy check and its
+    redraws run.  The plans may share read-only arrays with the cache.
     """
     n_paths = config.reg_paths
     first = int(step) * n_paths
@@ -360,14 +335,12 @@ def plan_paths(batch: np.ndarray, config: TrainConfig, step: int) -> PathPlans:
             f"path key {PENALTY_PREFIX + (q,)}: path index {q} of step {step} "
             "is outside [0, 2**32)"
         )
-    per_step = n_paths * config.resolution * (config.max_degree + 1)
-    if not _BLOCK_ENTRIES >= per_step > 0:  # no paths, or one step alone exceeds a block
-        return estimator.plan_paths(batch, config, PENALTY_PREFIX, range(first, first + n_paths))
-    length = _BLOCK_ENTRIES // per_step * n_paths
-    settings = PathSettings(**{name: getattr(config, name) for name in _PATH_FIELDS})
-    block = _penalty_block(settings, batch.shape[0], first // length, length)
-    start = first % length
-    return estimator.settle_paths(batch, block[start : start + n_paths], PENALTY_PREFIX)
+    steps = estimator.block_units(config, n_paths)
+    start = int(step) // steps * steps * n_paths
+    stop = min(start + steps * n_paths, 1 << 32)
+    block = estimator.drawn_block(config, batch.shape[0], PENALTY_PREFIX, start, stop)
+    offset = first - start
+    return estimator.settle_paths(batch, block[offset : offset + n_paths], PENALTY_PREFIX)
 
 
 def ed_penalty(

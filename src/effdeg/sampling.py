@@ -26,11 +26,11 @@ single path can still be drawn on its own with the same bits.  K is also
 the key of rng(seed, *prefix), whose counter starts at 0; counter word 3
 is 1 on every path stream, so no path reads a word of an rng stream.
 
-Two prefixes are in use.  ed_estimate plans path p under (), and the
-training penalty plans path p of step s under (1,) at index
-s * reg_paths + p: a run's penalty paths share one key, so one call draws
-a block of consecutive steps, and the index bound 2**32 caps a penalized
-run at n_steps * reg_paths <= 2**32.
+Two prefixes are in use: ed_estimate plans path p under (), and the
+training penalty path p of step s under (1,) at index s * reg_paths + p,
+so 2**32 caps a penalized run at n_steps * reg_paths.  Under either, one
+call draws a block of consecutive indices (estimator.drawn_block): whole
+paths of an estimate, or whole steps of a run's penalty.
 """
 
 from __future__ import annotations

@@ -87,13 +87,24 @@ def block(rng, kind: str, r: int, out: int) -> np.ndarray:
     data_seed=st.integers(0, 2**32 - 1),
     distinct=st.integers(1, 6),
     dim=st.integers(1, 4),
+    block_paths=st.sampled_from([1, 3, 7, None]),
 )
 @example(
     setting=(16, EstimatorConfig(n_paths=20, resolution=8, max_degree=5, pca_dim=4, seed=3)),
-    data_seed=1, distinct=6, dim=4,
+    data_seed=1, distinct=6, dim=4, block_paths=7,
 )
-def test_estimate_equals_per_path_reference(setting, data_seed, distinct, dim):
+def test_estimate_equals_per_path_reference(setting, data_seed, distinct, dim, block_paths):
+    # blocks of 1, 3 or 7 paths, or the default: redraws, dropped paths and
+    # blocks with no surviving path land anywhere, and the report is the same
     out, config = setting
+    with pytest.MonkeyPatch.context() as patch:
+        if block_paths is not None:
+            entries = block_paths * config.resolution * (config.max_degree + 1)
+            patch.setattr(estimator, "_BLOCK_ENTRIES", entries)
+        check_estimate(out, config, data_seed, distinct, dim)
+
+
+def check_estimate(out, config, data_seed, distinct, dim):
     X = dataset(data_seed, 20, dim, distinct)
     rng = np.random.default_rng(data_seed + 1)
     net = FeedForwardNet.create(
@@ -119,6 +130,11 @@ def test_estimate_equals_per_path_reference(setting, data_seed, distinct, dim):
         for p in report.per_path
     ]
     assert got == want
+    eds, ed_norms = np.array([w[2] for w in want]), np.array([w[3] for w in want])
+    std = eds.std(ddof=1) if eds.size > 1 else 0.0
+    assert (report.mean_ed, report.std_ed, report.mean_ed_norm) == (
+        eds.mean(), std, ed_norms.mean()
+    )
 
 
 @PROPERTY

@@ -488,16 +488,17 @@ def test_penalty_blocks_change_no_step(monkeypatch, block_paths):
     with monkeypatch.context() as patch:
         patch.setattr(nets, "plan_paths", planned_alone)
         want = _run_steps(tiny_net(38), X, T, cfg, 64)
-    monkeypatch.setattr(nets, "_BLOCK_ENTRIES", block_paths * 5 * 4)
-    nets._penalty_block.cache_clear()
+    monkeypatch.setattr(estimator, "_BLOCK_ENTRIES", block_paths * 5 * 4)
+    estimator.drawn_block.cache_clear()
     assert _run_steps(tiny_net(38), X, T, cfg, 64) == want  # cold
     assert _run_steps(tiny_net(38), X, T, cfg, 64) == want  # warm: the last block is cached
-    nets._penalty_block.cache_clear()
+    estimator.drawn_block.cache_clear()
 
 
 def test_penalty_plans_draw_once_per_block(monkeypatch):
-    # at the benchmark's train-penalty settings a block holds 21 steps of 8
-    # paths: one path key and one design matrix per block, none per step
+    # at the benchmark's train-penalty settings a block holds the most whole
+    # steps of 8 paths that fit the block rule: one path key and one design
+    # matrix per block, none per step
     X, y = make_two_cluster_dataset(n=512, seed=39)
     cfg = TrainConfig(
         task="cross_entropy", batch_size=512, reg_strength=1.0, ramp_fraction=0.0,
@@ -516,11 +517,14 @@ def test_penalty_plans_draw_once_per_block(monkeypatch):
 
     counted(sampling, "path_key")
     counted(surrogate, "design_matrix")
-    nets._penalty_block.cache_clear()
+    estimator.drawn_block.cache_clear()
     for step in range(100):
         assert len(plan_paths(X, cfg, step)) == 8
-    nets._penalty_block.cache_clear()
-    assert calls == {"path_key": 5, "design_matrix": 5}  # steps 0-20, 21-41, ..., 84-99
+    estimator.drawn_block.cache_clear()
+    steps = estimator._BLOCK_ENTRIES // (8 * 8 * 6)  # 42 at 1 << 14 entries
+    assert 1 < steps < 100
+    blocks = -(-100 // steps)
+    assert calls == {"path_key": blocks, "design_matrix": blocks}
 
 
 def test_train_logs_accuracy_only_for_classification():

@@ -60,24 +60,42 @@ def test_ci_installs_the_numpy_the_golden_hashes_were_recorded_on():
     assert re.findall(r"numpy==([0-9][^\"'\s]*)", workflow) == [golden["numpy"]]
 
 
+ROOT = Path(__file__).resolve().parents[1]
 # calls that seed a random stream: numpy's bit generators and its seeding helpers
 SEEDING_CALLS = {
     "SeedSequence", "default_rng", "RandomState", "Philox", "PCG64", "PCG64DXSM", "MT19937", "SFC64",
 }
 
 
-def test_random_streams_are_seeded_only_in_sampling():
-    # the package and its demos take every stream from sampling.rng and its kin
-    root = Path(__file__).resolve().parents[1]
-    package = [p for p in sorted((root / "src" / "effdeg").glob("*.py")) if p.name != "sampling.py"]
-    demos = sorted((root / "demos").glob("*.py"))
-    assert package and demos
+def package_modules(*but: str) -> list[Path]:
+    return [p for p in sorted((ROOT / "src" / "effdeg").glob("*.py")) if p.name not in but]
+
+
+def calls_named(paths, names) -> list[str]:
+    """Every call, as file:line name, in paths to a function or method whose name is in names."""
     calls = []
-    for path in package + demos:
+    for path in paths:
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Call):
                 func = node.func
                 name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-                if name in SEEDING_CALLS:
-                    calls.append(f"{path.relative_to(root)}:{node.lineno} {name}")
+                if name in names:
+                    calls.append(f"{path.relative_to(ROOT)}:{node.lineno} {name}")
+    return calls
+
+
+def test_random_streams_are_seeded_only_in_sampling():
+    # the package and its demos take every stream from sampling.rng and its kin
+    package, demos = package_modules("sampling.py"), sorted((ROOT / "demos").glob("*.py"))
+    assert package and demos
+    calls = calls_named(package + demos, SEEDING_CALLS)
+    assert not calls, calls
+
+
+def test_paths_are_planned_only_in_estimator():
+    # estimator's blocked planner is the one that draws paths: the training
+    # penalty and every other module cut their plans from it
+    modules = package_modules("estimator.py")
+    assert modules
+    calls = calls_named(modules, {"draw_paths", "path_key"})
     assert not calls, calls
