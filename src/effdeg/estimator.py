@@ -4,30 +4,29 @@ Every stage works on a whole stack of P paths:
 
 - plan_paths draws, for each path index p, an endpoint pair (x_i, x_j)
   from a dataset and the abscissas a of the segment a x_i + (1 - a) x_j,
-  and returns them stacked as one PathPlans: the key prefix, the (P,) path
-  indices, (P,) row indices i and j, (P, r) alphas, and the normal systems
-  of the fits over those alphas;
+  and returns them stacked as one PathPlans, which also records the
+  settings they were drawn under and the normal systems of their fits;
 - the caller evaluates its function once on the stacked segment points of
   every planned path (path_values for an oracle, one network forward pass
   over path_points for the training penalty);
 - fit_paths takes the stacked (P, r, out) raw outputs, applies softmax,
-  label anchoring and PCA as configured, fits every path's per-output
-  surrogates in one call and returns each path's effective degree, plus
-  its gradient in the raw outputs on request (with_gradient).
+  label anchoring and PCA as the plans' settings say, fits every path's
+  per-output surrogates in one call and returns each path's effective
+  degree, plus its gradient in the raw outputs on request (with_gradient).
 
 Every stacked step computes each path exactly as if it were alone, so a
 path's results do not depend on the batch it was fitted in; one path is
 the P = 1 case.  ed_estimate averages the per-path effective degrees over a
 dataset, and net.ed_penalty averages them over a minibatch; both run this
-engine, and both read their shared settings from one PathSettings.
+engine, and a plan is always fitted under the settings it was drawn under.
 
 Randomness is splittable: a plan names its paths by a key prefix and a
 path index p, and path p's draws depend only on (seed, prefix, p), in the
-stream layout the sampling module states.  plan_paths is two halves:
-draw_paths draws what needs no input values (every path's first pair
+stream layout the sampling module states.  plan_paths is two steps:
+draw_paths plans what needs no input values (every path's first pair
 attempt, its abscissas and its normal system) in one batched call each,
 and settle_paths checks each pair against the inputs and redraws the
-degenerate ones.  Both callers draw the first half through drawn_block,
+degenerate ones.  Both callers draw the first step through drawn_block,
 in cached blocks of whole units (block_units): a path of an estimate or a
 step of the penalty (net.plan_paths).  An estimate so holds one block plus
 about 41 bytes of records a path.  ed_estimate plans path p under (), so
@@ -37,7 +36,7 @@ plan_paths(inputs, config, (), [p]) replays it alone, bit for bit.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable
 
 import numpy as np
@@ -53,7 +52,6 @@ __all__ = [
     "PathSettings",
     "EstimatorConfig",
     "PathPlans",
-    "PathDraws",
     "PathFits",
     "EDReport",
     "PathSamplingError",
@@ -161,45 +159,39 @@ class EstimatorConfig(PathSettings):
 
 @dataclass(frozen=True)
 class PathPlans:
-    """Frozen randomness of P paths: path k runs from inputs[i[k]] (a = 1) to inputs[j[k]] (a = 0).
+    """Frozen randomness of P paths, and the settings they were drawn under.
 
-    Path k was drawn under the stream key prefix + (paths[k],), which names
-    it in errors; paths is (P,) int64, alphas is (P, r), and system the
-    stacked normal system of the fits over alphas (None: fit_paths builds it).
+    Path k runs from inputs[i[k]] (a = 1) to inputs[j[k]] (a = 0), the
+    rows of pairs[k], and was drawn under the stream key prefix +
+    (paths[k],), which names it in errors.  key is the prefix's Philox key
+    (sampling.path_key), paths is (P,) int64, alphas (P, r), and system the
+    stacked normal system of the fits over alphas under settings, which
+    fit_paths reads.  Indexing selects paths.
     """
 
+    settings: PathSettings
     prefix: tuple[int, ...]
+    key: np.ndarray
     paths: np.ndarray
-    i: np.ndarray
-    j: np.ndarray
+    pairs: np.ndarray
     alphas: np.ndarray
-    system: sg.NormalSystem | None = None
+    system: sg.NormalSystem
+
+    @property
+    def i(self) -> np.ndarray:
+        return self.pairs[:, 0]
+
+    @property
+    def j(self) -> np.ndarray:
+        return self.pairs[:, 1]
 
     def __len__(self) -> int:
         return len(self.paths)
 
-
-@dataclass(frozen=True)
-class PathDraws:
-    """What plan_paths draws for P paths before it reads any input values.
-
-    key is the Philox key of the paths' prefix, paths the (P,) int64 path
-    indices, pairs the (P, 2) endpoint rows of attempt 0 and accepted (P,)
-    whether Lemire's method accepted them, alphas the (P, r) abscissas and
-    system their stacked normal system.  Indexing selects paths.
-    """
-
-    key: np.ndarray
-    paths: np.ndarray
-    pairs: np.ndarray
-    accepted: np.ndarray
-    alphas: np.ndarray
-    system: sg.NormalSystem
-
-    def __getitem__(self, index) -> "PathDraws":
-        return PathDraws(
-            self.key, self.paths[index], self.pairs[index], self.accepted[index],
-            self.alphas[index], self.system[index],
+    def __getitem__(self, index) -> "PathPlans":
+        return replace(
+            self, paths=self.paths[index], pairs=self.pairs[index], alphas=self.alphas[index],
+            system=self.system[index],
         )
 
 
@@ -250,20 +242,20 @@ def softmax(values: np.ndarray) -> np.ndarray:
 
 
 def draw_paths(
-    n: int, settings: PathSettings, key: np.ndarray, paths: np.ndarray
-) -> PathDraws:
-    """Everything plan_paths draws for paths over n rows before it reads a row's values.
+    n: int, settings: PathSettings, prefix: tuple[int, ...], paths: np.ndarray
+) -> PathPlans:
+    """The plans of paths over n rows before they read a row's values: attempt 0's pairs.
 
-    key is the Philox key of the paths' prefix (sampling.path_key) and
-    paths a (P,) int64 array of indices in [0, 2**32).  Each path's
-    abscissas are drawn once, whichever attempt its endpoint pair settles
-    at, so the normal system of its fit is known here too.
+    paths is a (P,) int64 array of indices in [0, 2**32).  A pair that
+    Lemire's method rejects is (0, 0); settle_paths checks and redraws the
+    pairs.  Each path's abscissas are drawn once, whichever attempt its
+    endpoint pair settles at, so the normal system of its fit is known here
+    too.
     """
     if n >= 1 << 32:
         raise ValueError(f"cannot plan paths over {n} rows; at most 2**32 - 1 are supported")
-    pairs, accepted = np.zeros((paths.size, 2), dtype=np.intp), np.zeros(paths.size, bool)
-    if n > 1:
-        pairs, accepted = sampling.pair_draws(key, paths, n, 0)
+    key = sampling.path_key(settings.seed, prefix)
+    pairs = sampling.pair_draws(key, paths, n, 0) if n > 1 else np.zeros((paths.size, 2), np.intp)
     uniforms = None
     if settings.scheme in sampling.SEEDED_VARIANTS:
         uniforms = sampling.path_uniforms(key, paths, settings.resolution)
@@ -273,7 +265,7 @@ def draw_paths(
     if alphas.ndim == 1:
         alphas = np.tile(alphas, (paths.size, 1))
     system = sg.normal_system(alphas, settings.max_degree, settings.damping, settings.basis)
-    return PathDraws(key, paths, pairs, accepted, alphas, system)
+    return PathPlans(settings, prefix, key, paths, pairs, alphas, system)
 
 
 def block_units(settings: PathSettings, unit: int) -> int:
@@ -282,51 +274,45 @@ def block_units(settings: PathSettings, unit: int) -> int:
 
 
 @functools.lru_cache(maxsize=1)
-def drawn_block(settings: PathSettings, n: int, prefix: tuple, start: int, stop: int) -> PathDraws:
+def drawn_block(settings: PathSettings, n: int, prefix: tuple, start: int, stop: int) -> PathPlans:
     """draw_paths of paths [start, stop) under prefix over n rows; cached, so read-only."""
-    paths = np.arange(start, stop, dtype=np.int64)
-    draws = draw_paths(n, settings, sampling.path_key(settings.seed, prefix), paths)
+    draws = draw_paths(n, settings, prefix, np.arange(start, stop, dtype=np.int64))
     for array in (
-        draws.key, draws.paths, draws.pairs, draws.accepted, draws.alphas,
+        draws.key, draws.paths, draws.pairs, draws.alphas,
         draws.system.design, draws.system.gram, draws.system.illposed,
     ):
         array.flags.writeable = False
     return draws
 
 
-def settle_paths(inputs: np.ndarray, draws: PathDraws, prefix: tuple[int, ...]) -> PathPlans:
-    """Plans of the drawn paths whose endpoint pair settles on inputs, in their drawn order.
+def settle_paths(inputs: np.ndarray, draws: PathPlans) -> PathPlans:
+    """The drawn paths whose endpoint pair settles on inputs, in their drawn order.
 
     An attempt that draws a rejected index, equal rows or rows within
     DEGENERATE_NORM of each other moves on to the path's next attempt, up
-    to _MAX_REDRAWS; a path whose every attempt fails is dropped.
+    to _MAX_REDRAWS; a path whose every attempt fails is dropped.  When
+    none is, the plans share every array of draws but its pairs.
     """
     n = inputs.shape[0]
     pairs = draws.pairs.copy()
-    pending = np.arange(draws.paths.size)
-    drawn, ok = draws.pairs, draws.accepted
+    pending = np.arange(len(draws))
+    drawn = draws.pairs
     for attempt in range(_MAX_REDRAWS if n > 1 else 0):
         if not pending.size:
             break
         if attempt:
-            drawn, ok = sampling.pair_draws(draws.key, draws.paths[pending], n, attempt)
+            drawn = sampling.pair_draws(draws.key, draws.paths[pending], n, attempt)
         diff = np.asarray(inputs[drawn[:, 0]] - inputs[drawn[:, 1]], dtype=float)
         diff = diff.reshape(pending.size, -1)
-        ok = ok & (np.einsum("pd,pd->p", diff, diff) > DEGENERATE_NORM**2)  # i = j is distance 0
+        ok = np.einsum("pd,pd->p", diff, diff) > DEGENERATE_NORM**2  # rejected (0, 0): i = j
         pairs[pending[ok]] = drawn[ok]
         pending = pending[~ok]
+    plans = replace(draws, pairs=pairs)
     if pending.size:
-        kept = np.ones(draws.paths.size, dtype=bool)
+        kept = np.ones(len(draws), dtype=bool)
         kept[pending] = False
-        draws, pairs = draws[kept], pairs[kept]
-    return PathPlans(
-        prefix=prefix,
-        paths=draws.paths,
-        i=pairs[:, 0],
-        j=pairs[:, 1],
-        alphas=draws.alphas,
-        system=draws.system,
-    )
+        plans = plans[kept]
+    return plans
 
 
 def plan_paths(
@@ -337,17 +323,16 @@ def plan_paths(
     The path indices p must lie in [0, 2**32), and inputs may hold at most
     2**32 - 1 rows; anything else raises ValueError.  The abscissas follow
     settings.scheme, settings.resolution and settings.anchored.  This is
-    settle_paths(inputs, draw_paths(...), prefix): a path whose every
-    attempt fails is dropped, so the plans hold the surviving paths in
-    their given order, with the normal systems of their fits.
+    settle_paths(inputs, draw_paths(...)): a path whose every attempt
+    fails is dropped, so the plans hold the surviving paths in their given
+    order, with the normal systems of their fits and settings itself.
     """
     prefix, paths = tuple(prefix), [int(p) for p in paths]
     for p in paths:
         if not 0 <= p < 1 << 32:
             raise ValueError(f"path key {prefix + (p,)}: path index {p} is outside [0, 2**32)")
-    paths = np.array(paths, dtype=np.int64)
-    draws = draw_paths(inputs.shape[0], settings, sampling.path_key(settings.seed, prefix), paths)
-    return settle_paths(inputs, draws, prefix)
+    draws = draw_paths(inputs.shape[0], settings, prefix, np.array(paths, dtype=np.int64))
+    return settle_paths(inputs, draws)
 
 
 def _path_name(plans: PathPlans, k: int) -> str:
@@ -394,28 +379,29 @@ def anchor_values(values: np.ndarray, plans: PathPlans, labels: np.ndarray) -> n
 def fit_paths(
     raw: np.ndarray,
     plans: PathPlans,
-    config: PathSettings,
     labels: np.ndarray | None = None,
     projection: PathProjection | None = None,
     with_gradient: bool = False,
 ) -> PathFits:
     """Effective degrees of P paths from their stacked (P, r, out) raw outputs.
 
-    config is path settings that also carry post_softmax: an
-    EstimatorConfig, or the net.TrainConfig of a penalty step.  Non-finite
-    outputs raise NonFiniteOutputError and a singular fit SingularFitError,
-    naming the first failing path by key (joined by ":") and endpoint rows.
-    The outputs are softmaxed (config.post_softmax), their endpoint rows
-    replaced by labels[plans.i] and labels[plans.j] (config.anchored), and
-    projected to config.pca_dim components before the fit.  A caller may
-    pass the stacked projection of an earlier call to freeze the PCA maps;
-    by default each path's map is fit to its values.
+    The paths are fitted as they were drawn: under config = plans.settings,
+    an EstimatorConfig or the net.TrainConfig of a penalty step, through
+    plans.system.  Non-finite outputs raise NonFiniteOutputError and a
+    singular fit SingularFitError, naming the first failing path by key
+    (joined by ":") and endpoint rows.  The outputs are softmaxed
+    (config.post_softmax), their endpoint rows replaced by labels[plans.i]
+    and labels[plans.j] (config.anchored), and projected to config.pca_dim
+    components before the fit.  A caller may pass the stacked projection of
+    an earlier call to freeze the PCA maps; by default each path's map is
+    fit to its values.
 
     With with_gradient set, the result also carries the gradient of ed in
     raw.  The PCA map is held constant, so with pca_dim set this is the
     gradient of ED(P_sg(y) y), not of the live-map ed; anchored rows get
     zero gradient (they are labels, not outputs); the softmax comes last.
     """
+    config = plans.settings
     raw = np.asarray(raw, dtype=float)
     finite = np.isfinite(raw).all(axis=(1, 2))
     if not finite.all():
@@ -434,11 +420,8 @@ def fit_paths(
         if projection is None:
             projection = pca_project(values, config.pca_dim)
         fit_target = projection.apply(values)
-    system = plans.system
-    if system is None:
-        system = sg.normal_system(plans.alphas, config.max_degree, config.damping, config.basis)
     try:
-        fitted = sg.solve_system(system, fit_target, with_gradient=with_gradient)
+        fitted = sg.solve_system(plans.system, fit_target, with_gradient=with_gradient)
     except sg.SingularFitError as exc:
         where = "" if exc.system is None else f" on {_path_name(plans, exc.system)}"
         raise sg.SingularFitError(f"{exc}{where}", exc.system) from exc
@@ -491,9 +474,9 @@ def ed_estimate(
     length, columns = block_units(config, 1), []
     for start in range(0, config.n_paths, length):
         stop = min(start + length, config.n_paths)
-        plans = settle_paths(X, drawn_block(config, X.shape[0], (), start, stop), ())
+        plans = settle_paths(X, drawn_block(config, X.shape[0], (), start, stop))
         if plans:
-            fit = fit_paths(path_values(oracle, X, plans), plans, config, labels=labels)
+            fit = fit_paths(path_values(oracle, X, plans), plans, labels=labels)
             columns.append((plans.paths, plans.i, plans.j, fit.ed, fit.ed_norm, fit.pca_ties))
     if not columns:
         raise PathSamplingError(

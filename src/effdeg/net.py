@@ -109,6 +109,8 @@ class FeedForwardNet:
     def __init__(self, weights, biases, activations):
         if len(weights) != len(biases) or len(weights) != len(activations):
             raise ValueError("weights, biases and activations must align per layer")
+        if not weights:
+            raise ValueError("a network needs at least one layer")
         for name in activations:
             if name not in ACTIVATIONS:
                 raise ValueError(f"unknown activation {name!r}")
@@ -325,7 +327,8 @@ def plan_paths(batch: np.ndarray, config: TrainConfig, step: int) -> PathPlans:
     fits' normal systems) is drawn once per block of consecutive steps
     (estimator.block_units, with a step as the unit) and cached by
     estimator.drawn_block; per step only the degeneracy check and its
-    redraws run.  The plans may share read-only arrays with the cache.
+    redraws run.  The plans may share read-only arrays with the cache, and
+    record config as their settings, which ed_penalty fits them under.
     """
     n_paths = config.reg_paths
     first = int(step) * n_paths
@@ -340,7 +343,7 @@ def plan_paths(batch: np.ndarray, config: TrainConfig, step: int) -> PathPlans:
     stop = min(start + steps * n_paths, 1 << 32)
     block = estimator.drawn_block(config, batch.shape[0], PENALTY_PREFIX, start, stop)
     offset = first - start
-    return estimator.settle_paths(batch, block[offset : offset + n_paths], PENALTY_PREFIX)
+    return estimator.settle_paths(batch, block[offset : offset + n_paths])
 
 
 def ed_penalty(
@@ -348,32 +351,31 @@ def ed_penalty(
     batch: np.ndarray,
     targets: np.ndarray,
     plans: PathPlans,
-    config: TrainConfig,
     projections=None,
 ):
     """Mean path effective degree over the planned paths, with parameter gradients.
 
     All paths run through one forward pass, one fit_paths call and one
-    backward pass.  Plans from plan_paths carry their fits' normal systems
-    (design matrices and damped Grams, drawn once per block of steps), so
-    the fit only solves them for this step's outputs; plans without them
-    build their own.  The average divides by the configured path count, so
-    dropped degenerate paths contribute zero instead of reweighting the
-    survivors.  With pca_dim set, the value uses each path's live PCA map,
-    the gradient holds it constant (that of ED(P_sg(y) y)), and passing an
-    earlier call's projections freezes the maps for finite differences.
+    backward pass, under the TrainConfig the plans were drawn under
+    (plan_paths).  The plans carry their fits' normal systems (design
+    matrices and damped Grams, drawn once per block of steps), so the fit
+    only solves them for this step's outputs.  The average divides by the
+    configured path count, so dropped degenerate paths contribute zero
+    instead of reweighting the survivors.  With pca_dim set, the value
+    uses each path's live PCA map, the gradient holds it constant (that of
+    ED(P_sg(y) y)), and passing an earlier call's projections freezes the
+    maps for finite differences.
 
     Returns (penalty, (d_weights, d_biases), projections).
     """
-    n_planned = max(config.reg_paths, 1)
+    n_planned = max(plans.settings.reg_paths, 1)
     if not plans:
         zeros = ([np.zeros_like(w) for w in net.weights], [np.zeros_like(b) for b in net.biases])
         return 0.0, zeros, None
     raw, cache = net.forward_cached(path_points(batch, plans))
     fitted = fit_paths(
-        raw.reshape(len(plans), config.resolution, -1),
+        raw.reshape(len(plans), plans.settings.resolution, -1),
         plans,
-        config,
         labels=targets,
         projection=projections,
         with_gradient=True,
@@ -420,8 +422,7 @@ def composite_objective(
     penalty = 0.0
     if config.reg_paths > 0 and config.reg_strength > 0.0:
         penalty, penalty_grads, projections = ed_penalty(
-            net, batch_x, batch_t, plan_paths(batch_x, config, step), config,
-            projections=projections,
+            net, batch_x, batch_t, plan_paths(batch_x, config, step), projections=projections,
         )
         if lam > 0.0:
             for l in range(len(grads[0])):
@@ -633,7 +634,8 @@ def load_checkpoint(path: str) -> tuple[FeedForwardNet, dict]:
     Raises ValueError naming path when the file is not a checkpoint, its
     header runs past the end of the file, is not a JSON object, lacks a key
     or holds one of the wrong type, its payload is not exactly the arrays
-    the header lists, or those arrays do not form a network.
+    the header lists, or those arrays do not form a network of the
+    header's layer_sizes.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -678,9 +680,13 @@ def load_checkpoint(path: str) -> tuple[FeedForwardNet, dict]:
     weights = [arrays[f"w{l}"].copy() for l in range(n_layers)]
     biases = [arrays[f"b{l}"].copy() for l in range(n_layers)]
     try:
-        return FeedForwardNet(weights, biases, header["activations"]), header
+        net = FeedForwardNet(weights, biases, header["activations"])
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
+    sizes = list(net.layer_sizes)
+    if sizes != header["layer_sizes"]:
+        raise ValueError(f"{path}: checkpoint header's layer_sizes are not its arrays' {sizes}")
+    return net, header
 
 
 _CLUSTER_NOISE = 0.12  # standard deviation of the jitter on each crescent point

@@ -15,7 +15,8 @@ SC'11), so path p reads its own counters:
 
 - attempt t at its endpoint pair reads word 0 of
   Philox(key=K, counter=[p, 0, t, 1]).random_raw(4); pair_draws takes i
-  from its low 32-bit half and j from its high half by Lemire's method;
+  from its low 32-bit half and j from its high half by Lemire's method,
+  and gives a rejected attempt the degenerate pair (0, 0);
 - its abscissas read the first r words of
   Philox(key=K, counter=[p * B, 1, 0, 1]) with B = ceil(r / 4), as the
   uniforms (w >> 11) * 2**-53 (path_uniforms).
@@ -107,19 +108,19 @@ def _blocks(
     return out
 
 
-def pair_draws(
-    key: np.ndarray, paths: np.ndarray, n: int, attempt: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Attempt `attempt` at every path's endpoint pair: (P, 2) row indices and (P,) accepted.
+def pair_draws(key: np.ndarray, paths: np.ndarray, n: int, attempt: int) -> np.ndarray:
+    """Attempt `attempt` at every path's endpoint pair, as (P, 2) row indices.
 
     Each index below n (2 <= n < 2**32) comes from one 32-bit half of the
     attempt's word by Lemire's method, i from the low half and j from the
-    high one; a pair is accepted when neither half is rejected.
+    high one.  A pair with a rejected half comes back as (0, 0), which,
+    like any pair of equal rows, the planner takes as degenerate.
     """
     word = _blocks(key, paths, _PAIR_STREAM, attempt, 1)[:, 0]
     scaled = np.stack([word & _MASK32, word >> _SHIFT32], axis=-1) * np.uint64(n)
-    threshold = np.uint64((1 << 32) % n)
-    return (scaled >> _SHIFT32).astype(np.intp), ((scaled & _MASK32) >= threshold).all(axis=1)
+    pairs = (scaled >> _SHIFT32).astype(np.intp)
+    pairs[((scaled & _MASK32) < np.uint64((1 << 32) % n)).any(axis=1)] = 0
+    return pairs
 
 
 def path_uniforms(key: np.ndarray, paths: np.ndarray, resolution: int) -> np.ndarray:

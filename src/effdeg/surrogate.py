@@ -20,7 +20,8 @@ path, in one call, and ed_from_coefficients reduces stacked coefficient
 vectors at once; each system's result is bit-identical to solving it alone.
 A fit is two halves: normal_system builds what depends on the abscissas
 alone (T and the damped Gram), and solve_system what depends on y, so a
-caller that knows its abscissas early can build the first half ahead.
+caller that knows its abscissas early can build the first half ahead, as
+the path engine's plans do; fit_matrix runs both halves.
 
 gradcheck audits that gradient against central differences through
 audit_gradients, the loop net.gradcheck shares for the training objective.
@@ -176,20 +177,21 @@ def fit_matrix(
 ) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
     """Fit every column of stacked (..., r, m) values; returns (..., K + 1, m) coefficients.
 
-    This is the only fit: solve_system(normal_system(alphas, ...), values).
-    alphas is (..., r), one row of abscissas per stacked system: P paths are
-    fitted in one call with (P, r) alphas and (P, r, m) values, and one
-    sampled path y is the unstacked one-column case,
-    fit_matrix(alphas, y[:, None], ...)[:, 0].  r must be at least
-    max_degree + 1, so no system is underdetermined.  Every system is
-    solved as if alone, so stacking does not change any result.  With
-    with_gradient=True returns (coefficients, gradients), where column j
-    of the (..., r, m) gradients is dED/dy of column j.  Both come from
-    one design matrix and one damped Gram per system: the cotangent
-    sign(c) * [0, 1, ..., K] is propagated back through the same normal
-    matrix, with sign 0 for any |c_k| <= SIGN_DEAD_ZONE * sum_k |c_k| of
-    its column.  Only ED is differentiated; ED_norm is reported but never
-    used as an objective.
+    This is solve_system(normal_system(alphas, ...), values) in one call;
+    the path engine (estimator.fit_paths) instead solves the normal systems
+    its plans were drawn with.  alphas is (..., r), one row of abscissas per
+    stacked system: P paths are fitted in one call with (P, r) alphas and
+    (P, r, m) values, and one sampled path y is the unstacked one-column
+    case, fit_matrix(alphas, y[:, None], ...)[:, 0].  r must be at least
+    max_degree + 1, so no system is underdetermined.  Every system is solved
+    as if alone, so stacking does not change any result.  With
+    with_gradient=True returns (coefficients, gradients), where column j of
+    the (..., r, m) gradients is dED/dy of column j.  Both come from one
+    design matrix and one damped Gram per system: the cotangent sign(c) *
+    [0, 1, ..., K] is propagated back through the same normal matrix, with
+    sign 0 for any |c_k| <= SIGN_DEAD_ZONE * sum_k |c_k| of its column.
+    Only ED is differentiated; ED_norm is reported but never used as an
+    objective.
     """
     return solve_system(normal_system(alphas, max_degree, damping, basis), values, with_gradient)
 

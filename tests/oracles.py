@@ -6,7 +6,10 @@ the eigensolver is cyclic Jacobi, and basis references come from closed forms
 or numpy.polynomial rather than our recurrences.  The last section is the
 path engine run one path at a time, the reference for the batched engine's
 bits: plan_paths draws every path alone from its own numpy Philox and
-Generator, and plans_of builds PathPlans over hand-picked abscissas.  The
+Generator, and plans_of builds PathPlans over hand-picked abscissas.  Both
+record the settings the plans are fitted under and build the normal systems
+a PathPlans carries with surrogate.normal_system; the reference fit
+(fit_path) never reads those systems.  The
 polylab section is direct evaluation of a polynomial at a rational point,
 the Fraction restriction the integer core replaced, run once per endpoint
 pair and polynomial, and the one-pair Fraction samplers the batched integer
@@ -27,7 +30,7 @@ from effdeg.basis import design_matrix
 from effdeg.estimator import DEGENERATE_NORM, PathPlans, softmax
 from effdeg.polylab import OrderPreservationRecord
 from effdeg.reduce import EIGENVALUE_FLOOR, TIE_GAP
-from effdeg.surrogate import COND_LIMIT, SIGN_DEAD_ZONE, SingularFitError
+from effdeg.surrogate import COND_LIMIT, SIGN_DEAD_ZONE, SingularFitError, normal_system
 
 
 def gauss_solve(A, b):
@@ -327,29 +330,36 @@ def plan_paths(inputs, settings, prefix, paths, max_redraws=16):
                 else:
                     alphas.append(sampling.sample_abscissas(scheme, resolution, anchored))
                 break
-    pairs = np.array(pairs, dtype=np.intp).reshape(len(kept), 2)
+    alphas = np.array(alphas, dtype=float).reshape(len(kept), resolution)
     return PathPlans(
+        settings=settings,
         prefix=tuple(prefix),
+        key=sampling.path_key(seed, tuple(prefix)),
         paths=np.array(kept, dtype=np.int64),
-        i=pairs[:, 0],
-        j=pairs[:, 1],
-        alphas=np.array(alphas, dtype=float).reshape(len(kept), resolution),
+        pairs=np.array(pairs, dtype=np.intp).reshape(len(kept), 2),
+        alphas=alphas,
+        system=normal_system(alphas, settings.max_degree, settings.damping, settings.basis),
     )
 
 
-def plans_of(alphas, i=0, j=1):
-    """PathPlans over hand-picked abscissas: one row of alphas per path, path p keyed (p,).
+def plans_of(alphas, i=0, j=1, *, settings):
+    """PathPlans over hand-picked abscissas, drawn under settings: path p keyed (p,).
 
-    i and j are each path's endpoint rows, one int for every path or one per path.
+    alphas holds one row per path, and i and j are each path's endpoint
+    rows, one int for every path or one per path.
     """
     alphas = np.atleast_2d(np.asarray(alphas, dtype=float))
     n = alphas.shape[0]
+    pairs = np.empty((n, 2), dtype=np.intp)
+    pairs[:, 0], pairs[:, 1] = i, j
     return PathPlans(
+        settings=settings,
         prefix=(),
+        key=sampling.path_key(settings.seed, ()),
         paths=np.arange(n, dtype=np.int64),
-        i=np.broadcast_to(np.asarray(i, dtype=np.intp), (n,)).copy(),
-        j=np.broadcast_to(np.asarray(j, dtype=np.intp), (n,)).copy(),
+        pairs=pairs,
         alphas=alphas,
+        system=normal_system(alphas, settings.max_degree, settings.damping, settings.basis),
     )
 
 

@@ -23,7 +23,7 @@ from effdeg.estimator import (
     ed_estimate,
     fit_paths,
 )
-from effdeg.net import FeedForwardNet, TrainConfig, ed_penalty, plan_paths
+from effdeg.net import PENALTY_PREFIX, FeedForwardNet, TrainConfig, ed_penalty, plan_paths
 from effdeg.sampling import SCHEME_VARIANTS, chebyshev_nodes, sample_abscissas
 from effdeg.surrogate import SingularFitError
 
@@ -155,6 +155,7 @@ def test_fit_paths_equals_per_path_reference(setting, seed, kinds, with_grad):
     plans = oracles.plans_of(
         [sample_abscissas(config.scheme, r, anchored=config.anchored, uniforms=rng.random(r))
          for _ in kinds],
+        settings=config,
     )
     raw = np.stack([block(rng, kind, r, out) for kind in kinds])
     labels = rng.standard_normal((2, out))
@@ -165,9 +166,9 @@ def test_fit_paths_equals_per_path_reference(setting, seed, kinds, with_grad):
         ]
     except SingularFitError:
         with pytest.raises(SingularFitError):
-            fit_paths(raw, plans, config, labels=labels, with_gradient=with_grad)
+            fit_paths(raw, plans, labels=labels, with_gradient=with_grad)
         return
-    got = fit_paths(raw, plans, config, labels=labels, with_gradient=with_grad)
+    got = fit_paths(raw, plans, labels=labels, with_gradient=with_grad)
     assert got.ed.tolist() == [w[0] for w in want]
     assert got.ed_norm.tolist() == [w[1] for w in want]
     assert got.pca_ties.tolist() == [w[2] for w in want]
@@ -182,8 +183,7 @@ def test_fit_paths_equals_per_path_reference(setting, seed, kinds, with_grad):
     if config.pca_dim is not None:
         moved = raw + rng.standard_normal(raw.shape)
         again = fit_paths(
-            moved, plans, config, labels=labels, projection=got.projection,
-            with_gradient=with_grad,
+            moved, plans, labels=labels, projection=got.projection, with_gradient=with_grad
         )
         for k in range(len(plans)):
             ed, ed_norm, _, _, grad = oracles.fit_path(
@@ -206,11 +206,13 @@ def test_fit_paths_on_a_train_config_equals_its_estimator_config(task, anchored,
     rng = np.random.default_rng(17)
     X = rng.standard_normal((6, 2))
     plans = plan_paths(X, train_cfg, step=3)
-    assert len(plans) == 4
+    assert len(plans) == 4 and plans.settings is train_cfg
+    same_paths = estimator.plan_paths(X, est_cfg, PENALTY_PREFIX, plans.paths)
+    assert same(same_paths.pairs, plans.pairs) and same(same_paths.alphas, plans.alphas)
     raw = rng.standard_normal((4, 6, 3))
     labels = rng.standard_normal((6, 3))
-    got = fit_paths(raw, plans, train_cfg, labels=labels, with_gradient=True)
-    want = fit_paths(raw, plans, est_cfg, labels=labels, with_gradient=True)
+    got = fit_paths(raw, plans, labels=labels, with_gradient=True)
+    want = fit_paths(raw, same_paths, labels=labels, with_gradient=True)
     for name in ("ed", "ed_norm", "pca_ties", "grad"):
         assert same(getattr(got, name), getattr(want, name))
     if pca_dim is not None:
@@ -243,9 +245,9 @@ def test_penalty_equals_per_path_reference(setting, task, reg_paths, hidden, see
         want = oracles.ed_penalty(net, X, T, plans, config)
     except SingularFitError:
         with pytest.raises(SingularFitError):
-            ed_penalty(net, X, T, plans, config)
+            ed_penalty(net, X, T, plans)
         return
-    got = ed_penalty(net, X, T, plans, config)
+    got = ed_penalty(net, X, T, plans)
     assert got[0] == want[0]
     for g, w in zip(got[1][0] + got[1][1], want[1][0] + want[1][1]):
         assert same(g, w)
@@ -255,7 +257,7 @@ def test_penalty_equals_per_path_reference(setting, task, reg_paths, hidden, see
     moved = net.clone()
     moved.set_flat(net.get_flat() + 1e-3 * rng.standard_normal(net.n_params))
     frozen = oracles.ed_penalty(moved, X, T, plans, config, projections=want[2])
-    again = ed_penalty(moved, X, T, plans, config, projections=got[2])
+    again = ed_penalty(moved, X, T, plans, projections=got[2])
     assert again[0] == frozen[0]
     for g, w in zip(again[1][0] + again[1][1], frozen[1][0] + frozen[1][1]):
         assert same(g, w)
@@ -356,10 +358,10 @@ def test_reference_fixtures_reach_dead_components_and_ties():
     # the crafted blocks above do exercise the degenerate PCA branches
     rng = np.random.default_rng(0)
     cfg = EstimatorConfig(resolution=4, max_degree=3, pca_dim=2)
-    plan = oracles.plans_of(sample_abscissas("uniform", 4))
-    tie = fit_paths(block(rng, "tie", 4, 2)[None], plan, cfg)
+    plan = oracles.plans_of(sample_abscissas("uniform", 4), settings=cfg)
+    tie = fit_paths(block(rng, "tie", 4, 2)[None], plan)
     assert tie.pca_ties.tolist() == [True]
-    dead = fit_paths(np.zeros((1, 4, 3)), plan, cfg)
+    dead = fit_paths(np.zeros((1, 4, 3)), plan)
     assert (dead.projection.explained_variance < 1e-12).all()
     assert dead.ed.tolist() == [0.0]
 
@@ -372,12 +374,10 @@ def test_stacking_does_not_change_a_path():
     plans = estimator.plan_paths(X, cfg, (), range(5))
     assert len(plans) == 5
     raw = rng.standard_normal((5, 6, 3))
-    together = fit_paths(raw, plans, cfg, with_gradient=True)
+    together = fit_paths(raw, plans, with_gradient=True)
     for k in range(5):
-        alone = fit_paths(
-            raw[k : k + 1], estimator.plan_paths(X, cfg, (), [k]), cfg,
-            with_gradient=True,
-        )
+        plan = estimator.plan_paths(X, cfg, (), [k])
+        alone = fit_paths(raw[k : k + 1], plan, with_gradient=True)
         assert alone.ed.tolist() == together.ed[k : k + 1].tolist()
         assert same(alone.grad[0], together.grad[k])
 
@@ -428,10 +428,11 @@ def test_ed_is_absolutely_homogeneous_and_ed_norm_scale_free(fit, scale, seed):
         sample_abscissas(
             "randomized_cosine", config.resolution,
             uniforms=np.random.default_rng(seed).random((raw.shape[0], config.resolution)),
-        )
+        ),
+        settings=config,
     )
-    base = fit_paths(raw, plans, config)
-    scaled = fit_paths(scale * raw, plans, config)
+    base = fit_paths(raw, plans)
+    scaled = fit_paths(scale * raw, plans)
     assert np.allclose(scaled.ed, abs(scale) * base.ed, rtol=1e-12, atol=0.0)
     assert np.allclose(scaled.ed_norm, base.ed_norm, rtol=1e-12, atol=0.0)
 
@@ -445,9 +446,9 @@ def test_reversed_path_at_chebyshev_nodes_has_the_same_ed(fit):
     n = raw.shape[0]
     nodes = np.tile(chebyshev_nodes(config.resolution), (n, 1))
     rows = np.arange(n)
-    forward = fit_paths(raw, oracles.plans_of(nodes, i=rows, j=rows + n), config)
-    reverse = oracles.plans_of(1.0 - nodes[:, ::-1], i=rows + n, j=rows)
-    backward = fit_paths(raw[:, ::-1, :], reverse, config)
+    forward = fit_paths(raw, oracles.plans_of(nodes, i=rows, j=rows + n, settings=config))
+    reverse = oracles.plans_of(1.0 - nodes[:, ::-1], i=rows + n, j=rows, settings=config)
+    backward = fit_paths(raw[:, ::-1, :], reverse)
     assert np.allclose(backward.ed, forward.ed, rtol=1e-12, atol=0.0)
     assert np.allclose(backward.ed_norm, forward.ed_norm, rtol=1e-12, atol=0.0)
 

@@ -37,7 +37,7 @@ from effdeg.net import load_checkpoint
 from effdeg.surrogate import SingularFitError
 
 from oracles import evaluate
-from test_net import checkpoint_blob, mistyped_checkpoint_headers
+from test_net import checkpoint_blob, foreign_size_checkpoints, mistyped_checkpoint_headers
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -516,6 +516,23 @@ def test_mistyped_checkpoint_headers_exit_two_naming_the_file(tmp_path, capsys):
         argv = ["estimate", "--data", data, "--oracle", f"checkpoint:{bad}", "--out", str(out)]
         assert main(argv) == EXIT_CONFIG
         assert "bad.ckpt" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_checkpoint_sizes_foreign_to_its_arrays_exit_two_naming_the_file(tmp_path, capsys):
+    # a network of no layers used to die in the estimate with an IndexError
+    data = cluster_dataset(tmp_path / "c.csv", n=16, seed=18)
+    good = tmp_path / "good.ckpt"
+    nets.save_checkpoint(nets.FeedForwardNet.create((2, 3), seed=0), str(good))
+    _, header = load_checkpoint(str(good))
+    bad = tmp_path / "bad.ckpt"
+    out = tmp_path / "out"
+    for foreign, payload in foreign_size_checkpoints(header).values():
+        bad.write_bytes(checkpoint_blob(foreign, payload))
+        argv = ["estimate", "--data", data, "--oracle", f"checkpoint:{bad}", "--out", str(out)]
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "bad.ckpt" in err and "Traceback" not in err
     assert not out.exists()
 
 

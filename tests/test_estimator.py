@@ -57,14 +57,19 @@ def constant_oracle(d, value):
     )
 
 
+# settings of plans that are evaluated or anchored but never fitted
+UNFITTED = PathSettings(max_degree=0)
+
+
 def one_path(oracle, x1, x2, abscissas):
     """Outputs along a x1 + (1 - a) x2: the one-path case of path_values."""
-    return path_values(oracle, np.stack([x1, x2]), plans_of(abscissas))[0]
+    return path_values(oracle, np.stack([x1, x2]), plans_of(abscissas, settings=UNFITTED))[0]
 
 
 def anchor_one(values, abscissas, t1, t2):
     """Anchor one path's values: the one-path case of anchor_values."""
-    return anchor_values(values[None], plans_of(abscissas), np.stack([t1, t2]))[0]
+    plans = plans_of(abscissas, settings=UNFITTED)
+    return anchor_values(values[None], plans, np.stack([t1, t2]))[0]
 
 
 def test_build_path_identity():
@@ -117,7 +122,7 @@ def test_label_anchor_rejects_unanchored_abscissas():
         with pytest.raises(ValueError, match=rule):
             anchor_one(values, np.array(ab), np.ones(2), np.zeros(2))
     # one unanchored path among anchored ones fails the whole stack
-    plans = plans_of([[0.0, 0.5, 1.0], [0.1, 0.5, 1.0]])
+    plans = plans_of([[0.0, 0.5, 1.0], [0.1, 0.5, 1.0]], settings=UNFITTED)
     with pytest.raises(ValueError, match=rule):
         anchor_values(np.zeros((2, 3, 2)), plans, np.zeros((2, 2)))
 
@@ -162,14 +167,15 @@ def test_anchoring_with_own_outputs_is_identity():
     values = one_path(oracle, x1, x2, ab)
     labels = oracle.evaluate(np.stack([x1, x2]))
     assert anchor_one(values, ab, labels[0], labels[1]).tobytes() == values.tobytes()
-    plan = plans_of(ab)
     cfg = EstimatorConfig(n_paths=1, resolution=5, max_degree=3)
-    plain = fit_paths(values[None], plan, cfg)
-    anchored = fit_paths(values[None], plan, replace(cfg, anchored=True), labels=labels)
+    plan = plans_of(ab, settings=cfg)
+    anchored_plan = plans_of(ab, settings=replace(cfg, anchored=True))
+    plain = fit_paths(values[None], plan)
+    anchored = fit_paths(values[None], anchored_plan, labels=labels)
     assert plain.ed.tolist() == anchored.ed.tolist()
     assert plain.ed_norm.tolist() == anchored.ed_norm.tolist()
     with pytest.raises(ValueError):
-        fit_paths(values[None], plan, replace(cfg, anchored=True))
+        fit_paths(values[None], anchored_plan)
 
 
 def test_fit_matches_symbolic_restriction():
@@ -330,7 +336,7 @@ def test_pca_path_flags_ties():
     ab = sample_abscissas("uniform", 4)
     values = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
     cfg = EstimatorConfig(n_paths=1, resolution=4, max_degree=3, pca_dim=2, seed=0)
-    fitted = fit_paths(values[None], plans_of(ab), cfg)
+    fitted = fit_paths(values[None], plans_of(ab, settings=cfg))
     assert fitted.pca_ties.tolist() == [True]
 
 
@@ -398,11 +404,28 @@ def test_single_path_replays_on_its_own():
     assert len(report.per_path) == 12
     for result in reversed(report.per_path):
         plan = plan_paths(X, cfg, (), [result.index])
-        fitted = fit_paths(path_values(oracle, X, plan), plan, cfg, labels=labels)
+        fitted = fit_paths(path_values(oracle, X, plan), plan, labels=labels)
         assert (plan.i[0], plan.j[0]) == (result.endpoint_i, result.endpoint_j)
         assert fitted.ed[0] == result.ed
         assert fitted.ed_norm[0] == result.ed_norm
         assert fitted.pca_ties[0] == result.pca_ties
+
+
+def test_plans_are_fitted_under_the_settings_they_were_drawn_under():
+    # the same paths drawn under two fit settings: each plan keeps its own,
+    # and plans drawn under b fit to ed_estimate's EDs under b
+    X = np.random.default_rng(66).standard_normal((20, 2))
+    oracle = FunctionOracle(2, 1, lambda p: np.sin(3.0 * p[:, :1]), name="sin-3x0")
+    a = EstimatorConfig(n_paths=5, resolution=8, max_degree=5, damping=1e-6, seed=67)
+    b = replace(a, basis="legendre", max_degree=2, damping=1e-2)
+    drawn_a, drawn_b = plan_paths(X, a, (), range(5)), plan_paths(X, b, (), range(5))
+    assert drawn_a.settings is a and drawn_b.settings is b
+    assert drawn_a.pairs.tobytes() == drawn_b.pairs.tobytes()
+    assert drawn_a.alphas.tobytes() == drawn_b.alphas.tobytes()
+    raw = path_values(oracle, X, drawn_b)
+    fitted = fit_paths(raw, drawn_b).ed
+    assert fitted.tobytes() == np.ascontiguousarray(ed_estimate(oracle, X, b).per_path.ed).tobytes()
+    assert fit_paths(raw, drawn_a).ed.tolist() != fitted.tolist()
 
 
 def test_plan_path_redraws_coincident_pairs():
@@ -465,7 +488,7 @@ def test_overflowing_ed_statistics_name_the_largest_path():
     oracle = FunctionOracle(2, 1, lambda p: 1e300 * p[:, :1] ** 2, name="huge")
     cfg = EstimatorConfig(n_paths=10, seed=1)
     plans = plan_paths(X, cfg, (), range(10))
-    eds = fit_paths(path_values(oracle, X, plans), plans, cfg).ed
+    eds = fit_paths(path_values(oracle, X, plans), plans).ed
     assert np.isfinite(eds).all()
     k = int(np.argmax(eds))
     with warnings.catch_warnings():

@@ -279,7 +279,7 @@ def test_zero_max_degree_penalty_has_zero_gradient():
         reg_paths=4, resolution=2, max_degree=0,
     )
     plans = plan_paths(X, cfg, 0)
-    penalty, grads, _ = ed_penalty(net, X, T, plans, cfg)
+    penalty, grads, _ = ed_penalty(net, X, T, plans)
     assert penalty == 0.0
     assert all(np.all(g == 0.0) for g in grads[0])
     assert all(np.all(g == 0.0) for g in grads[1])
@@ -312,19 +312,19 @@ def test_composite_gradient_matches_fd(task, anchored, pca_dim):
     lam = lambda_schedule(0, cfg)
     plans = plan_paths(X, cfg, 0)
     assert plans
-    _, _, projections = ed_penalty(net, X, T, plans, cfg)
+    _, _, projections = ed_penalty(net, X, T, plans)
 
     def objective(flat):
         probe = net.clone()
         probe.set_flat(flat)
         loss, _ = task_loss_and_grad(probe.forward(X), T, cfg.task)
-        pen, _, _ = ed_penalty(probe, X, T, plans, cfg, projections=projections)
+        pen, _, _ = ed_penalty(probe, X, T, plans, projections=projections)
         return loss + lam * pen
 
     raw, cache = net.forward_cached(X)
     _, d_raw = task_loss_and_grad(raw, T, cfg.task)
     d_w, d_b = net.backward(cache, d_raw)
-    _, grads, _ = ed_penalty(net, X, T, plans, cfg, projections=projections)
+    _, grads, _ = ed_penalty(net, X, T, plans, projections=projections)
     analytic = flat_grads(net, d_w, d_b) + lam * flat_grads(net, *grads)
     fd = fd_gradient(objective, net.get_flat())
     rel = np.max(np.abs(analytic - fd)) / (1.0 + np.max(np.abs(fd)))
@@ -386,11 +386,11 @@ def test_pure_penalty_descent_is_monotone():
         reg_paths=4, resolution=5, max_degree=3, seed=26,
     )
     plans = plan_paths(X, cfg, 0)
-    _, _, projections = ed_penalty(net, X, T, plans, cfg)
+    _, _, projections = ed_penalty(net, X, T, plans)
     lr = 1e-3
     prev = np.inf
     for _ in range(100):
-        pen, grads, _ = ed_penalty(net, X, T, plans, cfg, projections=projections)
+        pen, grads, _ = ed_penalty(net, X, T, plans, projections=projections)
         assert pen <= prev + 1e-10
         prev = pen
         for l in range(len(net.weights)):
@@ -440,12 +440,14 @@ def test_penalty_path_replays_alone_after_a_redraw():
             assert step * 5 <= q < step * 5 + 5
             alone = estimator.plan_paths(X, cfg, (1,), [q])
             assert alone.prefix == plans.prefix == (1,) and alone.paths.tolist() == [q]
+            assert alone.settings == plans.settings == cfg
+            assert alone.key.tobytes() == plans.key.tobytes() == key.tobytes()
             assert (alone.i[0], alone.j[0]) == (plans.i[k], plans.j[k])
             assert alone.alphas.tobytes() == plans.alphas[k].tobytes()
             for name in ("design", "gram", "illposed"):
                 want = getattr(alone.system, name)[0]
                 assert getattr(plans.system, name)[k].tobytes() == want.tobytes()
-            first, _ = sampling.pair_draws(key, np.array([q]), len(X), 0)
+            first = sampling.pair_draws(key, np.array([q]), len(X), 0)
             redrawn += first[0].tolist() != [plans.i[k], plans.j[k]]
     assert redrawn > 0
 
@@ -659,6 +661,16 @@ def mistyped_checkpoint_headers(header):
     }
 
 
+def foreign_size_checkpoints(header):
+    """(header, payload) of checkpoints whose layer_sizes do not describe their arrays."""
+    return {
+        "no layers": ({**header, "layer_sizes": [2], "arrays": [], "activations": []}, b""),
+        "layer_sizes past the arrays": (
+            {**header, "layer_sizes": [2, 9]}, np.arange(9.0).astype("<f8").tobytes()
+        ),
+    }
+
+
 def test_checkpoint_rejects_foreign_file(tmp_path):
     path = tmp_path / "junk.bin"
     path.write_bytes(b"PNGJUNK" + b"\x00" * 64)
@@ -689,6 +701,10 @@ def test_checkpoint_rejects_foreign_file(tmp_path):
         "weight not 2-D": checkpoint_blob(
             {**header, "arrays": [{"name": "w0", "shape": [6]}, header["arrays"][1]]}, payload
         ),
+        **{
+            label: checkpoint_blob(*foreign)
+            for label, foreign in foreign_size_checkpoints(header).items()
+        },
     }
     path = tmp_path / "bad.ckpt"
     path.write_bytes(checkpoint_blob(header, payload))
@@ -786,7 +802,7 @@ def test_composite_objective_is_task_loss_plus_lambda_penalty(step, anchored, pc
     task_loss, d_raw = task_loss_and_grad(raw, T, cfg.task)
     task_w, task_b = net.backward(cache, d_raw)
     lam = lambda_schedule(step, cfg)
-    penalty, (pen_w, pen_b), want = ed_penalty(net, X, T, plan_paths(X, cfg, step), cfg)
+    penalty, (pen_w, pen_b), want = ed_penalty(net, X, T, plan_paths(X, cfg, step))
     assert (step == 0) == (lam == 0.0)
     assert record == StepRecord(step, task_loss, penalty, lam, task_loss + lam * penalty)
     for got, g, pg in zip(d_w + d_b, task_w + task_b, pen_w + pen_b):
@@ -805,7 +821,7 @@ def test_penalty_nonfinite_output_names_the_path():
     cfg = TrainConfig(reg_strength=1.0, reg_paths=3, resolution=4, max_degree=3, seed=41)
     plans = plan_paths(X, cfg, step=2)
     with pytest.raises(NonFiniteOutputError) as err:
-        ed_penalty(net, X, T, plans, cfg)
+        ed_penalty(net, X, T, plans)
     assert str(err.value) == (
         f"non-finite output on path 1:{plans.paths[0]} "
         f"(endpoint rows {plans.i[0]} and {plans.j[0]})"

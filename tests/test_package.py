@@ -3,8 +3,10 @@
 import ast
 import importlib
 import json
+import os
 import pkgutil
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -99,3 +101,27 @@ def test_paths_are_planned_only_in_estimator():
     assert modules
     calls = calls_named(modules, {"draw_paths", "path_key"})
     assert not calls, calls
+
+
+def test_plans_are_built_only_in_estimator():
+    # a PathPlans records the settings it was drawn under only if the
+    # planner is the one that builds it
+    modules = package_modules("estimator.py")
+    assert modules
+    calls = calls_named(modules, {"PathPlans"})
+    assert not calls, calls
+
+
+def test_importing_the_cli_defers_the_worker_pool():
+    # pnn_study imports its process pool when it runs, so importing effdeg,
+    # and with it every CLI start, does not pay for multiprocessing
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    probe = (
+        "import sys, effdeg.cli; "
+        "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    assert proc.stdout.strip() == "[]"

@@ -163,9 +163,9 @@ def test_snapshot_pca_matches_the_thin_svd_on_separated_spectra(r, out, data, lo
     assert bool(got.degenerate_ties) == want.degenerate_ties
 
     config = EstimatorConfig(resolution=r, max_degree=min(r - 1, 5), pca_dim=m)
-    plans = plans_of(chebyshev_nodes(r))
-    ed = fit_paths(ys[None], plans, config).ed[0]
-    ed_svd = fit_paths(ys[None], plans, config, projection=stacked(want)).ed[0]
+    plans = plans_of(chebyshev_nodes(r), settings=config)
+    ed = fit_paths(ys[None], plans).ed[0]
+    ed_svd = fit_paths(ys[None], plans, projection=stacked(want)).ed[0]
     assert ed == pytest.approx(ed_svd, rel=1e-10)
 
 
@@ -182,7 +182,7 @@ def test_dead_components_stay_dead_at_every_output_scale(scale):
     assert not proj.degenerate_ties.any()
 
     config = EstimatorConfig(resolution=8, max_degree=5, pca_dim=4)
-    plans = plans_of(np.tile(chebyshev_nodes(8), (50, 1)))
-    fits = fit_paths(ys, plans, config, with_gradient=True)
+    plans = plans_of(np.tile(chebyshev_nodes(8), (50, 1)), settings=config)
+    fits = fit_paths(ys, plans, with_gradient=True)
     assert not fits.pca_ties.any()
     assert np.all(np.isfinite(fits.ed)) and np.all(np.isfinite(fits.grad))

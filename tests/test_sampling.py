@@ -168,20 +168,23 @@ def test_conditioning_chebyshev_beats_uniform():
 @pytest.mark.parametrize("n", [2**31 + 1, 3 * 2**30, 2, 1000])
 def test_pair_draws_equal_generator_integers(n):
     # an accepted pair is numpy's integers(0, n, size=2) at the attempt's
-    # counter; near 2**31 about half the 32-bit draws are rejected
+    # counter and a rejected one (0, 0); near 2**31 about half the 32-bit
+    # draws are rejected
     key = path_key(11, (4, 1))
     paths = np.arange(400, dtype=np.uint64)
     for attempt in (0, 5):
-        pairs, accepted = pair_draws(key, paths, n, attempt)
+        pairs = pair_draws(key, paths, n, attempt)
+        accepted = np.zeros(400, bool)
         for p in range(400):
             philox = np.random.Philox(key=key, counter=[p, 0, attempt, 1])
             want = np.random.Generator(philox).integers(0, n, size=2)
-            if accepted[p]:
-                assert pairs[p].tolist() == want.tolist()
             word = int(np.random.Philox(key=key, counter=[p, 0, attempt, 1]).random_raw(4)[0])
             lemire = oracles.lemire_pair(word, n)
-            assert accepted[p] == (lemire is not None)
-            assert lemire is None or pairs[p].tolist() == list(lemire)
+            accepted[p] = lemire is not None
+            if accepted[p]:
+                assert pairs[p].tolist() == want.tolist() == list(lemire)
+            else:
+                assert pairs[p].tolist() == [0, 0]
         if n > 2**31:
             assert 0 < accepted.sum() < accepted.size
         else:

@@ -103,20 +103,22 @@ def test_singular_fits_name_the_first_failing_path(monkeypatch):
     # the condition check and the residual check report the first failing
     # stacked system, and fit_paths names its path by key and endpoint rows
     good, squeezed = chebyshev_nodes(6), 0.5 + np.arange(6) * 1e-11
-    plans = plans_of([good, good, squeezed, squeezed], i=[0, 1, 2, 3], j=[4, 5, 6, 7])
-    raw = np.sin(plans.alphas)[..., None]
     cfg = EstimatorConfig(resolution=6, max_degree=5, damping=0.0)
+    alphas, rows = [good, good, squeezed, squeezed], dict(i=[0, 1, 2, 3], j=[4, 5, 6, 7])
+    plans = plans_of(alphas, **rows, settings=cfg)
+    raw = np.sin(plans.alphas)[..., None]
     with pytest.raises(SingularFitError, match="COND_LIMIT") as caught:
         fit_matrix(plans.alphas, raw, 5, 0.0)
     assert caught.value.system == 2
     named = r" on path {} \(endpoint rows {} and {}\)$"
     with pytest.raises(SingularFitError, match="COND_LIMIT.*" + named.format(2, 2, 6)):
-        fit_paths(raw, plans, cfg)
+        fit_paths(raw, plans)
 
     monkeypatch.setattr(surrogate, "_RESIDUAL_TOL", -1.0)
-    keyed = dataclasses.replace(plans, prefix=(5,), paths=np.array([7, 9, 11, 13]))
+    damped = plans_of(alphas, **rows, settings=dataclasses.replace(cfg, damping=1e-6))
+    keyed = dataclasses.replace(damped, prefix=(5,), paths=np.array([7, 9, 11, 13]))
     with pytest.raises(SingularFitError, match="residual .*" + named.format("5:7", 0, 4)):
-        fit_paths(raw, keyed, dataclasses.replace(cfg, damping=1e-6))
+        fit_paths(raw, keyed)
 
 
 def test_a_crafted_tie_is_left_to_the_fit():
@@ -282,14 +284,14 @@ def test_ed_vector_mean():
     # a vector-valued path's ED is the mean of its per-output EDs
     nodes = chebyshev_nodes(5)
     x = 2.0 * nodes - 1.0
-    plan = plans_of(nodes)
     cfg = EstimatorConfig(n_paths=1, resolution=5, max_degree=3, damping=0.0)
-    v = fit_paths(np.stack([2.0 * x, 4.0 * x], axis=1)[None], plan, cfg)  # ed 2 and ed 4
+    plan = plans_of(nodes, settings=cfg)
+    v = fit_paths(np.stack([2.0 * x, 4.0 * x], axis=1)[None], plan)  # ed 2 and ed 4
     assert v.ed[0] == pytest.approx(3.0, abs=1e-9)
-    single = fit_paths((2.0 * x)[None, :, None], plan, cfg)
+    single = fit_paths((2.0 * x)[None, :, None], plan)
     direct = ed_from_coefficients(fit(nodes, 2.0 * x, 3, 0.0, "chebyshev"))
     assert single.ed[0] == direct.ed and single.ed_norm[0] == direct.ed_norm
-    assert fit_paths(np.zeros((1, 5, 2)), plan, cfg).ed.tolist() == [0.0]
+    assert fit_paths(np.zeros((1, 5, 2)), plan).ed.tolist() == [0.0]
 
 
 def test_fit_matrix_matches_columns():
