@@ -17,6 +17,6 @@ net        Small dense networks, regularized training, square-activation study.
 cli        Command-line entry points producing reproducible artifacts.
 """
 
-__version__ = "0.6.0"
+__version__ = "0.7.0"
 
 __all__ = ["__version__"]

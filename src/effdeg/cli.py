@@ -9,8 +9,10 @@ settings, so it can be passed back through --config.  Each command writes
 a JSON report (resolved config, package version, and a canonical sha256
 ignoring only the creation timestamp) plus optional CSV companions through
 a temp file and an atomic rename.  Input files are recorded by the sha256
-of their bytes, not by their path.  The gradient audits behind gradcheck
-live next to the code they audit (surrogate.gradcheck, net.gradcheck).
+of their bytes, not by their path, and so are companions: train.json names
+its checkpoint's digest, estimate.json that of estimate_paths.csv, the one
+copy of the per-path records.  The gradient audits behind gradcheck live
+next to the code they audit (surrogate.gradcheck, net.gradcheck).
 
 Exit codes: 0 success, 1 gradient check failure, 2 configuration problem,
 3 I/O problem, 4 numerical failure, 5 non-finite training loss,
@@ -30,6 +32,7 @@ import math
 import os
 import sys
 import typing
+from collections.abc import Iterable, Sequence
 from datetime import datetime, timezone
 
 import numpy as np
@@ -95,25 +98,31 @@ def write_artifact(out_dir: str, name: str, schema: str, config: dict, result: d
     return doc
 
 
-def render_csv(header: list[str], rows: list[list]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
+def render_csv(header: list[str], rows: Iterable[Sequence]) -> bytes:
+    """The table as CSV bytes: repr floats, 0/1 for booleans, CRLF line ends."""
+    buf = io.BytesIO()
+    text = io.TextIOWrapper(buf, encoding="utf-8", newline="")
+    writer = csv.writer(text)
     writer.writerow(header)
     for row in rows:
         writer.writerow(
             [int(v) if isinstance(v, bool) else repr(v) if isinstance(v, float) else v for v in row]
         )
+    text.detach()  # flushes, and leaves buf open
     return buf.getvalue()
 
 
-def write_csv(out_dir: str, name: str, header: list[str], rows: list[list]) -> None:
-    nets.atomic_write(os.path.join(out_dir, name), render_csv(header, rows).encode())
+def write_csv(out_dir: str, name: str, header: list[str], rows: Iterable[Sequence]) -> bytes:
+    """Write the table to out_dir/name; returns the bytes written."""
+    table = render_csv(header, rows)
+    nets.atomic_write(os.path.join(out_dir, name), table)
+    return table
 
 
-def emit(args, summary: dict, header: list[str], rows: list[list]) -> None:
-    """Render the run's outcome to stdout as the selected format."""
+def emit(args, summary: dict, table: bytes) -> None:
+    """Print the run's outcome to stdout: the summary as JSON, or the CSV table's bytes."""
     if args.format == "csv":
-        sys.stdout.write(render_csv(header, rows))
+        sys.stdout.write(table.decode())
     else:
         print(json.dumps(summary, sort_keys=True))
 
@@ -326,9 +335,16 @@ def resolve_oracle(spec: str, dim: int) -> FunctionOracle:
 # commands
 
 _ESTIMATE_SPEC = {"oracle": (str, "identity"), **_spec(EstimatorConfig)}
+# records per tolist() call, so the per-path rows never exist as Python objects all at once
+_CSV_SLICE = 4096
 
 
 def cmd_estimate(args) -> int:
+    """Write one row per fitted path to estimate_paths.csv, and estimate.json with its sha256.
+
+    Beside per_path (about 41 bytes a path, n_paths up to 2**32) the run holds
+    one _CSV_SLICE of Python rows and the CSV's bytes (about 55 a path).
+    """
     cfg = resolve_config(args)
     X, labels_int = load_dataset_csv(args.data)
     oracle = resolve_oracle(cfg.pop("oracle"), X.shape[1])
@@ -345,8 +361,10 @@ def cmd_estimate(args) -> int:
             )
     report = ed_estimate(oracle, X, est_cfg, labels=anchor_labels)
     out_dir = _out_dir(args)
-    path_header = list(report.per_path.dtype.names)
-    path_rows = report.per_path.tolist()
+    records = report.per_path
+    slices = (records[k : k + _CSV_SLICE] for k in range(0, len(records), _CSV_SLICE))
+    rows = (row for piece in slices for row in piece.tolist())
+    table = write_csv(out_dir, "estimate_paths.csv", list(records.dtype.names), rows)
     result = {
         "mean_ed": report.mean_ed,
         "mean_ed_norm": report.mean_ed_norm,
@@ -354,16 +372,11 @@ def cmd_estimate(args) -> int:
         "n_paths": report.n_paths,
         "n_skipped": report.n_skipped,
         "oracle": oracle.name,
-        "per_path": [
-            {"index": index, "endpoints": [i, j], "ed": ed, "ed_norm": ed_norm, "pca_ties": ties}
-            for index, i, j, ed, ed_norm, ties in path_rows
-        ],
+        "estimate_paths_sha256": hashlib.sha256(table).hexdigest(),
     }
     config_out = {**dataclasses.asdict(est_cfg), "oracle": oracle.name}
     write_artifact(out_dir, "estimate.json", "estimate", config_out, result)
-    write_csv(out_dir, "estimate_paths.csv", path_header, path_rows)
-    summary = {k: v for k, v in result.items() if k != "per_path"}
-    emit(args, summary, path_header, path_rows)
+    emit(args, result, table)
     return EXIT_OK
 
 
@@ -421,8 +434,7 @@ def cmd_train(args) -> int:
         columns.append("train_accuracy")
         for row, r in zip(table, log):
             row.append(r.accuracy)
-    write_csv(out_dir, "train_log.csv", columns, table)
-    emit(args, result, columns, table)
+    emit(args, result, write_csv(out_dir, "train_log.csv", columns, table))
     return EXIT_OK
 
 
@@ -474,15 +486,12 @@ def cmd_verify_degree(args) -> int:
         list(record.restricted_degrees[1]),
     ]
     write_artifact(_out_dir(args), "verify_degree.json", "verify-degree", cfg, result)
-    emit(
-        args,
-        record.summary(),
-        ["poly", "true_degree", "mean_restricted_degree", "degree_drops", "n_pairs"],
-        [
-            [k + 1, record.true_degrees[k], record.mean_degrees[k], record.drop_counts[k], record.n_pairs]
-            for k in range(2)
-        ],
-    )
+    header = ["poly", "true_degree", "mean_restricted_degree", "degree_drops", "n_pairs"]
+    rows = [
+        [k + 1, record.true_degrees[k], record.mean_degrees[k], record.drop_counts[k], record.n_pairs]
+        for k in range(2)
+    ]
+    emit(args, record.summary(), render_csv(header, rows))
     return EXIT_OK
 
 
@@ -498,9 +507,8 @@ def cmd_pnn_study(args) -> int:
     write_artifact(out_dir, "pnn_study.json", "pnn-study", cfg, result)
     table_header = [f.name for f in dataclasses.fields(nets.PNNTaskResult)]
     table_rows = [list(row.values()) for row in result["rows"]]
-    write_csv(out_dir, "pnn_study.csv", table_header, table_rows)
-    summary = {k: v for k, v in result.items() if k != "rows"}
-    emit(args, summary, table_header, table_rows)
+    table = write_csv(out_dir, "pnn_study.csv", table_header, table_rows)
+    emit(args, {k: v for k, v in result.items() if k != "rows"}, table)
     return EXIT_OK if report.all_converged else EXIT_STUDY
 
 
@@ -522,15 +530,12 @@ def cmd_gradcheck(args) -> int:
     summary = {
         name: {k: v for k, v in suite.items() if k != "cells"} for name, suite in suites.items()
     }
-    emit(
-        args,
-        {**summary, "ok": ok},
-        ["suite", "n_checks", "max_rel_err", "tolerance", "ok"],
-        [
-            [name, suite["n_checks"], suite["max_rel_err"], suite["tolerance"], suite["ok"]]
-            for name, suite in suites.items()
-        ],
-    )
+    header = ["suite", "n_checks", "max_rel_err", "tolerance", "ok"]
+    rows = [
+        [name, suite["n_checks"], suite["max_rel_err"], suite["tolerance"], suite["ok"]]
+        for name, suite in suites.items()
+    ]
+    emit(args, {**summary, "ok": ok}, render_csv(header, rows))
     return EXIT_OK if ok else EXIT_GRADCHECK
 
 

@@ -111,8 +111,13 @@ class FunctionOracle:
 
 @dataclass(frozen=True)
 class PathSettings:
-    """How each path is planned and fitted; shared by estimation and the training penalty."""
+    """How each path is planned and fitted; shared by estimation and the training penalty.
 
+    Bare settings fit raw outputs; EstimatorConfig's field and TrainConfig's
+    property override the class attribute post_softmax.
+    """
+
+    post_softmax = False
     resolution: int = 4
     max_degree: int = 3
     damping: float = 1e-6
@@ -217,8 +222,9 @@ class EDReport:
 
     per_path is a record array with one record per fitted path and the
     fields index (the path index p of its key (p,)), endpoint_i,
-    endpoint_j, ed, ed_norm and pca_ties.  n_paths counts every attempted
-    path, so n_paths = len(per_path) + n_skipped always holds.
+    endpoint_j, ed, ed_norm and pca_ties (41 bytes a record), the CLI's
+    estimate_paths.csv.  n_paths counts every attempted path, so n_paths =
+    len(per_path) + n_skipped always holds.
     """
 
     mean_ed: float

@@ -153,11 +153,7 @@ class FeedForwardNet:
         return sum(w.size + b.size for w, b in zip(self.weights, self.biases))
 
     def clone(self) -> "FeedForwardNet":
-        return FeedForwardNet(
-            [w.copy() for w in self.weights],
-            [b.copy() for b in self.biases],
-            self.activations,
-        )
+        return FeedForwardNet(self.weights, self.biases, self.activations)  # __init__ copies
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         single = np.ndim(x) == 1
@@ -201,22 +197,16 @@ class FeedForwardNet:
         return d_weights, d_biases
 
     def get_flat(self) -> np.ndarray:
-        parts = []
-        for w, b in zip(self.weights, self.biases):
-            parts.append(w.ravel())
-            parts.append(b.ravel())
-        return np.concatenate(parts)
+        return np.concatenate([a.ravel() for pair in zip(self.weights, self.biases) for a in pair])
 
     def set_flat(self, flat: np.ndarray) -> None:
         flat = np.asarray(flat, dtype=float)
         if flat.shape != (self.n_params,):
             raise ValueError(f"expected {self.n_params} parameters")
         pos = 0
-        for w, b in zip(self.weights, self.biases):
-            w[...] = flat[pos : pos + w.size].reshape(w.shape)
-            pos += w.size
-            b[...] = flat[pos : pos + b.size]
-            pos += b.size
+        for array in (a for pair in zip(self.weights, self.biases) for a in pair):
+            array[...] = flat[pos : pos + array.size].reshape(array.shape)
+            pos += array.size
 
     def as_oracle(self, name: str = "net") -> FunctionOracle:
         sizes = self.layer_sizes
@@ -364,10 +354,16 @@ def ed_penalty(
     instead of reweighting the survivors.  With pca_dim set, the value
     uses each path's live PCA map, the gradient holds it constant (that of
     ED(P_sg(y) y)), and passing an earlier call's projections freezes the
-    maps for finite differences.
+    maps for finite differences.  Plans drawn under any other settings
+    raise ValueError.
 
     Returns (penalty, (d_weights, d_biases), projections).
     """
+    if not isinstance(plans.settings, TrainConfig):
+        raise ValueError(
+            "ed_penalty fits plans drawn by net.plan_paths under a TrainConfig, "
+            f"got plans drawn under {type(plans.settings).__name__}"
+        )
     n_planned = max(plans.settings.reg_paths, 1)
     if not plans:
         zeros = ([np.zeros_like(w) for w in net.weights], [np.zeros_like(b) for b in net.biases])
@@ -467,18 +463,20 @@ def gradcheck(n_checks: int, seed: int) -> dict:
     """Audit composite_objective's parameter gradient against central differences.
 
     Each cell is a small square-activation net on a random batch, with the
-    task, anchoring and PCA drawn from sampling.rng(seed, 2, attempt) and
-    lambda = reg_strength = 1 from the first step.  The differences re-plan
-    the same paths with the PCA maps frozen at the analytic call's, so PCA
-    cells agree by construction with the frozen-map gradient (ed_penalty).
-    A batch with fewer than reg_paths paths is counted as short_batches.
+    task, anchoring and PCA drawn independently from sampling.rng(seed, 2,
+    attempt), so the train command's default cell (cross-entropy,
+    unanchored) is audited too, and lambda = reg_strength = 1 from the
+    first step.  The differences re-plan the same paths with the PCA maps
+    frozen at the analytic call's, so PCA cells agree by construction with
+    the frozen-map gradient (ed_penalty).  A batch with fewer than
+    reg_paths paths is counted as short_batches.
     """
 
     def draw(attempt):
         rng = sampling.rng(seed, 2, attempt)
         anchored = bool(rng.integers(0, 2))
         pca_dim = int(rng.integers(1, 3)) if rng.integers(0, 2) else None
-        task = "cross_entropy" if anchored and rng.integers(0, 2) else "mse"
+        task = "cross_entropy" if rng.integers(0, 2) else "mse"
         # the settings composite_objective reads; the rest are defaults
         cfg = TrainConfig(
             task=task,
@@ -958,14 +956,11 @@ def pnn_study(
     and later emit a DeprecationWarning when forking a process that has
     threads, as a multi-threaded BLAS makes it.
     """
-    if width < 1:
-        raise ValueError(f"width must be >= 1, got {width}")
-    if n_train < 2:
-        raise ValueError(f"n_train must be >= 2, got {n_train}")
-    if n_steps < 1:
-        raise ValueError(f"n_steps must be >= 1, got {n_steps}")
-    if n_eval < 2:
-        raise ValueError(f"n_eval must be >= 2, got {n_eval}")
+    for name, value, least in (
+        ("width", width, 1), ("n_train", n_train, 2), ("n_steps", n_steps, 1), ("n_eval", n_eval, 2)
+    ):
+        if value < least:
+            raise ValueError(f"{name} must be >= {least}, got {value}")
     if not mse_target > 0:
         raise ValueError(f"mse_target must be > 0, got {mse_target}")
     # imported here: at module top they add to every import of effdeg
@@ -991,16 +986,10 @@ def pnn_study(
             pool.shutdown(cancel_futures=True)
             raise
 
-    def increasing(vals):
-        return bool(vals[0] < vals[1] < vals[2])
-
     orderings = {}
     for key in ("ed_cheb", "ed_legendre", "ed_pca1", "ed_pca2"):
-        vals = [getattr(r, key) for r in rows]
-        orderings[key] = {
-            "first_triple": increasing(vals[:3]),
-            "second_triple": increasing(vals[3:]),
-        }
+        a, b, c, d, e, f = (getattr(r, key) for r in rows)
+        orderings[key] = {"first_triple": bool(a < b < c), "second_triple": bool(d < e < f)}
     norm_gaps = {
         rows[k].task: abs(rows[k].ed_norm_cheb - rows[k + 3].ed_norm_cheb)
         for k in range(3)

@@ -218,16 +218,13 @@ def central_difference(f, x: np.ndarray) -> np.ndarray:
     """Central finite-difference gradient, with step _FD_STEP, of a scalar function of an array."""
     x = np.asarray(x, dtype=float)
     grad = np.zeros_like(x)
-    it = np.nditer(x, flags=["multi_index"])
-    while not it.finished:
-        idx = it.multi_index
+    for idx in np.ndindex(x.shape):
         bumped = x.copy()
         bumped[idx] = x[idx] + _FD_STEP
         hi = f(bumped)
         bumped[idx] = x[idx] - _FD_STEP
         lo = f(bumped)
         grad[idx] = (hi - lo) / (2.0 * _FD_STEP)
-        it.iternext()
     return grad
 
 

@@ -2,12 +2,15 @@
 
 import csv
 import dataclasses
+import hashlib
 import inspect
 import io
 import json
 import os
 import re
 import shutil
+import subprocess
+import sys
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
@@ -117,10 +120,11 @@ def test_estimate_affine_caps_ed_norm(tmp_path, capsys):
     ])
     assert code == EXIT_OK
     capsys.readouterr()
-    doc = read_json(out, "estimate.json")
-    assert doc["result"]["per_path"]
-    for p in doc["result"]["per_path"]:
-        assert p["ed_norm"] <= 1.0 + 1e-8
+    with open(os.path.join(out, "estimate_paths.csv"), newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert rows
+    for row in rows:
+        assert float(row["ed_norm"]) <= 1.0 + 1e-8
 
 
 def test_estimate_validates_against_schema(tmp_path, capsys):
@@ -156,16 +160,21 @@ def test_estimate_csv_stdout_mode(tmp_path, capsys):
         "estimate", "--data", data, "--paths", "5", "--out", out, "--format", "csv",
     ]) == EXIT_OK
     text = capsys.readouterr().out
+    # stdout carries the bytes written to the file, not a second rendering
+    assert text.encode() == Path(out, "estimate_paths.csv").read_bytes()
     rows = list(csv.reader(io.StringIO(text)))
     assert rows[0] == ["index", "endpoint_i", "endpoint_j", "ed", "ed_norm", "pca_ties"]
     assert len(rows) == 6
     # repr-rendered floats round-trip exactly
-    assert float(rows[1][3]) == json.loads(
-        Path(out, "estimate.json").read_text()
-    )["result"]["per_path"][0]["ed"]
+    X, _ = load_dataset_csv(data)
+    assert float(rows[1][3]) == ed_estimate(
+        cli.resolve_oracle("identity", 2), X, EstimatorConfig(n_paths=5)
+    ).per_path.ed[0]
 
 
-def test_estimate_json_per_path_matches_csv_rows(tmp_path, capsys):
+def test_estimate_csv_rows_are_the_report_records(tmp_path, capsys):
+    # the CSV holds every record of the library's report, once, and
+    # estimate.json holds the sha256 of the CSV's bytes instead of a copy
     rng = np.random.default_rng(8)
     data = write_dataset(tmp_path / "d.csv", rng.standard_normal((9, 3)))
     out = str(tmp_path / "out")
@@ -181,17 +190,44 @@ def test_estimate_json_per_path_matches_csv_rows(tmp_path, capsys):
         cli.resolve_oracle("product", 3), X, EstimatorConfig(n_paths=7, pca_dim=1)
     )
     assert tuple(header) == report.per_path.dtype.names
-    entries = read_json(out, "estimate.json")["result"]["per_path"]
-    assert len(entries) == len(rows) == 7
-    for entry, row in zip(entries, rows):
+    assert len(rows) == len(report.per_path) == 7
+    for row, record in zip(rows, report.per_path.tolist()):
         index, i, j, ed, ed_norm, ties = row
-        assert entry == {
-            "index": int(index),
-            "endpoints": [int(i), int(j)],
-            "ed": float(ed),
-            "ed_norm": float(ed_norm),
-            "pca_ties": bool(int(ties)),
-        }
+        assert (int(index), int(i), int(j), float(ed), float(ed_norm), bool(int(ties))) == record
+    result = read_json(out, "estimate.json")["result"]
+    assert "per_path" not in result
+    assert result["estimate_paths_sha256"] == hashlib.sha256(
+        Path(out, "estimate_paths.csv").read_bytes()
+    ).hexdigest()
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KB only on Linux")
+def test_estimate_of_many_paths_holds_each_record_once(tmp_path):
+    # 2 * 10**5 paths (identity oracle, d 8, r 4, K 3, 256 rows): the run
+    # stays under 120 MB, which a JSON copy of every record exceeds
+    data = write_dataset(tmp_path / "d.csv", np.random.default_rng(70).standard_normal((256, 8)))
+    out = tmp_path / "out"
+    child = (
+        "import resource, subprocess, sys\n"
+        "code = subprocess.call([sys.executable, '-m', 'effdeg', *sys.argv[1:]],"
+        " stdout=subprocess.DEVNULL)\n"
+        "print(code, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", child, "estimate", "--data", data, "--paths", "200000",
+         "--out", str(out)],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=300,
+        check=True,
+    )
+    code, max_rss_kb = map(int, done.stdout.split())
+    assert code == EXIT_OK, done.stderr
+    assert max_rss_kb < 120 * 1024
+    table = (out / "estimate_paths.csv").read_bytes()
+    assert table.count(b"\r\n") == 200_001
+    result = read_json(out, "estimate.json")["result"]
+    assert result["estimate_paths_sha256"] == hashlib.sha256(table).hexdigest()
 
 
 def test_malformed_inputs_exit_two_naming_the_file(tmp_path, capsys):

@@ -428,6 +428,23 @@ def test_plans_are_fitted_under_the_settings_they_were_drawn_under():
     assert fit_paths(raw, drawn_a).ed.tolist() != fitted.tolist()
 
 
+def test_plans_drawn_under_bare_path_settings_fit_raw_outputs():
+    # PathSettings has no softmax knob: its plans fit like an EstimatorConfig's
+    # with the same path fields and post_softmax off, bit for bit
+    rng = np.random.default_rng(68)
+    X, W = rng.standard_normal((12, 3)), rng.standard_normal((3, 3))
+    oracle = FunctionOracle(3, 3, lambda p: np.tanh(p @ W), name="tanh")
+    settings = PathSettings(resolution=6, max_degree=4, pca_dim=2, seed=69)
+    config = EstimatorConfig(n_paths=7, **vars(settings))
+    bare, full = plan_paths(X, settings, (), range(7)), plan_paths(X, config, (), range(7))
+    raw = path_values(oracle, X, full)
+    got = fit_paths(raw, bare, with_gradient=True)
+    want = fit_paths(raw, full, with_gradient=True)
+    for name in ("ed", "ed_norm", "pca_ties", "grad"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+    assert not settings.post_softmax
+
+
 def test_plan_path_redraws_coincident_pairs():
     X = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0]])
     plans = plan_paths(X, PathSettings(scheme="chebyshev_fixed", seed=3), (), range(20))

@@ -13,11 +13,13 @@ import numpy as np
 import pytest
 
 from effdeg import estimator, net as nets, sampling, surrogate
+from effdeg.cli import EXIT_CODES, EXIT_CONFIG
 from effdeg.estimator import NonFiniteOutputError
 from effdeg.net import (
     ACTIVATIONS,
     FeedForwardNet,
     NonFiniteLossError,
+    PENALTY_PREFIX,
     PNN_TASKS,
     StepRecord,
     TrainConfig,
@@ -826,3 +828,28 @@ def test_penalty_nonfinite_output_names_the_path():
         f"non-finite output on path 1:{plans.paths[0]} "
         f"(endpoint rows {plans.i[0]} and {plans.j[0]})"
     )
+
+
+def test_penalty_rejects_plans_not_drawn_under_a_train_config():
+    # the penalty reads reg_paths from the plans' settings; an EstimatorConfig's
+    # plans exit 2 naming what the penalty needs and what it got
+    net = tiny_net(42)
+    X = np.random.default_rng(43).standard_normal((8, 2))
+    plans = estimator.plan_paths(X, estimator.EstimatorConfig(seed=1), PENALTY_PREFIX, range(3))
+    with pytest.raises(ValueError) as err:
+        ed_penalty(net, X, np.zeros((8, 3)), plans)
+    assert str(err.value) == (
+        "ed_penalty fits plans drawn by net.plan_paths under a TrainConfig, "
+        "got plans drawn under EstimatorConfig"
+    )
+    assert next(code for kind, code in EXIT_CODES if isinstance(err.value, kind)) == EXIT_CONFIG
+
+
+def test_gradcheck_audits_the_train_commands_default_cell():
+    # the train command trains cross-entropy without anchoring by default;
+    # the audit draws that cell, and every cell holds its tolerance
+    report = nets.gradcheck(8, seed=0)
+    cells = {(cell["task"], cell["anchored"]) for cell in report["cells"]}
+    assert ("cross_entropy", False) in cells
+    assert report["ok"] and report["n_checks"] == 8 and report["tolerance"] == 1e-3
+    assert all(cell["rel_err"] < 1e-3 for cell in report["cells"])
