@@ -17,16 +17,23 @@ over the lcm of their denominators, and a sampler returns endpoint pairs,
 _PAIR_BLOCK at a time, as integer arrays (den, x1, x2): den is (n,) and
 positive, x1 and x2 are (n, dim), and pair k runs from x2[k] / den[k] to
 x1[k] / den[k].  An array is int64 where every value fits and otherwise an
-object array of Python ints.  Scaled by den, the leading part of a
-polynomial at the step x1 - x2 is an integer L; degree D is kept exactly
-when L != 0.  verify first takes every row's L modulo the prime _PRIME in
-int64 arithmetic, for the whole block at once: a nonzero residue proves
-L != 0.  Only the rows whose residue is zero are converted to Python ints.
-There the restriction, scaled to an integer polynomial g(a) of degree
-d <= D, is evaluated at a = 0..D, and d is the last k whose k-th forward
-difference at a = 0 is nonzero: that difference is d! times the leading
-coefficient of g, and every higher one is zero.  So no test the loop makes
-needs a division or a float.
+object array of Python ints.  Along the step s = x1 - x2, the restriction
+scaled by den is an integer polynomial g(a) of degree at most D.  Where
+s_i = 0, read exactly as x1_i == x2_i, coordinate i stays at x2_i, so a term
+of g has degree n_t, the sum of its exponents over the coordinates with
+s_i != 0; g has degree at most d = max n_t, and its coefficient of a^d is an
+integer L built from the s_i, the x2_i and den.  With no zero step entry,
+d = D and L is the leading part of the polynomial at s.  verify takes every
+row's L modulo the prime _PRIME in int64 arithmetic, for the whole block at
+once: a nonzero residue proves degree d, and d = 0 means g is constant.
+Only the rows with d > 0 and a zero residue are converted to Python ints.
+There g is evaluated at a = 0..D, and its degree is the last k whose k-th
+forward difference at a = 0 is nonzero: that difference is k! times the
+leading coefficient of g, and every higher one is zero.  So no test the loop
+makes needs a division or a float.  The gaussian sampler converts a whole
+block of normal draws in one pass: np.frexp splits them into 53-bit integer
+mantissas and exponents, and shifts of those give each row a power-of-two
+den and its numerators as Python ints.
 """
 
 from __future__ import annotations
@@ -108,12 +115,11 @@ class _IntPoly(NamedTuple):
 
     scale is the lcm of poly's denominators; nothing divides by it, so it
     is not kept.  A term is (c, ((i, e_i) for the nonzero exponents), total
-    degree); lead holds the (c, exponents) of the terms of top degree.
+    degree).
     """
 
     top: int
     terms: tuple
-    lead: tuple
 
 
 def _compile(poly: MultiPoly) -> _IntPoly:
@@ -127,9 +133,7 @@ def _compile(poly: MultiPoly) -> _IntPoly:
         )
         for exp, c in poly.terms.items()
     )
-    top = max(deg for _, _, deg in terms)
-    lead = tuple((c, exps) for c, exps, deg in terms if deg == top)
-    return _IntPoly(top, terms, lead)
+    return _IntPoly(max(deg for _, _, deg in terms), terms)
 
 
 @dataclass(frozen=True)
@@ -193,18 +197,55 @@ def _check_block(block, m: int, dim: int) -> tuple[np.ndarray, np.ndarray, np.nd
     return den, x1, x2
 
 
-def _lead_residues(ipoly: _IntPoly, powers: list[np.ndarray]) -> np.ndarray:
-    """scale * den^top times poly's leading part at each row's step, modulo _PRIME.
+def _certificate(
+    ipoly: _IntPoly,
+    nonzero: np.ndarray,
+    powers: list[np.ndarray],
+    den_powers: list[np.ndarray] | None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's restricted degree where a residue proves it, and the rows left open.
 
-    powers[e] is the (m, dim) int64 array of the steps' residues to the e.
+    Along a row's step s, term t of g(a) = scale * den^top * poly((x2 + a s) / den)
+    has degree n_t, the sum of its exponents over the coordinates where
+    s_i != 0 (nonzero, (m, dim) bool).  So g has degree at most d = max_t n_t,
+    and its coefficient of a^d sums, over the terms with n_t = d,
+    c * den^(top - deg) * prod of b_i^e_i, where b_i is s_i if s_i != 0 and
+    x2_i otherwise.  powers[e] holds the (m, dim) b to the e and den_powers[k]
+    the (m,) den^k, modulo _PRIME.  den_powers is None when no s_i is 0:
+    then every n_t is its term's degree, so d = top, and the coefficient is
+    poly's leading part at s.  A nonzero residue proves degree d, and
+    d = 0 means g is constant, recorded as degree 0.  Returns every d as a
+    float and the mask of rows with d > 0 and a zero residue.
     """
-    total = np.zeros(len(powers[0]), dtype=np.int64)
-    for c, exps in ipoly.lead:
-        term = np.full(len(total), c % _PRIME, dtype=np.int64)
+    m = len(nonzero)
+    if den_powers is None:
+        d = np.full(m, float(ipoly.top))
+        reaching = [(term, True) for term in ipoly.terms if term[2] == ipoly.top]
+    else:
+        n = np.zeros((len(ipoly.terms), m))
+        for t, (_, exps, _) in enumerate(ipoly.terms):
+            for i, e in exps:
+                n[t] += e * nonzero[:, i]
+        d = n.max(axis=0)
+        reaching = [(term, rows) for term, rows in zip(ipoly.terms, n == d) if rows.any()]
+    total = np.zeros(m, dtype=np.int64)
+    # rows is a mask of the rows where the term reaches d, or True for every row
+    for (c, exps, deg), rows in reaching:
+        term = rows * (c % _PRIME)
+        if deg < ipoly.top:
+            term = term * den_powers[ipoly.top - deg] % _PRIME
         for i, e in exps:
             term = term * powers[e][:, i] % _PRIME
         total = (total + term) % _PRIME
-    return total
+    return d, (total == 0) & (d > 0)
+
+
+def _powers(residues: np.ndarray, top: int) -> list[np.ndarray]:
+    """residues to the 0..top, modulo _PRIME."""
+    powers = [np.ones_like(residues)]
+    for _ in range(top):
+        powers.append(powers[-1] * residues % _PRIME)
+    return powers
 
 
 def _exact_degrees(
@@ -245,16 +286,19 @@ def verify_order_preservation(
     from x2[k] / den[k] to x1[k] / den[k].  Each array is int64 or an object
     array of Python ints.  The sampler is asked for at most _PAIR_BLOCK pairs
     at a time, and a block of any other shape, of any other dtype, or with a
-    den <= 0 raises ValueError before any arithmetic.  For the whole block at
-    once, each polynomial's leading value at the step is taken modulo the
-    prime _PRIME in int64: a nonzero residue proves the integer nonzero, so
-    that pair keeps the true degree.  On pairs with a zero residue the
-    restriction, scaled to an integer polynomial in a, is evaluated in Python
-    ints at a = 0..top; its degree d is the last k whose k-th forward
-    difference at 0 is nonzero, since the d-th difference of a polynomial of
-    degree d is a nonzero constant and every higher one is zero.  The record
-    is 'ordered' when the sample means relate the same way the true total
-    degrees do.
+    den <= 0 raises ValueError before any arithmetic.  Along a pair's step
+    s = x1 - x2 the restriction, scaled to an integer polynomial g(a), has
+    degree at most d, the largest sum of a term's exponents over the
+    coordinates where s_i != 0 (read exactly, as x1_i != x2_i); with no zero
+    entry, d is the true degree.  For the whole block at once, each
+    polynomial's coefficient of a^d in g is taken modulo the prime _PRIME in
+    int64: a nonzero residue proves the integer nonzero, so that pair has
+    degree d, and d = 0 makes g constant, recorded as degree 0.  On pairs
+    with d > 0 and a zero residue, g is evaluated in Python ints at
+    a = 0..top; its degree is the last k whose k-th forward difference at 0
+    is nonzero, since the k-th difference of a polynomial of degree k is a
+    nonzero constant and every higher one is zero.  The record is 'ordered'
+    when the sample means relate the same way the true total degrees do.
     """
     if poly_a.is_zero() or poly_b.is_zero():
         raise ValueError("order preservation needs nonzero polynomials")
@@ -273,20 +317,22 @@ def verify_order_preservation(
     for start in range(0, n_pairs, _PAIR_BLOCK):
         m = min(_PAIR_BLOCK, n_pairs - start)
         den, x1, x2 = _check_block(sampler(rng, m), m, poly_a.dim)
-        steps = (
-            np.remainder(x1, _PRIME).astype(np.int64) - np.remainder(x2, _PRIME).astype(np.int64)
-        ) % _PRIME
-        powers = [np.ones_like(steps)]
-        for _ in range(top):
-            powers.append(powers[-1] * steps % _PRIME)
-        zero = [_lead_residues(ipoly, powers) == 0 for ipoly in ipolys]
+        # which step entries are 0 is read exactly, before any residue is taken
+        nonzero = x1 != x2
+        x2_res = np.remainder(x2, _PRIME).astype(np.int64)
+        steps = (np.remainder(x1, _PRIME).astype(np.int64) - x2_res) % _PRIME
+        bases, den_powers = steps, None
+        if not nonzero.all():
+            bases = np.where(nonzero, steps, x2_res)
+            den_powers = _powers(np.remainder(den, _PRIME).astype(np.int64), top)
+        powers = _powers(bases, top)
+        certified = [_certificate(ipoly, nonzero, powers, den_powers) for ipoly in ipolys]
         # only the rows some residue leaves open become Python ints, once for both
-        exact = np.flatnonzero(zero[0] | zero[1])
+        exact = np.flatnonzero(certified[0][1] | certified[1][1])
         den_e, x1_e, x2_e = (col[exact].astype(object) for col in (den, x1, x2))
         step_e = x1_e - x2_e
-        for slot, ipoly in enumerate(ipolys):
-            block = np.full(m, float(ipoly.top))
-            open_rows = zero[slot][exact]
+        for slot, (ipoly, (block, open_mask)) in enumerate(zip(ipolys, certified)):
+            open_rows = open_mask[exact]
             if open_rows.any():
                 block[exact[open_rows]] = _exact_degrees(
                     ipoly, den_e[open_rows], x2_e[open_rows], step_e[open_rows]
@@ -313,24 +359,34 @@ def verify_order_preservation(
     )
 
 
+def _dyadic_rows(draws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(den, nums) object arrays of Python ints with nums[k] / den[k] == draws[k] exactly.
+
+    Every finite float v is M / 2^(53 - e) for its 53-bit integer mantissa
+    M and np.frexp exponent e.  A row's den is 2^k for the largest 53 - e in
+    the row, or 1 if that is negative, so every numerator is M shifted left
+    by a nonnegative count.  The den need not be the least one.
+    """
+    mantissas, exps = np.frexp(draws)
+    shifts = 53 - exps.astype(np.int64)
+    k = np.maximum(shifts.max(axis=1), 0)
+    den = np.left_shift(1, k.astype(object))
+    nums = np.ldexp(mantissas, 53).astype(np.int64).astype(object)
+    return den, np.left_shift(nums, (k[:, None] - shifts).astype(object))
+
+
 def gaussian_pair_sampler(dim: int):
     """Endpoint pairs from exact dyadic rationals of standard normal draws.
 
-    Every array is an object array of Python ints: a row's den is the largest
-    denominator among its draws, which can exceed int64.
+    Every array is an object array of Python ints: a row's den is a power of
+    two that clears every draw in it, which can exceed int64.
     """
     if dim < 1:
         raise ValueError("dim must be >= 1")
 
     def sample(rng: np.random.Generator, n: int):
-        rows = []
-        for draw in rng.standard_normal((n, 2 * dim)).tolist():
-            # every denominator is a power of two, so the largest is their lcm
-            ratios = [v.as_integer_ratio() for v in draw]
-            den = max(d for _, d in ratios)
-            rows.append([den] + [p * (den // d) for p, d in ratios])
-        rows = np.array(rows, dtype=object).reshape(n, 2 * dim + 1)
-        return rows[:, 0], rows[:, 1 : dim + 1], rows[:, dim + 1 :]
+        den, nums = _dyadic_rows(rng.standard_normal((n, 2 * dim)))
+        return den, nums[:, :dim], nums[:, dim:]
 
     return sample
 

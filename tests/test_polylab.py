@@ -8,6 +8,7 @@ samplers' integer arrays are checked, as exact rationals, against successive
 draws of the one-pair Fraction samplers in oracles.py from the same stream.
 """
 
+import itertools
 import math
 from fractions import Fraction
 from pathlib import Path
@@ -599,7 +600,33 @@ def test_verify_record_does_not_depend_on_the_block_size(case):
             assert verify_order_preservation(poly_a, poly_b, n_pairs, sampler(), seed=seed) == want
 
 
+def test_the_gaussian_conversion_is_exact_on_chosen_floats():
+    # signed zeros, integers, a non-dyadic decimal, the least subnormal and
+    # normal, an integer past 2**53 and a huge float, alone and side by side
+    chosen = [0.0, -0.0, 1.0, -1.0, 0.1, -2.5, 2.0**-1074, 2.0**-1022, 2.0**53 + 2, 1e300]
+    for draws in (np.array([chosen, chosen[::-1]]), np.array(list(itertools.product(chosen, repeat=2)))):
+        den, nums = polylab._dyadic_rows(draws)
+        assert integer_arrays((den, nums))
+        assert den.shape == draws.shape[:1] and nums.shape == draws.shape
+        assert all(d > 0 for d in den.tolist())
+        for d, row, values in zip(den.tolist(), nums.tolist(), draws.tolist()):
+            assert [Fraction(v, d) for v in row] == [Fraction(v) for v in values]
+
+
 # --- the residue certificate -------------------------------------------------
+
+
+def spy_on_the_exact_path(monkeypatch) -> list:
+    """The steps of every row verify sends to _exact_degrees, in call order."""
+    steps = []
+    exact_degrees = polylab._exact_degrees
+
+    def spy(ipoly, den, base, step):
+        steps.extend(step.tolist())
+        return exact_degrees(ipoly, den, base, step)
+
+    monkeypatch.setattr(polylab, "_exact_degrees", spy)
+    return steps
 
 
 @pytest.mark.parametrize("dtype", [np.int64, object], ids=["int64", "object"])
@@ -608,14 +635,7 @@ def test_a_leading_value_that_is_a_multiple_of_the_prime_keeps_its_degree(monkey
     # x1^2 - 3*x2^2 + x2 are nonzero multiples of p, so their residues are 0
     # and only the exact path can show that both polynomials keep their degree
     p = polylab._PRIME
-    exact = []
-    exact_degrees = polylab._exact_degrees
-
-    def spy(ipoly, den, base, step):
-        exact.extend(step.tolist())
-        return exact_degrees(ipoly, den, base, step)
-
-    monkeypatch.setattr(polylab, "_exact_degrees", spy)
+    exact = spy_on_the_exact_path(monkeypatch)
 
     def sampler(rng, n):
         x1 = np.array([[p, 3], [-p, 5], [2 * p, -1]] * n, dtype=dtype)[:n]
@@ -639,3 +659,32 @@ def test_verify_record_equals_reference_when_the_prime_is_three(case):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(polylab, "_PRIME", 3)
         assert verify_order_preservation(poly_a, poly_b, n_pairs, sampler(), seed=seed) == want
+
+
+def test_the_forced_pair_is_certified_without_python_ints(monkeypatch):
+    # along a step whose x1 entry is 0, x1^2 + x2 and x1^3 - x2 restrict to
+    # degree-1 polynomials whose a-coefficient den^k * s_2 has a nonzero residue
+    hyperplane = (Path(__file__).parent / "fixtures" / "hyperplane.txt").read_text(encoding="utf-8")
+    low, high = parse_poly_bundle(hyperplane)
+    exact = spy_on_the_exact_path(monkeypatch)
+    for seed in range(3):
+        record = verify_order_preservation(high, low, 40, shared_coordinate_pair_sampler(2), seed=seed)
+        assert record.drop_counts == (40, 40)
+    assert exact == []
+
+
+def test_a_cancelling_coefficient_on_a_zero_step_takes_the_exact_path(monkeypatch):
+    # both pairs share x1 = 1, so x1*x2 and x2 both have degree 1 in a and their
+    # a-coefficients cancel: den^0 * x1 * s_2 - den * s_2 = 0, and the exact
+    # path finds the restriction x2 (x1 - 1) to be zero
+    poly = parse_poly("x1*x2 - x2")
+    pairs = [
+        ((Fraction(1), Fraction(2)), (Fraction(1), Fraction(-3))),
+        ((Fraction(1), Fraction(1, 3)), (Fraction(1), Fraction(5))),
+    ]
+    exact = spy_on_the_exact_path(monkeypatch)
+    record = verify_order_preservation(poly, poly, 4, oracles.pair_sampler(pairs))
+    assert exact == [[0, 5], [0, -14]] * 4
+    assert record.restricted_degrees == ((0.0,) * 4, (0.0,) * 4)
+    assert record.mean_degrees == (0.0, 0.0)
+    assert record == oracles.verify_order_preservation(poly, poly, 4, oracles.pair_sampler(pairs))
