@@ -67,6 +67,7 @@ __all__ = [
     "anchor_values",
     "fit_paths",
     "ed_estimate",
+    "hold_heap",
 ]
 
 # Endpoints closer than this give a collapsed segment; the pair is redrawn.
@@ -291,6 +292,22 @@ def drawn_block(settings: PathSettings, n: int, prefix: tuple, start: int, stop:
     return draws
 
 
+@functools.cache
+def hold_heap() -> None:
+    """Stop glibc's heap from shrinking and regrowing on every call; once a process.
+
+    glibc maps each block above its mmap threshold afresh, and returns the top
+    of its heap to the OS once more than its trim threshold lies free there, so
+    the engine's and training's temporaries page-fault afresh on every call
+    (about 370 faults an estimate-pca call, 140 a study step).  Freeing one
+    mmapped 2 MiB block raises the two thresholds to 2 and 4 MiB for the rest
+    of the process (mallopt(3)); 1 MiB is too small.  ed_estimate,
+    net.composite_objective and the study rows call it on entry, never at
+    import, and forked workers inherit it.
+    """
+    np.empty(1 << 18)
+
+
 def settle_paths(inputs: np.ndarray, draws: PathPlans) -> PathPlans:
     """The drawn paths whose endpoint pair settles on inputs, in their drawn order.
 
@@ -457,14 +474,18 @@ def ed_estimate(
 ) -> EDReport:
     """Estimate the mean effective degree of an oracle over a dataset.
 
-    inputs is (n, input_dim) with n >= 2.  When config.anchored is set,
+    inputs is (n, input_dim) with n >= 2 finite rows.  When config.anchored is set,
     labels must be (n, output_dim); endpoint rows of each path are replaced
     by the labels of the endpoints before any PCA or fitting.
     """
+    hold_heap()
     config.validate()
     X = np.asarray(inputs, dtype=float)
     if X.ndim != 2 or X.shape[1] != oracle.input_dim:
         raise ValueError(f"inputs must be (n, {oracle.input_dim})")
+    finite = np.isfinite(X).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"inputs row {int(np.argmin(finite))} is not finite")
     if X.shape[0] < 2:
         raise ValueError("need at least two dataset points to form a path")
     if config.anchored:

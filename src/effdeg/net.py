@@ -411,6 +411,7 @@ def composite_objective(
 
     Returns (StepRecord, (d_weights, d_biases), projections).
     """
+    estimator.hold_heap()
     raw, cache = net.forward_cached(batch_x)
     task_loss, d_raw = task_loss_and_grad(raw, batch_t, config.task)
     grads = net.backward(cache, d_raw)
@@ -883,14 +884,7 @@ def _study_row(
     and in any order the six tasks run.  With strict=True a task that misses
     the mse target raises TrainingFailure naming it.
     """
-    # glibc hands the top of its heap back to the OS whenever more than
-    # 128 KiB lies free there.  With some heap layouts (importing
-    # multiprocessing after effdeg left one) the training temporaries then
-    # page-fault afresh on every step, about 140 faults a step, which
-    # doubles the training time.  Freeing one mmapped 1 MiB block raises
-    # that threshold to 2 MiB for the rest of the process (the dynamic
-    # mmap threshold of mallopt(3)).
-    np.empty(1 << 17)
+    estimator.hold_heap()
     name, fn, degree = PNN_TASKS[idx]
     mse, net, restarts, steps = _train_pnn_task(
         fn, seed, idx, width, n_train, n_steps, mse_target
@@ -951,10 +945,10 @@ def pnn_study(
     When tasks fail, the error of the lowest-index one is raised, as a
     serial loop would; the pool first cancels the tasks it has not handed
     to a worker and waits for the rest, so no worker outlives the call.
-    Workers are forked, so they inherit this process's module state and
-    warning filters and start without importing numpy again; Python 3.12
-    and later emit a DeprecationWarning when forking a process that has
-    threads, as a multi-threaded BLAS makes it.
+    Workers are forked, so they inherit this process's module state, warning
+    filters and heap policy (estimator.hold_heap) and start without importing
+    numpy again; Python 3.12 and later emit a DeprecationWarning when forking
+    a process that has threads, as a multi-threaded BLAS makes it.
     """
     for name, value, least in (
         ("width", width, 1), ("n_train", n_train, 2), ("n_steps", n_steps, 1), ("n_eval", n_eval, 2)

@@ -7,6 +7,7 @@ numpy.polynomial (both in tests/oracles.py).
 
 import json
 import os
+import platform
 import subprocess
 import sys
 import warnings
@@ -311,6 +312,19 @@ def test_degenerate_dataset_raises():
         ed_estimate(oracle, X, cfg)
 
 
+@pytest.mark.parametrize(
+    "bad, rows, first", [(np.nan, [4], 4), (np.inf, [2, 5], 2), (np.nan, slice(None), 0)]
+)
+def test_non_finite_inputs_raise_naming_the_first_such_row(bad, rows, first, monkeypatch):
+    # checked before any path is planned: planning would redraw every pair on
+    # a NaN row, blame the oracle for an inf row and find no spread in NaN data
+    X = np.random.default_rng(12).standard_normal((6, 2))
+    X[rows, 1] = bad
+    monkeypatch.setattr(estimator, "drawn_block", None)  # planning would fail otherwise
+    with pytest.raises(ValueError, match=f"^inputs row {first} is not finite$"):
+        ed_estimate(identity_oracle(2), X, EstimatorConfig(n_paths=8, seed=2))
+
+
 def test_half_sample_consistency():
     # Eq.-(9)-style convergence: disjoint halves of 2000 paths nearly agree
     oracle = FunctionOracle(
@@ -535,15 +549,20 @@ print(json.dumps([report.mean_ed.hex(), report.std_ed.hex(), report.mean_ed_norm
 """
 
 
-@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KB only on Linux")
-def test_estimate_memory_is_one_block_plus_records(monkeypatch):
+def last_line_of_child(code: str):
+    """Run code in a fresh interpreter that imports effdeg from src/; its last line, as JSON."""
     root = Path(__file__).resolve().parents[1]
     path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", BIG_ESTIMATE], env={**os.environ, "PYTHONPATH": path},
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
         capture_output=True, text=True, timeout=300, check=True,
     )
-    *stats, max_rss_kb = json.loads(proc.stdout.splitlines()[-1])
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KB only on Linux")
+def test_estimate_memory_is_one_block_plus_records(monkeypatch):
+    *stats, max_rss_kb = last_line_of_child(BIG_ESTIMATE)
     assert max_rss_kb < 120 * 1024
     X = np.random.default_rng(41).standard_normal((256, 8))
     oracle = FunctionOracle(8, 8, lambda p: p, name="identity")
@@ -560,3 +579,35 @@ def test_estimate_memory_is_one_block_plus_records(monkeypatch):
     # fields differs from them in the last bit
     columns = [np.ascontiguousarray(report.per_path[name]) for name in ("ed", "ed_norm")]
     assert (report.mean_ed, report.mean_ed_norm) == tuple(column.mean() for column in columns)
+
+
+# estimate-pca's shape: relu 8-64-64-16, 1,024 rows, 200 paths, r 8, K 5, PCA 4.
+# Unless glibc's heap is held, each call maps and zero-fills its (1600, 64)
+# forward temporaries afresh: some 340-420 minor faults a call
+FAULTS_PER_CALL = """
+import resource
+import numpy as np
+from effdeg.estimator import EstimatorConfig, ed_estimate
+from effdeg.net import FeedForwardNet
+
+oracle = FeedForwardNet.create([8, 64, 64, 16], seed=5).as_oracle()
+X = np.random.default_rng(5).standard_normal((1024, 8))
+
+def estimate(seed):
+    config = EstimatorConfig(n_paths=200, resolution=8, max_degree=5, pca_dim=4, seed=seed)
+    ed_estimate(oracle, X, config)
+
+for seed in range(3):
+    estimate(seed)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for seed in range(3, 23):
+    estimate(seed)
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 20)
+"""
+
+
+@pytest.mark.skipif(
+    platform.libc_ver()[0] != "glibc", reason="the heap thresholds held are glibc's (mallopt(3))"
+)
+def test_estimate_calls_do_not_page_fault():
+    assert last_line_of_child(FAULTS_PER_CALL) < 10

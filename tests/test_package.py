@@ -112,6 +112,26 @@ def test_plans_are_built_only_in_estimator():
     assert not calls, calls
 
 
+def test_the_heap_is_held_only_in_estimator():
+    # a freed np.empty block sets glibc's allocator thresholds for the whole
+    # process: estimator.hold_heap is the one place that frees one, so every
+    # caller holds the same heap
+    discarded = []
+    for path in package_modules():
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        helper = {
+            id(node)
+            for func in ast.walk(tree)
+            if isinstance(func, ast.FunctionDef) and func.name == "hold_heap"
+            for node in ast.walk(func)
+        }
+        for node in ast.walk(tree):
+            call = node.value if isinstance(node, ast.Expr) else None
+            if isinstance(call, ast.Call) and getattr(call.func, "attr", None) == "empty":
+                discarded.append((path.name, node.lineno, id(node) in helper))
+    assert [(name, inside) for name, _, inside in discarded] == [("estimator.py", True)], discarded
+
+
 def test_importing_the_cli_defers_the_worker_pool():
     # pnn_study imports its process pool when it runs, so importing effdeg,
     # and with it every CLI start, does not pay for multiprocessing
