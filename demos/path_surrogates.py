@@ -8,7 +8,7 @@ read off the effective degree from the coefficients.
 import numpy as np
 
 from effdeg.sampling import chebyshev_nodes, randomized_cosine, rng
-from effdeg.surrogate import ed_from_coefficients, fit_matrix
+from effdeg.surrogate import ed_from_coefficients, normal_system, solve_system
 
 x1 = np.array([1.0, 0.0])
 x2 = np.array([0.0, 1.0])
@@ -28,8 +28,9 @@ def restricted(alphas, f=product):
 
 
 def fit(abscissas, values, max_degree, damping):
-    """Coefficients c_0..c_K of one sampled path: the one-column case of fit_matrix."""
-    return fit_matrix(abscissas, values[:, None], max_degree, damping=damping)[:, 0]
+    """Coefficients c_0..c_K of one sampled path: the one-column case of solve_system."""
+    system = normal_system(abscissas, max_degree, damping=damping)
+    return solve_system(system, values[:, None])[0][:, 0]
 
 
 print("function f(x) = x1 * x2 restricted to the segment", x1, "->", x2)
@@ -40,9 +41,9 @@ values = restricted(nodes)
 
 for max_degree in (1, 2, 5):
     c = fit(nodes, values, max_degree, damping=0.0)
-    ed = ed_from_coefficients(c)
+    ed, ed_norm = ed_from_coefficients(c)
     print(f"max degree {max_degree}: coefficients {np.round(c, 6)}")
-    print(f"  ED = sum |c_k| k = {ed.ed:.6f}   ED_norm = {ed.ed_norm:.6f}")
+    print(f"  ED = sum |c_k| k = {ed:.6f}   ED_norm = {ed_norm:.6f}")
 
 print()
 print("the quadratic is captured exactly from degree 2 on; the extra basis")
@@ -51,7 +52,7 @@ print("directions of the degree-5 fit pick up nothing, so ED stays put\n")
 print("damping trades a little bias for stability:")
 for damping in (0.0, 1e-6, 1e-2):
     c = fit(nodes, values, 5, damping=damping)
-    print(f"  damping {damping:8.0e} -> ED {ed_from_coefficients(c).ed:.6f}")
+    print(f"  damping {damping:8.0e} -> ED {ed_from_coefficients(c)[0]:.6f}")
 
 print()
 print("randomized abscissas approximate the same node distribution. The degree-5")
@@ -60,13 +61,13 @@ print("move with the seed; f(x) = sin(3 (x1 - x2)) is not a polynomial, its degr
 print("tail that each draw fits differently, and its ED moves with the seed:")
 for seed in range(3):
     draw = randomized_cosine(8, rng(seed).random(8))
-    quadratic = ed_from_coefficients(fit(draw, restricted(draw), 5, damping=1e-6)).ed
-    sine = ed_from_coefficients(fit(draw, restricted(draw, wave), 5, damping=1e-6)).ed
+    quadratic = ed_from_coefficients(fit(draw, restricted(draw), 5, damping=1e-6))[0]
+    sine = ed_from_coefficients(fit(draw, restricted(draw, wave), 5, damping=1e-6))[0]
     print(f"  seed {seed} -> quadratic ED {quadratic:.6f}   sine ED {sine:.6f}")
 
 print()
 print("a constant function has coefficient mass only at degree zero:")
 c = fit(nodes, np.full(8, 3.0), 5, damping=0.0)
-ed = ed_from_coefficients(c)
+ed, ed_norm = ed_from_coefficients(c)
 print(f"  coefficients {np.round(c, 12)}")
-print(f"  ED = {ed.ed:.2e} (numerically zero), ED_norm = {ed.ed_norm:.2e}")
+print(f"  ED = {ed:.2e} (numerically zero), ED_norm = {ed_norm:.2e}")

@@ -444,17 +444,15 @@ def fit_paths(
             projection = pca_project(values, config.pca_dim)
         fit_target = projection.apply(values)
     try:
-        fitted = sg.solve_system(plans.system, fit_target, with_gradient=with_gradient)
+        coeffs, grad = sg.solve_system(plans.system, fit_target, with_gradient=with_gradient)
     except sg.SingularFitError as exc:
         where = "" if exc.system is None else f" on {_path_name(plans, exc.system)}"
         raise sg.SingularFitError(f"{exc}{where}", exc.system) from exc
-    coeffs = fitted[0] if with_gradient else fitted
-    per_output = sg.ed_from_coefficients(np.swapaxes(coeffs, -1, -2))
-    ed, ed_norm = per_output.ed.mean(axis=-1), per_output.ed_norm.mean(axis=-1)
+    ed, ed_norm = (v.mean(axis=-1) for v in sg.ed_from_coefficients(np.swapaxes(coeffs, -1, -2)))
     ties = np.zeros(len(plans), bool) if projection is None else projection.degenerate_ties
     if not with_gradient:
         return PathFits(ed=ed, ed_norm=ed_norm, pca_ties=ties, projection=projection)
-    grad = fitted[1] / fit_target.shape[-1]
+    grad = grad / fit_target.shape[-1]
     if projection is not None:
         grad = grad @ projection.components
     if config.anchored:
@@ -475,8 +473,8 @@ def ed_estimate(
     """Estimate the mean effective degree of an oracle over a dataset.
 
     inputs is (n, input_dim) with n >= 2 finite rows.  When config.anchored is set,
-    labels must be (n, output_dim); endpoint rows of each path are replaced
-    by the labels of the endpoints before any PCA or fitting.
+    labels must be (n, output_dim) and finite; endpoint rows of each path are
+    replaced by the labels of the endpoints before any PCA or fitting.
     """
     hold_heap()
     config.validate()
@@ -496,6 +494,9 @@ def ed_estimate(
             labels = labels[:, None]
         if labels.shape != (X.shape[0], oracle.output_dim):
             raise ValueError(f"labels must be (n, {oracle.output_dim})")
+        finite = np.isfinite(labels).all(axis=1)
+        if not finite.all():
+            raise ValueError(f"labels row {int(np.argmin(finite))} is not finite")
     config.check_output_dim(oracle.output_dim)
 
     length, columns = block_units(config, 1), []

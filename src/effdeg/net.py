@@ -535,7 +535,8 @@ def train(
     stop_below=(threshold, window) makes config.n_steps a cap: training
     stops after the first step that ends a run of window consecutive task
     losses below threshold.  A pca_dim wider than the network's outputs (or
-    the resolution) is rejected before step 0, penalty or not.
+    the resolution), or a non-finite inputs or targets row, is rejected
+    before step 0, penalty or not.
     """
     config.validate()
     # C order, as a fancy-indexed minibatch X[idx] has: a full-batch step
@@ -544,6 +545,9 @@ def train(
     T = np.ascontiguousarray(targets, dtype=float)
     if X.ndim != 2 or T.ndim != 2 or X.shape[0] != T.shape[0]:
         raise ValueError("inputs (n, d) and targets (n, out) must align")
+    for name, rows in (("inputs", X), ("targets", T)):
+        if not (finite := np.isfinite(rows).all(axis=1)).all():
+            raise ValueError(f"{name} row {int(np.argmin(finite))} is not finite")
     if X.shape[0] < config.batch_size:
         raise ValueError("batch_size exceeds the dataset")
     config.check_output_dim(net.layer_sizes[-1])

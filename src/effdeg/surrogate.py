@@ -15,13 +15,13 @@ no coefficient sits at zero:
 
     dED/dy = T (T^t T + eps I)^{-1} (sign(c) * [0, 1, ..., K]).
 
-Fits are batched: fit_matrix solves a stack of P such systems, one per
-path, in one call, and ed_from_coefficients reduces stacked coefficient
-vectors at once; each system's result is bit-identical to solving it alone.
 A fit is two halves: normal_system builds what depends on the abscissas
 alone (T and the damped Gram), and solve_system what depends on y, so a
 caller that knows its abscissas early can build the first half ahead, as
-the path engine's plans do; fit_matrix runs both halves.
+the path engine's plans do.  Fits are batched: solve_system solves a stack
+of P such systems, one per path, in one call, and ed_from_coefficients
+reduces stacked coefficient vectors at once; each system's result is
+bit-identical to solving it alone.
 
 gradcheck audits that gradient against central differences through
 audit_gradients, the loop net.gradcheck shares for the training objective.
@@ -38,11 +38,9 @@ from .basis import design_matrix
 
 __all__ = [
     "SingularFitError",
-    "EDValue",
     "NormalSystem",
     "normal_system",
     "solve_system",
-    "fit_matrix",
     "ed_from_coefficients",
     "central_difference",
     "audit_gradients",
@@ -70,18 +68,6 @@ class SingularFitError(RuntimeError):
     def __init__(self, message: str, system: int | None = None):
         super().__init__(message)
         self.system = system
-
-
-@dataclass(frozen=True)
-class EDValue:
-    """Effective degree and its coefficient-mass-normalized companion.
-
-    Both are floats for one coefficient vector and arrays of one shape for
-    stacked vectors.
-    """
-
-    ed: float | np.ndarray
-    ed_norm: float | np.ndarray
 
 
 def _solve(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -132,11 +118,18 @@ def normal_system(
 
 def solve_system(
     system: NormalSystem, values, with_gradient: bool = False
-) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray | None]:
     """Fit every column of stacked (..., r, m) values through their normal systems.
 
-    Returns the (..., K + 1, m) coefficients, and with with_gradient=True
-    also the (..., r, m) dED/dy (see fit_matrix).  An ill-posed system or a
+    Returns (coefficients, gradient): the (..., K + 1, m) coefficients and,
+    with with_gradient=True, the (..., r, m) dED/dy of each column, else
+    None.  Every stacked system is solved as if alone, so stacking does not
+    change any result; one sampled path y is the unstacked one-column case,
+    solve_system(normal_system(alphas, K), y[:, None])[0][:, 0].  The
+    gradient propagates the cotangent sign(c) * [0, 1, ..., K] back through
+    the same damped Gram, with sign 0 for any |c_k| <= SIGN_DEAD_ZONE *
+    sum_k |c_k| of its column.  Only ED is differentiated; ED_norm is
+    reported but never used as an objective.  An ill-posed system or a
     solve whose residual exceeds its tolerance raises SingularFitError
     naming the first failing stacked system.
     """
@@ -159,7 +152,7 @@ def solve_system(
         first = int(np.argmax(failed))
         raise SingularFitError(f"normal system residual {resid[first]:.3e} above tolerance", first)
     if not with_gradient:
-        return coeffs
+        return coeffs, None
     degrees = np.arange(design.shape[-1], dtype=float)
     magnitude = np.abs(coeffs)
     live = magnitude > SIGN_DEAD_ZONE * magnitude.sum(axis=-2, keepdims=True)
@@ -167,40 +160,11 @@ def solve_system(
     return coeffs, design @ _solve(gram, weighted)
 
 
-def fit_matrix(
-    alphas,
-    values,
-    max_degree: int,
-    damping: float = 1e-6,
-    basis: str = "chebyshev",
-    with_gradient: bool = False,
-) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
-    """Fit every column of stacked (..., r, m) values; returns (..., K + 1, m) coefficients.
+def ed_from_coefficients(coefficients: np.ndarray) -> tuple[float | np.ndarray, float | np.ndarray]:
+    """(ED, ED_norm) of coefficient vectors c_0..c_K along the last axis.
 
-    This is solve_system(normal_system(alphas, ...), values) in one call;
-    the path engine (estimator.fit_paths) instead solves the normal systems
-    its plans were drawn with.  alphas is (..., r), one row of abscissas per
-    stacked system: P paths are fitted in one call with (P, r) alphas and
-    (P, r, m) values, and one sampled path y is the unstacked one-column
-    case, fit_matrix(alphas, y[:, None], ...)[:, 0].  r must be at least
-    max_degree + 1, so no system is underdetermined.  Every system is solved
-    as if alone, so stacking does not change any result.  With
-    with_gradient=True returns (coefficients, gradients), where column j of
-    the (..., r, m) gradients is dED/dy of column j.  Both come from one
-    design matrix and one damped Gram per system: the cotangent sign(c) *
-    [0, 1, ..., K] is propagated back through the same normal matrix, with
-    sign 0 for any |c_k| <= SIGN_DEAD_ZONE * sum_k |c_k| of its column.
-    Only ED is differentiated; ED_norm is reported but never used as an
-    objective.
-    """
-    return solve_system(normal_system(alphas, max_degree, damping, basis), values, with_gradient)
-
-
-def ed_from_coefficients(coefficients: np.ndarray) -> EDValue:
-    """Effective degree of coefficient vectors c_0..c_K along the last axis.
-
-    A (K + 1,) vector gives scalars; stacked (..., K + 1) vectors give
-    (...) arrays.  Each ED is one dot product over a contiguous row, so a
+    A (K + 1,) vector gives two scalars; stacked (..., K + 1) vectors give
+    two (...) arrays.  Each ED is one dot product over a contiguous row, so a
     vector's value does not depend on what it is stacked with.
     """
     c = np.abs(np.asarray(coefficients, dtype=float))
@@ -211,7 +175,7 @@ def ed_from_coefficients(coefficients: np.ndarray) -> EDValue:
     ed = (c[..., None, :] @ degrees[:, None])[..., 0, 0]
     mass = c.sum(axis=-1)
     ed_norm = np.divide(ed, mass, out=np.zeros_like(ed), where=mass > 0.0)
-    return EDValue(ed=ed[()], ed_norm=ed_norm[()])
+    return ed[()], ed_norm[()]
 
 
 def central_difference(f, x: np.ndarray) -> np.ndarray:
@@ -266,7 +230,7 @@ def audit_gradients(draw, n_checks: int, tolerance: float, *, skipped: str) -> d
 
 
 def gradcheck(n_checks: int, seed: int) -> dict:
-    """Audit the ED gradient of fit_matrix against central differences.
+    """Audit the ED gradient of solve_system against central differences.
 
     Each cell draws a resolution, degree cap, damping, basis and
     randomized_cosine abscissas from sampling.rng(seed, 1).  Cells with a
@@ -282,15 +246,13 @@ def gradcheck(n_checks: int, seed: int) -> dict:
         basis = str(rng.choice(["chebyshev", "legendre"]))
         abscissas = sampling.randomized_cosine(r, rng.random(r))
         y = rng.standard_normal(r)
-        coeffs, grad = fit_matrix(
-            abscissas, y[:, None], max_degree, damping, basis, with_gradient=True
-        )
+        system = normal_system(abscissas, max_degree, damping, basis)
+        coeffs, grad = solve_system(system, y[:, None], with_gradient=True)
         if np.abs(coeffs).min() <= 1e-8:
             return None
 
         def objective(values):
-            coeffs = fit_matrix(abscissas, values[:, None], max_degree, damping, basis)
-            return ed_from_coefficients(coeffs[:, 0]).ed
+            return ed_from_coefficients(solve_system(system, values[:, None])[0][:, 0])[0]
 
         cell = {"resolution": r, "max_degree": max_degree, "damping": damping, "basis": basis}
         return cell, grad[:, 0], objective, y

@@ -41,7 +41,7 @@ from effdeg.polylab import (
     verify_order_preservation,
 )
 from effdeg.sampling import chebyshev_nodes, sample_abscissas, uniform_nodes
-from effdeg.surrogate import ed_from_coefficients, fit_matrix
+from effdeg.surrogate import ed_from_coefficients, normal_system, solve_system
 from oracles import fd_gradient
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -63,8 +63,8 @@ def test_1_exact_surrogate_recovery():
             nodes = chebyshev_nodes(max_degree + 1)
             table = design_matrix(basis, nodes, max_degree)
             for j in range(max_degree + 1):
-                coeffs = fit_matrix(nodes, table[:, [j]], max_degree, damping=0.0, basis=basis)
-                coeffs = coeffs[:, 0]
+                system = normal_system(nodes, max_degree, damping=0.0, basis=basis)
+                coeffs = solve_system(system, table[:, [j]])[0][:, 0]
                 worst_unit = max(worst_unit, abs(coeffs[j] - 1.0))
                 rest = np.delete(coeffs, j)
                 if rest.size:
@@ -99,16 +99,15 @@ def test_2_ed_gradient_fidelity():
         scheme = "chebyshev_fixed" if rng.integers(0, 2) else "randomized_cosine"
         abscissas = sample_abscissas(scheme, r, uniforms=rng.random(r))
         y = rng.standard_normal(r)
-        coeffs, grad = fit_matrix(
-            abscissas, y[:, None], max_degree, damping, basis, with_gradient=True
-        )
+        system = normal_system(abscissas, max_degree, damping, basis)
+        coeffs, grad = solve_system(system, y[:, None], with_gradient=True)
         # stay clear of the |c_k| = 0 kinks so central differences are valid
         if float(np.min(np.abs(coeffs))) <= 1e-5:
             continue
         analytic = grad[:, 0]
 
-        def ed_of(values, a=abscissas, k=max_degree, eps=damping, b=basis):
-            return ed_from_coefficients(fit_matrix(a, values[:, None], k, eps, b)[:, 0]).ed
+        def ed_of(values, system=system):
+            return ed_from_coefficients(solve_system(system, values[:, None])[0][:, 0])[0]
 
         numeric = fd_gradient(ed_of, y)
         rel = float(np.max(np.abs(analytic - numeric)) / (1.0 + np.max(np.abs(numeric))))

@@ -853,18 +853,20 @@ def test_gradcheck_passes_and_lists_cells(tmp_path, capsys):
 
 def test_gradcheck_fails_on_negated_gradients(tmp_path, capsys, monkeypatch):
     # negate the gradients where each audit takes them: the surrogate suite
-    # from fit_matrix, the composite suite from composite_objective
-    fit_matrix, objective = surrogate.fit_matrix, nets.composite_objective
+    # from solve_system, the composite suite from composite_objective (whose
+    # penalty, fitted through solve_system, is negated twice; its task
+    # gradient once)
+    solve_system, objective = surrogate.solve_system, nets.composite_objective
 
-    def negated_fit(*args, with_gradient=False, **kwargs):
-        out = fit_matrix(*args, with_gradient=with_gradient, **kwargs)
-        return (out[0], -out[1]) if with_gradient else out
+    def negated_solve(*args, **kwargs):
+        coeffs, grad = solve_system(*args, **kwargs)
+        return coeffs, None if grad is None else -grad
 
     def negated_objective(*args, **kwargs):
         record, (d_w, d_b), projections = objective(*args, **kwargs)
         return record, ([-g for g in d_w], [-g for g in d_b]), projections
 
-    monkeypatch.setattr(surrogate, "fit_matrix", negated_fit)
+    monkeypatch.setattr(surrogate, "solve_system", negated_solve)
     monkeypatch.setattr(nets, "composite_objective", negated_objective)
     code = main([
         "gradcheck", "--surrogate-checks", "3", "--composite-checks", "1",

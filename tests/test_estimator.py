@@ -37,7 +37,7 @@ from effdeg.estimator import (
 from effdeg.net import build_pnn
 from effdeg.reduce import pca_project
 from effdeg.sampling import SCHEME_VARIANTS, chebyshev_nodes, sample_abscissas
-from effdeg.surrogate import fit_matrix
+from effdeg.surrogate import normal_system, solve_system
 
 from oracles import (
     alpha_monomial_to_cheb, alpha_monomial_to_leg, net_restriction, plans_of, restrict,
@@ -188,7 +188,7 @@ def test_fit_matches_symbolic_restriction():
 
     nodes = chebyshev_nodes(4)
     values = one_path(product_oracle(), np.array([1.0, 0.0]), np.array([0.0, 1.0]), nodes)
-    got = fit_matrix(nodes, values, 3, 0.0, "chebyshev")[:, 0]
+    got = solve_system(normal_system(nodes, 3, 0.0, "chebyshev"), values)[0][:, 0]
     assert np.max(np.abs(got[: len(want)] - want)) < 1e-8
     assert np.max(np.abs(got[len(want) :])) < 1e-8
 
@@ -210,7 +210,7 @@ def test_fit_matches_symbolic_restriction_random_endpoints():
         )
         nodes = chebyshev_nodes(5)
         values = one_path(oracle, a.astype(float), b.astype(float), nodes)
-        got = fit_matrix(nodes, values, 4, 0.0, "chebyshev")[:, 0]
+        got = solve_system(normal_system(nodes, 4, 0.0, "chebyshev"), values)[0][:, 0]
         padded = np.zeros(5)
         padded[: len(want)] = want
         assert np.max(np.abs(got - padded)) < 1e-8
@@ -281,7 +281,7 @@ def test_affine_high_degree_coefficients_vanish():
     oracle = FunctionOracle(2, 2, lambda p: p @ A.T + 1.0)
     ab = sample_abscissas("chebyshev_fixed", 6)
     values = one_path(oracle, rng.standard_normal(2), rng.standard_normal(2), ab)
-    c = fit_matrix(ab, values, 4, 0.0, "chebyshev")
+    c, _ = solve_system(normal_system(ab, 4, 0.0, "chebyshev"), values)
     assert np.max(np.abs(c[2:])) < 1e-8
 
 
@@ -313,16 +313,25 @@ def test_degenerate_dataset_raises():
 
 
 @pytest.mark.parametrize(
-    "bad, rows, first", [(np.nan, [4], 4), (np.inf, [2, 5], 2), (np.nan, slice(None), 0)]
+    "name, bad, rows, first",
+    [
+        pytest.param("inputs", np.nan, [4], 4, id="nan-rows0-4"),
+        pytest.param("inputs", np.inf, [2, 5], 2, id="inf-rows1-2"),
+        pytest.param("inputs", np.nan, slice(None), 0, id="nan-rows2-0"),
+        pytest.param("labels", np.nan, [3], 3, id="labels-nan-3"),
+    ],
 )
-def test_non_finite_inputs_raise_naming_the_first_such_row(bad, rows, first, monkeypatch):
+def test_non_finite_inputs_raise_naming_the_first_such_row(name, bad, rows, first, monkeypatch):
     # checked before any path is planned: planning would redraw every pair on
-    # a NaN row, blame the oracle for an inf row and find no spread in NaN data
+    # a NaN row, blame the oracle for an inf row and find no spread in NaN
+    # data; a NaN label would surface as a singular fit
     X = np.random.default_rng(12).standard_normal((6, 2))
-    X[rows, 1] = bad
+    arrays = {"inputs": X, "labels": X.copy()}
+    arrays[name][rows, 1] = bad
     monkeypatch.setattr(estimator, "drawn_block", None)  # planning would fail otherwise
-    with pytest.raises(ValueError, match=f"^inputs row {first} is not finite$"):
-        ed_estimate(identity_oracle(2), X, EstimatorConfig(n_paths=8, seed=2))
+    cfg = EstimatorConfig(n_paths=8, seed=2, anchored=name == "labels")
+    with pytest.raises(ValueError, match=f"^{name} row {first} is not finite$"):
+        ed_estimate(identity_oracle(2), X, cfg, labels=arrays["labels"])
 
 
 def test_half_sample_consistency():

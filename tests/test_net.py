@@ -556,6 +556,24 @@ def test_train_validates_shapes():
         train(net, X, np.zeros((4, 3)), TrainConfig(n_steps=1, batch_size=8))
 
 
+@pytest.mark.parametrize(
+    "name, bad, row", [("inputs", np.nan, 3), ("targets", np.inf, 1), ("targets", np.nan, 0)]
+)
+def test_non_finite_training_rows_raise_naming_the_first_such_row(name, bad, row, monkeypatch):
+    # checked once at entry: a NaN input row would otherwise surface as a
+    # non-finite loss at step 0, after warnings from backward
+    net = tiny_net(39)
+    rng = np.random.default_rng(40)
+    arrays = {"inputs": rng.standard_normal((6, 2)), "targets": np.ones((6, 3))}
+    arrays[name][[row, 5], -1] = bad
+    before = net.get_flat()
+    monkeypatch.setattr(nets, "regularized_step", None)  # no step may run
+    cfg = TrainConfig(task="mse", n_steps=2, batch_size=6)
+    with pytest.raises(ValueError, match=f"^{name} row {row} is not finite$"):
+        train(net, arrays["inputs"], arrays["targets"], cfg)
+    assert np.array_equal(net.get_flat(), before)
+
+
 def test_nonfinite_loss_raises_before_update():
     net = tiny_net(35, activations=("square", "square"))
     X = np.random.default_rng(36).standard_normal((8, 2)) * 3.0

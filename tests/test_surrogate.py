@@ -18,12 +18,12 @@ from effdeg.estimator import EstimatorConfig, fit_paths
 from effdeg.sampling import chebyshev_nodes, randomized_cosine, sample_abscissas
 from effdeg.surrogate import (
     COND_LIMIT,
-    EDValue,
     SingularFitError,
     audit_gradients,
     central_difference,
     ed_from_coefficients,
-    fit_matrix,
+    normal_system,
+    solve_system,
 )
 
 from oracles import damped_normal_solve, fd_gradient, plans_of
@@ -36,14 +36,15 @@ def random_instance(rng, r=8, K=5):
 
 
 def fit(abscissas, ys, max_degree, damping, basis):
-    """Coefficients of one sampled path: the one-column case of fit_matrix."""
-    return fit_matrix(abscissas, ys[:, None], max_degree, damping, basis)[:, 0]
+    """Coefficients of one sampled path: the one-column case of solve_system."""
+    system = normal_system(abscissas, max_degree, damping, basis)
+    return solve_system(system, ys[:, None])[0][:, 0]
 
 
 def ed_gradient(abscissas, ys, max_degree, damping, basis):
-    """dED/dy of one sampled path: the one-column case of fit_matrix."""
-    _, grad = fit_matrix(abscissas, ys[:, None], max_degree, damping, basis, with_gradient=True)
-    return grad[:, 0]
+    """dED/dy of one sampled path: the one-column case of solve_system."""
+    system = normal_system(abscissas, max_degree, damping, basis)
+    return solve_system(system, ys[:, None], with_gradient=True)[1][:, 0]
 
 
 def test_fit_recovers_basis_element_exactly():
@@ -108,7 +109,7 @@ def test_singular_fits_name_the_first_failing_path(monkeypatch):
     plans = plans_of(alphas, **rows, settings=cfg)
     raw = np.sin(plans.alphas)[..., None]
     with pytest.raises(SingularFitError, match="COND_LIMIT") as caught:
-        fit_matrix(plans.alphas, raw, 5, 0.0)
+        solve_system(normal_system(plans.alphas, 5, 0.0), raw)
     assert caught.value.system == 2
     named = r" on path {} \(endpoint rows {} and {}\)$"
     with pytest.raises(SingularFitError, match="COND_LIMIT.*" + named.format(2, 2, 6)):
@@ -129,7 +130,7 @@ def test_a_crafted_tie_is_left_to_the_fit():
     nudged = tied + np.array([0.0, 0.0, 1e-9, 0.0])
 
     def ed(alphas, damping):
-        return ed_from_coefficients(fit(alphas, np.exp(2.0 * alphas), 3, damping, "chebyshev")).ed
+        return ed_from_coefficients(fit(alphas, np.exp(2.0 * alphas), 3, damping, "chebyshev"))[0]
 
     with pytest.raises(SingularFitError):
         ed(tied, 0.0)
@@ -138,20 +139,16 @@ def test_a_crafted_tie_is_left_to_the_fit():
 
 
 def test_effective_degree_examples():
-    v = ed_from_coefficients(np.array([0.0, 0.0, 0.0, 1.0]))
-    assert v.ed == 3.0 and v.ed_norm == 3.0
-    assert ed_from_coefficients(np.array([2.0, -1.0, 3.0])).ed == 7.0
-    v = ed_from_coefficients(np.array([1.0, 1.0]))
-    assert v.ed == 1.0 and v.ed_norm == 0.5
-    v = ed_from_coefficients(np.zeros(4))
-    assert v.ed == 0.0 and v.ed_norm == 0.0
+    assert ed_from_coefficients(np.array([0.0, 0.0, 0.0, 1.0])) == (3.0, 3.0)
+    assert ed_from_coefficients(np.array([2.0, -1.0, 3.0]))[0] == 7.0
+    assert ed_from_coefficients(np.array([1.0, 1.0])) == (1.0, 0.5)
+    assert ed_from_coefficients(np.zeros(4)) == (0.0, 0.0)
 
 
 def test_effective_degree_of_surrogate():
     nodes = chebyshev_nodes(4)
-    v = ed_from_coefficients(fit(nodes, np.full(4, 2.0), 3, 0.0, "chebyshev"))
-    assert isinstance(v, EDValue)
-    assert v.ed < 1e-9
+    ed, _ = ed_from_coefficients(fit(nodes, np.full(4, 2.0), 3, 0.0, "chebyshev"))
+    assert ed < 1e-9
 
 
 def test_ed_lipschitz_in_coefficients():
@@ -160,18 +157,18 @@ def test_ed_lipschitz_in_coefficients():
         K = int(rng.integers(1, 9))
         c1 = rng.standard_normal(K + 1)
         c2 = rng.standard_normal(K + 1)
-        lhs = abs(ed_from_coefficients(c1).ed - ed_from_coefficients(c2).ed)
+        lhs = abs(ed_from_coefficients(c1)[0] - ed_from_coefficients(c2)[0])
         assert lhs <= K * np.abs(c1 - c2).sum() + 1e-12
 
 
 def test_ed_positive_homogeneity():
     rng = np.random.default_rng(32)
     c = rng.standard_normal(6)
-    base = ed_from_coefficients(c)
+    base_ed, base_norm = ed_from_coefficients(c)
     for lam in (0.5, 2.0, 7.25):
-        scaled = ed_from_coefficients(lam * c)
-        assert scaled.ed == pytest.approx(lam * base.ed, rel=1e-12)
-        assert scaled.ed_norm == pytest.approx(base.ed_norm, rel=1e-12)
+        ed, ed_norm = ed_from_coefficients(lam * c)
+        assert ed == pytest.approx(lam * base_ed, rel=1e-12)
+        assert ed_norm == pytest.approx(base_norm, rel=1e-12)
 
 
 def test_damping_shrinks_coefficients():
@@ -241,7 +238,7 @@ def test_gradient_matches_finite_differences_single():
     abscissas, ys = random_instance(rng, r=8, K=5)
 
     def objective(v):
-        return ed_from_coefficients(fit(abscissas, v, 5, 1e-6, "chebyshev")).ed
+        return ed_from_coefficients(fit(abscissas, v, 5, 1e-6, "chebyshev"))[0]
 
     analytic = ed_gradient(abscissas, ys, 5, 1e-6, "chebyshev")
     reference = fd_gradient(objective, ys, step=1e-6)
@@ -266,7 +263,7 @@ def test_gradient_sweep_small():
             continue
 
         def objective(v):
-            return ed_from_coefficients(fit(abscissas, v, K, eps, basis)).ed
+            return ed_from_coefficients(fit(abscissas, v, K, eps, basis))[0]
 
         analytic = ed_gradient(abscissas, ys, K, eps, basis)
         reference = fd_gradient(objective, ys, step=1e-6)
@@ -290,15 +287,15 @@ def test_ed_vector_mean():
     assert v.ed[0] == pytest.approx(3.0, abs=1e-9)
     single = fit_paths((2.0 * x)[None, :, None], plan)
     direct = ed_from_coefficients(fit(nodes, 2.0 * x, 3, 0.0, "chebyshev"))
-    assert single.ed[0] == direct.ed and single.ed_norm[0] == direct.ed_norm
+    assert (single.ed[0], single.ed_norm[0]) == direct
     assert fit_paths(np.zeros((1, 5, 2)), plan).ed.tolist() == [0.0]
 
 
-def test_fit_matrix_matches_columns():
+def test_solve_system_matches_columns():
     rng = np.random.default_rng(37)
     abscissas = randomized_cosine(7, np.random.default_rng(5).random(7))
     Y = rng.standard_normal((7, 3))
-    C = fit_matrix(abscissas, Y, 4, 1e-6, "chebyshev")
+    C, _ = solve_system(normal_system(abscissas, 4, 1e-6, "chebyshev"), Y)
     for j in range(3):
         cj = fit(abscissas, Y[:, j], 4, 1e-6, "chebyshev")
         assert np.allclose(C[:, j], cj, atol=1e-14)
@@ -308,21 +305,22 @@ def test_gradient_matrix_matches_columns():
     rng = np.random.default_rng(38)
     abscissas = randomized_cosine(7, np.random.default_rng(6).random(7))
     Y = rng.standard_normal((7, 2))
-    _, G = fit_matrix(abscissas, Y, 4, 1e-6, "chebyshev", with_gradient=True)
+    _, G = solve_system(normal_system(abscissas, 4, 1e-6, "chebyshev"), Y, with_gradient=True)
     for j in range(2):
         gj = ed_gradient(abscissas, Y[:, j], 4, 1e-6, "chebyshev")
         assert np.allclose(G[:, j], gj, atol=1e-14)
 
 
-def test_fit_matrix_with_gradient_reuses_one_gram():
+def test_solve_system_with_gradient_reuses_one_gram():
     # the gradient solve through the fit's Gram is bit-identical to solving
     # against a freshly built T^t T + eps I
     rng = np.random.default_rng(39)
     for damping in (0.0, 1e-6):
         abscissas = randomized_cosine(8, np.random.default_rng(7).random(8))
         Y = rng.standard_normal((8, 3))
-        C, G = fit_matrix(abscissas, Y, 5, damping, "legendre", with_gradient=True)
-        assert C.tobytes() == fit_matrix(abscissas, Y, 5, damping, "legendre").tobytes()
+        system = normal_system(abscissas, 5, damping, "legendre")
+        C, G = solve_system(system, Y, with_gradient=True)
+        assert C.tobytes() == solve_system(system, Y)[0].tobytes()
         T = design_matrix("legendre", abscissas, 5)
         gram = T.T @ T + damping * np.eye(6)
         want = T @ np.linalg.solve(gram, np.sign(C) * np.arange(6.0)[:, None])
@@ -360,18 +358,18 @@ def test_audit_gradients_reports_each_kept_cell():
 
 def test_gradcheck_counts_kink_cells(monkeypatch):
     # zero one coefficient of every other fit: those cells sit on a kink of ED
-    fit = surrogate.fit_matrix
+    solve = surrogate.solve_system
     calls = []
 
-    def kinked(*args, with_gradient=False, **kwargs):
-        out = fit(*args, with_gradient=with_gradient, **kwargs)
-        if with_gradient:
+    def kinked(*args, **kwargs):
+        coeffs, grad = solve(*args, **kwargs)
+        if grad is not None:
             calls.append(1)
             if len(calls) % 2:
-                out[0][0, 0] = 0.0
-        return out
+                coeffs[0, 0] = 0.0
+        return coeffs, grad
 
-    monkeypatch.setattr(surrogate, "fit_matrix", kinked)
+    monkeypatch.setattr(surrogate, "solve_system", kinked)
     report = surrogate.gradcheck(3, seed=0)
     assert report["kink_cells"] == 3 and report["n_checks"] == 3 and report["ok"] is True
 
@@ -381,14 +379,14 @@ def test_stacked_fit_and_ed_equal_each_system_alone():
     rng = np.random.default_rng(41)
     alphas = np.sort(rng.uniform(0.0, 1.0, size=(5, 7)), axis=1)
     Y = rng.standard_normal((5, 7, 3))
-    C, G = fit_matrix(alphas, Y, 4, 1e-6, "legendre", with_gradient=True)
-    stacked = ed_from_coefficients(np.swapaxes(C, -1, -2))
-    assert C.shape == (5, 5, 3) and G.shape == Y.shape and stacked.ed.shape == (5, 3)
+    C, G = solve_system(normal_system(alphas, 4, 1e-6, "legendre"), Y, with_gradient=True)
+    eds, ed_norms = ed_from_coefficients(np.swapaxes(C, -1, -2))
+    assert C.shape == (5, 5, 3) and G.shape == Y.shape and eds.shape == (5, 3)
     for k in range(5):
-        c, g = fit_matrix(alphas[k], Y[k], 4, 1e-6, "legendre", with_gradient=True)
+        system = normal_system(alphas[k], 4, 1e-6, "legendre")
+        c, g = solve_system(system, Y[k], with_gradient=True)
         assert C[k].tobytes() == c.tobytes() and G[k].tobytes() == g.tobytes()
         for j in range(3):
-            alone = ed_from_coefficients(c[:, j])
-            assert (stacked.ed[k, j], stacked.ed_norm[k, j]) == (alone.ed, alone.ed_norm)
+            assert (eds[k, j], ed_norms[k, j]) == ed_from_coefficients(c[:, j])
     with pytest.raises(ValueError):
-        fit_matrix(alphas, Y[:4], 4, 1e-6, "legendre")
+        solve_system(normal_system(alphas, 4, 1e-6, "legendre"), Y[:4])
