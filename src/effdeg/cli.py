@@ -459,6 +459,11 @@ def cmd_verify_degree(args) -> int:
     cfg = resolve_config(args)
     result = {}
     if args.polys is not None:
+        # the file, not the random-polynomial settings, defines the pair
+        from_file = _load_config_file(args.config)
+        if stray := [k for k in ("dim", "deg_a", "deg_b", "terms")
+                     if getattr(args, k) is not None or k in from_file]:
+            raise ConfigError(f"--polys takes no random-polynomial settings, got {stray}")
         with open(args.polys, encoding="utf-8") as fh:
             bundle = polylab.parse_poly_bundle(fh.read())
         if len(bundle) != 2:
@@ -466,7 +471,6 @@ def cmd_verify_degree(args) -> int:
                 f"{args.polys} must hold exactly two polynomials, found {len(bundle)}"
             )
         poly_a, poly_b = bundle
-        # the file, not the random-polynomial settings, defines the pair
         cfg = {key: cfg[key] for key in ("pairs", "sampler", "seed")}
         result["polys_sha256"] = _sha256_file(args.polys)
     else:

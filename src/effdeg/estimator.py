@@ -301,8 +301,8 @@ def hold_heap() -> None:
     the engine's and training's temporaries page-fault afresh on every call
     (about 370 faults an estimate-pca call, 140 a study step).  Freeing one
     mmapped 2 MiB block raises the two thresholds to 2 and 4 MiB for the rest
-    of the process (mallopt(3)); 1 MiB is too small.  ed_estimate,
-    net.composite_objective and the study rows call it on entry, never at
+    of the process (mallopt(3)); 1 MiB is too small.  ed_estimate and every
+    training step (net.composite_objective) call it on entry, never at
     import, and forked workers inherit it.
     """
     np.empty(1 << 18)

@@ -318,7 +318,7 @@ def plan_paths(batch: np.ndarray, config: TrainConfig, step: int) -> PathPlans:
     (estimator.block_units, with a step as the unit) and cached by
     estimator.drawn_block; per step only the degeneracy check and its
     redraws run.  The plans may share read-only arrays with the cache, and
-    record config as their settings, which ed_penalty fits them under.
+    record config as their settings.
     """
     n_paths = config.reg_paths
     first = int(step) * n_paths
@@ -340,37 +340,33 @@ def ed_penalty(
     net: FeedForwardNet,
     batch: np.ndarray,
     targets: np.ndarray,
-    plans: PathPlans,
+    config: TrainConfig,
+    step: int,
     projections=None,
 ):
-    """Mean path effective degree over the planned paths, with parameter gradients.
+    """Mean path effective degree over step's penalty paths, with parameter gradients.
 
-    All paths run through one forward pass, one fit_paths call and one
-    backward pass, under the TrainConfig the plans were drawn under
-    (plan_paths).  The plans carry their fits' normal systems (design
-    matrices and damped Grams, drawn once per block of steps), so the fit
-    only solves them for this step's outputs.  The average divides by the
-    configured path count, so dropped degenerate paths contribute zero
-    instead of reweighting the survivors.  With pca_dim set, the value
-    uses each path's live PCA map, the gradient holds it constant (that of
-    ED(P_sg(y) y)), and passing an earlier call's projections freezes the
-    maps for finite differences.  Plans drawn under any other settings
-    raise ValueError.
+    The paths are plan_paths(batch, config, step), so they are always
+    fitted on the batch they were settled on.  All of them run through one
+    forward pass, one fit_paths call and one backward pass; the plans carry
+    their fits' normal systems (design matrices and damped Grams, drawn
+    once per block of steps), so the fit only solves them for this step's
+    outputs.  The average divides by config.reg_paths, so dropped
+    degenerate paths contribute zero instead of reweighting the survivors.
+    With pca_dim set, the value uses each path's live PCA map, the gradient
+    holds it constant (that of ED(P_sg(y) y)), and passing an earlier
+    call's projections freezes the maps for finite differences.
 
     Returns (penalty, (d_weights, d_biases), projections).
     """
-    if not isinstance(plans.settings, TrainConfig):
-        raise ValueError(
-            "ed_penalty fits plans drawn by net.plan_paths under a TrainConfig, "
-            f"got plans drawn under {type(plans.settings).__name__}"
-        )
-    n_planned = max(plans.settings.reg_paths, 1)
+    plans = plan_paths(batch, config, step)
+    n_planned = max(config.reg_paths, 1)
     if not plans:
         zeros = ([np.zeros_like(w) for w in net.weights], [np.zeros_like(b) for b in net.biases])
         return 0.0, zeros, None
     raw, cache = net.forward_cached(path_points(batch, plans))
     fitted = fit_paths(
-        raw.reshape(len(plans), plans.settings.resolution, -1),
+        raw.reshape(len(plans), config.resolution, -1),
         plans,
         labels=targets,
         projection=projections,
@@ -405,7 +401,7 @@ def composite_objective(
 
     This is the objective regularized_step descends and gradcheck audits.
     The penalty is skipped (0) when config.reg_paths or config.reg_strength
-    is 0; otherwise it runs on plan_paths(batch_x, config, step), and its
+    is 0; otherwise ed_penalty(net, batch_x, batch_t, config, step) runs, and its
     gradient is added when lambda(step) > 0.  Passing the projections
     returned by an earlier call freezes the PCA maps, as in ed_penalty.
 
@@ -419,7 +415,7 @@ def composite_objective(
     penalty = 0.0
     if config.reg_paths > 0 and config.reg_strength > 0.0:
         penalty, penalty_grads, projections = ed_penalty(
-            net, batch_x, batch_t, plan_paths(batch_x, config, step), projections=projections,
+            net, batch_x, batch_t, config, step, projections=projections
         )
         if lam > 0.0:
             for l in range(len(grads[0])):
@@ -888,7 +884,6 @@ def _study_row(
     and in any order the six tasks run.  With strict=True a task that misses
     the mse target raises TrainingFailure naming it.
     """
-    estimator.hold_heap()
     name, fn, degree = PNN_TASKS[idx]
     mse, net, restarts, steps = _train_pnn_task(
         fn, seed, idx, width, n_train, n_steps, mse_target

@@ -177,20 +177,20 @@ def test_3_composite_objective_gradient():
         if len(plans) < cfg.reg_paths:
             continue
         lam = lambda_schedule(0, cfg)
-        _, _, projections = ed_penalty(net, X, T, plans)
+        _, _, projections = ed_penalty(net, X, T, cfg, 0)
 
-        def objective(flat, probe_net=net, X=X, T=T, plans=plans, cfg=cfg, lam=lam,
+        def objective(flat, probe_net=net, X=X, T=T, cfg=cfg, lam=lam,
                       projections=projections):
             probe = probe_net.clone()
             probe.set_flat(flat)
             loss, _ = task_loss_and_grad(probe.forward(X), T, cfg.task)
-            penalty, _, _ = ed_penalty(probe, X, T, plans, projections=projections)
+            penalty, _, _ = ed_penalty(probe, X, T, cfg, 0, projections=projections)
             return loss + lam * penalty
 
         raw, cache = net.forward_cached(X)
         _, d_raw = task_loss_and_grad(raw, T, cfg.task)
         d_w, d_b = net.backward(cache, d_raw)
-        _, grads, _ = ed_penalty(net, X, T, plans, projections=projections)
+        _, grads, _ = ed_penalty(net, X, T, cfg, 0, projections=projections)
         analytic = _flat_like(net, d_w, d_b) + lam * _flat_like(net, *grads)
         numeric = fd_gradient(objective, net.get_flat())
         rel = float(np.max(np.abs(analytic - numeric)) / (1.0 + np.max(np.abs(numeric))))

@@ -240,14 +240,15 @@ def test_penalty_equals_per_path_reference(setting, task, reg_paths, hidden, see
     X = dataset(seed, 8, 2, distinct)
     T = rng.standard_normal((8, out))
     net = FeedForwardNet.create((2, 5, out), activations=hidden, seed=seed, scale=0.7)
-    plans = plan_paths(X, config, step=int(rng.integers(0, 50)))
+    step = int(rng.integers(0, 50))
+    plans = plan_paths(X, config, step)
     try:
         want = oracles.ed_penalty(net, X, T, plans, config)
     except SingularFitError:
         with pytest.raises(SingularFitError):
-            ed_penalty(net, X, T, plans)
+            ed_penalty(net, X, T, config, step)
         return
-    got = ed_penalty(net, X, T, plans)
+    got = ed_penalty(net, X, T, config, step)
     assert got[0] == want[0]
     for g, w in zip(got[1][0] + got[1][1], want[1][0] + want[1][1]):
         assert same(g, w)
@@ -257,7 +258,7 @@ def test_penalty_equals_per_path_reference(setting, task, reg_paths, hidden, see
     moved = net.clone()
     moved.set_flat(net.get_flat() + 1e-3 * rng.standard_normal(net.n_params))
     frozen = oracles.ed_penalty(moved, X, T, plans, config, projections=want[2])
-    again = ed_penalty(moved, X, T, plans, projections=got[2])
+    again = ed_penalty(moved, X, T, config, step, projections=got[2])
     assert again[0] == frozen[0]
     for g, w in zip(again[1][0] + again[1][1], frozen[1][0] + frozen[1][1]):
         assert same(g, w)

@@ -826,6 +826,29 @@ def test_verify_degree_rejects_wrong_poly_count(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flags,from_file,named",
+    [
+        (["--dim", "7", "--deg-a", "9", "--terms", "3"], {}, "['dim', 'deg_a', 'terms']"),
+        ([], {"deg_b": 2}, "['deg_b']"),  # the default value, set in the file
+        (["--terms", "3"], {"dim": 7}, "['dim', 'terms']"),
+    ],
+    ids=["flags", "file-default", "flag-and-file"],
+)
+def test_verify_degree_polys_rejects_random_mode_settings(tmp_path, capsys, flags, from_file, named):
+    # the file defines the pair, so a random-polynomial setting from a flag or
+    # the config file exits 2 naming it, before anything is written
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"pairs": 5, **from_file}), encoding="utf-8")
+    out = tmp_path / "out"
+    argv = ["verify-degree", "--polys", str(FIXTURES / "deg5_deg2.txt"), "--config", str(cfg)]
+    assert main(argv + flags + ["--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        f"error: --polys takes no random-polynomial settings, got {named}\n"
+    )
+    assert not out.exists()
+
+
 def test_gradcheck_passes_and_lists_cells(tmp_path, capsys):
     out = str(tmp_path / "out")
     code = main([

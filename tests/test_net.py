@@ -13,13 +13,11 @@ import numpy as np
 import pytest
 
 from effdeg import estimator, net as nets, sampling, surrogate
-from effdeg.cli import EXIT_CODES, EXIT_CONFIG
 from effdeg.estimator import NonFiniteOutputError
 from effdeg.net import (
     ACTIVATIONS,
     FeedForwardNet,
     NonFiniteLossError,
-    PENALTY_PREFIX,
     PNN_TASKS,
     StepRecord,
     TrainConfig,
@@ -72,6 +70,19 @@ def test_forward_single_and_batch_agree():
     net = tiny_net(1)
     x = np.random.default_rng(2).standard_normal(2)
     assert np.array_equal(net.forward(x), net.forward(x[None, :])[0])
+
+
+@pytest.mark.parametrize(
+    "sizes,rows",
+    [((8, 64, 64, 16), 1600), ((2, 32, 32, 2), 512), (None, 3000)],
+    ids=["estimate-pca", "train-penalty", "pnn"],
+)
+def test_forward_and_cached_forward_agree_bit_for_bit(sizes, rows):
+    # forward computes in place and forward_cached keeps every layer; the
+    # benchmark's relu nets and the study's square net read the same bits
+    net = build_pnn() if sizes is None else FeedForwardNet.create(sizes, seed=5)
+    X = np.random.default_rng(6).standard_normal((rows, net.layer_sizes[0]))
+    assert net.forward(X).tobytes() == net.forward_cached(X)[0].tobytes()
 
 
 def test_net_validation():
@@ -280,11 +291,23 @@ def test_zero_max_degree_penalty_has_zero_gradient():
         task="mse", n_steps=1, batch_size=6, reg_strength=1.0,
         reg_paths=4, resolution=2, max_degree=0,
     )
-    plans = plan_paths(X, cfg, 0)
-    penalty, grads, _ = ed_penalty(net, X, T, plans)
+    penalty, grads, _ = ed_penalty(net, X, T, cfg, 0)
     assert penalty == 0.0
     assert all(np.all(g == 0.0) for g in grads[0])
     assert all(np.all(g == 0.0) for g in grads[1])
+
+
+def test_penalty_of_a_batch_of_equal_rows_is_zero():
+    # the penalty plans its paths on the batch it fits, so a batch whose
+    # every pair is degenerate drops every path, whatever another batch keeps
+    net = tiny_net(45)
+    X = np.random.default_rng(46).standard_normal((8, 2))
+    T = np.zeros((8, 3))
+    cfg = TrainConfig(reg_strength=1.0, reg_paths=4, resolution=5, max_degree=3, seed=47)
+    assert ed_penalty(net, X, T, cfg, 0)[0] > 0.0
+    penalty, grads, projections = ed_penalty(net, np.repeat(X[:1], 8, axis=0), T, cfg, 0)
+    assert penalty == 0.0 and projections is None
+    assert all(np.all(g == 0.0) for g in grads[0] + grads[1])
 
 
 @pytest.mark.parametrize(
@@ -314,19 +337,19 @@ def test_composite_gradient_matches_fd(task, anchored, pca_dim):
     lam = lambda_schedule(0, cfg)
     plans = plan_paths(X, cfg, 0)
     assert plans
-    _, _, projections = ed_penalty(net, X, T, plans)
+    _, _, projections = ed_penalty(net, X, T, cfg, 0)
 
     def objective(flat):
         probe = net.clone()
         probe.set_flat(flat)
         loss, _ = task_loss_and_grad(probe.forward(X), T, cfg.task)
-        pen, _, _ = ed_penalty(probe, X, T, plans, projections=projections)
+        pen, _, _ = ed_penalty(probe, X, T, cfg, 0, projections=projections)
         return loss + lam * pen
 
     raw, cache = net.forward_cached(X)
     _, d_raw = task_loss_and_grad(raw, T, cfg.task)
     d_w, d_b = net.backward(cache, d_raw)
-    _, grads, _ = ed_penalty(net, X, T, plans, projections=projections)
+    _, grads, _ = ed_penalty(net, X, T, cfg, 0, projections=projections)
     analytic = flat_grads(net, d_w, d_b) + lam * flat_grads(net, *grads)
     fd = fd_gradient(objective, net.get_flat())
     rel = np.max(np.abs(analytic - fd)) / (1.0 + np.max(np.abs(fd)))
@@ -387,12 +410,11 @@ def test_pure_penalty_descent_is_monotone():
         task="mse", n_steps=1, batch_size=6, reg_strength=1.0,
         reg_paths=4, resolution=5, max_degree=3, seed=26,
     )
-    plans = plan_paths(X, cfg, 0)
-    _, _, projections = ed_penalty(net, X, T, plans)
+    _, _, projections = ed_penalty(net, X, T, cfg, 0)
     lr = 1e-3
     prev = np.inf
     for _ in range(100):
-        pen, grads, _ = ed_penalty(net, X, T, plans, projections=projections)
+        pen, grads, _ = ed_penalty(net, X, T, cfg, 0, projections=projections)
         assert pen <= prev + 1e-10
         prev = pen
         for l in range(len(net.weights)):
@@ -822,7 +844,7 @@ def test_composite_objective_is_task_loss_plus_lambda_penalty(step, anchored, pc
     task_loss, d_raw = task_loss_and_grad(raw, T, cfg.task)
     task_w, task_b = net.backward(cache, d_raw)
     lam = lambda_schedule(step, cfg)
-    penalty, (pen_w, pen_b), want = ed_penalty(net, X, T, plan_paths(X, cfg, step))
+    penalty, (pen_w, pen_b), want = ed_penalty(net, X, T, cfg, step)
     assert (step == 0) == (lam == 0.0)
     assert record == StepRecord(step, task_loss, penalty, lam, task_loss + lam * penalty)
     for got, g, pg in zip(d_w + d_b, task_w + task_b, pen_w + pen_b):
@@ -841,26 +863,11 @@ def test_penalty_nonfinite_output_names_the_path():
     cfg = TrainConfig(reg_strength=1.0, reg_paths=3, resolution=4, max_degree=3, seed=41)
     plans = plan_paths(X, cfg, step=2)
     with pytest.raises(NonFiniteOutputError) as err:
-        ed_penalty(net, X, T, plans)
+        ed_penalty(net, X, T, cfg, 2)
     assert str(err.value) == (
         f"non-finite output on path 1:{plans.paths[0]} "
         f"(endpoint rows {plans.i[0]} and {plans.j[0]})"
     )
-
-
-def test_penalty_rejects_plans_not_drawn_under_a_train_config():
-    # the penalty reads reg_paths from the plans' settings; an EstimatorConfig's
-    # plans exit 2 naming what the penalty needs and what it got
-    net = tiny_net(42)
-    X = np.random.default_rng(43).standard_normal((8, 2))
-    plans = estimator.plan_paths(X, estimator.EstimatorConfig(seed=1), PENALTY_PREFIX, range(3))
-    with pytest.raises(ValueError) as err:
-        ed_penalty(net, X, np.zeros((8, 3)), plans)
-    assert str(err.value) == (
-        "ed_penalty fits plans drawn by net.plan_paths under a TrainConfig, "
-        "got plans drawn under EstimatorConfig"
-    )
-    assert next(code for kind, code in EXIT_CODES if isinstance(err.value, kind)) == EXIT_CONFIG
 
 
 def test_gradcheck_audits_the_train_commands_default_cell():
