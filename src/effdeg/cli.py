@@ -16,7 +16,9 @@ next to the code they audit (surrogate.gradcheck, net.gradcheck).
 
 Exit codes: 0 success, 1 gradient check failure, 2 configuration problem,
 3 I/O problem, 4 numerical failure, 5 non-finite training loss,
-oracle/network output or ED statistics, 6 study training failure.
+oracle/network output or ED statistics, 6 study training failure: a task
+that stalled above its mse target (both study artifacts are written) or
+whose every restart diverged (nothing is written).
 """
 
 from __future__ import annotations
@@ -144,13 +146,12 @@ def _load_config_file(path: str | None) -> dict:
     return data
 
 
-def _spec(target, *omit: str) -> dict:
+def _spec(target) -> dict:
     """name -> (type, default) for the keyword parameters of a function or dataclass."""
     hints = typing.get_type_hints(target)
     return {
         name: (hints[name], param.default)
         for name, param in inspect.signature(target).parameters.items()
-        if name not in omit
     }
 
 
@@ -191,10 +192,12 @@ def _check(key: str, kind, value):
     return kind(value)
 
 
-def resolve_config(args) -> dict:
+def resolve_config(args, from_file: dict | None = None) -> dict:
     """Merge the command's spec defaults, config-file values and explicit
-    flags (flags win), each checked against its type and choices."""
-    from_file = _load_config_file(args.config)
+    flags (flags win), each checked against its type and choices.  A caller
+    that has read the config file passes its values, so a pipe is read once."""
+    if from_file is None:
+        from_file = _load_config_file(args.config)
     unknown = set(from_file) - set(args.spec)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
@@ -224,7 +227,8 @@ def _sha256_file(path: str) -> str:
 def load_dataset_csv(path: str) -> tuple[np.ndarray, np.ndarray | None]:
     """Read finite feature columns x0..x{d-1}, d >= 1, plus an optional label column of
     integers >= 0; no column name may repeat."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    # utf-8-sig drops a byte-order mark, which would otherwise hide in x0's name
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -456,11 +460,11 @@ _SAMPLERS = {
 
 
 def cmd_verify_degree(args) -> int:
-    cfg = resolve_config(args)
+    from_file = _load_config_file(args.config)
+    cfg = resolve_config(args, from_file)
     result = {}
     if args.polys is not None:
         # the file, not the random-polynomial settings, defines the pair
-        from_file = _load_config_file(args.config)
         if stray := [k for k in ("dim", "deg_a", "deg_b", "terms")
                      if getattr(args, k) is not None or k in from_file]:
             raise ConfigError(f"--polys takes no random-polynomial settings, got {stray}")
@@ -499,12 +503,13 @@ def cmd_verify_degree(args) -> int:
     return EXIT_OK
 
 
-_PNN_SPEC = _spec(nets.pnn_study, "strict")
+_PNN_SPEC = _spec(nets.pnn_study)
 
 
 def cmd_pnn_study(args) -> int:
+    """Write pnn_study.json and pnn_study.csv; exit 6 naming every stalled task on stderr."""
     cfg = resolve_config(args)
-    report = nets.pnn_study(**cfg, strict=not args.keep_going)
+    report = nets.pnn_study(**cfg)
     out_dir = _out_dir(args)
     result = dataclasses.asdict(report)
     result.update(result.pop("evaluation"))
@@ -513,7 +518,11 @@ def cmd_pnn_study(args) -> int:
     table_rows = [list(row.values()) for row in result["rows"]]
     table = write_csv(out_dir, "pnn_study.csv", table_header, table_rows)
     emit(args, {k: v for k, v in result.items() if k != "rows"}, table)
-    return EXIT_OK if report.all_converged else EXIT_STUDY
+    if report.all_converged:
+        return EXIT_OK
+    stalled = ", ".join(f"{r.task} (mse {r.final_mse:.3e})" for r in report.rows if not r.converged)
+    print(f"error: stalled above mse target {cfg['mse_target']:.1e}: {stalled}", file=sys.stderr)
+    return EXIT_STUDY
 
 
 _GRADCHECK_SPEC = {
@@ -623,12 +632,8 @@ def build_parser() -> argparse.ArgumentParser:
         "exact order-preservation experiment on two polynomials",
     )
     p.add_argument("--polys", help="file with two polynomials, one per line")
-    p = command(
+    command(
         "pnn-study", cmd_pnn_study, _PNN_SPEC, "square-activation network study over six targets"
-    )
-    p.add_argument(
-        "--keep-going", action="store_true",
-        help="report unconverged tasks instead of failing",
     )
     command(
         "gradcheck", cmd_gradcheck, _GRADCHECK_SPEC,

@@ -391,40 +391,34 @@ def gaussian_pair_sampler(dim: int):
     return sample
 
 
-def dyadic_uniform_pair_sampler(dim: int, bits: int = 63):
-    """Endpoint pairs with coordinates k / 2^bits, k uniform on [-2^bits, 2^bits - 1].
+def dyadic_uniform_pair_sampler(dim: int):
+    """Endpoint pairs with coordinates k / 2^63, k uniform over the int64 range.
 
-    bits is an integer in 0..63, so that x1 and x2 are int64 arrays of the k
-    straight from numpy; den is int64 too, except that 2^63 needs an object
-    array of Python ints.
+    x1 and x2 are int64 arrays of the k straight from numpy; den, 2^63,
+    exceeds int64, so it is an object array of Python ints.
     """
     if dim < 1:
         raise ValueError("dim must be >= 1")
-    if not isinstance(bits, (int, np.integer)) or not 0 <= bits <= 63:
-        raise ValueError(f"bits must be an integer in 0..63, got {bits!r}")
-    den = 1 << int(bits)
-    den_dtype = object if bits == 63 else np.int64
+    den = 1 << 63
 
     def sample(rng: np.random.Generator, n: int):
         nums = rng.integers(-den, den - 1, size=(n, 2, dim), dtype=np.int64, endpoint=True)
-        return np.full(n, den, dtype=den_dtype), nums[:, 0], nums[:, 1]
+        return np.full(n, den, dtype=object), nums[:, 0], nums[:, 1]
 
     return sample
 
 
-def shared_coordinate_pair_sampler(dim: int, coordinate: int = 0):
-    """Adversarial gaussian pairs with one shared coordinate, so that direction entry is 0.
+def shared_coordinate_pair_sampler(dim: int):
+    """Adversarial gaussian pairs that share x1, so the step's first entry is 0.
 
-    Any polynomial whose leading part is a power of that coordinate drops
-    degree on every such pair.
+    Any polynomial whose leading part is a power of x1 drops degree on
+    every such pair.
     """
     gaussian = gaussian_pair_sampler(dim)
-    if not isinstance(coordinate, (int, np.integer)) or not 0 <= coordinate < dim:
-        raise ValueError(f"coordinate must be an integer in 0..{dim - 1}, got {coordinate!r}")
 
     def sample(rng: np.random.Generator, n: int):
         den, x1, x2 = gaussian(rng, n)
-        x1[:, coordinate] = x2[:, coordinate]
+        x1[:, 0] = x2[:, 0]
         return den, x1, x2
 
     return sample

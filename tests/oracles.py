@@ -420,7 +420,6 @@ def ed_estimate(oracle, inputs, config, labels=None):
 
 def ed_penalty(net, batch, targets, plans, config, projections=None):
     """net.ed_penalty path by path: one forward and fit per plan, one backward over them all."""
-    n_planned = max(config.reg_paths, 1)
     eds, caches, grads, out_projections = [], [], [], []
     for k in range(len(plans)):
         a = plans.alphas[k][:, None]
@@ -434,13 +433,14 @@ def ed_penalty(net, batch, targets, plans, config, projections=None):
         caches.append(cache)
         grads.append(grad)
         out_projections.append(projection)
-    penalty = float(np.sum(eds)) / n_planned
+    penalty = float(np.sum(eds)) / config.reg_paths
     if not caches:
         zeros = ([np.zeros_like(w) for w in net.weights], [np.zeros_like(b) for b in net.biases])
         return penalty, zeros, out_projections
     pre = [np.concatenate(z) for z in zip(*(cache[0] for cache in caches))]
     post = [np.concatenate(a) for a in zip(*(cache[1] for cache in caches))]
-    return penalty, net.backward((pre, post), np.concatenate(grads) / n_planned), out_projections
+    d_raw = np.concatenate(grads) / config.reg_paths
+    return penalty, net.backward((pre, post), d_raw), out_projections
 
 
 # --- polylab: Fraction arithmetic throughout -------------------------------
@@ -535,9 +535,9 @@ def gaussian_pair(dim):
     return sample
 
 
-def dyadic_uniform_pair(dim, bits=63):
+def dyadic_uniform_pair(dim):
     """One (x1, x2) pair per call, as polylab.dyadic_uniform_pair_sampler."""
-    den = 1 << bits
+    den = 1 << 63
 
     def sample(rng):
         nums = rng.integers(-den, den - 1, size=(2, dim), dtype=np.int64, endpoint=True)
@@ -548,14 +548,13 @@ def dyadic_uniform_pair(dim, bits=63):
     return sample
 
 
-def shared_coordinate_pair(dim, coordinate=0):
+def shared_coordinate_pair(dim):
     """One (x1, x2) pair per call, as polylab.shared_coordinate_pair_sampler."""
     base = gaussian_pair(dim)
 
     def sample(rng):
         x1, x2 = base(rng)
-        x1 = tuple(x2[coordinate] if k == coordinate else v for k, v in enumerate(x1))
-        return x1, x2
+        return (x2[0], *x1[1:]), x2
 
     return sample
 

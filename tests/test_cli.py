@@ -457,6 +457,23 @@ def test_dataset_header_errors_exit_two_naming_the_file(tmp_path, capsys, text, 
     assert not out.exists()
 
 
+def test_a_byte_order_mark_is_not_part_of_the_first_column(tmp_path, capsys):
+    # spreadsheet exports often begin with U+FEFF; the estimate is that of the plain file
+    plain = cluster_dataset(tmp_path / "plain.csv", n=16, seed=21)
+    marked = tmp_path / "marked.csv"
+    marked.write_bytes(b"\xef\xbb\xbf" + Path(plain).read_bytes())
+    X, y = load_dataset_csv(str(marked))
+    X_plain, y_plain = load_dataset_csv(plain)
+    assert X.tobytes() == X_plain.tobytes() and list(y) == list(y_plain)
+    docs = []
+    for data in (plain, str(marked)):
+        out = tmp_path / Path(data).stem
+        assert main(["estimate", "--data", data, "--paths", "8", "--out", str(out)]) == EXIT_OK
+        docs.append(read_json(out, "estimate.json"))
+    capsys.readouterr()
+    assert docs[0]["canonical_sha256"] == docs[1]["canonical_sha256"]
+
+
 def test_train_rejects_more_penalty_paths_than_keys(tmp_path, capsys):
     # step s keys its paths s * reg_paths + p, and every index must stay below 2**32
     data = cluster_dataset(tmp_path / "c.csv", n=16, seed=19)
@@ -468,6 +485,17 @@ def test_train_rejects_more_penalty_paths_than_keys(tmp_path, capsys):
     assert f"n_steps {2**30 + 1} and reg_paths 4" in err
     assert not out.exists()
     assert main(argv + ["--steps", "2", "--batch-size", "8"]) == EXIT_OK
+
+
+@pytest.mark.parametrize("strength", ["1", "0"])
+def test_zero_penalty_paths_exit_two(tmp_path, capsys, strength):
+    # reg_strength 0 is the one way to switch the penalty off, so no run takes reg_paths 0
+    data = cluster_dataset(tmp_path / "c.csv", n=16, seed=19)
+    out = tmp_path / "out"
+    argv = ["train", "--data", data, "--reg-strength", strength, "--reg-paths", "0"]
+    assert main(argv + ["--steps", "2", "--batch-size", "8", "--out", str(out)]) == EXIT_CONFIG
+    assert "reg_paths must lie in 1..2**32" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])
@@ -523,7 +551,7 @@ def test_pnn_study_argument_errors_exit_two_before_training(
 
     monkeypatch.setattr(nets, "_train_pnn_task", no_training)
     out = tmp_path / "out"
-    argv = ["pnn-study", "--steps", "5", "--width", "4", "--keep-going", flag, value]
+    argv = ["pnn-study", "--steps", "5", "--width", "4", flag, value]
     assert main(argv + ["--out", str(out)]) == EXIT_CONFIG
     assert setting in capsys.readouterr().err
     assert not out.exists()
@@ -849,6 +877,22 @@ def test_verify_degree_polys_rejects_random_mode_settings(tmp_path, capsys, flag
     assert not out.exists()
 
 
+@pytest.mark.skipif(sys.platform != "linux", reason="reopens /dev/stdin as Linux does")
+def test_verify_degree_polys_reads_a_piped_config_once(tmp_path):
+    # a pipe yields its bytes to one reader only; a second read of the config finds it empty
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = tmp_path / "out"
+    done = subprocess.run(
+        [sys.executable, "-m", "effdeg", "verify-degree", "--config", "/dev/stdin",
+         "--polys", str(FIXTURES / "deg5_deg2.txt"), "--out", str(out)],
+        input='{"pairs": 10}', env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == EXIT_OK, done.stderr
+    assert read_json(out, "verify_degree.json")["config"]["pairs"] == 10
+
+
 def test_gradcheck_passes_and_lists_cells(tmp_path, capsys):
     out = str(tmp_path / "out")
     code = main([
@@ -916,7 +960,7 @@ def test_pnn_study_smoke_and_rerun(tmp_path, capsys):
     outs = [str(tmp_path / f"out{k}") for k in range(2)]
     args = [
         "pnn-study", "--steps", "30", "--width", "4", "--train-points", "64",
-        "--eval-points", "32", "--mse-target", "1e9", "--keep-going", "--seed", "0",
+        "--eval-points", "32", "--mse-target", "1e9", "--seed", "0",
     ]
     for out in outs:
         assert main(args + ["--out", out]) == EXIT_OK
@@ -935,13 +979,25 @@ def test_pnn_study_smoke_and_rerun(tmp_path, capsys):
     assert rows[0][rows[0].index("restarts") + 1] == "steps"
 
 
-def test_pnn_study_strict_failure_exits_six(tmp_path, capsys):
+def test_pnn_study_stalled_tasks_exit_six_with_both_artifacts(tmp_path, capsys):
+    # every task stalls: the report is written all the same, and one stderr
+    # line names each stalled task
+    out = tmp_path / "out"
     code = main([
         "pnn-study", "--steps", "5", "--width", "4", "--train-points", "16",
-        "--eval-points", "8", "--mse-target", "1e-12", "--out", str(tmp_path / "out"),
+        "--eval-points", "8", "--mse-target", "1e-12", "--out", str(out),
     ])
     assert code == EXIT_STUDY
-    assert "stalled" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "stalled" in err
+    doc = read_json(out, "pnn_study.json")
+    jsonschema.validate(doc, load_schema("pnn_study.schema.json"))
+    assert doc["result"]["all_converged"] is False
+    assert [row["converged"] for row in doc["result"]["rows"]] == [False] * 6
+    assert all(f"{row['task']} (mse " in err for row in doc["result"]["rows"])
+    with open(out / "pnn_study.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    assert [row[rows[0].index("converged")] for row in rows[1:]] == ["0"] * 6
 
 
 # every option string and choices list of each subcommand, as shipped
@@ -962,8 +1018,8 @@ OPTION_STRINGS = {
         "--polys", "--sampler", "--seed", "--terms", "-h",
     ],
     "pnn-study": [
-        "--config", "--eval-points", "--format", "--help", "--keep-going", "--mse-target",
-        "--out", "--seed", "--steps", "--train-points", "--width", "-h",
+        "--config", "--eval-points", "--format", "--help", "--mse-target", "--out", "--seed",
+        "--steps", "--train-points", "--width", "-h",
     ],
     "gradcheck": [
         "--composite-checks", "--config", "--format", "--help", "--out", "--seed",
@@ -1024,9 +1080,7 @@ def test_cli_defaults_are_library_defaults():
         "hidden": (32, 32),
     }
     study = inspect.signature(nets.pnn_study).parameters
-    assert resolved("pnn-study") == {
-        name: p.default for name, p in study.items() if name != "strict"
-    }
+    assert resolved("pnn-study") == {name: p.default for name, p in study.items()}
 
 
 @pytest.mark.parametrize(

@@ -627,6 +627,7 @@ def test_train_config_validation():
         ("step_size", float("nan")),
         ("reg_strength", float("nan")),
         ("damping", float("nan")),
+        ("reg_paths", 0),
         ("reg_paths", 2**32 + 1),
     ):
         with pytest.raises(ValueError, match=key):
@@ -651,19 +652,28 @@ def test_pnn_study_checks_its_arguments_before_training(monkeypatch, setting, va
 def test_pnn_study_rows_equal_the_tasks_run_in_process(seed):
     # the workers' rows, bit for bit, whatever process or order ran them
     report = nets.pnn_study(seed=seed, width=4, n_train=64, n_steps=30, n_eval=8)
-    expected = [nets._study_row(k, seed, 4, 64, 30, 8, 1e-4, False) for k in range(6)]
+    expected = [nets._study_row(k, seed, 4, 64, 30, 8, 1e-4) for k in range(6)]
     assert len(report.rows) == len(expected)
     for got, want in zip(report.rows, expected):
         assert got == want
 
 
-def test_pnn_study_leaves_no_worker_behind():
+def test_pnn_study_leaves_no_worker_behind(monkeypatch):
     small = dict(width=4, n_train=16, n_steps=5, n_eval=8)
     nets.pnn_study(**small)
     assert multiprocessing.active_children() == []
-    # every task stalls; the serial order names the first one
-    with pytest.raises(TrainingFailure, match=r"^task t1 stalled"):
-        nets.pnn_study(**small, mse_target=1e-12, strict=True)
+    # tasks 1 and 5 diverge on every rung in the forked workers; task 5
+    # starts first, but the serial order names task 1
+    train_task = nets._train_pnn_task
+
+    def diverging(fn, seed, task_index, *args):
+        if task_index in (1, 5):
+            raise TrainingFailure(f"task {task_index}: every restart diverged")
+        return train_task(fn, seed, task_index, *args)
+
+    monkeypatch.setattr(nets, "_train_pnn_task", diverging)
+    with pytest.raises(TrainingFailure, match=r"^task 1: every restart diverged$"):
+        nets.pnn_study(**small)
     assert multiprocessing.active_children() == []
 
 

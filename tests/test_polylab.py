@@ -96,7 +96,7 @@ def test_random_pairs_never_drop():
 
 def test_shared_coordinate_sampler_always_drops():
     poly = parse_poly("x1^2", dim=2)
-    sampler = shared_coordinate_pair_sampler(2, 0)
+    sampler = shared_coordinate_pair_sampler(2)
     _, x1, x2 = sampler(np.random.default_rng(76), 100)
     assert all(a == b for a, b in zip(x1[:, 0].tolist(), x2[:, 0].tolist()))
     record = verify_order_preservation(poly, poly, 100, sampler, seed=76)
@@ -157,23 +157,13 @@ def integer_arrays(block) -> bool:
     )
 
 
-def dyadic_block_in_range(block, dim: int, bits: int) -> bool:
-    """Integer arrays over den 2^bits, int64 numerators of both endpoints in range."""
-    den, x1, x2 = block
-    n = len(den)
-    return (
-        integer_arrays(block)
-        and den.shape == (n,) and x1.shape == x2.shape == (n, dim)
-        and x1.dtype == x2.dtype == np.int64
-        and all(d == 1 << bits for d in den.tolist())
-        and all(-(1 << bits) <= v <= (1 << bits) - 1 for v in [*x1.ravel(), *x2.ravel()])
-    )
-
-
 def test_dyadic_sampler_range_and_denominator():
     block = dyadic_uniform_pair_sampler(4)(np.random.default_rng(80), 25)
-    assert len(block[0]) == 25
-    assert dyadic_block_in_range(block, 4, 63)
+    den, x1, x2 = block
+    assert integer_arrays(block)
+    assert den.shape == (25,) and x1.shape == x2.shape == (25, 4)
+    assert den.dtype == object and x1.dtype == x2.dtype == np.int64
+    assert all(d == 1 << 63 for d in den.tolist())
 
 
 def test_gaussian_sampler_is_exact():
@@ -333,16 +323,20 @@ def samplers(draw, dim: int):
 
     Hand-made pairs mix denominators, Fraction(float) of subnormal floats,
     and collapsed pairs x1 == x2, on which every non-constant part drops.
+    Small-integer pairs share many coordinates, so their steps have exact
+    zero entries and their leading values often cancel to 0.
     """
-    kind = draw(st.sampled_from(["gaussian", "dyadic", "shared", "mixed", "collapsed"]))
+    kind = draw(st.sampled_from(["gaussian", "dyadic", "shared", "small", "mixed", "collapsed"]))
     if kind == "gaussian":
         return lambda: gaussian_pair_sampler(dim)
     if kind == "dyadic":
-        bits = draw(st.integers(0, 63))
-        return lambda: dyadic_uniform_pair_sampler(dim, bits)
+        return lambda: dyadic_uniform_pair_sampler(dim)
     if kind == "shared":
-        coordinate = draw(st.integers(0, dim - 1))
-        return lambda: shared_coordinate_pair_sampler(dim, coordinate)
+        return lambda: shared_coordinate_pair_sampler(dim)
+    if kind == "small":
+        point = st.tuples(*[st.integers(-1, 1)] * dim)
+        pairs = draw(st.lists(st.tuples(point, point), min_size=1, max_size=12))
+        return lambda: oracles.pair_sampler(pairs)
     point = st.tuples(*[coordinates] * dim)
     pairs = draw(st.lists(st.tuples(point, point), min_size=1, max_size=4))
     if kind == "collapsed":
@@ -501,34 +495,14 @@ def test_order_preservation_rejects_mixed_dimensions_before_sampling():
         verify_order_preservation(parse_poly("x1*x2"), parse_poly("x3"), 5, sampler)
 
 
-def test_dyadic_sampler_bits_range():
-    for bits in (64, 65, -1):
-        with pytest.raises(ValueError, match=r"0\.\.63"):
-            dyadic_uniform_pair_sampler(2, bits)
-    rng = np.random.default_rng(82)
-    for bits in (0, 1, 63):
-        block = dyadic_uniform_pair_sampler(2, bits)(rng, 30)
-        assert len(block[0]) == 30
-        assert dyadic_block_in_range(block, 2, bits)
-    # 30 pairs at bits 0 reach both ends of the range -1..0
-    _, _, x2 = dyadic_uniform_pair_sampler(2, 0)(rng, 30)
-    assert set(x2.ravel().tolist()) == {-1, 0}
-
-
 @pytest.mark.parametrize(
     "factory, args, message",
     [
         (gaussian_pair_sampler, (0,), "dim must be >= 1"),
         (dyadic_uniform_pair_sampler, (-1,), "dim must be >= 1"),
         (shared_coordinate_pair_sampler, (0,), "dim must be >= 1"),
-        (dyadic_uniform_pair_sampler, (2, 2.5), r"bits must be an integer in 0\.\.63, got 2\.5"),
-        (shared_coordinate_pair_sampler, (2, 0.5), r"coordinate must be an integer in 0\.\.1"),
-        (shared_coordinate_pair_sampler, (2, 2), r"coordinate must be .* 0\.\.1, got 2$"),
     ],
-    ids=[
-        "gaussian-dim-0", "dyadic-dim-minus-1", "shared-dim-0", "dyadic-bits-2.5",
-        "shared-coordinate-0.5", "shared-coordinate-2",
-    ],
+    ids=["gaussian-dim-0", "dyadic-dim-minus-1", "shared-dim-0"],
 )
 def test_sampler_factories_reject_bad_settings(factory, args, message):
     with pytest.raises(ValueError, match=message):
@@ -550,7 +524,7 @@ def test_library_samplers_build_no_fraction(monkeypatch):
     for sampler in (
         dyadic_uniform_pair_sampler(3),
         gaussian_pair_sampler(3),
-        shared_coordinate_pair_sampler(3, 2),
+        shared_coordinate_pair_sampler(3),
     ):
         verify_order_preservation(poly, poly, 40, sampler, seed=3)
     assert built == []
@@ -562,24 +536,18 @@ def test_library_samplers_build_no_fraction(monkeypatch):
 @EXACT
 @given(
     dim=st.integers(1, 6),
-    bits=st.integers(0, 63),
     seed=st.integers(0, 2**32),
     n=st.integers(1, 20),
     split=st.integers(0, 20),
-    coordinate=st.integers(0, 5),
 )
-def test_sampler_rows_equal_successive_reference_draws(dim, bits, seed, n, split, coordinate):
+def test_sampler_rows_equal_successive_reference_draws(dim, seed, n, split):
     # numpy buffers 32-bit draws in the bit generator, so the identity holds
     # across calls too: pairs drawn in two calls equal n one-pair draws
     split = min(split, n)
-    coordinate %= dim
     for library, reference in (
         (gaussian_pair_sampler(dim), oracles.gaussian_pair(dim)),
-        (dyadic_uniform_pair_sampler(dim, bits), oracles.dyadic_uniform_pair(dim, bits)),
-        (
-            shared_coordinate_pair_sampler(dim, coordinate),
-            oracles.shared_coordinate_pair(dim, coordinate),
-        ),
+        (dyadic_uniform_pair_sampler(dim), oracles.dyadic_uniform_pair(dim)),
+        (shared_coordinate_pair_sampler(dim), oracles.shared_coordinate_pair(dim)),
     ):
         rng = sampling.rng(seed)
         blocks = library(rng, split), library(rng, n - split)
