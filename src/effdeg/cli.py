@@ -137,7 +137,7 @@ def _load_config_file(path: str | None) -> dict:
     if path is None:
         return {}
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             data = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
@@ -303,7 +303,7 @@ def resolve_oracle(spec: str, dim: int) -> FunctionOracle:
             "(flags win over --config)"
         )
     if kind == "polyfile":
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             polys = polylab.parse_poly_bundle(fh.read(), dim=dim)
 
         # all rows at once, term by term; float_power is C pow, as float ** int
@@ -468,7 +468,7 @@ def cmd_verify_degree(args) -> int:
         if stray := [k for k in ("dim", "deg_a", "deg_b", "terms")
                      if getattr(args, k) is not None or k in from_file]:
             raise ConfigError(f"--polys takes no random-polynomial settings, got {stray}")
-        with open(args.polys, encoding="utf-8") as fh:
+        with open(args.polys, encoding="utf-8-sig") as fh:
             bundle = polylab.parse_poly_bundle(fh.read())
         if len(bundle) != 2:
             raise ConfigError(

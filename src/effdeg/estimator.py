@@ -2,7 +2,7 @@
 
 Every stage works on a whole stack of P paths:
 
-- plan_paths draws, for each path index p, an endpoint pair (x_i, x_j)
+- plan_paths draws, for each path index p of a unit, an endpoint pair (x_i, x_j)
   from a dataset and the abscissas a of the segment a x_i + (1 - a) x_j,
   and returns them stacked as one PathPlans, which also records the
   settings they were drawn under and the normal systems of their fits;
@@ -22,22 +22,23 @@ engine, and a plan is always fitted under the settings it was drawn under.
 
 Randomness is splittable: a plan names its paths by a key prefix and a
 path index p, and path p's draws depend only on (seed, prefix, p), in the
-stream layout the sampling module states.  plan_paths is two steps:
-draw_paths plans what needs no input values (every path's first pair
-attempt, its abscissas and its normal system) in one batched call each,
-and settle_paths checks each pair against the inputs and redraws the
-degenerate ones.  Both callers draw the first step through drawn_block,
-in cached blocks of whole units (block_units): a path of an estimate or a
-step of the penalty (net.plan_paths).  An estimate so holds one block plus
-about 41 bytes of records a path.  ed_estimate plans path p under (), so
-plan_paths(inputs, config, (), [p]) replays it alone, bit for bit.
+stream layout the sampling module states.  plan_paths(inputs, settings,
+prefix, unit, k) is the one planner: unit k of unit consecutive paths.
+What needs no input values (every path's first pair attempt, its
+abscissas and its normal system) is drawn in one batched call each for a
+cached block of whole units (drawn_block); per call only the check of
+each pair against the inputs and its redraws run (settle_paths).
+A unit is a block of paths in ed_estimate, a step in the penalty
+(net.plan_paths) and one path in a replay: path p of either is
+plan_paths(inputs, settings, prefix, 1, p), bit for bit.  An estimate so
+holds one block plus about 41 bytes of records a path.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
@@ -57,10 +58,6 @@ __all__ = [
     "PathSamplingError",
     "NonFiniteOutputError",
     "softmax",
-    "draw_paths",
-    "block_units",
-    "drawn_block",
-    "settle_paths",
     "plan_paths",
     "path_points",
     "path_values",
@@ -339,23 +336,28 @@ def settle_paths(inputs: np.ndarray, draws: PathPlans) -> PathPlans:
 
 
 def plan_paths(
-    inputs: np.ndarray, settings: PathSettings, prefix: tuple[int, ...], paths: Iterable[int]
+    inputs: np.ndarray, settings: PathSettings, prefix: tuple, unit: int, k: int, end: int = 1 << 32
 ) -> PathPlans:
-    """Draw the endpoint pair and abscissas of path prefix + (p,) under settings.seed, for every p.
+    """Unit k of unit consecutive paths under prefix, settled on inputs: the one planner.
 
-    The path indices p must lie in [0, 2**32), and inputs may hold at most
-    2**32 - 1 rows; anything else raises ValueError.  The abscissas follow
-    settings.scheme, settings.resolution and settings.anchored.  This is
-    settle_paths(inputs, draw_paths(...)): a path whose every attempt
-    fails is dropped, so the plans hold the surviving paths in their given
-    order, with the normal systems of their fits and settings itself.
+    The unit is path indices [k * unit, min((k + 1) * unit, end)), path p
+    keyed prefix + (p,).  Its first index must lie in [0, end), end at most
+    2**32, and inputs hold at most 2**32 - 1 rows; else ValueError.  It is
+    cut from the cached, read-only block of block_units(settings, unit)
+    whole units that holds it (drawn_block), then settled on inputs: a
+    path whose every attempt fails is dropped.  A path's bits do not depend
+    on its block, so path p alone is plan_paths(inputs, settings, prefix, 1, p).
     """
-    prefix, paths = tuple(prefix), [int(p) for p in paths]
-    for p in paths:
-        if not 0 <= p < 1 << 32:
-            raise ValueError(f"path key {prefix + (p,)}: path index {p} is outside [0, 2**32)")
-    draws = draw_paths(inputs.shape[0], settings, prefix, np.array(paths, dtype=np.int64))
-    return settle_paths(inputs, draws)
+    prefix, first = tuple(prefix), int(k) * unit
+    if unit < 1 or end > 1 << 32:
+        raise ValueError(f"unit must be >= 1 and end <= 2**32, got {unit} and {end}")
+    if not 0 <= first < end:
+        key = prefix + (first,)
+        raise ValueError(f"path key {key}: path index {first} of unit {k} is outside [0, {end})")
+    units = block_units(settings, unit)
+    start = int(k) // units * units * unit
+    block = drawn_block(settings, inputs.shape[0], prefix, start, min(start + units * unit, end))
+    return settle_paths(inputs, block[first - start : min(first + unit, end) - start])
 
 
 def _path_name(plans: PathPlans, k: int) -> str:
@@ -500,9 +502,8 @@ def ed_estimate(
     config.check_output_dim(oracle.output_dim)
 
     length, columns = block_units(config, 1), []
-    for start in range(0, config.n_paths, length):
-        stop = min(start + length, config.n_paths)
-        plans = settle_paths(X, drawn_block(config, X.shape[0], (), start, stop))
+    for k in range(-(-config.n_paths // length)):
+        plans = plan_paths(X, config, (), length, k, config.n_paths)
         if plans:
             fit = fit_paths(path_values(oracle, X, plans), plans, labels=labels)
             columns.append((plans.paths, plans.i, plans.j, fit.ed, fit.ed_norm, fit.pca_ties))

@@ -8,8 +8,9 @@ descent with optional momentum, and an objective
 where ED_batch averages the per-path effective degree over paths drawn from
 the minibatch and lambda_eff ramps sinusoidally from 0 to the configured
 strength.  Every penalty path of a run is keyed under one prefix, path p of
-step s at index s * reg_paths + p (plan_paths), so a step, or any one of
-its paths, can be replayed in isolation.
+step s at index s * reg_paths + p: step s is unit s of reg_paths paths of
+estimator.plan_paths (plan_paths), so a step, or any one of its paths,
+can be replayed in isolation.
 
 The module also carries the square-activation network study: six polynomial
 regression targets of known total degree, each fit by a fixed architecture
@@ -307,33 +308,15 @@ PENALTY_PREFIX = (1,)
 
 
 def plan_paths(batch: np.ndarray, config: TrainConfig, step: int) -> PathPlans:
-    """Draw the penalty paths for one step; degenerate pairs are dropped.
+    """The penalty paths of one step: unit step of reg_paths paths of estimator.plan_paths.
 
-    Path p of the step is planned under key PENALTY_PREFIX + (q,) with
-    q = step * reg_paths + p, so it can be replayed alone with
-    estimator.plan_paths(batch, config, PENALTY_PREFIX, [q]); a q outside
-    [0, 2**32) raises ValueError naming its key.  What does not depend on
-    the batch's values (attempt 0's endpoint rows, the abscissas and the
-    fits' normal systems) is drawn once per block of consecutive steps
-    (estimator.block_units, with a step as the unit) and cached by
-    estimator.drawn_block; per step only the degeneracy check and its
-    redraws run.  The plans may share read-only arrays with the cache, and
-    record config as their settings.
+    Path p of the step is path index q = step * reg_paths + p under
+    PENALTY_PREFIX, so it replays alone as estimator.plan_paths(batch,
+    config, PENALTY_PREFIX, 1, q).  A step starting outside [0, 2**32)
+    raises ValueError naming its key, and one crossing 2**32 is cut short
+    there; TrainConfig.validate keeps every step of a run whole.
     """
-    n_paths = config.reg_paths
-    first = int(step) * n_paths
-    if not 0 <= first <= (1 << 32) - n_paths:
-        q = first if first < 0 else max(first, 1 << 32)
-        raise ValueError(
-            f"path key {PENALTY_PREFIX + (q,)}: path index {q} of step {step} "
-            "is outside [0, 2**32)"
-        )
-    steps = estimator.block_units(config, n_paths)
-    start = int(step) // steps * steps * n_paths
-    stop = min(start + steps * n_paths, 1 << 32)
-    block = estimator.drawn_block(config, batch.shape[0], PENALTY_PREFIX, start, stop)
-    offset = first - start
-    return estimator.settle_paths(batch, block[offset : offset + n_paths])
+    return estimator.plan_paths(batch, config, PENALTY_PREFIX, config.reg_paths, step)
 
 
 def ed_penalty(

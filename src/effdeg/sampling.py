@@ -29,9 +29,10 @@ is 1 on every path stream, so no path reads a word of an rng stream.
 
 Two prefixes are in use: ed_estimate plans path p under (), and the
 training penalty path p of step s under (1,) at index s * reg_paths + p,
-so 2**32 caps a penalized run at n_steps * reg_paths.  Under either, one
-call draws a block of consecutive indices (estimator.drawn_block): whole
-paths of an estimate, or whole steps of a run's penalty.
+so 2**32 caps a penalized run at n_steps * reg_paths.  Under either,
+estimator.plan_paths cuts its unit (a block of an estimate's paths, one
+penalty step or one replayed path) from consecutive indices drawn in one
+call.
 """
 
 from __future__ import annotations

@@ -207,7 +207,7 @@ def test_fit_paths_on_a_train_config_equals_its_estimator_config(task, anchored,
     X = rng.standard_normal((6, 2))
     plans = plan_paths(X, train_cfg, step=3)
     assert len(plans) == 4 and plans.settings is train_cfg
-    same_paths = estimator.plan_paths(X, est_cfg, PENALTY_PREFIX, plans.paths)
+    same_paths = estimator.plan_paths(X, est_cfg, PENALTY_PREFIX, 4, 3)
     assert same(same_paths.pairs, plans.pairs) and same(same_paths.alphas, plans.alphas)
     raw = rng.standard_normal((4, 6, 3))
     labels = rng.standard_normal((6, 3))
@@ -265,20 +265,21 @@ def test_penalty_equals_per_path_reference(setting, task, reg_paths, hidden, see
 
 
 @st.composite
-def path_lists(draw):
-    """1 to 40 path indices, in runs and out of order."""
-    start = draw(st.sampled_from([0, 2**32 - 40]) | st.integers(0, 2**32 - 40))
-    paths = list(range(start, start + draw(st.integers(0, 30))))
-    for p in draw(st.lists(st.integers(0, 2**32 - 1), max_size=10)):
-        paths.insert(draw(st.integers(0, len(paths))), p)
-    return paths or [0]
+def units(draw):
+    """(unit, k, end): unit k of 1 to 40 paths, cut short at end or at 2**32."""
+    unit = draw(st.integers(1, 40))
+    last = ((1 << 32) - 1) // unit  # the last unit that starts below 2**32
+    k = draw(st.sampled_from([0, last]) | st.integers(0, last))
+    first = k * unit
+    end = draw(st.just(1 << 32) | st.integers(first + 1, min(first + unit, 1 << 32)))
+    return unit, k, end
 
 
 @PROPERTY
 @given(
     seed=st.integers(0, 2**32 - 1) | st.integers(2**63, 2**160),
     prefix=st.lists(st.integers(0, 2**32 - 1) | st.just(2**40 + 3), max_size=2).map(tuple),
-    paths=path_lists(),
+    unit=units(),
     scheme=st.sampled_from(SCHEME_VARIANTS),
     resolution=st.integers(2, 64),
     anchored=st.booleans(),
@@ -287,10 +288,10 @@ def path_lists(draw):
     distinct=st.integers(1, 6),
     dim=st.integers(1, 3),
 )
-@example(seed=2**64 - 1, prefix=(3, 1), paths=list(range(20)), scheme="randomized_cosine",
+@example(seed=2**64 - 1, prefix=(3, 1), unit=(20, 0, 2**32), scheme="randomized_cosine",
          resolution=15, anchored=True, data_seed=0, n=3, distinct=2, dim=2)
 def test_plan_paths_equals_per_key_reference(
-    seed, prefix, paths, scheme, resolution, anchored, data_seed, n, distinct, dim
+    seed, prefix, unit, scheme, resolution, anchored, data_seed, n, distinct, dim
 ):
     # few distinct rows force redraws and dropped paths; every planned row
     # ascends strictly, since no drawn uniform nears a shared stratum bound
@@ -298,8 +299,9 @@ def test_plan_paths_equals_per_key_reference(
     settings = PathSettings(
         resolution=resolution, max_degree=0, scheme=scheme, anchored=anchored, seed=seed
     )
-    got = estimator.plan_paths(X, settings, prefix, paths)
-    want = oracles.plan_paths(X, settings, prefix, paths)
+    size, k, end = unit
+    got = estimator.plan_paths(X, settings, prefix, size, k, end)
+    want = oracles.plan_paths(X, settings, prefix, range(k * size, min((k + 1) * size, end)))
     assert got.prefix == want.prefix == prefix
     assert same(got.paths, want.paths)
     assert same(got.i, want.i) and same(got.j, want.j)
@@ -309,26 +311,55 @@ def test_plan_paths_equals_per_key_reference(
 
 @pytest.mark.parametrize("scheme", SCHEME_VARIANTS)
 def test_every_path_replays_alone(scheme):
-    # a plan over many paths equals each path planned on its own: a run from
-    # index 0 on, a run that is not contiguous, duplicates forcing redraws
+    # a unit of 40 paths equals each path planned as a unit of one, and
+    # scattered indices replay alone as the per-key reference plans them;
+    # duplicate rows force redraws
     X = dataset(4, 30, 2, 5)
     settings = PathSettings(resolution=7, scheme=scheme, anchored=True, seed=17)
-    scattered = (9, 10, 11, 3, 0, 1, 30, 2**32 - 1)
-    for prefix, paths in (((), range(40)), ((6, 1), scattered)):
-        together = estimator.plan_paths(X, settings, prefix, paths)
-        alone = [estimator.plan_paths(X, settings, prefix, [p]) for p in paths]
-        alone = [plan for plan in alone if plan]
-        assert together.paths.tolist() == [plan.paths[0] for plan in alone]
-        for k, plan in enumerate(alone):
-            assert (together.i[k], together.j[k]) == (plan.i[0], plan.j[0])
-            assert same(together.alphas[k], plan.alphas[0])
+    together = estimator.plan_paths(X, settings, (), 40, 0)
+    alone = [estimator.plan_paths(X, settings, (), 1, p) for p in range(40)]
+    alone = [plan for plan in alone if plan]
+    assert together.paths.tolist() == [plan.paths[0] for plan in alone]
+    for k, plan in enumerate(alone):
+        assert (together.i[k], together.j[k]) == (plan.i[0], plan.j[0])
+        assert same(together.alphas[k], plan.alphas[0])
+    for p in (9, 10, 11, 3, 0, 1, 30, 2**32 - 1):
+        got = estimator.plan_paths(X, settings, (6, 1), 1, p)
+        want = oracles.plan_paths(X, settings, (6, 1), [p])
+        assert same(got.paths, want.paths) and same(got.pairs, want.pairs)
+        assert same(got.alphas, want.alphas)
+
+
+def test_cached_blocks_hold_nothing_that_depends_on_input_values():
+    # a block drawn on one dataset is reused on another of the same row count,
+    # and a penalty block on every minibatch of its steps: the plans on the
+    # second inputs are still the per-key reference's, redraws included
+    settings = PathSettings(resolution=6, anchored=True, seed=21)
+    cfg = TrainConfig(reg_paths=4, resolution=5, anchored=True, seed=22)
+    spread = dataset(5, 12, 2, 12)
+    clumped = spread[[0] * 10 + [1, 2]]  # most pairs are degenerate
+    cases = [
+        (lambda X: estimator.plan_paths(X, settings, (), 10, 2), settings, (), range(20, 30)),
+        (lambda X: plan_paths(X, cfg, 5), cfg, PENALTY_PREFIX, range(20, 24)),
+        (lambda X: plan_paths(X, cfg, 6), cfg, PENALTY_PREFIX, range(24, 28)),
+    ]
+    estimator.drawn_block.cache_clear()
+    for plan, config, prefix, paths in cases:
+        for X in (spread, clumped):
+            got, want = plan(X), oracles.plan_paths(X, config, prefix, paths)
+            assert same(got.paths, want.paths) and same(got.pairs, want.pairs)
+            assert same(got.alphas, want.alphas)
+        assert not same(plan(clumped).pairs, plan(spread).pairs)  # the clumped rows redrew
+    # one block for the estimate's settings and one for the penalty's steps
+    assert estimator.drawn_block.cache_info().misses == 2
+    estimator.drawn_block.cache_clear()
 
 
 def test_plan_paths_redraw_test_decides_as_linalg_norm():
     # rows 1e-12 apart sit on the redraw threshold: some pairs are redrawn, some kept
     X = np.array([[0.0, 0.0], [5e-13, 0.0], [1.2e-12, 0.0], [0.0, 1.5e-12], [3e-12, 0.0]])
     settings = PathSettings(seed=8)
-    got = estimator.plan_paths(X, settings, (), range(300))
+    got = estimator.plan_paths(X, settings, (), 300, 0)
     want = oracles.plan_paths(X, settings, (), range(300))
     assert same(got.paths, want.paths)
     assert same(got.i, want.i) and same(got.j, want.j) and same(got.alphas, want.alphas)
@@ -343,14 +374,14 @@ def test_deterministic_schemes_draw_no_abscissa_stream(monkeypatch):
         s: PathSettings(resolution=6, scheme=s, anchored=True, seed=4)
         for s in ("chebyshev_fixed", "uniform")
     }
-    want = {s: estimator.plan_paths(X, settings[s], (), range(50)) for s in settings}
+    want = {s: estimator.plan_paths(X, settings[s], (), 50, 0) for s in settings}
 
     def refuse(*args):
         raise AssertionError("a deterministic scheme drew abscissa uniforms")
 
     monkeypatch.setattr(sampling, "path_uniforms", refuse)
     for scheme, plans in want.items():
-        got = estimator.plan_paths(X, settings[scheme], (), range(50))
+        got = estimator.plan_paths(X, settings[scheme], (), 50, 0)
         assert same(got.alphas, plans.alphas)
         assert same(got.alphas, np.tile(sample_abscissas(scheme, 6, anchored=True), (len(got), 1)))
 
@@ -372,12 +403,12 @@ def test_stacking_does_not_change_a_path():
     rng = np.random.default_rng(1)
     cfg = EstimatorConfig(resolution=6, max_degree=4, pca_dim=2, post_softmax=True, seed=5)
     X = rng.standard_normal((4, 2))
-    plans = estimator.plan_paths(X, cfg, (), range(5))
+    plans = estimator.plan_paths(X, cfg, (), 5, 0)
     assert len(plans) == 5
     raw = rng.standard_normal((5, 6, 3))
     together = fit_paths(raw, plans, with_gradient=True)
     for k in range(5):
-        plan = estimator.plan_paths(X, cfg, (), [k])
+        plan = estimator.plan_paths(X, cfg, (), 1, k)
         alone = fit_paths(raw[k : k + 1], plan, with_gradient=True)
         assert alone.ed.tolist() == together.ed[k : k + 1].tolist()
         assert same(alone.grad[0], together.grad[k])
@@ -389,7 +420,7 @@ def test_estimate_evaluates_the_oracle_once_on_all_paths():
     oracle = FunctionOracle(2, 2, lambda p: seen.append(p.copy()) or p, name="identity")
     cfg = EstimatorConfig(n_paths=3, resolution=4, max_degree=2, scheme="uniform", seed=2)
     ed_estimate(oracle, X, cfg)
-    plans = estimator.plan_paths(X, cfg, (), range(3))
+    plans = estimator.plan_paths(X, cfg, (), 3, 0)
     assert len(seen) == 1 and seen[0].shape == (12, 2)
     for k in range(len(plans)):  # path k's rows, in plan order
         a = plans.alphas[k][:, None]

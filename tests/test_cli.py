@@ -474,6 +474,37 @@ def test_a_byte_order_mark_is_not_part_of_the_first_column(tmp_path, capsys):
     assert docs[0]["canonical_sha256"] == docs[1]["canonical_sha256"]
 
 
+@pytest.mark.parametrize("site", ["config", "polys", "polyfile"])
+def test_a_byte_order_mark_does_not_change_an_input_file(tmp_path, capsys, site):
+    # a config, a --polys pair and a polyfile oracle read as the plain file;
+    # the digests that name a file still hash its bytes, mark included
+    data = cluster_dataset(tmp_path / "c.csv", n=16, seed=22)
+    text, artifact, argv = {
+        "config": (b'{"pairs": 7, "seed": 3}\n', "verify_degree.json",
+                   lambda f: ["verify-degree", "--config", f]),
+        "polys": (b"x1^2 + x2\nx1^3 - x2\n", "verify_degree.json",
+                  lambda f: ["verify-degree", "--polys", f, "--pairs", "5"]),
+        "polyfile": (b"x1*x2 + x1\n", "estimate.json", lambda f: [
+            "estimate", "--data", data, "--oracle", f"polyfile:{f}", "--paths", "4"]),
+    }[site]
+    docs = []
+    for name, mark in (("plain", b""), ("marked", b"\xef\xbb\xbf")):
+        source = tmp_path / f"{name}.txt"
+        source.write_bytes(mark + text)
+        out = tmp_path / name
+        assert main(argv(str(source)) + ["--out", str(out)]) == EXIT_OK
+        doc = read_json(out, artifact)
+        digest = hashlib.sha256(mark + text).hexdigest()
+        if site == "polys":
+            assert doc["result"].pop("polys_sha256") == digest
+        if site == "polyfile":
+            for block in ("config", "result"):
+                assert doc[block].pop("oracle") == f"polyfile:sha256={digest}"
+        docs.append(doc)
+    capsys.readouterr()
+    assert docs[0]["result"] == docs[1]["result"] and docs[0]["config"] == docs[1]["config"]
+
+
 def test_train_rejects_more_penalty_paths_than_keys(tmp_path, capsys):
     # step s keys its paths s * reg_paths + p, and every index must stay below 2**32
     data = cluster_dataset(tmp_path / "c.csv", n=16, seed=19)

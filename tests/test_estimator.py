@@ -136,7 +136,7 @@ def test_anchor_values_checks_the_planned_abscissas(scheme):
     labels = np.random.default_rng(55).standard_normal((10, 2))
     for anchored in (True, False):
         settings = PathSettings(resolution=5, scheme=scheme, anchored=anchored, seed=56)
-        plans = plan_paths(X, settings, (), range(6))
+        plans = plan_paths(X, settings, (), 6, 0)
         values = path_values(identity_oracle(2), X, plans)
         if anchored or scheme == "uniform":
             out = anchor_values(values, plans, labels)
@@ -221,7 +221,7 @@ def square_net_paths():
     # a degree-8 network, its dataset, and each planned pair's exact restriction
     net = build_pnn(seed=0)
     X = np.random.default_rng(8).uniform(-2.0, 2.0, size=(12, 3))
-    plans = plan_paths(X, PathSettings(seed=5), (), range(6))
+    plans = plan_paths(X, PathSettings(seed=5), (), 6, 0)
     pairs = zip(plans.i.tolist(), plans.j.tolist())
     exact = {(i, j): net_restriction(net, X[i], X[j]) for i, j in pairs}
     return net, X, exact
@@ -426,7 +426,7 @@ def test_single_path_replays_on_its_own():
     report = ed_estimate(oracle, X, cfg, labels=labels)
     assert len(report.per_path) == 12
     for result in reversed(report.per_path):
-        plan = plan_paths(X, cfg, (), [result.index])
+        plan = plan_paths(X, cfg, (), 1, result.index)
         fitted = fit_paths(path_values(oracle, X, plan), plan, labels=labels)
         assert (plan.i[0], plan.j[0]) == (result.endpoint_i, result.endpoint_j)
         assert fitted.ed[0] == result.ed
@@ -441,7 +441,7 @@ def test_plans_are_fitted_under_the_settings_they_were_drawn_under():
     oracle = FunctionOracle(2, 1, lambda p: np.sin(3.0 * p[:, :1]), name="sin-3x0")
     a = EstimatorConfig(n_paths=5, resolution=8, max_degree=5, damping=1e-6, seed=67)
     b = replace(a, basis="legendre", max_degree=2, damping=1e-2)
-    drawn_a, drawn_b = plan_paths(X, a, (), range(5)), plan_paths(X, b, (), range(5))
+    drawn_a, drawn_b = plan_paths(X, a, (), 5, 0), plan_paths(X, b, (), 5, 0)
     assert drawn_a.settings is a and drawn_b.settings is b
     assert drawn_a.pairs.tobytes() == drawn_b.pairs.tobytes()
     assert drawn_a.alphas.tobytes() == drawn_b.alphas.tobytes()
@@ -459,7 +459,7 @@ def test_plans_drawn_under_bare_path_settings_fit_raw_outputs():
     oracle = FunctionOracle(3, 3, lambda p: np.tanh(p @ W), name="tanh")
     settings = PathSettings(resolution=6, max_degree=4, pca_dim=2, seed=69)
     config = EstimatorConfig(n_paths=7, **vars(settings))
-    bare, full = plan_paths(X, settings, (), range(7)), plan_paths(X, config, (), range(7))
+    bare, full = plan_paths(X, settings, (), 7, 0), plan_paths(X, config, (), 7, 0)
     raw = path_values(oracle, X, full)
     got = fit_paths(raw, bare, with_gradient=True)
     want = fit_paths(raw, full, with_gradient=True)
@@ -470,7 +470,7 @@ def test_plans_drawn_under_bare_path_settings_fit_raw_outputs():
 
 def test_plan_path_redraws_coincident_pairs():
     X = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0]])
-    plans = plan_paths(X, PathSettings(scheme="chebyshev_fixed", seed=3), (), range(20))
+    plans = plan_paths(X, PathSettings(scheme="chebyshev_fixed", seed=3), (), 20, 0)
     assert len(plans) == 20
     assert ((plans.i == 2) | (plans.j == 2)).all()
 
@@ -483,23 +483,56 @@ def exit_code(exc):
 def test_plan_paths_rejects_path_indices_outside_32_bits(index):
     X = np.random.default_rng(0).standard_normal((5, 2))
     settings = PathSettings(scheme="chebyshev_fixed")
-    paths = [0, 2**32 - 1, index]
-    named = rf"path key \(7, {index}\): path index {index} is outside"
+    named = rf"path key \(7, {index}\): path index {index} of unit {index} is outside"
     with pytest.raises(ValueError, match=named) as err:
-        plan_paths(X, settings, (7,), paths)
+        plan_paths(X, settings, (7,), 1, index)
     assert exit_code(err.value) == EXIT_CONFIG
-    assert len(plan_paths(X, settings, (7,), paths[:2])) == 2
+    assert plan_paths(X, settings, (7,), 1, 2**32 - 1).paths.tolist() == [2**32 - 1]
+    last = plan_paths(X, settings, (7,), 4, 2**30 - 1)
+    assert last.paths.tolist() == list(range(2**32 - 4, 2**32))
+
+
+@pytest.mark.parametrize(
+    ("unit", "k", "end", "message"),
+    [
+        (0, 0, 2**32, r"^unit must be >= 1 and end <= 2\*\*32, got 0 and 4294967296$"),
+        (1, 0, 2**32 + 1, r"^unit must be >= 1 and end <= 2\*\*32, got 1 and 4294967297$"),
+        (4, 3, 12, r"path key \(12,\): path index 12 of unit 3 is outside \[0, 12\)"),
+    ],
+    ids=["empty-unit", "end-past-32-bits", "unit-at-end"],
+)
+def test_plan_paths_rejects_bad_units_and_ends(unit, k, end, message):
+    # end cuts the last unit short; a unit starting at end holds no path
+    X = np.random.default_rng(0).standard_normal((5, 2))
+    with pytest.raises(ValueError, match=message):
+        plan_paths(X, PathSettings(), (), unit, k, end)
+    assert plan_paths(X, PathSettings(), (), 4, 2, 12).paths.tolist() == [8, 9, 10, 11]
+    assert plan_paths(X, PathSettings(), (), 4, 2, 10).paths.tolist() == [8, 9]
 
 
 def test_plan_paths_rejects_datasets_of_2_to_the_32_rows():
     # zero-stride views: no memory behind the rows, and every row coincides
     largest = np.broadcast_to(np.arange(2.0), (2**32 - 1, 2))
     settings = PathSettings(scheme="uniform")
-    assert len(plan_paths(largest, settings, (), [0])) == 0
+    assert len(plan_paths(largest, settings, (), 1, 0)) == 0
     too_many = np.broadcast_to(np.arange(2.0), (2**32, 2))
     with pytest.raises(ValueError, match="cannot plan paths over 4294967296 rows") as err:
-        plan_paths(too_many, settings, (), [0])
+        plan_paths(too_many, settings, (), 1, 0)
     assert exit_code(err.value) == EXIT_CONFIG
+
+
+def test_oracle_shape_errors_name_the_oracle_before_any_fit(monkeypatch):
+    # a 2-in, 3-out oracle that returns its 2-column input: the estimate
+    # fails at the oracle call, never at a fit
+    X = np.random.default_rng(70).standard_normal((6, 2))
+    wide = FunctionOracle(2, 3, lambda p: p, name="wide")
+    monkeypatch.setattr(estimator, "fit_paths", None)  # a fit would fail otherwise
+    shape = r"^oracle 'wide' returned shape \((\d+), 2\), expected \(\1, 3\)$"
+    with pytest.raises(ValueError, match=shape):
+        ed_estimate(wide, X, EstimatorConfig(n_paths=4, seed=71))
+    for points in (np.zeros((4, 3)), np.zeros(2), np.zeros((1, 4, 2))):
+        with pytest.raises(ValueError, match=r"^points must be \(n, 2\)$"):
+            wide.evaluate(points)
 
 
 def test_nonfinite_oracle_output_names_the_path():
@@ -509,7 +542,7 @@ def test_nonfinite_oracle_output_names_the_path():
         2, 1, lambda p: np.where(p[:, :1] > 2.0, np.nan, p[:, :1]), name="nan-beyond-2"
     )
     cfg = EstimatorConfig(n_paths=12, resolution=4, max_degree=3, seed=6)
-    plans = plan_paths(X, cfg, (), range(cfg.n_paths))
+    plans = plan_paths(X, cfg, (), cfg.n_paths, 0)
     first = int(np.flatnonzero((plans.i == 3) | (plans.j == 3))[0])
     with pytest.raises(NonFiniteOutputError) as err:
         ed_estimate(oracle, X, cfg)
@@ -527,7 +560,7 @@ def test_overflowing_ed_statistics_name_the_largest_path():
     X = np.random.default_rng(0).standard_normal((20, 2))
     oracle = FunctionOracle(2, 1, lambda p: 1e300 * p[:, :1] ** 2, name="huge")
     cfg = EstimatorConfig(n_paths=10, seed=1)
-    plans = plan_paths(X, cfg, (), range(10))
+    plans = plan_paths(X, cfg, (), 10, 0)
     eds = fit_paths(path_values(oracle, X, plans), plans).ed
     assert np.isfinite(eds).all()
     k = int(np.argmax(eds))

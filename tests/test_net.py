@@ -37,6 +37,7 @@ from effdeg.net import (
     train,
 )
 
+import oracles
 from oracles import fd_gradient
 
 
@@ -446,7 +447,7 @@ def test_plan_paths_are_plan_path_at_step_keys():
     assert len(plans) == 6
     assert plans.prefix == (1,) and plans.paths.tolist() == list(range(42, 48))
     for k, p in enumerate(plans.paths):  # each path replayed alone
-        alone = estimator.plan_paths(X, cfg, (1,), [p])
+        alone = estimator.plan_paths(X, cfg, (1,), 1, p)
         assert (alone.i[0], alone.j[0]) == (plans.i[k], plans.j[k])
         assert alone.alphas.tobytes() == plans.alphas[k].tobytes()
 
@@ -462,7 +463,7 @@ def test_penalty_path_replays_alone_after_a_redraw():
         plans = plan_paths(X, cfg, step)
         for k, q in enumerate(plans.paths.tolist()):
             assert step * 5 <= q < step * 5 + 5
-            alone = estimator.plan_paths(X, cfg, (1,), [q])
+            alone = estimator.plan_paths(X, cfg, (1,), 1, q)
             assert alone.prefix == plans.prefix == (1,) and alone.paths.tolist() == [q]
             assert alone.settings == plans.settings == cfg
             assert alone.key.tobytes() == plans.key.tobytes() == key.tobytes()
@@ -480,8 +481,12 @@ def test_penalty_plans_reject_steps_past_the_key_range():
     X = np.random.default_rng(34).standard_normal((6, 2))
     cfg = TrainConfig(reg_paths=4, seed=35)
     assert plan_paths(X, cfg, 2**30 - 1).paths.tolist() == list(range(2**32 - 4, 2**32))
+    # a step that crosses 2**32 is cut short there; TrainConfig.validate keeps runs clear of it
+    crossing = replace(cfg, reg_paths=3)
+    assert plan_paths(X, crossing, (2**32 - 1) // 3).paths.tolist() == [2**32 - 1]
     for step, q in ((2**30, 2**32), (-1, -4)):
-        with pytest.raises(ValueError, match=rf"path key \(1, {q}\): path index {q} of step"):
+        named = rf"path key \(1, {q}\): path index {q} of unit {step} is outside"
+        with pytest.raises(ValueError, match=named):
             plan_paths(X, cfg, step)
 
 
@@ -509,7 +514,7 @@ def test_penalty_blocks_change_no_step(monkeypatch, block_paths):
 
     def planned_alone(batch, config, step):
         paths = range(step * config.reg_paths, (step + 1) * config.reg_paths)
-        return estimator.plan_paths(batch, config, (1,), paths)
+        return oracles.plan_paths(batch, config, (1,), paths)
 
     with monkeypatch.context() as patch:
         patch.setattr(nets, "plan_paths", planned_alone)

@@ -95,11 +95,12 @@ def test_random_streams_are_seeded_only_in_sampling():
 
 
 def test_paths_are_planned_only_in_estimator():
-    # estimator's blocked planner is the one that draws paths: the training
-    # penalty and every other module cut their plans from it
+    # estimator.plan_paths is the one planner: the training penalty and every
+    # other module call it, never the block helpers it is built from
     modules = package_modules("estimator.py")
     assert modules
-    calls = calls_named(modules, {"draw_paths", "path_key"})
+    helpers = {"draw_paths", "path_key", "block_units", "drawn_block", "settle_paths"}
+    calls = calls_named(modules, helpers)
     assert not calls, calls
 
 
